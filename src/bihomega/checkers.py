@@ -1,455 +1,328 @@
 """Exhaustive basis-evaluation checkers for every defining identity.
 
 By multilinearity an identity holds for all vectors iff it holds on all
-basis tuples, so each checker enumerates semigroup indices and basis
-indices lexicographically and compares both sides exactly.
-"""
+basis tuples.  Each identity is an `Axiom`: a name, an arity and two
+sides built from four term forms, all checked by one evaluator."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import product
+from operator import add, itemgetter, sub
+from typing import Callable, Union
 
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Vector, basis_vector, vec_add, vec_scale, vec_sub
+from .linalg import Vector, basis_vector
 from .reports import AxiomResult, CheckReport, Witness
 from .semigroup import is_commutative_table
 
 DEFAULT_WITNESS_CAP = 10
 
-Cell = tuple[tuple[str, ...], tuple[int, ...], Vector, Vector]
+
+# -- term forms ---------------------------------------------------------
+# A term's index is the semigroup product of its arguments' indices, read
+# left to right; a variable's index is its own, a sum's its first term's.
+
+Var = namedtuple("Var", "pos twist", defaults=("",))  # "pq" twist: p(q(e_pos))
+Mul = namedtuple("Mul", "slot left right")  # product `slot` at the args' indices
+Map = namedtuple("Map", "name arg")  # map family `name` at the arg's index
+Sum = namedtuple("Sum", "terms")  # (coefficient, term) pairs; "lam": RB weight
+Axiom = namedtuple("Axiom", "name arity lhs rhs")
+Term = Union[Var, Mul, Map, Sum]
 
 
-def _gather(axiom: str, cells: Iterable[Cell], cap: int) -> AxiomResult:
-    witnesses = []
-    total = 0
-    for indices, basis, lhs, rhs in cells:
-        if lhs != rhs:
-            total += 1
-            if len(witnesses) < cap:
-                witnesses.append(Witness(indices, basis, lhs, rhs))
-    return AxiomResult(axiom, total == 0, tuple(witnesses), total)
+def on(name: str) -> Callable[[Term], Term]:
+    """Map family `name` as a term function; on a variable it twists."""
+    return lambda t: (Var(t.pos, name + t.twist) if isinstance(t, Var)
+                      else Map(name, t))
 
 
-class _Eval:
-    """Cached basis images for one instance."""
-
-    def __init__(self, inst: AlgebraInstance):
-        self.inst = inst
-        self.omega = inst.omega
-        self.n = inst.omega.order
-        self.d = inst.dim
-        self.basis = [basis_vector(self.d, i) for i in range(self.d)]
-        self.pcol = self._columns(inst.p)
-        self.qcol = self._columns(inst.q)
-
-    def _columns(self, fam: LinearFamily) -> list[list[Vector]]:
-        return [[fam.apply(a, e) for e in self.basis] for a in self.omega.indices()]
-
-    # p_a(q_a(e_i)) and q_a(q_a(e_i)), built only by the checkers that
-    # twist by them, so per-candidate searches never pay for them
-    @cached_property
-    def pqcol(self) -> list[list[Vector]]:
-        return [[self.inst.p.apply(a, v) for v in col]
-                for a, col in enumerate(self.qcol)]
-
-    @cached_property
-    def qqcol(self) -> list[list[Vector]]:
-        return [[self.inst.q.apply(a, v) for v in col]
-                for a, col in enumerate(self.qcol)]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.omega.mul(a, b)
-
-    def label(self, *indices: int) -> tuple[str, ...]:
-        return tuple(self.omega.elements[a] for a in indices)
+def plus(*terms: Term) -> Sum:
+    return Sum(tuple((1, t) for t in terms))
 
 
-def _multiplicativity_cells(ev: _Eval, fam: LinearFamily,
-                            cols: list[list[Vector]],
-                            product: BilinearFamily) -> Iterator[Cell]:
-    # f_{ab}(e_i *_{a,b} e_j) = f_a(e_i) *_{a,b} f_b(e_j)
-    for a in range(ev.n):
-        for b in range(ev.n):
-            ab = ev.mul(a, b)
-            for i in range(ev.d):
-                for j in range(ev.d):
-                    lhs = fam.apply(ab, product.basis_product(a, b, i, j))
-                    rhs = product.apply(a, b, cols[a][i], cols[b][j])
-                    yield ev.label(a, b), (i, j), lhs, rhs
+def minus(left: Term, right: Term) -> Sum:
+    return Sum(((1, left), (-1, right)))
 
 
-def _mult_results(ev: _Eval, product: BilinearFamily, cap: int,
-                  prefix: str = "") -> list[AxiomResult]:
-    return [
-        _gather(prefix + "p-multiplicativity",
-                _multiplicativity_cells(ev, ev.inst.p, ev.pcol, product), cap),
-        _gather(prefix + "q-multiplicativity",
-                _multiplicativity_cells(ev, ev.inst.q, ev.qcol, product), cap),
-    ]
+X, Y, Z = Var(0), Var(1), Var(2)
+_BARE = {X, Y, Z}
+p, q, R, f = on("p"), on("q"), on("R"), on("f")
 
 
-def _require_kind(inst: AlgebraInstance, kinds: tuple[AlgebraKind, ...]):
-    if inst.kind not in kinds:
-        wanted = ", ".join(k.value for k in kinds)
-        raise KindMismatch(f"checker expects kind in {{{wanted}}}, got {inst.kind.value}")
+# -- the axiom tables ---------------------------------------------------
+
+def _mult(m: str, prefix: str = "") -> tuple[Axiom, ...]:
+    # g_{ab}(x *_{a,b} y) = g_a(x) *_{a,b} g_b(y) for g = p, q
+    return tuple(Axiom(f"{prefix}{name}-multiplicativity", 2, g(Mul(m, X, Y)),
+                       Mul(m, g(X), g(Y))) for name, g in (("p", p), ("q", q)))
 
 
-def _require_commutative(inst: AlgebraInstance):
-    if not is_commutative_table(inst.omega):
-        raise NonCommutativeOmega(
-            f"{inst.kind.value} checker requires a commutative index semigroup")
+def _associator(m: str, u: Var, v: Var, w: Var) -> Sum:
+    return minus(Mul(m, p(q(u)), Mul(m, p(v), w)),
+                 Mul(m, Mul(m, q(u), p(v)), q(w)))
 
 
-def check_bihom_associative(inst: AlgebraInstance,
-                            max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """p/q multiplicativity plus the twisted associativity identity."""
-    _require_kind(inst, ASSOCIATIVE_KINDS)
-    ev = _Eval(inst)
-    mul = inst.product("mul")
-
-    def assoc_cells() -> Iterator[Cell]:
-        # p_a(x) * (y * z) = (x * y) * q_c(z), indices threading a,bc | ab,c
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    bc = ev.mul(b, c)
-                    ab = ev.mul(a, b)
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                lhs = mul.apply(a, bc, ev.pcol[a][i],
-                                                mul.basis_product(b, c, j, k))
-                                rhs = mul.apply(ab, c,
-                                                mul.basis_product(a, b, i, j),
-                                                ev.qcol[c][k])
-                                yield ev.label(a, b, c), (i, j, k), lhs, rhs
-
-    results = _mult_results(ev, mul, max_witnesses)
-    results.append(_gather("bihom-associativity", assoc_cells(), max_witnesses))
-    return CheckReport(inst.kind.value, tuple(results))
+def _prelie(m: str, prefix: str = "") -> tuple[Axiom, ...]:
+    # the associator is symmetric in x and y
+    return _mult(m, prefix) + (Axiom(prefix + "prelie-identity", 3,
+                                     _associator(m, X, Y, Z),
+                                     _associator(m, Y, X, Z)),)
 
 
-def check_dendriform(inst: AlgebraInstance,
-                     max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Multiplicativity over both halves plus the three splitting axioms."""
-    _require_kind(inst, (AlgebraKind.DENDRIFORM,))
-    ev = _Eval(inst)
-    prec = inst.product("prec")
-    succ = inst.product("succ")
-
-    def left_cells() -> Iterator[Cell]:
-        # (x < y) <_{ab,c} q_c(z) = p_a(x) <_{a,bc} (y < z + y > z)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    ab, bc = ev.mul(a, b), ev.mul(b, c)
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                lhs = prec.apply(ab, c, prec.basis_product(a, b, i, j),
-                                                 ev.qcol[c][k])
-                                inner = vec_add(prec.basis_product(b, c, j, k),
-                                                succ.basis_product(b, c, j, k))
-                                rhs = prec.apply(a, bc, ev.pcol[a][i], inner)
-                                yield ev.label(a, b, c), (i, j, k), lhs, rhs
-
-    def middle_cells() -> Iterator[Cell]:
-        # (x > y) <_{ab,c} q_c(z) = p_a(x) >_{a,bc} (y < z)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    ab, bc = ev.mul(a, b), ev.mul(b, c)
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                lhs = prec.apply(ab, c, succ.basis_product(a, b, i, j),
-                                                 ev.qcol[c][k])
-                                rhs = succ.apply(a, bc, ev.pcol[a][i],
-                                                 prec.basis_product(b, c, j, k))
-                                yield ev.label(a, b, c), (i, j, k), lhs, rhs
-
-    def right_cells() -> Iterator[Cell]:
-        # p_a(x) >_{a,bc} (y > z) = (x < y + x > y) >_{ab,c} q_c(z)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    ab, bc = ev.mul(a, b), ev.mul(b, c)
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                lhs = succ.apply(a, bc, ev.pcol[a][i],
-                                                 succ.basis_product(b, c, j, k))
-                                outer = vec_add(prec.basis_product(a, b, i, j),
-                                                succ.basis_product(a, b, i, j))
-                                rhs = succ.apply(ab, c, outer, ev.qcol[c][k])
-                                yield ev.label(a, b, c), (i, j, k), lhs, rhs
-
-    results = []
-    for slot, fam in (("prec-", prec), ("succ-", succ)):
-        results.extend(_mult_results(ev, fam, max_witnesses, prefix=slot))
-    results.append(_gather("dendriform-left", left_cells(), max_witnesses))
-    results.append(_gather("dendriform-middle", middle_cells(), max_witnesses))
-    results.append(_gather("dendriform-right", right_cells(), max_witnesses))
-    return CheckReport(inst.kind.value, tuple(results))
+def _lie(m: str, prefix: str = "") -> tuple[Axiom, ...]:
+    return _mult(m, prefix) + (
+        Axiom(prefix + "skew-symmetry", 2, Mul(m, q(X), p(Y)),
+              Sum(((-1, Mul(m, q(Y), p(X))),))),
+        Axiom(prefix + "jacobi", 3,
+              plus(*(Mul(m, q(q(u)), Mul(m, q(v), p(w)))
+                     for u, v, w in ((X, Y, Z), (Y, Z, X), (Z, X, Y)))),
+              Sum(())))
 
 
-def _prelie_results(ev: _Eval, tri: BilinearFamily, cap: int,
-                    prefix: str = "") -> list[AxiomResult]:
-    def cells() -> Iterator[Cell]:
-        # pq_a(x) |> (p_b(y) |> z) - (q_a(x) |> p_b(y)) |> q_c(z) is
-        # symmetric under swapping (x,a) with (y,b)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                lhs = _prelie_associator(ev, tri, a, b, c, i, j, k)
-                                rhs = _prelie_associator(ev, tri, b, a, c, j, i, k)
-                                yield ev.label(a, b, c), (i, j, k), lhs, rhs
-
-    results = _mult_results(ev, tri, cap, prefix=prefix)
-    results.append(_gather(prefix + "prelie-identity", cells(), cap))
-    return results
+def _zinbiel(m: str, prefix: str = "") -> tuple[Axiom, ...]:
+    return _mult(m, prefix) + (Axiom(
+        prefix + "zinbiel-identity", 3, Mul(m, p(q(X)), Mul(m, p(Y), Z)),
+        plus(Mul(m, Mul(m, q(X), p(Y)), q(Z)),
+             Mul(m, Mul(m, q(Y), p(X)), q(Z)))),)
 
 
-def _prelie_associator(ev: _Eval, tri: BilinearFamily, a: int, b: int, c: int,
-                       i: int, j: int, k: int) -> Vector:
-    # pq_a(x) |>_{a,bc} (p_b(y) |>_{b,c} z) - (q_a(x) |>_{a,b} p_b(y)) |>_{ab,c} q_c(z)
-    pq_x = ev.pqcol[a][i]
-    first = tri.apply(a, ev.mul(b, c), pq_x,
-                      tri.apply(b, c, ev.pcol[b][j], ev.basis[k]))
-    second = tri.apply(ev.mul(a, b), c,
-                       tri.apply(a, b, ev.qcol[a][i], ev.pcol[b][j]),
-                       ev.qcol[c][k])
-    return vec_sub(first, second)
+_ASSOCIATIVE = _mult("mul") + (Axiom(
+    "bihom-associativity", 3, Mul("mul", p(X), Mul("mul", Y, Z)),
+    Mul("mul", Mul("mul", X, Y), q(Z))),)
+
+KIND_AXIOMS: dict[AlgebraKind, tuple[Axiom, ...]] = {
+    AlgebraKind.OMEGA_ASSOCIATIVE: _ASSOCIATIVE,
+    AlgebraKind.BIHOM_ASSOCIATIVE: _ASSOCIATIVE,
+    AlgebraKind.DENDRIFORM: _mult("prec", "prec-") + _mult("succ", "succ-") + (
+        Axiom("dendriform-left", 3, Mul("prec", Mul("prec", X, Y), q(Z)),
+              Mul("prec", p(X), plus(Mul("prec", Y, Z), Mul("succ", Y, Z)))),
+        Axiom("dendriform-middle", 3, Mul("prec", Mul("succ", X, Y), q(Z)),
+              Mul("succ", p(X), Mul("prec", Y, Z))),
+        Axiom("dendriform-right", 3, Mul("succ", p(X), Mul("succ", Y, Z)),
+              Mul("succ", plus(Mul("prec", X, Y), Mul("succ", X, Y)), q(Z)))),
+    AlgebraKind.PRELIE: _prelie("triangle"),
+    AlgebraKind.LIE: _lie("bracket"),
+    AlgebraKind.POSTLIE: _lie("bracket", "bracket-")
+    + _mult("triangle", "triangle-") + (
+        Axiom("postlie-first-identity", 3,
+              Mul("triangle", Mul("bracket", q(X), p(Y)), q(Z)),
+              minus(_associator("triangle", X, Y, Z),
+                    _associator("triangle", Y, X, Z))),
+        Axiom("postlie-second-identity", 3,
+              Mul("triangle", p(q(X)), Mul("bracket", Y, Z)),
+              plus(Mul("bracket", Mul("triangle", q(X), Y), q(Z)),
+                   Mul("bracket", q(Y), Mul("triangle", p(X), Z))))),
+    AlgebraKind.ZINBIEL: _zinbiel("star"),
+    AlgebraKind.PREPOISSON: _prelie("triangle", "triangle-")
+    + _zinbiel("star", "star-") + (
+        Axiom("prepoisson-first-identity", 3,
+              Mul("star", minus(Mul("triangle", q(X), p(Y)),
+                                Mul("triangle", q(Y), p(X))), q(Z)),
+              minus(Mul("triangle", p(q(X)), Mul("star", p(Y), Z)),
+                    Mul("star", p(q(Y)), Mul("triangle", p(X), Z)))),
+        Axiom("prepoisson-second-identity", 3,
+              Mul("triangle", plus(Mul("star", q(X), p(Y)),
+                                   Mul("star", q(Y), p(X))), q(Z)),
+              plus(Mul("star", p(q(X)), Mul("triangle", p(Y), Z)),
+                   Mul("star", p(q(Y)), Mul("triangle", p(X), Z))))),
+}
 
 
-def check_prelie(inst: AlgebraInstance,
-                 max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Twisted left-symmetry of the associator plus p/q multiplicativity."""
-    _require_kind(inst, (AlgebraKind.PRELIE,))
-    _require_commutative(inst)
-    ev = _Eval(inst)
-    results = _prelie_results(ev, inst.product("triangle"), max_witnesses)
-    return CheckReport(inst.kind.value, tuple(results))
+def rota_baxter_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
+    """R(x).R(y) = R(R(x).y + x.R(y) + lam x.y) per product; R commutes with p, q."""
+    return tuple(Axiom(f"rb-identity-{m}", 2, Mul(m, R(X), R(Y)), R(Sum((
+        (1, Mul(m, R(X), Y)), (1, Mul(m, X, R(Y))), ("lam", Mul(m, X, Y))))))
+        for m in slots) + (Axiom("rb-commutes-p", 1, R(p(X)), p(R(X))),
+                           Axiom("rb-commutes-q", 1, R(q(X)), q(R(X))))
 
 
-def _lie_results(ev: _Eval, br: BilinearFamily, cap: int,
-                 prefix: str = "") -> list[AxiomResult]:
-    def skew_cells() -> Iterator[Cell]:
-        # {q_a(x), p_b(y)}_{a,b} = -{q_b(y), p_a(x)}_{b,a}
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for i in range(ev.d):
-                    for j in range(ev.d):
-                        lhs = br.apply(a, b, ev.qcol[a][i], ev.pcol[b][j])
-                        rhs = vec_scale(-1, br.apply(b, a, ev.qcol[b][j],
-                                                     ev.pcol[a][i]))
-                        yield ev.label(a, b), (i, j), lhs, rhs
-
-    def jacobi_cells() -> Iterator[Cell]:
-        # {q_a^2(x), {q_b(y), p_c(z)}_{b,c}}_{a,bc} + two cyclic shifts = 0
-        zero = tuple(Fraction(0) for _ in range(ev.d))
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                total = _jacobi_term(ev, br, a, b, c, i, j, k)
-                                total = vec_add(total,
-                                                _jacobi_term(ev, br, b, c, a, j, k, i))
-                                total = vec_add(total,
-                                                _jacobi_term(ev, br, c, a, b, k, i, j))
-                                yield ev.label(a, b, c), (i, j, k), total, zero
-
-    results = _mult_results(ev, br, cap, prefix=prefix)
-    results.append(_gather(prefix + "skew-symmetry", skew_cells(), cap))
-    results.append(_gather(prefix + "jacobi", jacobi_cells(), cap))
-    return results
+def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
+    """f(x.y) = f(x).'f(y) on every product, where slot' is the target's,
+    then P(f(x)) = f(p(x)) and Q(f(x)) = f(q(x)) for the target's P, Q."""
+    return tuple(Axiom(f"morphism-{m}", 2, f(Mul(m, X, Y)),
+                       Mul(m + "'", f(X), f(Y))) for m in slots) + (
+        Axiom("intertwine-p", 1, on("P")(f(X)), f(p(X))),
+        Axiom("intertwine-q", 1, on("Q")(f(X)), f(q(X))))
 
 
-def _jacobi_term(ev: _Eval, br: BilinearFamily, a: int, b: int, c: int,
-                 i: int, j: int, k: int) -> Vector:
-    qq_x = ev.qqcol[a][i]
-    inner = br.apply(b, c, ev.qcol[b][j], ev.pcol[c][k])
-    return br.apply(a, ev.mul(b, c), qq_x, inner)
+# -- the evaluator ------------------------------------------------------
+
+Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], Vector]]]
 
 
-def check_lie(inst: AlgebraInstance,
-              max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Twisted skew-symmetry and Jacobi, plus p/q multiplicativity."""
-    _require_kind(inst, (AlgebraKind.LIE,))
-    _require_commutative(inst)
-    ev = _Eval(inst)
-    results = _lie_results(ev, inst.product("bracket"), max_witnesses)
-    return CheckReport(inst.kind.value, tuple(results))
+def _positions(term: tuple) -> set[int]:
+    """The variables a term reads (a Sum's pairs are searched through)."""
+    if isinstance(term, Var):
+        return {term.pos}
+    return set().union(*(_positions(t) for t in term if isinstance(t, tuple)))
 
 
-def check_postlie(inst: AlgebraInstance,
-                  max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Full re-verification: Lie axioms on the bracket, multiplicativity
-    over the triangle product, and both compatibility identities."""
-    _require_kind(inst, (AlgebraKind.POSTLIE,))
-    _require_commutative(inst)
-    ev = _Eval(inst)
-    br = inst.product("bracket")
-    tri = inst.product("triangle")
+class _Cells:
+    """The data one checker call reads, and the terms it has compiled: a
+    term compiles to bind(index tuple) -> (its index, fn(basis tuple) ->
+    its vector)."""
 
-    def first_cells() -> Iterator[Cell]:
-        # {q_a(x), p_b(y)} |>_{ab,c} q_c(z) = associator difference in x,y
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                lhs = tri.apply(
-                                    ev.mul(a, b), c,
-                                    br.apply(a, b, ev.qcol[a][i], ev.pcol[b][j]),
-                                    ev.qcol[c][k])
-                                rhs = vec_sub(
-                                    _prelie_associator(ev, tri, a, b, c, i, j, k),
-                                    _prelie_associator(ev, tri, b, a, c, j, i, k))
-                                yield ev.label(a, b, c), (i, j, k), lhs, rhs
+    def __init__(self, inst: AlgebraInstance,
+                 maps: dict[str, LinearFamily] | None = None,
+                 products: dict[str, BilinearFamily] | None = None,
+                 weight: Fraction = Fraction(0)):
+        """Maps and products besides the instance's own, by name."""
+        self.omega, self.dim, self.weight = inst.omega, inst.dim, weight
+        self.maps = {"p": inst.p, "q": inst.q, **(maps or {})}
+        self.products = {**dict(inst.products), **(products or {})}
+        self.cols = {"": [[basis_vector(self.dim, i) for i in range(self.dim)]]
+                     * self.omega.order}
+        self.binds: dict[tuple[Term, int], Bind] = {}
 
-    def second_cells() -> Iterator[Cell]:
-        # pq_a(x) |>_{a,bc} {y,z}_{b,c}
-        #   = {q_a(x) |> y, q_c(z)}_{ab,c} + {q_b(y), p_a(x) |> z}_{b,ac}
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                pq_x = ev.pqcol[a][i]
-                                lhs = tri.apply(a, ev.mul(b, c), pq_x,
-                                                br.basis_product(b, c, j, k))
-                                t1 = br.apply(
-                                    ev.mul(a, b), c,
-                                    tri.apply(a, b, ev.qcol[a][i], ev.basis[j]),
-                                    ev.qcol[c][k])
-                                t2 = br.apply(
-                                    b, ev.mul(a, c), ev.qcol[b][j],
-                                    tri.apply(a, c, ev.pcol[a][i], ev.basis[k]))
-                                yield (ev.label(a, b, c), (i, j, k), lhs,
-                                       vec_add(t1, t2))
+    def column(self, twist: str) -> list[list[Vector]]:
+        """[a][i] -> e_i twisted at index a, built once per twist."""
+        if twist not in self.cols:
+            inner, fam = self.column(twist[1:]), self.maps[twist[0]]
+            self.cols[twist] = [[fam.apply(a, v) for v in col]
+                                for a, col in enumerate(inner)]
+        return self.cols[twist]
 
-    results = _lie_results(ev, br, max_witnesses, prefix="bracket-")
-    results.extend(_mult_results(ev, tri, max_witnesses, prefix="triangle-"))
-    results.append(_gather("postlie-first-identity", first_cells(), max_witnesses))
-    results.append(_gather("postlie-second-identity", second_cells(), max_witnesses))
-    return CheckReport(inst.kind.value, tuple(results))
+    def bind(self, term: Term, arity: int) -> Bind:
+        if (term, arity) not in self.binds:
+            self.binds[term, arity] = self._compile(term, arity)
+        return self.binds[term, arity]
 
-
-def _zinbiel_results(ev: _Eval, star: BilinearFamily, cap: int,
-                     prefix: str = "") -> list[AxiomResult]:
-    def cells() -> Iterator[Cell]:
-        # pq_a(x) * (p_b(y) * z) = (q_a(x) * p_b(y)) * q_c(z)
-        #                        + (q_b(y) * p_a(x)) * q_c(z)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                pq_x = ev.pqcol[a][i]
-                                lhs = star.apply(
-                                    a, ev.mul(b, c), pq_x,
-                                    star.apply(b, c, ev.pcol[b][j], ev.basis[k]))
-                                t1 = star.apply(
-                                    ev.mul(a, b), c,
-                                    star.apply(a, b, ev.qcol[a][i], ev.pcol[b][j]),
-                                    ev.qcol[c][k])
-                                t2 = star.apply(
-                                    ev.mul(b, a), c,
-                                    star.apply(b, a, ev.qcol[b][j], ev.pcol[a][i]),
-                                    ev.qcol[c][k])
-                                yield (ev.label(a, b, c), (i, j, k), lhs,
-                                       vec_add(t1, t2))
-
-    results = _mult_results(ev, star, cap, prefix=prefix)
-    results.append(_gather(prefix + "zinbiel-identity", cells(), cap))
-    return results
+    def _compile(self, term: Term, arity: int) -> Bind:
+        table = self.omega.table
+        if isinstance(term, Var):
+            cols, pos = self.column(term.twist), term.pos
+            def bind_var(idx):
+                col = cols[idx[pos]]
+                return idx[pos], lambda bas: col[bas[pos]]
+            return bind_var
+        if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
+            # a product of two basis vectors is read from the tensor
+            tensor, u, v = self.products[term.slot].tensor, term.left.pos, term.right.pos
+            def bind_read(idx):
+                block = tensor[idx[u]][idx[v]]
+                return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
+            return bind_read
+        if isinstance(term, Mul):
+            apply = self.products[term.slot].apply
+            left, right = self.bind(term.left, arity), self.bind(term.right, arity)
+            def bind(idx):
+                (a, lf), (b, rf) = left(idx), right(idx)
+                return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas))
+        elif isinstance(term, Map):
+            apply, inner = self.maps[term.name].apply, self.bind(term.arg, arity)
+            def bind(idx):
+                a, fn = inner(idx)
+                return a, lambda bas: apply(a, fn(bas))
+        else:
+            # a term whose coefficient is 0 adds exactly nothing
+            parts = [(c, self.bind(t, arity)) for c, t in
+                     ((self.weight if c == "lam" else c, t) for c, t in term.terms) if c]
+            if not parts:
+                zero = (Fraction(0),) * self.dim
+                return lambda idx: (None, lambda bas: zero)
+            def bind(idx):
+                bound = [(c, b(idx)) for c, b in parts]
+                return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
+        positions = sorted(_positions(term))
+        return bind if len(positions) == arity else _shared(bind, positions)
 
 
-def check_zinbiel(inst: AlgebraInstance,
-                  max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    _require_kind(inst, (AlgebraKind.ZINBIEL,))
-    _require_commutative(inst)
-    ev = _Eval(inst)
-    results = _zinbiel_results(ev, inst.product("star"), max_witnesses)
-    return CheckReport(inst.kind.value, tuple(results))
+def _signed_sum(terms):
+    """Sum from the first term on, never from a zero vector."""
+    def scaled(c, fn):
+        return fn if c == 1 else lambda bas: tuple(c * u for u in fn(bas))
+    first = scaled(*terms[0])
+    rest = [(sub, fn) if c == -1 else (add, scaled(c, fn)) for c, fn in terms[1:]]
+    def fn(bas):
+        acc = first(bas)
+        for op, term in rest:
+            acc = tuple(map(op, acc, term(bas)))
+        return acc
+    return fn
 
 
-def check_prepoisson(inst: AlgebraInstance,
-                     max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Pre-Lie axioms on the triangle product, zinbiel axioms on the star
-    product, plus the two compatibility identities."""
-    _require_kind(inst, (AlgebraKind.PREPOISSON,))
-    _require_commutative(inst)
-    ev = _Eval(inst)
-    tri = inst.product("triangle")
-    star = inst.product("star")
+def _shared(bind: Bind, positions: list[int]) -> Bind:
+    """bind, with each vector computed once per assignment of `positions`."""
+    key, memo = itemgetter(*positions), {}
 
-    def first_cells() -> Iterator[Cell]:
-        # (q_a(x) |> p_b(y) - q_b(y) |> p_a(x)) *_{ab,c} q_c(z)
-        #   = pq_a(x) |>_{a,bc} (p_b(y) * z) - pq_b(y) *_{b,ac} (p_a(x) |> z)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                comm = vec_sub(
-                                    tri.apply(a, b, ev.qcol[a][i], ev.pcol[b][j]),
-                                    tri.apply(b, a, ev.qcol[b][j], ev.pcol[a][i]))
-                                lhs = star.apply(ev.mul(a, b), c, comm, ev.qcol[c][k])
-                                pq_x = ev.pqcol[a][i]
-                                pq_y = ev.pqcol[b][j]
-                                t1 = tri.apply(
-                                    a, ev.mul(b, c), pq_x,
-                                    star.apply(b, c, ev.pcol[b][j], ev.basis[k]))
-                                t2 = star.apply(
-                                    b, ev.mul(a, c), pq_y,
-                                    tri.apply(a, c, ev.pcol[a][i], ev.basis[k]))
-                                yield (ev.label(a, b, c), (i, j, k), lhs,
-                                       vec_sub(t1, t2))
+    def bind_shared(idx):
+        (index, fn), k = bind(idx), key(idx)
 
-    def second_cells() -> Iterator[Cell]:
-        # (q_a(x) * p_b(y) + q_b(y) * p_a(x)) |>_{ab,c} q_c(z)
-        #   = pq_a(x) *_{a,bc} (p_b(y) |> z) + pq_b(y) *_{b,ac} (p_a(x) |> z)
-        for a in range(ev.n):
-            for b in range(ev.n):
-                for c in range(ev.n):
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            for k in range(ev.d):
-                                symm = vec_add(
-                                    star.apply(a, b, ev.qcol[a][i], ev.pcol[b][j]),
-                                    star.apply(b, a, ev.qcol[b][j], ev.pcol[a][i]))
-                                lhs = tri.apply(ev.mul(a, b), c, symm, ev.qcol[c][k])
-                                pq_x = ev.pqcol[a][i]
-                                pq_y = ev.pqcol[b][j]
-                                t1 = star.apply(
-                                    a, ev.mul(b, c), pq_x,
-                                    tri.apply(b, c, ev.pcol[b][j], ev.basis[k]))
-                                t2 = star.apply(
-                                    b, ev.mul(a, c), pq_y,
-                                    tri.apply(a, c, ev.pcol[a][i], ev.basis[k]))
-                                yield (ev.label(a, b, c), (i, j, k), lhs,
-                                       vec_add(t1, t2))
+        def cached(bas):
+            cell = k, key(bas)
+            return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
+        return index, cached
+    return bind_shared
 
-    results = _prelie_results(ev, tri, max_witnesses, prefix="triangle-")
-    results.extend(_zinbiel_results(ev, star, max_witnesses, prefix="star-"))
-    results.append(_gather("prepoisson-first-identity", first_cells(), max_witnesses))
-    results.append(_gather("prepoisson-second-identity", second_cells(), max_witnesses))
-    return CheckReport(inst.kind.value, tuple(results))
+
+# -- the checkers -------------------------------------------------------
+
+def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
+            cap: int) -> CheckReport:
+    """Each axiom on every cell: index tuple outer, basis tuple inner."""
+    names, results = cells.omega.elements, []
+    for axiom in axioms:
+        lhs, rhs = (cells.bind(side, axiom.arity) for side in (axiom.lhs, axiom.rhs))
+        bases = list(product(range(cells.dim), repeat=axiom.arity))
+        witnesses, total = [], 0
+        for idx in product(range(cells.omega.order), repeat=axiom.arity):
+            lf, rf = lhs(idx)[1], rhs(idx)[1]
+            for bas in bases:
+                left, right = lf(bas), rf(bas)
+                if left != right:
+                    total += 1
+                    if len(witnesses) < cap:
+                        witnesses.append(Witness(tuple(names[a] for a in idx),
+                                                 bas, left, right))
+        results.append(AxiomResult(axiom.name, total == 0, tuple(witnesses), total))
+    return CheckReport(subject, tuple(results))
+
+
+def _kind_checker(name: str, kinds: tuple[AlgebraKind, ...], doc: str):
+    """Checks the kind (any, if `kinds` is empty), Omega, then the axioms."""
+    def checker(inst: AlgebraInstance,
+                max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+        wanted = kinds or (inst.kind,)
+        if inst.kind not in wanted:
+            raise KindMismatch("checker expects kind in {%s}, got %s" % (
+                ", ".join(k.value for k in wanted), inst.kind.value))
+        if inst.kind.needs_commutative_omega and not is_commutative_table(inst.omega):
+            raise NonCommutativeOmega(
+                f"{inst.kind.value} checker requires a commutative index semigroup")
+        return _report(inst.kind.value, KIND_AXIOMS[inst.kind], _Cells(inst),
+                       max_witnesses)
+    checker.__name__ = checker.__qualname__ = name
+    checker.__doc__ = doc
+    return checker
+
+
+check_bihom_associative = _kind_checker(
+    "check_bihom_associative", ASSOCIATIVE_KINDS,
+    "p/q multiplicativity plus the twisted associativity identity.")
+check_dendriform = _kind_checker(
+    "check_dendriform", (AlgebraKind.DENDRIFORM,),
+    "Multiplicativity over both halves plus the three splitting axioms.")
+check_prelie = _kind_checker(
+    "check_prelie", (AlgebraKind.PRELIE,),
+    "Twisted left-symmetry of the associator plus p/q multiplicativity.")
+check_lie = _kind_checker(
+    "check_lie", (AlgebraKind.LIE,),
+    "Twisted skew-symmetry and Jacobi, plus p/q multiplicativity.")
+check_postlie = _kind_checker(
+    "check_postlie", (AlgebraKind.POSTLIE,),
+    "Lie on the bracket, triangle multiplicativity, two compatibility identities.")
+check_zinbiel = _kind_checker(
+    "check_zinbiel", (AlgebraKind.ZINBIEL,),
+    "The twisted Zinbiel identity plus p/q multiplicativity.")
+check_prepoisson = _kind_checker(
+    "check_prepoisson", (AlgebraKind.PREPOISSON,),
+    "Pre-Lie on the triangle, Zinbiel on the star, two compatibility identities.")
+check_instance = _kind_checker(
+    "check_instance", (), "Every axiom of the instance's kind.")
 
 
 def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
@@ -458,40 +331,9 @@ def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
     plus commutation with both structure maps."""
     if rb.maps.dim != inst.dim or rb.maps.omega != inst.omega:
         raise ShapeMismatch("operator family does not match the instance")
-    ev = _Eval(inst)
-    rcol = [[rb.maps.apply(a, e) for e in ev.basis] for a in range(ev.n)]
-    lam = rb.weight
-    results = []
-
-    for slot, fam in inst.products:
-        def rb_cells(fam=fam) -> Iterator[Cell]:
-            # m(R_a x, R_b y) = R_{ab}( m(R_a x, y) + m(x, R_b y) + lam m(x,y) )
-            for a in range(ev.n):
-                for b in range(ev.n):
-                    ab = ev.mul(a, b)
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            lhs = fam.apply(a, b, rcol[a][i], rcol[b][j])
-                            inner = vec_add(
-                                fam.apply(a, b, rcol[a][i], ev.basis[j]),
-                                fam.apply(a, b, ev.basis[i], rcol[b][j]))
-                            inner = vec_add(
-                                inner, vec_scale(lam, fam.basis_product(a, b, i, j)))
-                            rhs = rb.maps.apply(ab, inner)
-                            yield ev.label(a, b), (i, j), lhs, rhs
-
-        results.append(_gather(f"rb-identity-{slot}", rb_cells(), max_witnesses))
-
-    for name, fam, cols in (("p", inst.p, ev.pcol), ("q", inst.q, ev.qcol)):
-        def commute_cells(fam=fam, cols=cols) -> Iterator[Cell]:
-            for a in range(ev.n):
-                for i in range(ev.d):
-                    lhs = rb.maps.apply(a, cols[a][i])
-                    rhs = fam.apply(a, rcol[a][i])
-                    yield ev.label(a), (i,), lhs, rhs
-
-        results.append(_gather(f"rb-commutes-{name}", commute_cells(), max_witnesses))
-    return CheckReport("rota-baxter", tuple(results))
+    cells = _Cells(inst, {"R": rb.maps}, weight=rb.weight)
+    return _report("rota-baxter", rota_baxter_axioms(inst.slot_names), cells,
+                   max_witnesses)
 
 
 def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
@@ -502,53 +344,7 @@ def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
     if f.dim != src.dim or dst.dim != src.dim or f.omega != src.omega \
             or dst.omega != src.omega:
         raise ShapeMismatch("morphism family does not match the instances")
-    ev = _Eval(src)
-    fcol = [[f.apply(a, e) for e in ev.basis] for a in range(ev.n)]
-    results = []
-
-    for slot in src.slot_names:
-        sp = src.product(slot)
-        dp = dst.product(slot)
-
-        def cells(sp=sp, dp=dp) -> Iterator[Cell]:
-            # f_{ab}(e_i *_{a,b} e_j) = f_a(e_i) *'_{a,b} f_b(e_j)
-            for a in range(ev.n):
-                for b in range(ev.n):
-                    ab = ev.mul(a, b)
-                    for i in range(ev.d):
-                        for j in range(ev.d):
-                            lhs = f.apply(ab, sp.basis_product(a, b, i, j))
-                            rhs = dp.apply(a, b, fcol[a][i], fcol[b][j])
-                            yield ev.label(a, b), (i, j), lhs, rhs
-
-        results.append(_gather(f"morphism-{slot}", cells(), max_witnesses))
-
-    for name, s_fam, d_fam in (("p", src.p, dst.p), ("q", src.q, dst.q)):
-        def twine_cells(s_fam=s_fam, d_fam=d_fam) -> Iterator[Cell]:
-            # d_a(f_a(e_i)) = f_a(s_a(e_i))
-            for a in range(ev.n):
-                for i in range(ev.d):
-                    lhs = d_fam.apply(a, fcol[a][i])
-                    rhs = f.apply(a, s_fam.apply(a, ev.basis[i]))
-                    yield ev.label(a), (i,), lhs, rhs
-
-        results.append(_gather(f"intertwine-{name}", twine_cells(), max_witnesses))
-    return CheckReport("morphism", tuple(results))
-
-
-_KIND_CHECKERS = {
-    AlgebraKind.OMEGA_ASSOCIATIVE: check_bihom_associative,
-    AlgebraKind.BIHOM_ASSOCIATIVE: check_bihom_associative,
-    AlgebraKind.DENDRIFORM: check_dendriform,
-    AlgebraKind.PRELIE: check_prelie,
-    AlgebraKind.LIE: check_lie,
-    AlgebraKind.POSTLIE: check_postlie,
-    AlgebraKind.ZINBIEL: check_zinbiel,
-    AlgebraKind.PREPOISSON: check_prepoisson,
-}
-
-
-def check_instance(inst: AlgebraInstance,
-                   max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Dispatch to the checker matching the instance's kind tag."""
-    return _KIND_CHECKERS[inst.kind](inst, max_witnesses)
+    cells = _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
+                   {slot + "'": fam for slot, fam in dst.products})
+    return _report("morphism", morphism_axioms(src.slot_names), cells,
+                   max_witnesses)

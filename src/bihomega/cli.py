@@ -7,6 +7,8 @@ reported violations, 2 usage, parse or resolution error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -36,12 +38,16 @@ class _CliError(Exception):
         self.code = code
 
 
-def _read_workspace(path: str) -> Workspace:
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_workspace(fh.read())
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}")
+
+
+def _read_workspace(path: str) -> Workspace:
+    return parse_workspace(_read_text(path))
 
 
 def _write_text(path: str | None, text: str):
@@ -95,13 +101,8 @@ def _cmd_check(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for label, report in reports:
-            for result in report.results:
-                status = "PASS" if result.passed else "FAIL"
-                suffix = ("" if result.passed
-                          else f" ({result.total_violations} violations)")
-                print(f"{status} {label} {result.axiom}{suffix}")
-                for w in result.witnesses:
-                    print(f"    witness {w.describe()}")
+            for line in dataclasses.replace(report, subject=label).summary_lines():
+                print(line)
     return EXIT_OK if all(r.passed for _, r in reports) else EXIT_VIOLATIONS
 
 
@@ -134,20 +135,18 @@ def _cmd_construct(args) -> int:
     ws = _read_workspace(args.input)
     alg_name, inst = _pick_algebra(ws, args.algebra)
     fn = CONSTRUCTIONS[args.name]
-    kwargs = {"unchecked": args.unchecked}
+    params = inspect.signature(fn).parameters
     pos = [inst]
-    if args.name in ("rb_star_associative", "rb_split_dendriform",
-                     "rb_bracket_lie", "rb_lie_to_prelie", "lie_rb_to_postlie"):
+    if "rb" in params:
         if args.rb is None:
             raise _CliError(f"construction {args.name!r} needs --rb NAME")
         pos.append(_resolve_named(ws, "rota_baxter", args.rb))
-    elif args.name == "yau_twist":
-        for flag, value in (("--p2", args.p2), ("--q2", args.q2)):
-            if value is None:
-                raise _CliError("yau_twist needs --p2 NAME and --q2 NAME")
+    if "p2" in params:
+        if args.p2 is None or args.q2 is None:
+            raise _CliError(f"{args.name} needs --p2 NAME and --q2 NAME")
         pos.append(_resolve_named(ws, "maps", args.p2))
         pos.append(_resolve_named(ws, "maps", args.q2))
-    out = fn(*pos, **kwargs)
+    out = fn(*pos, unchecked=args.unchecked)
     omega_name = ws.semigroup_name(inst.omega)
     out_name = args.as_name or f"{alg_name}_{args.name}"
     out_ws = workspace_for_instance(out_name, omega_name, out)
@@ -186,11 +185,9 @@ def _cmd_search_rb(args) -> int:
 
 
 def _load_two_dim_params(path: str):
+    text = _read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(f"bad JSON in {path}: {exc}")
     try:
@@ -201,7 +198,7 @@ def _load_two_dim_params(path: str):
         c = [[Fraction(v) for v in row] for row in doc["c"]]
         rthree = [Fraction(v) for v in doc["rthree"]]
         lthree = [Fraction(v) for v in doc["lthree"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CliError(f"bad parameter document: {exc}")
     return two_dim_params(omega, c, rthree, lthree)
 
@@ -290,19 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("BIHOMEGA_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _CliError(f"BIHOMEGA_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise _CliError("BIHOMEGA_THREADS must be positive")
-    return value
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -310,7 +294,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _thread_cap()  # sequential execution always respects the cap
         return args.fn(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

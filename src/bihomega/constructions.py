@@ -7,12 +7,8 @@ builds the new structure-constant tensors, and post-checks the output
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .checkers import (DEFAULT_WITNESS_CAP, check_bihom_associative,
-                       check_dendriform, check_instance, check_lie,
-                       check_morphism, check_postlie, check_prelie,
-                       check_prepoisson, check_rota_baxter, check_zinbiel)
+from .checkers import (check_bihom_associative, check_instance, check_morphism,
+                       check_rota_baxter)
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
@@ -71,9 +67,8 @@ def _inverse_pair(inst: AlgebraInstance) -> tuple[LinearFamily, LinearFamily]:
 
 
 def _provenance(name: str, inputs: tuple[AlgebraInstance, ...],
-                params: tuple[tuple[str, str], ...] = (),
-                inverses: tuple[LinearFamily, ...] = ()) -> Provenance:
-    return Provenance(name, params, tuple(a.digest() for a in inputs), inverses)
+                params: tuple[tuple[str, str], ...] = ()) -> Provenance:
+    return Provenance(name, params, tuple(a.digest() for a in inputs))
 
 
 def yau_twist(a: AlgebraInstance, p2: LinearFamily, q2: LinearFamily,
@@ -225,7 +220,7 @@ def dendriform_to_prelie(a: AlgebraInstance,
         AlgebraKind.PRELIE, a.omega,
         (("triangle", BilinearFamily.from_function(a.omega, a.dim, tri)),),
         a.p, a.q,
-        _provenance(construction, (a,), inverses=(p_inv, q_inv)))
+        _provenance(construction, (a,)))
     return _postcheck(out, construction, unchecked)
 
 
@@ -259,7 +254,7 @@ def _commutator_instance(a: AlgebraInstance, slot: str, construction: str,
         AlgebraKind.LIE, a.omega,
         (("bracket", BilinearFamily.from_function(a.omega, a.dim, bracket)),),
         a.p, a.q,
-        _provenance(construction, (a,), inverses=(p_inv, q_inv)))
+        _provenance(construction, (a,)))
 
 
 def prelie_to_lie(a: AlgebraInstance,

@@ -10,8 +10,8 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 from .errors import NonCommutingStructureMaps, ShapeMismatch
-from .linalg import (Matrix, Vector, basis_vector, frac, mat_inverse, mat_mul,
-                     mats_commute, vec, zero_vector)
+from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
+                     vec, zero_vector)
 from .semigroup import SemigroupTable
 
 _ZERO = Fraction(0)
@@ -101,8 +101,7 @@ class BilinearFamily:
                         out[k] += coeff * c
         return tuple(out)
 
-    def map2(self, other: "BilinearFamily",
-             fn: Callable[[Fraction, Fraction], Fraction]) -> "BilinearFamily":
+    def add(self, other: "BilinearFamily") -> "BilinearFamily":
         if self.omega is not other.omega and self.omega != other.omega:
             raise ShapeMismatch("families indexed by different semigroups")
         if self.dim != other.dim:
@@ -110,20 +109,14 @@ class BilinearFamily:
         return BilinearFamily.from_function(
             self.omega, self.dim,
             lambda a, b, i, j: tuple(
-                fn(u, v) for u, v in zip(self.tensor[a][b][i][j],
-                                         other.tensor[a][b][i][j])))
-
-    def add(self, other: "BilinearFamily") -> "BilinearFamily":
-        return self.map2(other, lambda u, v: u + v)
+                u + v for u, v in zip(self.tensor[a][b][i][j],
+                                      other.tensor[a][b][i][j])))
 
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)
         return BilinearFamily.from_function(
             self.omega, self.dim,
             lambda a, b, i, j: tuple(c * v for v in self.tensor[a][b][i][j]))
-
-
-apply_product = BilinearFamily.apply  # free-function alias
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,6 @@ class Provenance:
     construction: str
     parameters: tuple[tuple[str, str], ...] = ()
     input_digests: tuple[str, ...] = ()
-    cached_inverses: tuple[LinearFamily, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ closed families, and brute-force searches with checkers as oracles."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .checkers import check_bihom_associative, check_morphism, check_rota_baxter
@@ -12,7 +12,7 @@ from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
 from .errors import BudgetExceeded, ConditionViolated, ShapeMismatch
-from .linalg import Matrix, basis_vector, frac, vec_scale, zero_vector
+from .linalg import Matrix, basis_vector, frac, vec_scale
 from .reports import CheckReport
 from .semigroup import SemigroupTable
 

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bihomega.checkers import (check_bihom_associative, check_dendriform,
+from bihomega.checkers import (KIND_AXIOMS, check_bihom_associative,
+                               check_dendriform,
                                check_instance, check_lie, check_morphism,
                                check_postlie, check_prelie, check_prepoisson,
                                check_rota_baxter, check_zinbiel)
@@ -24,6 +25,61 @@ def test_zero_instances_pass_every_checker():
     for kind in AlgebraKind:
         for omega in (TRIVIAL, C2):
             assert check_instance(zero_instance(kind, omega, 3)).passed
+
+
+_MULT = ("p-multiplicativity", "q-multiplicativity")
+
+
+def _prefixed(prefix, names):
+    return tuple(prefix + name for name in names)
+
+
+AXIOM_NAMES = {
+    AlgebraKind.OMEGA_ASSOCIATIVE: _MULT + ("bihom-associativity",),
+    AlgebraKind.BIHOM_ASSOCIATIVE: _MULT + ("bihom-associativity",),
+    AlgebraKind.DENDRIFORM: _prefixed("prec-", _MULT) + _prefixed("succ-", _MULT)
+    + ("dendriform-left", "dendriform-middle", "dendriform-right"),
+    AlgebraKind.PRELIE: _MULT + ("prelie-identity",),
+    AlgebraKind.LIE: _MULT + ("skew-symmetry", "jacobi"),
+    AlgebraKind.POSTLIE: _prefixed("bracket-", _MULT + ("skew-symmetry", "jacobi"))
+    + _prefixed("triangle-", _MULT)
+    + ("postlie-first-identity", "postlie-second-identity"),
+    AlgebraKind.ZINBIEL: _MULT + ("zinbiel-identity",),
+    AlgebraKind.PREPOISSON: _prefixed("triangle-", _MULT + ("prelie-identity",))
+    + _prefixed("star-", _MULT + ("zinbiel-identity",))
+    + ("prepoisson-first-identity", "prepoisson-second-identity"),
+}
+
+
+def test_axiom_names_and_order_per_kind():
+    for kind, names in AXIOM_NAMES.items():
+        assert tuple(ax.name for ax in KIND_AXIOMS[kind]) == names, kind
+        assert check_instance(zero_instance(kind, C2, 1)).axiom_names() == names
+
+
+def test_rota_baxter_and_morphism_axiom_names():
+    one = zero_instance(AlgebraKind.LIE, C2, 1)
+    two = zero_instance(AlgebraKind.DENDRIFORM, C2, 1)
+    ident = LinearFamily.identity(C2, 1)
+    rb = RotaBaxterFamily(ident, 0)
+    assert check_rota_baxter(one, rb).axiom_names() == (
+        "rb-identity-bracket", "rb-commutes-p", "rb-commutes-q")
+    assert check_rota_baxter(two, rb).axiom_names() == (
+        "rb-identity-prec", "rb-identity-succ", "rb-commutes-p", "rb-commutes-q")
+    assert check_morphism(ident, one, one).axiom_names() == (
+        "morphism-bracket", "intertwine-p", "intertwine-q")
+    assert check_morphism(ident, two, two).axiom_names() == (
+        "morphism-prec", "morphism-succ", "intertwine-p", "intertwine-q")
+
+
+def test_checkers_keep_their_names():
+    import bihomega
+    from bihomega import checkers
+    for name in ("check_instance", "check_bihom_associative", "check_dendriform",
+                 "check_prelie", "check_lie", "check_postlie", "check_zinbiel",
+                 "check_prepoisson", "check_rota_baxter", "check_morphism"):
+        assert getattr(checkers, name) is getattr(bihomega, name)
+        assert getattr(checkers, name).__name__ == name
 
 
 def test_two_dim_example_passes_trivial_omega():
@@ -61,18 +117,21 @@ def test_witness_fidelity_reevaluates_to_inequality():
         assert w.lhs != w.rhs
 
 
-def _twisted_instance(kind, slot):
-    """A generic product over C2 with commuting diagonal p, q that differ
-    per index and have pq != qq, so each twist reaches the witnesses."""
+def _twisted_instance(kind):
+    """Generic products over C2, one per slot and each different, with
+    commuting diagonal p, q that differ per index and have pq != qq, so
+    each twist reaches the witnesses."""
     p = LinearFamily(C2, 2, (Matrix.diagonal([1, 3]), Matrix.diagonal([-1, 2])))
     q = LinearFamily(C2, 2, (Matrix.diagonal([2, -1]), Matrix.diagonal([3, 1])))
-    fam = BilinearFamily.from_function(
-        C2, 2, lambda a, b, i, j: (1 + a + 2 * i, b - j + a * i))
-    inst = new_instance(kind, C2, ((slot, fam),), p, q)
+    products = tuple(
+        (slot, BilinearFamily.from_function(
+            C2, 2, lambda a, b, i, j, s=s: (1 + a + 2 * i + s, b - j + a * i - s * j)))
+        for s, slot in enumerate(kind.product_slots))
+    inst = new_instance(kind, C2, products, p, q)
     for a in range(2):
         e = basis_vector(2, 1)
         assert p.apply(a, q.apply(a, e)) != q.apply(a, q.apply(a, e))
-    return inst, fam
+    return inst
 
 
 def _index(inst, label):
@@ -80,7 +139,8 @@ def _index(inst, label):
 
 
 def test_jacobi_witnesses_reevaluate_with_qq_twist():
-    inst, br = _twisted_instance(AlgebraKind.LIE, "bracket")
+    inst = _twisted_instance(AlgebraKind.LIE)
+    br = inst.product("bracket")
     bad = check_lie(inst).result("jacobi")
     assert not bad.passed and bad.witnesses
     p, q, mul = inst.p, inst.q, inst.omega.mul
@@ -103,7 +163,8 @@ def test_jacobi_witnesses_reevaluate_with_qq_twist():
 
 
 def test_prelie_witnesses_reevaluate_with_pq_twist():
-    inst, tri = _twisted_instance(AlgebraKind.PRELIE, "triangle")
+    inst = _twisted_instance(AlgebraKind.PRELIE)
+    tri = inst.product("triangle")
     bad = check_prelie(inst).result("prelie-identity")
     assert not bad.passed and bad.witnesses
     p, q, mul = inst.p, inst.q, inst.omega.mul
@@ -124,6 +185,54 @@ def test_prelie_witnesses_reevaluate_with_pq_twist():
         i, j, k = w.basis
         assert associator(a, b, c, i, j, k) == w.lhs
         assert associator(b, a, c, j, i, k) == w.rhs
+        assert w.lhs != w.rhs
+
+
+def _vec_sum(u, v, sign=1):
+    return tuple(s + sign * t for s, t in zip(u, v))
+
+
+def test_postlie_witnesses_reevaluate_with_pq_twist_and_b_ac_index():
+    inst = _twisted_instance(AlgebraKind.POSTLIE)
+    bad = check_postlie(inst).result("postlie-second-identity")
+    assert not bad.passed and bad.witnesses
+    p, q, mul = inst.p, inst.q, inst.omega.mul
+    br, tri = inst.product("bracket"), inst.product("triangle")
+    for w in bad.witnesses:
+        a, b, c = (_index(inst, label) for label in w.indices)
+        x, y, z = (basis_vector(2, n) for n in w.basis)
+        # p_a(q_a(x)) |>_{a,bc} {y, z}_{b,c}
+        lhs = tri.apply(a, mul(b, c), p.apply(a, q.apply(a, x)),
+                        br.apply(b, c, y, z))
+        # {q_a(x) |>_{a,b} y, q_c(z)}_{ab,c} + {q_b(y), p_a(x) |>_{a,c} z}_{b,ac}
+        rhs = _vec_sum(br.apply(mul(a, b), c, tri.apply(a, b, q.apply(a, x), y),
+                                q.apply(c, z)),
+                       br.apply(b, mul(a, c), q.apply(b, y),
+                                tri.apply(a, c, p.apply(a, x), z)))
+        assert (lhs, rhs) == (w.lhs, w.rhs)
+        assert w.lhs != w.rhs
+
+
+def test_prepoisson_witnesses_reevaluate_with_pq_twist_and_b_ac_index():
+    inst = _twisted_instance(AlgebraKind.PREPOISSON)
+    bad = check_prepoisson(inst).result("prepoisson-first-identity")
+    assert not bad.passed and bad.witnesses
+    p, q, mul = inst.p, inst.q, inst.omega.mul
+    tri, star = inst.product("triangle"), inst.product("star")
+    for w in bad.witnesses:
+        a, b, c = (_index(inst, label) for label in w.indices)
+        x, y, z = (basis_vector(2, n) for n in w.basis)
+        # (q_a(x) |>_{a,b} p_b(y) - q_b(y) |>_{b,a} p_a(x)) *_{ab,c} q_c(z)
+        comm = _vec_sum(tri.apply(a, b, q.apply(a, x), p.apply(b, y)),
+                        tri.apply(b, a, q.apply(b, y), p.apply(a, x)), -1)
+        lhs = star.apply(mul(a, b), c, comm, q.apply(c, z))
+        # p_a(q_a(x)) |>_{a,bc} (p_b(y) *_{b,c} z)
+        #   - p_b(q_b(y)) *_{b,ac} (p_a(x) |>_{a,c} z)
+        rhs = _vec_sum(tri.apply(a, mul(b, c), p.apply(a, q.apply(a, x)),
+                                 star.apply(b, c, p.apply(b, y), z)),
+                       star.apply(b, mul(a, c), p.apply(b, q.apply(b, y)),
+                                  tri.apply(a, c, p.apply(a, x), z)), -1)
+        assert (lhs, rhs) == (w.lhs, w.rhs)
         assert w.lhs != w.rhs
 
 

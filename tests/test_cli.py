@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bihomega.cli import main
 from bihomega.dsl import parse_workspace, serialize_workspace
@@ -177,8 +184,78 @@ def test_example_rejects_bad_side_conditions(tmp_path, capsys):
     assert "rthree-multiplicative" in capsys.readouterr().out
 
 
-def test_thread_env_validation(two_dim_file, monkeypatch, capsys):
-    monkeypatch.setenv("BIHOMEGA_THREADS", "nope")
-    assert main(["check", two_dim_file]) == 2
-    monkeypatch.setenv("BIHOMEGA_THREADS", "2")
-    assert main(["check", two_dim_file]) == 0
+
+def _commands(path):
+    """Every command that reads a file, reading `path`."""
+    return (["check", path], ["fmt", path],
+            ["construct", "assoc_to_lie", "--input", path],
+            ["search-rb", "--algebra", path, "--entries", "0", "--limit", "1"],
+            ["example", "two-dim", "--params", path])
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.bho"
+    path.write_bytes(GOLDEN_TWO_DIM.encode() + b"# caf\xe9 \xff\n")
+    for argv in _commands(str(path)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and "utf-8" in err
+        assert "Traceback" not in err
+
+
+def test_example_unrepresentable_scalar_exits_2(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    for bad in ("1/0", float("inf")):
+        doc = dict(PARAMS_OK, c=[[bad, "1"], ["1", "1"]])
+        params.write_text(json.dumps(doc))
+        assert main(["example", "two-dim", "--params", str(params)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad parameter document")
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _small_dims(data: bytes) -> bool:
+    # a mutation can turn "dim 2" into "dim 2222"; keep each check small
+    return all(int(d) <= 4 for d in re.findall(rb"dim\s+(\d+)", data))
+
+
+def _exit_codes_hold(data: bytes, commands):
+    assume(_small_dims(data))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in commands(path):
+            assert _run_quietly(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=300))
+def test_main_exit_codes_on_arbitrary_bytes(data):
+    _exit_codes_hold(data, _commands)
+
+
+@st.composite
+def _mutated_golden(draw) -> bytes:
+    data = bytearray(GOLDEN_TWO_DIM.encode())
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        byte = draw(st.integers(0, 255))
+        if op == "insert":
+            data.insert(pos, byte)
+        elif op == "delete":
+            del data[pos]
+        else:
+            data[pos] = byte
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_golden())
+def test_main_exit_codes_on_mutated_workspaces(data):
+    _exit_codes_hold(data, lambda path: _commands(path)[:4])

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .checkers import DEFAULT_WITNESS_CAP, check_instance
-from .constructions import CONSTRUCTIONS
+from .constructions import CONSTRUCTIONS, RECIPES
 from .dsl import (Workspace, parse_workspace, serialize_workspace,
                   workspace_for_instance)
 from .errors import (BihomegaError, ConditionViolated, ParseError,
@@ -36,6 +35,13 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -132,21 +138,20 @@ def _cmd_construct(args) -> int:
     if args.name not in CONSTRUCTIONS:
         raise _CliError(f"unknown construction {args.name!r}; choose from "
                         + ", ".join(sorted(CONSTRUCTIONS)))
+    operands = RECIPES[args.name].operands
+    for flag in ("rb", "p2", "q2"):
+        if getattr(args, flag) is not None and flag not in operands:
+            raise _CliError(f"construction {args.name!r} takes no --{flag}")
     ws = _read_workspace(args.input)
     alg_name, inst = _pick_algebra(ws, args.algebra)
-    fn = CONSTRUCTIONS[args.name]
-    params = inspect.signature(fn).parameters
-    pos = [inst]
-    if "rb" in params:
-        if args.rb is None:
-            raise _CliError(f"construction {args.name!r} needs --rb NAME")
-        pos.append(_resolve_named(ws, "rota_baxter", args.rb))
-    if "p2" in params:
-        if args.p2 is None or args.q2 is None:
-            raise _CliError(f"{args.name} needs --p2 NAME and --q2 NAME")
-        pos.append(_resolve_named(ws, "maps", args.p2))
-        pos.append(_resolve_named(ws, "maps", args.q2))
-    out = fn(*pos, unchecked=args.unchecked)
+    if any(getattr(args, op) is None for op in operands):
+        raise _CliError(f"construction {args.name!r} needs --rb NAME"
+                        if operands == ("rb",) else
+                        f"{args.name} needs --p2 NAME and --q2 NAME")
+    out = CONSTRUCTIONS[args.name](inst, *(
+        _resolve_named(ws, "rota_baxter" if op == "rb" else "maps",
+                       getattr(args, op)) for op in operands),
+        unchecked=args.unchecked)
     omega_name = ws.semigroup_name(inst.omega)
     out_name = args.as_name or f"{alg_name}_{args.name}"
     out_ws = workspace_for_instance(out_name, omega_name, out)
@@ -270,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--name", default=None)
     p_search.add_argument("--entries", default="-1,0,1")
     p_search.add_argument("--weight", default="0")
-    p_search.add_argument("--limit", type=int, default=None)
+    p_search.add_argument("--limit", type=_positive_int, default=None)
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(fn=_cmd_search_rb)
 

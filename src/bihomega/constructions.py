@@ -1,370 +1,219 @@
 """Checked transforms between algebra instances.
 
-Each transform re-checks its preconditions with the relevant checkers,
-builds the new structure-constant tensors, and post-checks the output
-(skippable with unchecked=True). Outputs carry a provenance record.
-"""
+Every construction is a `Recipe` in `RECIPES`, its products written in the
+checkers' term forms. One runner runs them all in a fixed order: the
+requirements, the pre-checks, the products, the post-checks (both checks
+skipped with unchecked=True), then the provenance."""
 
 from __future__ import annotations
 
-from .checkers import (check_bihom_associative, check_instance, check_morphism,
-                       check_rota_baxter)
-from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
+from collections import namedtuple
+from dataclasses import replace
+from functools import reduce
+from itertools import combinations
+
+from .checkers import (Mul, R, Sum, Var, X, Y, _Cells, check_instance,
+                       check_morphism, check_rota_baxter, minus, plus)
+from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind as K,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
 from .errors import (KindMismatch, MorphismCheckFailed, NonCommutativeOmega,
                      NonCommutingFamilies, NonzeroWeight,
                      PostconditionCheckFailed, PreconditionCheckFailed)
-from .linalg import Vector, basis_vector, vec_add, vec_scale, vec_sub
+from .linalg import vec
 from .semigroup import is_commutative_table
 
+_POST = (("instance", "output fails its {kind} checker"),)
 
-def _require(inst: AlgebraInstance, kinds, construction: str):
-    if inst.kind not in kinds:
-        wanted = ", ".join(k.value for k in kinds)
-        raise KindMismatch(f"{construction} expects kind in {{{wanted}}}, "
-                           f"got {inst.kind.value}")
+Recipe = namedtuple("Recipe", "kinds products operands requires maps post",
+                    defaults=((), (), ("p", "q"), _POST))
+Recipe.__doc__ = """One construction: `kinds` maps input to output kind;
+`products` maps each output slot to a term in X, Y over the maps p, q,
+P = p^-1, Q = q^-1, R (the operator family, weight "lam") and s, t (p2,
+q2); `operands` is (), ("rb",) or ("p2", "q2"); `requires` draws from
+"commutative", "weight0", "inverses", "commuting", checked in that order;
+`maps` spells the output's p and q ("ps" is p o s); `post` lists
+(checker, message) pairs, the checker "instance" or "rb"."""
 
 
-def _precheck(inst: AlgebraInstance, construction: str, unchecked: bool):
-    if unchecked:
-        return
-    report = check_instance(inst)
+def _to(out: K, *kinds: K) -> dict:
+    return dict.fromkeys(kinds, out)
+
+
+def _flip(m: str) -> Mul:
+    # (p^-1 q (y)) m (p q^-1 (x)), at index b*a
+    return Mul(m, Var(1, "Pq"), Var(0, "pQ"))
+
+
+_FLIPS = ("commutative", "inverses")  # what the flip, reading p^-1 and q^-1, needs
+
+
+def _rb(m: str) -> Sum:
+    return Sum(((1, Mul(m, X, R(Y))), (1, Mul(m, R(X), Y)),
+                ("lam", Mul(m, X, Y))))
+
+
+RECIPES: dict[str, Recipe] = {
+    "yau_twist": Recipe(
+        {k: k for k in K} | _to(K.BIHOM_ASSOCIATIVE, *ASSOCIATIVE_KINDS),
+        {m: Mul(m, Var(0, "s"), Var(1, "t")) for k in K for m in k.product_slots},
+        ("p2", "q2"), ("commuting",), ("ps", "qt")),
+    "rb_star_associative": Recipe(
+        {k: k for k in ASSOCIATIVE_KINDS}, {"mul": _rb("mul")}, ("rb",),
+        post=(("instance", "output not associative"),
+              ("rb", "operator family lost on the output"))),
+    "dendriform_total": Recipe(
+        _to(K.BIHOM_ASSOCIATIVE, K.DENDRIFORM),
+        {"mul": plus(Mul("prec", X, Y), Mul("succ", X, Y))}),
+    "rb_split_dendriform": Recipe(
+        _to(K.DENDRIFORM, *ASSOCIATIVE_KINDS),
+        {"prec": Sum(((1, Mul("mul", X, R(Y))), ("lam", Mul("mul", X, Y)))),
+         "succ": Mul("mul", R(X), Y)}, ("rb",)),
+    "dendriform_to_prelie": Recipe(
+        _to(K.PRELIE, K.DENDRIFORM),
+        {"triangle": minus(Mul("succ", X, Y), _flip("prec"))},
+        requires=_FLIPS),
+    "assoc_as_prelie": Recipe(
+        _to(K.PRELIE, *ASSOCIATIVE_KINDS), {"triangle": Mul("mul", X, Y)},
+        requires=("commutative",)),
+    "prelie_to_lie": Recipe(
+        _to(K.LIE, K.PRELIE),
+        {"bracket": minus(Mul("triangle", X, Y), _flip("triangle"))},
+        requires=_FLIPS),
+    "assoc_to_lie": Recipe(
+        _to(K.LIE, *ASSOCIATIVE_KINDS),
+        {"bracket": minus(Mul("mul", X, Y), _flip("mul"))},
+        requires=_FLIPS),
+    "rb_bracket_lie": Recipe(
+        _to(K.LIE, K.LIE), {"bracket": _rb("bracket")}, ("rb",)),
+    "rb_lie_to_prelie": Recipe(
+        _to(K.PRELIE, K.LIE), {"triangle": Mul("bracket", R(X), Y)}, ("rb",),
+        ("weight0",)),
+    "postlie_to_lie": Recipe(
+        _to(K.LIE, K.POSTLIE),
+        {"bracket": Sum(((1, Mul("triangle", X, Y)), (-1, _flip("triangle")),
+                         (1, Mul("bracket", X, Y))))}, requires=_FLIPS),
+    "lie_rb_to_postlie": Recipe(
+        _to(K.POSTLIE, K.LIE),
+        {"bracket": Sum((("lam", Mul("bracket", X, Y)),)),
+         "triangle": Mul("bracket", R(X), Y)}, ("rb",)),
+}
+
+
+def _product(cells: _Cells, term) -> BilinearFamily:
+    """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j."""
+    bind, n, d = cells.bind(term, 2), cells.omega.order, cells.dim
+
+    def block(fn):
+        return tuple(tuple(vec(fn((i, j))) for j in range(d)) for i in range(d))
+    return BilinearFamily(cells.omega, d, tuple(
+        tuple(block(bind((a, b))[1]) for b in range(n)) for a in range(n)))
+
+
+def _gate(error: type, message: str, report):
     if not report.passed:
-        raise PreconditionCheckFailed(
-            f"{construction}: input fails its {inst.kind.value} checker", report)
+        raise error(message, report)
 
 
-def _precheck_rb(inst: AlgebraInstance, rb: RotaBaxterFamily,
-                 construction: str, unchecked: bool):
-    if unchecked:
-        return
-    report = check_rota_baxter(inst, rb)
-    if not report.passed:
-        raise PreconditionCheckFailed(
-            f"{construction}: operator family fails the weight-{rb.weight} "
-            "identity", report)
-
-
-def _postcheck(inst: AlgebraInstance, construction: str, unchecked: bool):
-    if unchecked:
-        return inst
-    report = check_instance(inst)
-    if not report.passed:
-        raise PostconditionCheckFailed(
-            f"{construction}: output fails its {inst.kind.value} checker", report)
-    return inst
-
-
-def _require_commutative(inst: AlgebraInstance, construction: str):
-    if not is_commutative_table(inst.omega):
-        raise NonCommutativeOmega(
-            f"{construction} requires a commutative index semigroup")
-
-
-def _inverse_pair(inst: AlgebraInstance) -> tuple[LinearFamily, LinearFamily]:
-    return inst.p.inverse(), inst.q.inverse()
-
-
-def _provenance(name: str, inputs: tuple[AlgebraInstance, ...],
-                params: tuple[tuple[str, str], ...] = ()) -> Provenance:
-    return Provenance(name, params, tuple(a.digest() for a in inputs))
-
-
-def yau_twist(a: AlgebraInstance, p2: LinearFamily, q2: LinearFamily,
-              unchecked: bool = False) -> AlgebraInstance:
-    """Pre-compose every product with a commuting endomorphism pair.
-
-    New products x *' y = p2(x) * q2(y); new structure maps are the
-    compositions p o p2 and q o q2.
-    """
-    construction = "yau_twist"
-    _precheck(a, construction, unchecked)
-    if not unchecked:
-        for name, fam in (("p2", p2), ("q2", q2)):
-            report = check_morphism(fam, a, a)
-            if not report.passed:
-                raise MorphismCheckFailed(
-                    f"{construction}: {name} is not a morphism of the input",
-                    report)
-    families = (("p", a.p), ("q", a.q), ("p2", p2), ("q2", q2))
-    for idx, (n1, f1) in enumerate(families):
-        for n2, f2 in families[idx + 1:]:
+def _run(name: str, a: AlgebraInstance, operands: tuple,
+         unchecked: bool) -> AlgebraInstance:
+    recipe = RECIPES[name]
+    ops = dict(zip(recipe.operands, operands))
+    rb = ops.get("rb")
+    if a.kind not in recipe.kinds:
+        wanted = ", ".join(k.value for k in recipe.kinds)
+        raise KindMismatch(f"{name} expects kind in {{{wanted}}}, "
+                           f"got {a.kind.value}")
+    if "commutative" in recipe.requires and not is_commutative_table(a.omega):
+        raise NonCommutativeOmega(f"{name} requires a commutative index semigroup")
+    if "weight0" in recipe.requires and rb.weight != 0:
+        raise NonzeroWeight(f"{name} needs weight 0, got {rb.weight}")
+    maps = {"R": rb.maps} if rb is not None else dict(zip("st", operands))
+    if "inverses" in recipe.requires:
+        maps.update(P=a.p.inverse(), Q=a.q.inverse())
+    if "commuting" in recipe.requires:
+        families = (("p", a.p), ("q", a.q)) + tuple(ops.items())
+        for (n1, f1), (n2, f2) in combinations(families, 2):
             ok, bad = f1.commutes_with(f2)
             if not ok:
                 raise NonCommutingFamilies((n1, n2), a.omega.elements[bad])
 
-    def twist(fam: BilinearFamily) -> BilinearFamily:
-        return BilinearFamily.from_function(
-            a.omega, a.dim,
-            lambda al, be, i, j: fam.apply(
-                al, be,
-                p2.apply(al, basis_vector(a.dim, i)),
-                q2.apply(be, basis_vector(a.dim, j))))
-
-    kind = (AlgebraKind.BIHOM_ASSOCIATIVE if a.kind in ASSOCIATIVE_KINDS
-            else a.kind)
-    products = tuple((name, twist(fam)) for name, fam in a.products)
-    out = new_instance(kind, a.omega, products,
-                       a.p.compose(p2), a.q.compose(q2),
-                       _provenance(construction, (a,)))
-    return _postcheck(out, construction, unchecked)
-
-
-def rb_star_associative(a: AlgebraInstance, rb: RotaBaxterFamily,
-                        unchecked: bool = False) -> AlgebraInstance:
-    """x * y = x.R(y) + R(x).y + lam x.y; the operator family remains
-    one of the same weight on the output."""
-    construction = "rb_star_associative"
-    _require(a, ASSOCIATIVE_KINDS, construction)
-    _precheck(a, construction, unchecked)
-    _precheck_rb(a, rb, construction, unchecked)
-    mul = a.product("mul")
-    lam = rb.weight
-
-    def star(al, be, i, j) -> Vector:
-        e_i = basis_vector(a.dim, i)
-        e_j = basis_vector(a.dim, j)
-        out = mul.apply(al, be, e_i, rb.maps.apply(be, e_j))
-        out = vec_add(out, mul.apply(al, be, rb.maps.apply(al, e_i), e_j))
-        return vec_add(out, vec_scale(lam, mul.basis_product(al, be, i, j)))
-
-    out = new_instance(
-        a.kind, a.omega,
-        (("mul", BilinearFamily.from_function(a.omega, a.dim, star)),),
-        a.p, a.q,
-        _provenance(construction, (a,), (("weight", str(lam)),)))
     if not unchecked:
-        report = check_bihom_associative(out)
-        if not report.passed:
-            raise PostconditionCheckFailed(
-                f"{construction}: output not associative", report)
-        report = check_rota_baxter(out, rb)
-        if not report.passed:
-            raise PostconditionCheckFailed(
-                f"{construction}: operator family lost on the output", report)
-    return out
+        _gate(PreconditionCheckFailed,
+              f"{name}: input fails its {a.kind.value} checker", check_instance(a))
+        for op, operand in ops.items():
+            if op == "rb":
+                _gate(PreconditionCheckFailed, f"{name}: operator family fails "
+                      f"the weight-{rb.weight} identity", check_rota_baxter(a, rb))
+            else:
+                _gate(MorphismCheckFailed, f"{name}: {op} is not a morphism "
+                      "of the input", check_morphism(operand, a, a))
+
+    cells = _Cells(a, maps, weight=rb.weight if rb is not None else 0)
+    kind = recipe.kinds[a.kind]
+    p, q = (reduce(LinearFamily.compose, map(cells.maps.get, word))
+            for word in recipe.maps)
+    out = new_instance(kind, a.omega, tuple(
+        (slot, _product(cells, recipe.products[slot]))
+        for slot in kind.product_slots), p, q)
+
+    if not unchecked:
+        for checker, message in recipe.post:
+            report = (check_instance(out) if checker == "instance"
+                      else check_rota_baxter(out, rb))
+            _gate(PostconditionCheckFailed,
+                  f"{name}: " + message.format(kind=kind.value), report)
+    params = (("weight", str(rb.weight)),) if rb is not None else ()
+    return replace(out, provenance=Provenance(name, params, (a.digest(),)))
 
 
-def dendriform_total(a: AlgebraInstance,
-                     unchecked: bool = False) -> AlgebraInstance:
-    """Sum both halves into one associative product."""
-    construction = "dendriform_total"
-    _require(a, (AlgebraKind.DENDRIFORM,), construction)
-    _precheck(a, construction, unchecked)
-    total = a.product("prec").add(a.product("succ"))
-    out = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, a.omega,
-                       (("mul", total),), a.p, a.q,
-                       _provenance(construction, (a,)))
-    return _postcheck(out, construction, unchecked)
-
-
-def rb_split_dendriform(a: AlgebraInstance, rb: RotaBaxterFamily,
-                        unchecked: bool = False) -> AlgebraInstance:
-    """Split an associative product along an operator family:
-    x < y = x.R(y) + lam x.y and x > y = R(x).y."""
-    construction = "rb_split_dendriform"
-    _require(a, ASSOCIATIVE_KINDS, construction)
-    _precheck(a, construction, unchecked)
-    _precheck_rb(a, rb, construction, unchecked)
-    mul = a.product("mul")
-    lam = rb.weight
-
-    def prec(al, be, i, j) -> Vector:
-        e_i = basis_vector(a.dim, i)
-        e_j = basis_vector(a.dim, j)
-        out = mul.apply(al, be, e_i, rb.maps.apply(be, e_j))
-        return vec_add(out, vec_scale(lam, mul.basis_product(al, be, i, j)))
-
-    def succ(al, be, i, j) -> Vector:
-        e_i = basis_vector(a.dim, i)
-        e_j = basis_vector(a.dim, j)
-        return mul.apply(al, be, rb.maps.apply(al, e_i), e_j)
-
-    out = new_instance(
-        AlgebraKind.DENDRIFORM, a.omega,
-        (("prec", BilinearFamily.from_function(a.omega, a.dim, prec)),
-         ("succ", BilinearFamily.from_function(a.omega, a.dim, succ))),
-        a.p, a.q,
-        _provenance(construction, (a,), (("weight", str(lam)),)))
-    return _postcheck(out, construction, unchecked)
-
-
-def _twisted_flip(inst: AlgebraInstance, fam: BilinearFamily,
-                  p_inv: LinearFamily, q_inv: LinearFamily,
-                  al: int, be: int, i: int, j: int) -> Vector:
-    # (p_b^-1 q_b (y)) op_{b,a} (p_a q_a^-1 (x)); q applied first, then
-    # p^-1, exactly as the formula is written
-    d = inst.dim
-    y_t = p_inv.apply(be, inst.q.apply(be, basis_vector(d, j)))
-    x_t = inst.p.apply(al, q_inv.apply(al, basis_vector(d, i)))
-    return fam.apply(be, al, y_t, x_t)
-
-
-def dendriform_to_prelie(a: AlgebraInstance,
+def _construction(name: str, doc: str):
+    """The public function that runs RECIPES[name] on its operands."""
+    operands = RECIPES[name].operands
+    if operands == ("p2", "q2"):
+        def construction(a: AlgebraInstance, p2: LinearFamily, q2: LinearFamily,
                          unchecked: bool = False) -> AlgebraInstance:
-    """x |> y = x > y - (p^-1 q (y)) < (p q^-1 (x)), needs bijective maps."""
-    construction = "dendriform_to_prelie"
-    _require(a, (AlgebraKind.DENDRIFORM,), construction)
-    _require_commutative(a, construction)
-    p_inv, q_inv = _inverse_pair(a)
-    _precheck(a, construction, unchecked)
-    prec = a.product("prec")
-    succ = a.product("succ")
-
-    def tri(al, be, i, j) -> Vector:
-        return vec_sub(succ.basis_product(al, be, i, j),
-                       _twisted_flip(a, prec, p_inv, q_inv, al, be, i, j))
-
-    out = new_instance(
-        AlgebraKind.PRELIE, a.omega,
-        (("triangle", BilinearFamily.from_function(a.omega, a.dim, tri)),),
-        a.p, a.q,
-        _provenance(construction, (a,)))
-    return _postcheck(out, construction, unchecked)
+            return _run(name, a, (p2, q2), unchecked)
+    elif operands == ("rb",):
+        def construction(a: AlgebraInstance, rb: RotaBaxterFamily,
+                         unchecked: bool = False) -> AlgebraInstance:
+            return _run(name, a, (rb,), unchecked)
+    else:
+        def construction(a: AlgebraInstance,
+                         unchecked: bool = False) -> AlgebraInstance:
+            return _run(name, a, (), unchecked)
+    construction.__name__ = construction.__qualname__ = name
+    construction.__doc__ = doc
+    return construction
 
 
-def assoc_as_prelie(a: AlgebraInstance,
-                    unchecked: bool = False) -> AlgebraInstance:
-    """Re-tag an associative product as a pre-Lie product (same tensor)."""
-    construction = "assoc_as_prelie"
-    _require(a, ASSOCIATIVE_KINDS, construction)
-    _require_commutative(a, construction)
-    _precheck(a, construction, unchecked)
-    out = new_instance(AlgebraKind.PRELIE, a.omega,
-                       (("triangle", a.product("mul")),), a.p, a.q,
-                       _provenance(construction, (a,)))
-    return _postcheck(out, construction, unchecked)
+yau_twist = _construction(
+    "yau_twist", "x *' y = p2(x) * q2(y) on every product, with maps p o p2 "
+    "and q o q2; p, q, p2 and q2 must commute pairwise.")
+rb_star_associative = _construction(
+    "rb_star_associative", "x * y = x.R(y) + R(x).y + lam x.y; the operator "
+    "family remains one of the same weight on the output.")
+dendriform_total = _construction(
+    "dendriform_total", "Sum both halves into one associative product.")
+rb_split_dendriform = _construction(
+    "rb_split_dendriform", "x < y = x.R(y) + lam x.y and x > y = R(x).y.")
+dendriform_to_prelie = _construction(
+    "dendriform_to_prelie",
+    "x |> y = x > y - (p^-1 q (y)) < (p q^-1 (x)), needs bijective maps.")
+assoc_as_prelie = _construction(
+    "assoc_as_prelie",
+    "Re-tag an associative product as a pre-Lie product (same tensor).")
+prelie_to_lie = _construction(
+    "prelie_to_lie", "{x,y} = x |> y - (p^-1 q (y)) |> (p q^-1 (x)).")
+assoc_to_lie = _construction(
+    "assoc_to_lie", "{x,y} = x.y - (p^-1 q (y)).(p q^-1 (x)).")
+rb_bracket_lie = _construction(
+    "rb_bracket_lie", "<x,y> = {R(x),y} + {x,R(y)} + lam {x,y} on a Lie instance.")
+rb_lie_to_prelie = _construction(
+    "rb_lie_to_prelie", "x |> y = {R(x), y}; defined for weight 0 only.")
+postlie_to_lie = _construction(
+    "postlie_to_lie", "<x,y> = x|>y - (p^-1 q (y)) |> (p q^-1 (x)) + {x,y}.")
+lie_rb_to_postlie = _construction(
+    "lie_rb_to_postlie", "Bracket lam {x,y} together with x |> y = {R(x), y}.")
 
-
-def _commutator_instance(a: AlgebraInstance, slot: str, construction: str,
-                         extra: BilinearFamily | None = None) -> AlgebraInstance:
-    """{x,y} = x.y - (p^-1 q (y)).(p q^-1 (x)) [+ extra bracket term]."""
-    p_inv, q_inv = _inverse_pair(a)
-    fam = a.product(slot)
-
-    def bracket(al, be, i, j) -> Vector:
-        out = vec_sub(fam.basis_product(al, be, i, j),
-                      _twisted_flip(a, fam, p_inv, q_inv, al, be, i, j))
-        if extra is not None:
-            out = vec_add(out, extra.basis_product(al, be, i, j))
-        return out
-
-    return new_instance(
-        AlgebraKind.LIE, a.omega,
-        (("bracket", BilinearFamily.from_function(a.omega, a.dim, bracket)),),
-        a.p, a.q,
-        _provenance(construction, (a,)))
-
-
-def prelie_to_lie(a: AlgebraInstance,
-                  unchecked: bool = False) -> AlgebraInstance:
-    construction = "prelie_to_lie"
-    _require(a, (AlgebraKind.PRELIE,), construction)
-    _require_commutative(a, construction)
-    _precheck(a, construction, unchecked)
-    out = _commutator_instance(a, "triangle", construction)
-    return _postcheck(out, construction, unchecked)
-
-
-def assoc_to_lie(a: AlgebraInstance,
-                 unchecked: bool = False) -> AlgebraInstance:
-    construction = "assoc_to_lie"
-    _require(a, ASSOCIATIVE_KINDS, construction)
-    _require_commutative(a, construction)
-    _precheck(a, construction, unchecked)
-    out = _commutator_instance(a, "mul", construction)
-    return _postcheck(out, construction, unchecked)
-
-
-def rb_bracket_lie(a: AlgebraInstance, rb: RotaBaxterFamily,
-                   unchecked: bool = False) -> AlgebraInstance:
-    """<x,y> = {R(x),y} + {x,R(y)} + lam {x,y} on a Lie instance."""
-    construction = "rb_bracket_lie"
-    _require(a, (AlgebraKind.LIE,), construction)
-    _precheck(a, construction, unchecked)
-    _precheck_rb(a, rb, construction, unchecked)
-    br = a.product("bracket")
-    lam = rb.weight
-
-    def bracket(al, be, i, j) -> Vector:
-        e_i = basis_vector(a.dim, i)
-        e_j = basis_vector(a.dim, j)
-        out = br.apply(al, be, rb.maps.apply(al, e_i), e_j)
-        out = vec_add(out, br.apply(al, be, e_i, rb.maps.apply(be, e_j)))
-        return vec_add(out, vec_scale(lam, br.basis_product(al, be, i, j)))
-
-    out = new_instance(
-        AlgebraKind.LIE, a.omega,
-        (("bracket", BilinearFamily.from_function(a.omega, a.dim, bracket)),),
-        a.p, a.q,
-        _provenance(construction, (a,), (("weight", str(lam)),)))
-    return _postcheck(out, construction, unchecked)
-
-
-def _rb_triangle(a: AlgebraInstance, rb: RotaBaxterFamily) -> BilinearFamily:
-    br = a.product("bracket")
-    return BilinearFamily.from_function(
-        a.omega, a.dim,
-        lambda al, be, i, j: br.apply(
-            al, be, rb.maps.apply(al, basis_vector(a.dim, i)),
-            basis_vector(a.dim, j)))
-
-
-def rb_lie_to_prelie(a: AlgebraInstance, rb: RotaBaxterFamily,
-                     unchecked: bool = False) -> AlgebraInstance:
-    """x |> y = {R(x), y}; defined for weight 0 only."""
-    construction = "rb_lie_to_prelie"
-    _require(a, (AlgebraKind.LIE,), construction)
-    if rb.weight != 0:
-        raise NonzeroWeight(f"{construction} needs weight 0, got {rb.weight}")
-    _precheck(a, construction, unchecked)
-    _precheck_rb(a, rb, construction, unchecked)
-    out = new_instance(AlgebraKind.PRELIE, a.omega,
-                       (("triangle", _rb_triangle(a, rb)),), a.p, a.q,
-                       _provenance(construction, (a,)))
-    return _postcheck(out, construction, unchecked)
-
-
-def postlie_to_lie(a: AlgebraInstance,
-                   unchecked: bool = False) -> AlgebraInstance:
-    """<x,y> = x|>y - (p^-1 q (y)) |> (p q^-1 (x)) + {x,y}."""
-    construction = "postlie_to_lie"
-    _require(a, (AlgebraKind.POSTLIE,), construction)
-    _require_commutative(a, construction)
-    _precheck(a, construction, unchecked)
-    out = _commutator_instance(a, "triangle", construction,
-                               extra=a.product("bracket"))
-    return _postcheck(out, construction, unchecked)
-
-
-def lie_rb_to_postlie(a: AlgebraInstance, rb: RotaBaxterFamily,
-                      unchecked: bool = False) -> AlgebraInstance:
-    """Bracket lam {x,y} together with x |> y = {R(x), y}."""
-    construction = "lie_rb_to_postlie"
-    _require(a, (AlgebraKind.LIE,), construction)
-    _precheck(a, construction, unchecked)
-    _precheck_rb(a, rb, construction, unchecked)
-    bracket = a.product("bracket").scale(rb.weight)
-    out = new_instance(
-        AlgebraKind.POSTLIE, a.omega,
-        (("bracket", bracket), ("triangle", _rb_triangle(a, rb))),
-        a.p, a.q,
-        _provenance(construction, (a,), (("weight", str(rb.weight)),)))
-    return _postcheck(out, construction, unchecked)
-
-
-CONSTRUCTIONS = {
-    "yau_twist": yau_twist,
-    "rb_star_associative": rb_star_associative,
-    "dendriform_total": dendriform_total,
-    "rb_split_dendriform": rb_split_dendriform,
-    "dendriform_to_prelie": dendriform_to_prelie,
-    "assoc_as_prelie": assoc_as_prelie,
-    "prelie_to_lie": prelie_to_lie,
-    "assoc_to_lie": assoc_to_lie,
-    "rb_bracket_lie": rb_bracket_lie,
-    "rb_lie_to_prelie": rb_lie_to_prelie,
-    "postlie_to_lie": postlie_to_lie,
-    "lie_rb_to_postlie": lie_rb_to_postlie,
-}
+CONSTRUCTIONS = {name: globals()[name] for name in RECIPES}

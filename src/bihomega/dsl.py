@@ -119,6 +119,13 @@ class _Parser:
         self.pos += 1
         return int(tok.text)
 
+    def _dim(self, what: str) -> int:
+        self._expect("dim")
+        dim = self._int()
+        if dim < 1:
+            raise ResolutionError(f"{what} must have dim at least 1")
+        return dim
+
     def _rational(self) -> Fraction:
         sign = -1 if self._accept("-") else 1
         num = self._int()
@@ -241,8 +248,7 @@ class _Parser:
         self._expect("over")
         omega_name = self._ident("a semigroup name")
         omega = self._resolve_semigroup(omega_name)
-        self._expect("dim")
-        dim = self._int()
+        dim = self._dim(f"maps {name!r}")
         fam = self._parse_map_body(omega, dim, f"maps {name!r}")
         self.ws.linear_maps[name] = fam
         self.ws.omega_of[("maps", name)] = omega_name
@@ -255,8 +261,7 @@ class _Parser:
         self._expect("over")
         omega_name = self._ident("a semigroup name")
         omega = self._resolve_semigroup(omega_name)
-        self._expect("dim")
-        dim = self._int()
+        dim = self._dim(f"rota_baxter {name!r}")
         self._expect("weight")
         weight = self._rational()
         fam = self._parse_map_body(omega, dim, f"rota_baxter {name!r}")
@@ -304,8 +309,7 @@ class _Parser:
         self._expect("over")
         omega_name = self._ident("a semigroup name")
         omega = self._resolve_semigroup(omega_name)
-        self._expect("dim")
-        dim = self._int()
+        dim = self._dim(f"algebra {name!r}")
         self._expect("{")
         element_index = {e: i for i, e in enumerate(omega.elements)}
         n = omega.order

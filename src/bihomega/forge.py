@@ -174,6 +174,9 @@ class SearchConfig:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("entry set must be nonempty")
+        if self.target_count is not None and self.target_count < 1:
+            raise ValueError("target count must be at least 1, got "
+                             f"{self.target_count}")
         object.__setattr__(self, "entries",
                            tuple(frac(v) for v in self.entries))
         object.__setattr__(self, "weight", frac(self.weight))

@@ -9,11 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bihomega.checkers import check_instance
 from bihomega.cli import main
-from bihomega.dsl import parse_workspace, serialize_workspace
-from bihomega.forge import two_dim_params, make_two_dim_example
+from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
+                           RotaBaxterFamily, new_instance)
+from bihomega.dsl import (parse_workspace, serialize_workspace,
+                          workspace_for_instance)
+from bihomega.forge import (constant_product_instance, make_two_dim_example,
+                            two_dim_params)
+from bihomega.linalg import Matrix
 from bihomega.semigroup import cyclic_group
-from conftest import two_dim_instance
+from conftest import LIE_2D, two_dim_instance
 from test_dsl import GOLDEN_TWO_DIM
 
 C2 = cyclic_group(2)
@@ -130,6 +136,43 @@ def test_construct_missing_rb_flag(two_dim_file, capsys):
     assert "--rb" in capsys.readouterr().err
 
 
+def test_construct_rejects_unused_operand_flags(two_dim_file, capsys):
+    assert main(["construct", "assoc_to_lie", "--input", two_dim_file,
+                 "--rb", "X"]) == 2
+    assert capsys.readouterr().err == (
+        "error: construction 'assoc_to_lie' takes no --rb\n")
+    assert main(["construct", "rb_split_dendriform", "--input", two_dim_file,
+                 "--rb", "X", "--q2", "g"]) == 2
+    assert "takes no --q2" in capsys.readouterr().err
+
+
+def test_construct_singular_map_exits_2_before_failing_precheck(
+        tmp_path, capsys):
+    # the input fails its checker too; the singular map is reported first
+    params = two_dim_params(C2, [[1, 1], [1, 1]], [1, 1], [1, 1])
+    singular = make_two_dim_example(params, reading="e1")
+    bad = new_instance(singular.kind, C2, (("mul", BilinearFamily.from_function(
+        C2, 2, lambda a, b, i, j: (i + b, j - a))),), singular.p, singular.q)
+    assert not check_instance(bad).passed
+    path = tmp_path / "singular.bho"
+    path.write_text(serialize_workspace(workspace_for_instance("a", "W", bad)))
+    assert main(["construct", "assoc_to_lie", "--input", str(path)]) == 2
+    assert "is singular" in capsys.readouterr().err
+
+
+def test_construct_records_rb_weight_parameter(tmp_path, capsys):
+    lie = constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D})
+    ws = workspace_for_instance("l", "W", lie)
+    ws.rota_baxter["r"] = RotaBaxterFamily(
+        LinearFamily.constant(C2, Matrix.from_rows([[0, 0], [0, 0]])), 0)
+    ws.omega_of[("rb", "r")] = "W"
+    path = tmp_path / "lie.bho"
+    path.write_text(serialize_workspace(ws))
+    assert main(["construct", "rb_lie_to_prelie", "--input", str(path),
+                 "--rb", "r"]) == 0
+    assert "# parameter weight: 0\n" in capsys.readouterr().out
+
+
 def test_construct_unknown_name(two_dim_file, capsys):
     assert main(["construct", "nonsense", "--input", two_dim_file]) == 2
 
@@ -160,6 +203,14 @@ def test_search_rb_roundtrip(two_dim_file, tmp_path, capsys):
                  "--out", str(split_out)]) == 0
     dend = parse_workspace(split_out.read_text())
     assert len(dend.algebras) == 1
+
+
+def test_search_rb_limit_below_one_exits_2(two_dim_file, capsys):
+    for bad in ("0", "-1", "x"):
+        assert main(["search-rb", "--algebra", two_dim_file,
+                     "--limit", bad]) == 2
+        err = capsys.readouterr().err
+        assert "argument --limit" in err and "Traceback" not in err
 
 
 def test_example_two_dim_both_readings(tmp_path, capsys):

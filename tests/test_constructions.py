@@ -4,12 +4,13 @@ import pytest
 
 import classical
 from bihomega.checkers import check_instance, check_rota_baxter
-from bihomega.constructions import (assoc_as_prelie, assoc_to_lie,
-                                    dendriform_to_prelie, dendriform_total,
-                                    lie_rb_to_postlie, postlie_to_lie,
-                                    prelie_to_lie, rb_bracket_lie,
-                                    rb_lie_to_prelie, rb_split_dendriform,
-                                    rb_star_associative, yau_twist)
+from bihomega.constructions import (CONSTRUCTIONS, assoc_as_prelie,
+                                    assoc_to_lie, dendriform_to_prelie,
+                                    dendriform_total, lie_rb_to_postlie,
+                                    postlie_to_lie, prelie_to_lie,
+                                    rb_bracket_lie, rb_lie_to_prelie,
+                                    rb_split_dendriform, rb_star_associative,
+                                    yau_twist)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.errors import (KindMismatch, MorphismCheckFailed,
@@ -17,9 +18,10 @@ from bihomega.errors import (KindMismatch, MorphismCheckFailed,
                              PreconditionCheckFailed, Singular)
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
-from bihomega.linalg import Matrix
+from bihomega.linalg import Matrix, basis_vector, mat_inverse
 from bihomega.semigroup import cyclic_group, trivial_semigroup
 from conftest import LIE_2D, two_dim_instance
+from test_checkers import _twisted_instance
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -64,6 +66,19 @@ def test_yau_twist_rejects_non_morphism():
 
 def test_yau_twist_rejects_noncommuting_pair():
     a = zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, 2)
+    p2 = LinearFamily.constant(C2, Matrix.from_rows([[0, 1], [0, 0]]))
+    q2 = LinearFamily.constant(C2, Matrix.from_rows([[0, 0], [1, 0]]))
+    with pytest.raises(NonCommutingFamilies) as err:
+        yau_twist(a, p2, q2)
+    assert err.value.names == ("p2", "q2")
+
+
+def test_yau_twist_checks_commuting_families_before_the_checkers():
+    a = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, (
+        ("mul", BilinearFamily.from_function(
+            C2, 2, lambda al, be, i, j: (i + be, j - al))),),
+        LinearFamily.identity(C2, 2), LinearFamily.identity(C2, 2))
+    assert not check_instance(a).passed
     p2 = LinearFamily.constant(C2, Matrix.from_rows([[0, 1], [0, 0]]))
     q2 = LinearFamily.constant(C2, Matrix.from_rows([[0, 0], [1, 0]]))
     with pytest.raises(NonCommutingFamilies) as err:
@@ -139,6 +154,21 @@ def test_dendriform_to_prelie_needs_invertible_maps():
         dendriform_to_prelie(dend)
 
 
+def test_commutators_check_invertibility_before_the_checkers():
+    # singular q and a product that fails every kind's checker
+    q = LinearFamily(C2, 2, (Matrix.diagonal([1, 0]), Matrix.diagonal([2, 1])))
+    mul = BilinearFamily.from_function(C2, 2, lambda a, b, i, j: (i + b, j - a))
+    for construction, kind, slots in (
+            (assoc_to_lie, AlgebraKind.BIHOM_ASSOCIATIVE, ("mul",)),
+            (prelie_to_lie, AlgebraKind.PRELIE, ("triangle",)),
+            (postlie_to_lie, AlgebraKind.POSTLIE, ("bracket", "triangle"))):
+        a = new_instance(kind, C2, tuple((s, mul) for s in slots),
+                         LinearFamily.identity(C2, 2), q)
+        assert not check_instance(a).passed
+        with pytest.raises(Singular, match="'g0' is singular"):
+            construction(a)
+
+
 def test_chain_equality_assoc_to_lie():
     for a in (two_dim_instance(TRIVIAL), two_dim_instance(C2)):
         direct = assoc_to_lie(a)
@@ -180,6 +210,7 @@ def test_rb_lie_to_prelie_zero_operator():
     rb = rb_const(C2, [[0, 0], [0, 0]], weight=0)
     out = rb_lie_to_prelie(lie, rb)
     assert out.product("triangle") == BilinearFamily.zero(C2, 2)
+    assert out.provenance.parameters == (("weight", "0"),)
 
 
 def test_postlie_diagram_commutes():
@@ -217,3 +248,91 @@ def test_outputs_carry_provenance():
     assert out.provenance is not None
     assert out.provenance.construction == "assoc_to_lie"
     assert out.provenance.input_digests == (a.digest(),)
+
+
+def test_constructions_follow_their_formulas_on_twisted_input():
+    """Every construction, unchecked, on C2 with p != q differing per index
+    and a different asymmetric product per slot, against its formula."""
+    assoc, dend, prelie, lie, post = (_twisted_instance(k) for k in (
+        AlgebraKind.BIHOM_ASSOCIATIVE, AlgebraKind.DENDRIFORM,
+        AlgebraKind.PRELIE, AlgebraKind.LIE, AlgebraKind.POSTLIE))
+    p, q = assoc.p, assoc.q  # shared by every kind of _twisted_instance
+    r_maps = LinearFamily(C2, 2, (Matrix.from_rows([[1, 2], [0, -1]]),
+                                  Matrix.from_rows([[0, 1], [3, 2]])))
+    rb, rb0 = RotaBaxterFamily(r_maps, 3), RotaBaxterFamily(r_maps, 0)
+    p2 = LinearFamily(C2, 2, (Matrix.diagonal([2, 1]), Matrix.diagonal([1, -1])))
+    q2 = LinearFamily(C2, 2, (Matrix.diagonal([-1, 3]), Matrix.diagonal([2, 2])))
+    m, br, tri = (inst.product(s).apply for inst, s in (
+        (assoc, "mul"), (lie, "bracket"), (prelie, "triangle")))
+    prec, succ = dend.product("prec").apply, dend.product("succ").apply
+    pbr, ptri = post.product("bracket").apply, post.product("triangle").apply
+
+    def R(a, v):
+        return rb.maps.apply(a, v)
+
+    def inv(fam, a, v):
+        return mat_inverse(fam.matrix(a)).apply(v)
+
+    def flip(op, a, b, x, y):
+        # (p_b^-1 q_b (y)) op_{b,a} (p_a q_a^-1 (x))
+        return op(b, a, inv(p, b, q.apply(b, y)), p.apply(a, inv(q, a, x)))
+
+    def comb(*terms):
+        return tuple(sum(c * v[k] for c, v in terms) for k in range(2))
+
+    cases = {
+        "yau_twist": (yau_twist(dend, p2, q2, unchecked=True), {
+            "prec": lambda a, b, x, y: prec(a, b, p2.apply(a, x), q2.apply(b, y)),
+            "succ": lambda a, b, x, y: succ(a, b, p2.apply(a, x), q2.apply(b, y))}),
+        "rb_star_associative": (rb_star_associative(assoc, rb, unchecked=True), {
+            "mul": lambda a, b, x, y: comb((1, m(a, b, x, R(b, y))),
+                                           (1, m(a, b, R(a, x), y)),
+                                           (3, m(a, b, x, y)))}),
+        "dendriform_total": (dendriform_total(dend, unchecked=True), {
+            "mul": lambda a, b, x, y: comb((1, prec(a, b, x, y)),
+                                           (1, succ(a, b, x, y)))}),
+        "rb_split_dendriform": (rb_split_dendriform(assoc, rb, unchecked=True), {
+            "prec": lambda a, b, x, y: comb((1, m(a, b, x, R(b, y))),
+                                            (3, m(a, b, x, y))),
+            "succ": lambda a, b, x, y: m(a, b, R(a, x), y)}),
+        "dendriform_to_prelie": (dendriform_to_prelie(dend, unchecked=True), {
+            "triangle": lambda a, b, x, y: comb((1, succ(a, b, x, y)),
+                                                (-1, flip(prec, a, b, x, y)))}),
+        "assoc_as_prelie": (assoc_as_prelie(assoc, unchecked=True),
+                            {"triangle": m}),
+        "prelie_to_lie": (prelie_to_lie(prelie, unchecked=True), {
+            "bracket": lambda a, b, x, y: comb((1, tri(a, b, x, y)),
+                                               (-1, flip(tri, a, b, x, y)))}),
+        "assoc_to_lie": (assoc_to_lie(assoc, unchecked=True), {
+            "bracket": lambda a, b, x, y: comb((1, m(a, b, x, y)),
+                                               (-1, flip(m, a, b, x, y)))}),
+        "rb_bracket_lie": (rb_bracket_lie(lie, rb, unchecked=True), {
+            "bracket": lambda a, b, x, y: comb((1, br(a, b, R(a, x), y)),
+                                               (1, br(a, b, x, R(b, y))),
+                                               (3, br(a, b, x, y)))}),
+        "rb_lie_to_prelie": (rb_lie_to_prelie(lie, rb0, unchecked=True), {
+            "triangle": lambda a, b, x, y: br(a, b, R(a, x), y)}),
+        "postlie_to_lie": (postlie_to_lie(post, unchecked=True), {
+            "bracket": lambda a, b, x, y: comb((1, ptri(a, b, x, y)),
+                                               (-1, flip(ptri, a, b, x, y)),
+                                               (1, pbr(a, b, x, y)))}),
+        "lie_rb_to_postlie": (lie_rb_to_postlie(lie, rb, unchecked=True), {
+            "bracket": lambda a, b, x, y: comb((3, br(a, b, x, y))),
+            "triangle": lambda a, b, x, y: br(a, b, R(a, x), y)}),
+    }
+    assert sorted(cases) == sorted(CONSTRUCTIONS)
+    e = [basis_vector(2, i) for i in range(2)]
+    for name, (out, formulas) in cases.items():
+        assert out.slot_names == tuple(formulas), name
+        for slot, formula in formulas.items():
+            for a in range(2):
+                for b in range(2):
+                    for i in range(2):
+                        for j in range(2):
+                            assert (out.product(slot).basis_product(a, b, i, j)
+                                    == formula(a, b, e[i], e[j])), (name, slot)
+        s, t = (p2, q2) if name == "yau_twist" else (None, None)
+        for a in range(2):
+            for x in e:
+                assert out.p.apply(a, x) == p.apply(a, s.apply(a, x) if s else x)
+                assert out.q.apply(a, x) == q.apply(a, t.apply(a, x) if t else x)

@@ -176,6 +176,16 @@ algebra a : bihom_associative over T dim 2 {
         parse_workspace(text)
 
 
+def test_dim_zero_rejected_in_every_block():
+    # a dim 0 block would serialize to text the parser cannot read back
+    sg = "semigroup T { elements t; table { t*t = t; } }\n"
+    for block in ("algebra a : lie over T dim 0 { }",
+                  "maps f over T dim 0 { t: []; }",
+                  "rota_baxter r over T dim 0 weight 0 { t: []; }"):
+        with pytest.raises(ResolutionError, match="must have dim at least 1"):
+            parse_workspace(sg + block)
+
+
 def test_duplicate_names_rejected():
     sg = "semigroup T { elements t; table { t*t = t; } }\n"
     with pytest.raises(ResolutionError):

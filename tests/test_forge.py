@@ -115,6 +115,14 @@ def test_rb_search_budget_enforced():
     assert err.value.space == 3 ** 8
 
 
+def test_search_config_rejects_target_count_below_one():
+    # a cap of 0 or -1 used to stop the searches after their first hit
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="target count must be at least 1"):
+            SearchConfig(target_count=bad)
+    assert SearchConfig(target_count=1).target_count == 1
+
+
 def test_endomorphism_pairs_start_with_identity():
     base = two_dim_instance(C2)
     pairs = make_endomorphism_pairs(base, SearchConfig(target_count=3))

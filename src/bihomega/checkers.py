@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import add, itemgetter, sub
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
@@ -154,11 +155,12 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], Vector]]]
 
 
-def _positions(term: tuple) -> set[int]:
+@cache
+def _positions(term: tuple) -> frozenset[int]:
     """The variables a term reads (a Sum's pairs are searched through)."""
     if isinstance(term, Var):
-        return {term.pos}
-    return set().union(*(_positions(t) for t in term if isinstance(t, tuple)))
+        return frozenset((term.pos,))
+    return frozenset().union(*(_positions(t) for t in term if isinstance(t, tuple)))
 
 
 class _Cells:
@@ -261,23 +263,34 @@ def _shared(bind: Bind, positions: list[int]) -> Bind:
 
 # -- the checkers -------------------------------------------------------
 
+def mismatches(axiom: Axiom, cells: _Cells
+               ) -> Callable[[tuple[int, ...]], Iterator[tuple]]:
+    """fn(index tuple) -> (basis tuple, lhs, rhs) for each basis tuple, in
+    order, on which the axiom's two sides differ at those indices."""
+    lhs, rhs = (cells.bind(side, axiom.arity) for side in (axiom.lhs, axiom.rhs))
+    bases = list(product(range(cells.dim), repeat=axiom.arity))
+
+    def at(idx):
+        lf, rf = lhs(idx)[1], rhs(idx)[1]
+        for bas in bases:
+            left, right = lf(bas), rf(bas)
+            if left != right:
+                yield bas, left, right
+    return at
+
+
 def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
             cap: int) -> CheckReport:
     """Each axiom on every cell: index tuple outer, basis tuple inner."""
     names, results = cells.omega.elements, []
     for axiom in axioms:
-        lhs, rhs = (cells.bind(side, axiom.arity) for side in (axiom.lhs, axiom.rhs))
-        bases = list(product(range(cells.dim), repeat=axiom.arity))
-        witnesses, total = [], 0
+        at, witnesses, total = mismatches(axiom, cells), [], 0
         for idx in product(range(cells.omega.order), repeat=axiom.arity):
-            lf, rf = lhs(idx)[1], rhs(idx)[1]
-            for bas in bases:
-                left, right = lf(bas), rf(bas)
-                if left != right:
-                    total += 1
-                    if len(witnesses) < cap:
-                        witnesses.append(Witness(tuple(names[a] for a in idx),
-                                                 bas, left, right))
+            for bas, left, right in at(idx):
+                total += 1
+                if len(witnesses) < cap:
+                    witnesses.append(Witness(tuple(names[a] for a in idx),
+                                             bas, left, right))
         results.append(AxiomResult(axiom.name, total == 0, tuple(witnesses), total))
     return CheckReport(subject, tuple(results))
 
@@ -331,9 +344,13 @@ def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
     plus commutation with both structure maps."""
     if rb.maps.dim != inst.dim or rb.maps.omega != inst.omega:
         raise ShapeMismatch("operator family does not match the instance")
-    cells = _Cells(inst, {"R": rb.maps}, weight=rb.weight)
-    return _report("rota-baxter", rota_baxter_axioms(inst.slot_names), cells,
-                   max_witnesses)
+    return _report("rota-baxter", rota_baxter_axioms(inst.slot_names),
+                   rota_baxter_cells(inst, rb), max_witnesses)
+
+
+def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily) -> _Cells:
+    """What `rota_baxter_axioms` read: the instance, R and the weight."""
+    return _Cells(inst, {"R": rb.maps}, weight=rb.weight)
 
 
 def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
@@ -344,7 +361,13 @@ def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
     if f.dim != src.dim or dst.dim != src.dim or f.omega != src.omega \
             or dst.omega != src.omega:
         raise ShapeMismatch("morphism family does not match the instances")
-    cells = _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
-                   {slot + "'": fam for slot, fam in dst.products})
-    return _report("morphism", morphism_axioms(src.slot_names), cells,
-                   max_witnesses)
+    return _report("morphism", morphism_axioms(src.slot_names),
+                   morphism_cells(f, src, dst), max_witnesses)
+
+
+def morphism_cells(f: LinearFamily, src: AlgebraInstance,
+                   dst: AlgebraInstance) -> _Cells:
+    """What `morphism_axioms` read: src's maps and products, f, and dst's
+    maps and products as P, Q and slot'."""
+    return _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
+                  {slot + "'": fam for slot, fam in dst.products})

@@ -1,7 +1,8 @@
 """Command-line interface: check, construct, search-rb, example, fmt.
 
 Exit codes: 0 all checks passed / operation succeeded, 1 a checker
-reported violations, 2 usage, parse or resolution error.
+reported violations, 2 usage, parse or resolution error, or standard
+output closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -37,11 +38,27 @@ class _CliError(Exception):
         self.code = code
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
+def _silence_stdout():
+    """Point standard output's descriptor at the null device, so the
+    interpreter's last flush of a closed pipe raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _read_text(path: str) -> str:
@@ -252,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run every axiom checker")
     p_check.add_argument("workspace")
     p_check.add_argument("--axiom", default=None)
-    p_check.add_argument("--max-witnesses", type=int,
+    p_check.add_argument("--max-witnesses", type=_int_at_least(0),
                          default=DEFAULT_WITNESS_CAP)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(fn=_cmd_check)
@@ -269,13 +286,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--unchecked", action="store_true")
     p_con.set_defaults(fn=_cmd_construct)
 
-    p_search = sub.add_parser("search-rb",
-                              help="brute-force operator family search")
+    p_search = sub.add_parser(
+        "search-rb", help="exhaustive operator family search, pruned index "
+                          "by index; the checker decides every hit")
     p_search.add_argument("--algebra", required=True)
     p_search.add_argument("--name", default=None)
     p_search.add_argument("--entries", default="-1,0,1")
     p_search.add_argument("--weight", default="0")
-    p_search.add_argument("--limit", type=_positive_int, default=None)
+    p_search.add_argument("--limit", type=_int_at_least(1), default=None)
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(fn=_cmd_search_rb)
 
@@ -299,7 +317,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # a closed pipe shows up here, not at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output early; the output is cut short
+        _silence_stdout()
+        return EXIT_USAGE
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

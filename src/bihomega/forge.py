@@ -6,13 +6,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .checkers import check_bihom_associative, check_morphism, check_rota_baxter
+from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
+                       check_rota_baxter, mismatches, morphism_axioms,
+                       morphism_cells, rota_baxter_axioms, rota_baxter_cells)
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
 from .errors import BudgetExceeded, ConditionViolated, ShapeMismatch
-from .linalg import Matrix, basis_vector, frac, vec_scale
+from .linalg import Matrix, basis_vector, frac, mats_commute, vec_scale
 from .reports import CheckReport
 from .semigroup import SemigroupTable
 
@@ -182,27 +185,73 @@ class SearchConfig:
         object.__setattr__(self, "weight", frac(self.weight))
 
 
-def _family_candidates(omega: SemigroupTable, dim: int, cfg: SearchConfig):
-    """All matrix families with entries from the configured set, in
-    deterministic lexicographic order."""
-    cells = omega.order * dim * dim
-    space = len(cfg.entries) ** cells
+def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
+                     axioms: tuple[Axiom, ...],
+                     cells_for: Callable[[LinearFamily], _Cells],
+                     keep: Callable[[Matrix], bool] = lambda m: True):
+    """Every matrix family with entries from the configured set that passes
+    `axioms` on every cell, in the lexicographic order of the whole space
+    (index-major: the matrix at index 0 varies slowest).
+
+    A cell at index tuple idx reads the family only at the indices in idx
+    and at their product.  So each index keeps the matrices that pass
+    `keep` and the unary axioms there, and families grow index by index,
+    dropped at the first binary cell (x, y) whose sides differ, compared
+    as soon as x, y and xy all have matrices.  cells_for(family) gives
+    the cells the axioms read with that family in place.
+    """
+    omega, dim, n = a.omega, a.dim, a.omega.order
+    space = len(cfg.entries) ** (n * dim * dim)
     if space > cfg.budget:
         raise BudgetExceeded(space, cfg.budget)
-    per_matrix = dim * dim
-    for assignment in itertools.product(cfg.entries, repeat=cells):
-        mats = tuple(
-            Matrix(dim, dim, assignment[a * per_matrix:(a + 1) * per_matrix])
-            for a in omega.indices())
-        yield LinearFamily(omega, dim, mats)
+    unary = [ax for ax in axioms if ax.arity == 1]
+    binary = [ax for ax in axioms if ax.arity == 2]
+    choices = [[] for _ in range(n)]
+    for entries in itertools.product(cfg.entries, repeat=dim * dim):
+        m = Matrix(dim, dim, entries)
+        if keep(m):
+            cells = cells_for(LinearFamily.constant(omega, m))
+            for x in range(n):
+                if _holds(unary, cells, [(x,)]):
+                    choices[x].append(m)
+    # the binary cells first readable once index k has its matrix
+    fresh = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            fresh[max(x, y, omega.table[x][y])].append((x, y))
+
+    def extend(mats):
+        k = len(mats)
+        if k == n:
+            yield LinearFamily(omega, dim, mats)
+            return
+        for m in choices[k]:
+            # indices past k are never read at depth k: pad them with m
+            fam = LinearFamily(omega, dim, mats + (m,) * (n - k))
+            if not fresh[k] or _holds(binary, cells_for(fam), fresh[k]):
+                yield from extend(mats + (m,))
+    return extend(())
+
+
+def _holds(axioms, cells: _Cells, idxs) -> bool:
+    """Whether each axiom's two sides agree on every basis tuple at each
+    index tuple of `idxs`."""
+    for axiom in axioms:
+        at = mismatches(axiom, cells)
+        if any(next(at(idx), None) is not None for idx in idxs):
+            return False
+    return True
 
 
 def brute_force_rb_search(a: AlgebraInstance,
                           cfg: SearchConfig) -> list[RotaBaxterFamily]:
     """All weight-cfg.weight operator families over the entry set that
-    pass check_rota_baxter, in enumeration order."""
+    pass check_rota_baxter, in enumeration order.  The search prunes
+    index by index; every family it returns has passed the checker."""
     found = []
-    for fam in _family_candidates(a.omega, a.dim, cfg):
+    for fam in _pruned_families(
+            a, cfg, rota_baxter_axioms(a.slot_names),
+            lambda fam: rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight))):
         rb = RotaBaxterFamily(fam, cfg.weight)
         if check_rota_baxter(a, rb, max_witnesses=1).passed:
             found.append(rb)
@@ -216,10 +265,17 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     """Commuting endomorphism pairs suitable for twisting.
 
     Always starts with (id, id); found morphisms contribute (f, f) and
-    the power pair (f, f o f), plus cross pairs that commute.
+    the power pair (f, f o f), plus cross pairs that commute.  The
+    morphism search prunes index by index; every morphism it keeps has
+    passed commutes_with and check_morphism.
     """
+    structure = a.p.maps + a.q.maps
     morphisms = []
-    for fam in _family_candidates(a.omega, a.dim, cfg):
+    for fam in _pruned_families(
+            a, cfg, morphism_axioms(a.slot_names),
+            lambda fam: morphism_cells(fam, a, a),
+            # commutes_with(a.p) and (a.q) ask f_a to commute with every p_b, q_b
+            keep=lambda m: all(mats_commute(m, s) for s in structure)):
         if not fam.commutes_with(a.p)[0] or not fam.commutes_with(a.q)[0]:
             continue
         if check_morphism(fam, a, a, max_witnesses=1).passed:

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, Singular
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def frac(value) -> Fraction:
@@ -98,12 +101,24 @@ class Matrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row's nonzero (column, entry) pairs; built on first use."""
+        return tuple(tuple((j, v) for j, v in enumerate(self.row(i)) if v)
+                     for i in range(self.rows))
+
     def apply(self, x: Vector) -> Vector:
         if len(x) != self.cols:
             raise ShapeMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(x)}")
-        return tuple(sum((self.get(i, j) * x[j] for j in range(self.cols)),
-                         Fraction(0))
-                     for i in range(self.rows))
+        out = []
+        for row in self._sparse_rows:
+            acc = _ZERO
+            for j, v in row:
+                xj = x[j]
+                if xj:
+                    acc += v * xj
+            out.append(acc)
+        return tuple(out)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)

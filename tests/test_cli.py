@@ -3,12 +3,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bihomega
 from bihomega.checkers import check_instance
 from bihomega.cli import main
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
@@ -211,6 +214,62 @@ def test_search_rb_limit_below_one_exits_2(two_dim_file, capsys):
                      "--limit", bad]) == 2
         err = capsys.readouterr().err
         assert "argument --limit" in err and "Traceback" not in err
+
+
+def test_check_max_witnesses_below_zero_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.bho"
+    path.write_text(BAD_LIE)
+    for bad in ("-1", "x"):
+        assert main(["check", str(path), "--max-witnesses", bad]) == 2
+        err = capsys.readouterr().err
+        assert "argument --max-witnesses" in err and "Traceback" not in err
+    assert main(["check", str(path), "--max-witnesses", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL algebra sym skew-symmetry" in out and "witness" not in out
+
+
+class _ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone: writing or flushing raises."""
+
+    def __init__(self, on: str):
+        super().__init__()
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+def test_closed_stdout_ends_without_traceback(tmp_path, capsys, monkeypatch,
+                                             on):
+    path = tmp_path / "bad.bho"
+    path.write_text(BAD_LIE)
+    monkeypatch.setattr("sys.stdout", _ClosedPipe(on))
+    assert main(["check", str(path), "--max-witnesses", "0"]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_in_a_real_process(tmp_path):
+    path = tmp_path / "bad.bho"
+    path.write_text(BAD_LIE)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(bihomega.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src,
+                                                      env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bihomega.cli", "check", str(path),
+         "--max-witnesses", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes before the first line is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_example_two_dim_both_readings(tmp_path, capsys):

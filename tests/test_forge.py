@@ -1,9 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bihomega.checkers import check_instance, check_rota_baxter
-from bihomega.core import AlgebraKind, LinearFamily
+from bihomega import forge
+from bihomega.checkers import check_instance, check_morphism, check_rota_baxter
+from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
+                           RotaBaxterFamily, new_instance)
 from bihomega.errors import (BudgetExceeded, ConditionViolated, ShapeMismatch,
                              Singular)
 from bihomega.forge import (SearchConfig, brute_force_rb_search,
@@ -12,11 +17,13 @@ from bihomega.forge import (SearchConfig, brute_force_rb_search,
                             two_dim_params, two_dim_reading_report,
                             zero_instance)
 from bihomega.linalg import Matrix
-from bihomega.semigroup import cyclic_group, trivial_semigroup
+from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
+                                trivial_semigroup)
 from conftest import LIE_2D, two_dim_instance
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
+C3 = cyclic_group(3)
 
 
 def test_two_dim_params_shape_checks():
@@ -139,3 +146,152 @@ def test_search_respects_entry_set():
     allowed = {Fraction(0), Fraction(1, 2)}
     for rb in found:
         assert set(rb.maps.matrix(0).entries) <= allowed
+
+
+# -- the pruned searches against an exhaustive reference ------------------
+
+def _every_family(inst, cfg):
+    """Every family over the entry set, index-major, as one product."""
+    n, d = inst.omega.order, inst.dim
+    for flat in itertools.product(cfg.entries, repeat=n * d * d):
+        yield LinearFamily(inst.omega, d, tuple(
+            Matrix(d, d, flat[a * d * d:(a + 1) * d * d]) for a in range(n)))
+
+
+def _capped(hits, cap):
+    return list(itertools.islice(hits, cap))
+
+
+def _reference_rb_search(inst, cfg):
+    rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _every_family(inst, cfg))
+    return _capped((rb for rb in rbs
+                    if check_rota_baxter(inst, rb, max_witnesses=1).passed),
+                   cfg.target_count)
+
+
+def _reference_morphisms(inst, cfg):
+    return _capped(
+        (f for f in _every_family(inst, cfg)
+         if f.commutes_with(inst.p)[0] and f.commutes_with(inst.q)[0]
+         and check_morphism(f, inst, inst, max_witnesses=1).passed),
+        cfg.target_count)
+
+
+def _reference_endomorphism_pairs(inst, morphisms):
+    ident = LinearFamily.identity(inst.omega, inst.dim)
+    pairs = [(ident, ident)]
+    for f in morphisms:
+        if f.commutes_with(f)[0]:
+            pairs += [(f, f), (f, f.compose(f))]
+    pairs += [(f, g) for f, g in itertools.combinations(morphisms, 2)
+              if f.commutes_with(g)[0]]
+    return pairs
+
+
+@st.composite
+def search_cases(draw, omega, d):
+    """A small instance over omega at dimension d, with random products
+    and diagonal structure maps, and a search configuration whose space
+    is at most 256 candidates."""
+    cells = omega.order * d * d
+    size = draw(st.integers(1, max(n for n in range(1, 5) if n ** cells <= 256)))
+    entries = [draw(st.sampled_from((-1, 0, 1, 2, Fraction(1, 2))))
+               for _ in range(size)]
+    kind = draw(st.sampled_from((AlgebraKind.BIHOM_ASSOCIATIVE,
+                                 AlgebraKind.DENDRIFORM)))
+    # per index pair, a scalar (often 0, which every family passes) times
+    # random constants, e_i e_j = e_i, or e_i e_j = [i = j] e_i
+    shape = draw(st.sampled_from(("random", "left", "idempotent")))
+    scalar = st.sampled_from((1, 0, 0, -1, 2))
+    blocks = {}
+
+    def product(a, b, i, j, slot):
+        if (slot, a, b) not in blocks:
+            blocks[slot, a, b] = draw(scalar)
+        c = blocks[slot, a, b]
+        if shape == "random":
+            return tuple(c * draw(scalar) for _ in range(d))
+        hit = shape == "left" or i == j
+        return tuple(c if hit and k == i else 0 for k in range(d))
+    products = tuple((slot, BilinearFamily.from_function(
+        omega, d, lambda a, b, i, j, slot=slot: product(a, b, i, j, slot)))
+        for slot in kind.product_slots)
+    diagonal = st.lists(st.sampled_from((1, -1, 2)), min_size=d,
+                        max_size=d).map(Matrix.diagonal)
+    p, q = (LinearFamily(omega, d, tuple(draw(diagonal)
+                                         for _ in omega.indices()))
+            for _ in range(2))
+    cfg = SearchConfig(entries=tuple(entries),
+                       weight=draw(st.sampled_from((-1, 0, 1))),
+                       target_count=draw(st.one_of(st.none(),
+                                                   st.integers(1, 6))))
+    return new_instance(kind, omega, products, p, q), cfg
+
+
+def _searches_match_reference(inst, cfg):
+    assert brute_force_rb_search(inst, cfg) == _reference_rb_search(inst, cfg)
+    morphisms = _reference_morphisms(inst, cfg)
+    # pairing m morphisms costs m^2 commutation tests, on both sides alike
+    assume(len(morphisms) <= 32)
+    assert (make_endomorphism_pairs(inst, cfg)
+            == _reference_endomorphism_pairs(inst, morphisms))
+
+
+# C3 has 1*1 = 2, so cell (1, 1) is read only at index 2; the left-zero
+# semigroup is not commutative
+@pytest.mark.parametrize("omega", [TRIVIAL, C3, left_zero_semigroup(2)],
+                         ids=["trivial", "c3", "left-zero"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pruned_searches_match_exhaustive_reference_dim_1(omega, data):
+    _searches_match_reference(*data.draw(search_cases(omega, 1)))
+
+
+@pytest.mark.parametrize("omega", [TRIVIAL, left_zero_semigroup(2)],
+                         ids=["trivial", "left-zero"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pruned_searches_match_exhaustive_reference_dim_2(omega, data):
+    _searches_match_reference(*data.draw(search_cases(omega, 2)))
+
+
+def test_rb_search_reads_a_cell_once_its_product_index_has_a_matrix():
+    # over C3 only cell (1, 1) has a nonzero product, read at index 1*1 = 2:
+    # r1^2 = r2 (r1 + r1) holds at (r1, r2) = (2, 1) and fails at (2, 2)
+    mul = BilinearFamily.from_function(
+        C3, 1, lambda a, b, i, j: (1 if (a, b) == (1, 1) else 0,))
+    ident = LinearFamily.identity(C3, 1)
+    inst = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C3, (("mul", mul),),
+                        ident, ident)
+    cfg = SearchConfig(entries=(1, 2), weight=0)
+    found = brute_force_rb_search(inst, cfg)
+    assert [tuple(m.entries[0] for m in rb.maps.maps) for rb in found] == [
+        (1, 2, 1), (2, 2, 1)]
+    assert found == _reference_rb_search(inst, cfg)
+
+
+def test_each_index_keeps_the_matrices_that_commute_with_its_own_maps():
+    # p is diag(1, -1) at index 0 and the identity at index 1, and the
+    # product is zero: R_0 must be diagonal, R_1 may be anything, and every
+    # endomorphism f_a must commute with both p_0 and p_1
+    omega = left_zero_semigroup(2)
+    p = LinearFamily(omega, 2, (Matrix.diagonal([1, -1]), Matrix.identity(2)))
+    inst = zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega, 2, p=p)
+    cfg = SearchConfig(entries=(0, 1))
+    found = brute_force_rb_search(inst, cfg)
+    assert len(found) == 4 * 16 and found == _reference_rb_search(inst, cfg)
+    morphisms = _reference_morphisms(inst, cfg)
+    assert len(morphisms) == 4 * 4
+    assert (make_endomorphism_pairs(inst, cfg)
+            == _reference_endomorphism_pairs(inst, morphisms))
+
+
+def test_rb_search_prunes_before_the_checker(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check_rota_baxter(*args, **kwargs)
+    monkeypatch.setattr(forge, "check_rota_baxter", counted)
+    found = brute_force_rb_search(two_dim_instance(C2), SearchConfig(weight=1))
+    assert found and len(calls) < 3 ** 8 // 20

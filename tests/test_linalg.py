@@ -101,3 +101,41 @@ def test_apply_is_linear(m, raw):
     e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
     combined = vec_add(vec_scale(x[0], m.apply(e0)), vec_scale(x[1], m.apply(e1)))
     assert m.apply(x) == combined
+
+
+@st.composite
+def sparse_matrix_and_vector(draw):
+    """A matrix of any small shape with many zero entries and zero rows,
+    its entries as drawn, and a vector with many zero entries."""
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
+    entries = []
+    for _ in range(rows):
+        zero_row = draw(st.booleans())
+        entries += [Fraction(0) if zero_row else draw(entry)
+                    for _ in range(cols)]
+    x = tuple(draw(entry) for _ in range(cols))
+    return Matrix(rows, cols, tuple(entries)), entries, x
+
+
+@given(sparse_matrix_and_vector())
+@settings(max_examples=80, deadline=None)
+def test_apply_matches_dense_sum(case):
+    m, entries, x = case
+    dense = []
+    for i in range(m.rows):
+        total = Fraction(0)
+        for j in range(m.cols):
+            total += entries[i * m.cols + j] * x[j]
+        dense.append(total)
+    # the second call reads the cached nonzero pairs
+    for _ in range(2):
+        out = m.apply(x)
+        assert out == tuple(dense)
+        assert all(type(v) is Fraction for v in out)
+
+
+def test_apply_rejects_wrong_length():
+    with pytest.raises(ShapeMismatch):
+        Matrix.identity(2).apply(vec([1, 2, 3]))

@@ -1,5 +1,10 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bihomega import dsl
 from bihomega.core import AlgebraKind
 from bihomega.dsl import (HEADER, Workspace, parse_workspace,
                           serialize_workspace, workspace_for_instance)
@@ -221,3 +226,149 @@ def test_lie_corpus_instances_survive_round_trip():
     ws = workspace_for_instance("lie", "W", inst)
     back = parse_workspace(serialize_workspace(ws))
     assert back.algebras["lie"] == inst
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}()\[\]:;,*=+\-/]")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The per-line scan the tokenizer must agree with: split at "\n",
+    cut each line at "#", skip `str.isspace` characters one at a time."""
+    tokens = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        code = line.split("#", 1)[0]
+        pos = 0
+        while pos < len(code):
+            ch = code[pos]
+            if ch.isspace():
+                pos += 1
+                continue
+            m = _REFERENCE_TOKEN_RE.match(code, pos)
+            if not m:
+                raise ParseError(lineno, pos + 1, "a token", ch)
+            tokens.append((m.group(), lineno, pos + 1))
+            pos = m.end()
+    return tokens
+
+
+def _scan(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as err:
+        return ("error", err.line, err.column, err.expected, err.found)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    list("ae19_{}()[]:;,*=+-/ ")
+    + ["#", "\n", "\t", "\r", "\x0b", "\x1c", "\xa0", "@", ".", "\u0663"]),
+    max_size=40))
+def test_tokenizer_matches_per_line_reference(text):
+    got = _scan(lambda t: [(tok.text, tok.line, tok.column)
+                           for tok in dsl._tokenize(t)], text)
+    assert got == _scan(_reference_tokenize, text)
+
+
+_SG = "semigroup T { elements t; table { t*t = t; } }\n"
+_ALG = _SG + "algebra a : bihom_associative over T dim 2 {\n"
+_MAPS = _SG + "maps f over T dim 1 { t: [[1]]; }\n"
+_RB = _SG + "rota_baxter f over T dim 1 weight 0 { t: [[1]]; }\n"
+
+# (text, line, column, expected, found) for each way a parse can fail
+PARSE_ERRORS = [
+    ("semigroup W@ {}", 1, 12, "a token", "@"),
+    ("# a comment @\n  @", 2, 3, "a token", "@"),
+    ("banana", 1, 1, "'semigroup', 'algebra', 'maps' or 'rota_baxter'",
+     "banana"),
+    ("semigroup {", 1, 11, "a semigroup name", "{"),
+    ("semigroup W [", 1, 13, "'{'", "["),
+    ("semigroup W { elements ; }", 1, 26, "at least one element label", "}"),
+    ("semigroup W { elements a 1; }", 1, 26, "an element label or ';'", "1"),
+    ("semigroup W { elements a; table { a*1 = a; } }", 1, 37,
+     "an element label", "1"),
+    ("semigroup W { elements a; table { a*a = a; } commutative }", 1, 58,
+     "';'", "}"),
+    ("semigroup W {\n  elements a;\n  table {", 3, 10, "an element label",
+     "end of input"),
+    (_SG + "algebra 1", 2, 9, "an algebra name", "1"),
+    (_SG + "algebra a lie", 2, 11, "':'", "lie"),
+    (_SG + "algebra a : 1", 2, 13, "an algebra kind", "1"),
+    (_SG + "algebra a : lie over T dim x { }", 2, 28, "an integer", "x"),
+    (_ALG + "  product 1 { } }", 3, 11, "a product name", "1"),
+    (_ALG + "  product mul { (t,t): e1*e1 = 1/0 e1; } }", 3, 36,
+     "a nonzero denominator", "e1"),
+    (_ALG + "  product mul { (t,t): e1*e1 = 3 ; } }", 3, 34,
+     "a basis vector like 'e1'", ";"),
+    (_ALG + "  product mul { (t,t): e1*e1 = ; } }", 3, 32, "an integer", ";"),
+    (_ALG + "  product mul { (t,t): e1*e1 = -e1; } }", 3, 33, "an integer",
+     "e1"),
+    (_ALG + "  product mul { (t,t): x*e1 = 1 e1; } }", 3, 24,
+     "a basis vector like 'e1'", "x"),
+    (_ALG + "  product mul { (t,t): e1*e1 = ", 3, 31, "a term",
+     "end of input"),
+    (_ALG + "  product mul { (t,t): e1*e1 = 1 e1", 3, 36, "';'",
+     "end of input"),
+    (_ALG + "  junk }", 3, 3, "'product', 'map' or '}'", "junk"),
+    (_ALG + "  map 1 { } }", 3, 7, "'p' or 'q'", "1"),
+    (_ALG + "  map r { } }", 3, 9, "'p' or 'q'", "{"),
+    (_ALG + "  map p { t: [[1, 0] [0, 1]]; } }", 3, 22, "']'", "["),
+    (_SG + "maps 3 over T dim 1 { }", 2, 6, "a family name", "3"),
+    (_SG + "maps f T dim 1 { }", 2, 8, "'over'", "T"),
+    (_SG + "maps f over T dim 1 { t: [[1/0]]; }", 2, 31,
+     "a nonzero denominator", "]"),
+    (_SG + "rota_baxter r over T dim 1 { t: [[1]]; }", 2, 28, "'weight'",
+     "{"),
+    (_SG + "rota_baxter r over T dim 1 weight x { t: [[1]]; }", 2, 35,
+     "an integer", "x"),
+]
+
+
+@pytest.mark.parametrize("text, line, column, expected, found", PARSE_ERRORS)
+def test_parse_error_table(text, line, column, expected, found):
+    with pytest.raises(ParseError) as err:
+        parse_workspace(text)
+    assert (err.value.line, err.value.column, err.value.expected,
+            err.value.found) == (line, column, expected, found)
+    assert str(err.value) == f"{line}:{column}: expected {expected}, " \
+                             f"found {found!r}"
+
+
+RESOLUTION_ERRORS = [
+    (_SG + _SG, "duplicate semigroup name 'T'"),
+    ("semigroup W { elements a a; table { } }",
+     "duplicate element label in semigroup 'W'"),
+    (_SG + "algebra a : lie over T dim 1 { }\n"
+     "algebra a : lie over T dim 1 { }", "duplicate algebra name 'a'"),
+    (_ALG + "  product mul { } product mul { } }",
+     "duplicate product block 'mul'"),
+    (_MAPS + "maps f over T dim 1 { t: [[1]]; }", "duplicate maps name 'f'"),
+    (_RB + "rota_baxter f over T dim 1 weight 0 { t: [[1]]; }",
+     "duplicate rota_baxter name 'f'"),
+    (_SG + "algebra a : lie over T dim 0 { }",
+     "algebra 'a' must have dim at least 1"),
+    (_SG + "maps f over T dim 0 { t: []; }",
+     "maps 'f' must have dim at least 1"),
+    (_SG + "rota_baxter r over T dim 0 weight 0 { t: []; }",
+     "rota_baxter 'r' must have dim at least 1"),
+    (_SG + "maps f over U dim 1 { }", "unknown semigroup 'U'"),
+    (_SG + "maps f over T dim 1 { }", "maps 'f': missing matrices for "
+     "elements ['t']"),
+    (_SG + "rota_baxter r over T dim 1 weight 0 { t: [[1, 0]]; }",
+     "matrix must be 1x1"),
+    (_ALG + "  product mul { (t,t): e1*e1 = 0 e3; } }",
+     "basis vector e3 out of range for dim 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", RESOLUTION_ERRORS)
+def test_resolution_error_table(text, message):
+    with pytest.raises(ResolutionError) as err:
+        parse_workspace(text)
+    assert str(err.value) == message
+
+
+def test_maps_and_rota_baxter_names_are_separate():
+    ws = parse_workspace(_MAPS + "rota_baxter f over T dim 1 weight 0 "
+                         "{ t: [[1]]; }")
+    assert set(ws.linear_maps) == set(ws.rota_baxter) == {"f"}

@@ -101,17 +101,6 @@ class BilinearFamily:
                         out[k] += coeff * c
         return tuple(out)
 
-    def add(self, other: "BilinearFamily") -> "BilinearFamily":
-        if self.omega is not other.omega and self.omega != other.omega:
-            raise ShapeMismatch("families indexed by different semigroups")
-        if self.dim != other.dim:
-            raise ShapeMismatch("dimension mismatch")
-        return BilinearFamily.from_function(
-            self.omega, self.dim,
-            lambda a, b, i, j: tuple(
-                u + v for u, v in zip(self.tensor[a][b][i][j],
-                                      other.tensor[a][b][i][j])))
-
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)
         return BilinearFamily.from_function(

@@ -1,15 +1,19 @@
 """Workspace text format: parser and canonical serializer.
 
 A workspace holds named semigroups, algebras, linear-map families and
-operator families.  The grammar is LL(1); `#` starts a comment running
-to end of line.  Serialization is canonical: names sorted, rationals in
-lowest terms with explicit coefficients, only nonzero tensor entries
-written, fixed two-space indentation.
+operator families.  The grammar is LL(1); `#` starts a comment anywhere
+on a line and runs to its end.  A linear combination's coefficient is
+optional (`e2` means `1 e2`) and a bare `0` stands for the zero vector.
+A name or entry repeated within its scope is an error.  Serialization
+is canonical: names sorted, rationals in lowest terms with explicit
+coefficients, only nonzero tensor entries written, fixed two-space
+indentation.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +25,13 @@ from .semigroup import SemigroupTable
 
 HEADER = "# bihomega workspace"
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[{}()\[\]:;,*=+\-/]")
+# Only "\n" ends a line; other whitespace, like a comment, is skipped.
+_SCAN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*"
+                      r"|(?P<token>[A-Za-z_][A-Za-z0-9_]*|\d+|[{}()\[\]:;,*=+\-/])"
+                      r"|(?P<stray>.)")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT = re.compile(r"\d+")
+_BASIS = re.compile(r"e\d+")
 _KINDS = {k.value: k for k in AlgebraKind}
 
 
@@ -40,28 +50,21 @@ class Workspace:
         raise ResolutionError("instance's semigroup is not in the workspace")
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+_Token = namedtuple("_Token", "text line column")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        code = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(code):
-            ch = code[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(code, pos)
-            if not m or m.start() != pos:
-                raise ParseError(lineno, pos + 1, "a token", ch)
-            tokens.append(_Token(m.group(), lineno, pos + 1))
-            pos = m.end()
+    line, line_start = 1, 0
+    for m in _SCAN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "token":
+            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "stray":
+            raise ParseError(line, m.start() - line_start + 1, "a token",
+                             m.group())
     return tokens
 
 
@@ -84,19 +87,9 @@ class _Parser:
                              expected, "end of input")
         raise ParseError(tok.line, tok.column, expected, tok.text)
 
-    def _next(self, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            self._fail(expected)
-        self.pos += 1
-        return tok
-
-    def _expect(self, text: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.text != text:
+    def _expect(self, text: str):
+        if not self._accept(text):
             self._fail(repr(text))
-        self.pos += 1
-        return tok
 
     def _accept(self, text: str) -> bool:
         tok = self._peek()
@@ -105,32 +98,45 @@ class _Parser:
             return True
         return False
 
-    def _ident(self, what: str = "an identifier") -> str:
+    def _at(self, pattern: re.Pattern) -> bool:
         tok = self._peek()
-        if tok is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
+        return tok is not None and pattern.fullmatch(tok.text) is not None
+
+    def _take(self, pattern: re.Pattern, what: str) -> str:
+        if not self._at(pattern):
             self._fail(what)
         self.pos += 1
-        return tok.text
+        return self.tokens[self.pos - 1].text
 
-    def _int(self) -> int:
-        tok = self._peek()
-        if tok is None or not tok.text.isdigit():
-            self._fail("an integer")
-        self.pos += 1
-        return int(tok.text)
+    def _basis_index(self, dim: int) -> int:
+        k = int(self._take(_BASIS, "a basis vector like 'e1'")[1:])
+        if not 1 <= k <= dim:
+            raise ResolutionError(f"basis vector e{k} out of range for dim {dim}")
+        return k - 1
 
-    def _dim(self, what: str) -> int:
+    def _name(self, keyword: str, taken: dict, what: str) -> str:
+        name = self._take(_IDENT, what)
+        if name in taken:
+            raise ResolutionError(f"duplicate {keyword} name {name!r}")
+        return name
+
+    def _over(self, owner: str) -> tuple[str, SemigroupTable, int]:
+        """`over W dim D`, the clause algebra and family headers share."""
+        self._expect("over")
+        omega_name = self._take(_IDENT, "a semigroup name")
+        if omega_name not in self.ws.semigroups:
+            raise ResolutionError(f"unknown semigroup {omega_name!r}")
         self._expect("dim")
-        dim = self._int()
+        dim = int(self._take(_INT, "an integer"))
         if dim < 1:
-            raise ResolutionError(f"{what} must have dim at least 1")
-        return dim
+            raise ResolutionError(f"{owner} must have dim at least 1")
+        return omega_name, self.ws.semigroups[omega_name], dim
 
     def _rational(self) -> Fraction:
         sign = -1 if self._accept("-") else 1
-        num = self._int()
+        num = int(self._take(_INT, "an integer"))
         if self._accept("/"):
-            den = self._int()
+            den = int(self._take(_INT, "an integer"))
             if den == 0:
                 self._fail("a nonzero denominator")
             return Fraction(sign * num, den)
@@ -139,30 +145,24 @@ class _Parser:
     # grammar --------------------------------------------------------
 
     def parse(self) -> Workspace:
-        while self._peek() is not None:
-            tok = self._peek()
-            if tok.text == "semigroup":
-                self._parse_semigroup()
-            elif tok.text == "algebra":
-                self._parse_algebra()
-            elif tok.text == "maps":
-                self._parse_maps()
-            elif tok.text == "rota_baxter":
-                self._parse_rb()
-            else:
+        rules = {"semigroup": self._parse_semigroup,
+                 "algebra": self._parse_algebra,
+                 "maps": self._parse_family,
+                 "rota_baxter": self._parse_family}
+        while (tok := self._peek()) is not None:
+            if tok.text not in rules:
                 self._fail("'semigroup', 'algebra', 'maps' or 'rota_baxter'")
+            self.pos += 1
+            rules[tok.text](tok.text)
         return self.ws
 
-    def _parse_semigroup(self):
-        self._expect("semigroup")
-        name = self._ident("a semigroup name")
-        if name in self.ws.semigroups:
-            raise ResolutionError(f"duplicate semigroup name {name!r}")
+    def _parse_semigroup(self, keyword: str):
+        name = self._name(keyword, self.ws.semigroups, "a semigroup name")
         self._expect("{")
         self._expect("elements")
         elements = []
         while not self._accept(";"):
-            elements.append(self._ident("an element label or ';'"))
+            elements.append(self._take(_IDENT, "an element label or ';'"))
         if not elements:
             self._fail("at least one element label")
         index = {e: i for i, e in enumerate(elements)}
@@ -179,6 +179,10 @@ class _Parser:
             self._expect("=")
             r = self._element(index, name)
             self._expect(";")
+            if table[a][b] is not None:
+                raise ResolutionError(
+                    f"duplicate table entry {elements[a]}*{elements[b]} "
+                    f"in semigroup {name!r}")
             table[a][b] = r
         for i in range(n):
             for j in range(n):
@@ -195,16 +199,11 @@ class _Parser:
             tuple(elements), tuple(tuple(row) for row in table), commutative)
 
     def _element(self, index: dict[str, int], sg_name: str) -> int:
-        label = self._ident("an element label")
+        label = self._take(_IDENT, "an element label")
         if label not in index:
             raise ResolutionError(
                 f"unknown element {label!r} of semigroup {sg_name!r}")
         return index[label]
-
-    def _resolve_semigroup(self, name: str) -> SemigroupTable:
-        if name not in self.ws.semigroups:
-            raise ResolutionError(f"unknown semigroup {name!r}")
-        return self.ws.semigroups[name]
 
     def _parse_matrix(self, dim: int) -> Matrix:
         self._expect("[")
@@ -231,8 +230,12 @@ class _Parser:
         while not self._accept("}"):
             a = self._element(index, owner)
             self._expect(":")
-            mats[a] = self._parse_matrix(dim)
+            matrix = self._parse_matrix(dim)
             self._expect(";")
+            if a in mats:
+                raise ResolutionError(
+                    f"{owner}: duplicate matrix for element {omega.elements[a]!r}")
+            mats[a] = matrix
         missing = [omega.elements[i] for i in range(omega.order) if i not in mats]
         if missing:
             raise ResolutionError(
@@ -240,86 +243,48 @@ class _Parser:
         return LinearFamily(omega, dim,
                             tuple(mats[i] for i in range(omega.order)))
 
-    def _parse_maps(self):
-        self._expect("maps")
-        name = self._ident("a family name")
-        if name in self.ws.linear_maps:
-            raise ResolutionError(f"duplicate maps name {name!r}")
-        self._expect("over")
-        omega_name = self._ident("a semigroup name")
-        omega = self._resolve_semigroup(omega_name)
-        dim = self._dim(f"maps {name!r}")
-        fam = self._parse_map_body(omega, dim, f"maps {name!r}")
-        self.ws.linear_maps[name] = fam
-        self.ws.omega_of[("maps", name)] = omega_name
-
-    def _parse_rb(self):
-        self._expect("rota_baxter")
-        name = self._ident("a family name")
-        if name in self.ws.rota_baxter:
-            raise ResolutionError(f"duplicate rota_baxter name {name!r}")
-        self._expect("over")
-        omega_name = self._ident("a semigroup name")
-        omega = self._resolve_semigroup(omega_name)
-        dim = self._dim(f"rota_baxter {name!r}")
-        self._expect("weight")
-        weight = self._rational()
-        fam = self._parse_map_body(omega, dim, f"rota_baxter {name!r}")
-        self.ws.rota_baxter[name] = RotaBaxterFamily(fam, weight)
-        self.ws.omega_of[("rb", name)] = omega_name
+    def _parse_family(self, keyword: str):
+        """A `maps` block, or a `rota_baxter` block, which adds a weight."""
+        weighted = keyword == "rota_baxter"
+        families = self.ws.rota_baxter if weighted else self.ws.linear_maps
+        name = self._name(keyword, families, "a family name")
+        owner = f"{keyword} {name!r}"
+        omega_name, omega, dim = self._over(owner)
+        if weighted:
+            self._expect("weight")
+            weight = self._rational()
+        fam = self._parse_map_body(omega, dim, owner)
+        families[name] = RotaBaxterFamily(fam, weight) if weighted else fam
+        self.ws.omega_of[("rb" if weighted else "maps", name)] = omega_name
 
     def _parse_lincomb(self, dim: int) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * dim
         while True:
-            tok = self._peek()
-            if tok is None:
+            if self._peek() is None:
                 self._fail("a term")
-            if re.fullmatch(r"e\d+", tok.text):
-                coeff = Fraction(1)
-                basis_tok = self._next("a basis vector")
-            else:
-                coeff = self._rational()
-                tok = self._peek()
-                if tok is not None and re.fullmatch(r"e\d+", tok.text):
-                    basis_tok = self._next("a basis vector")
-                elif coeff == 0:
-                    basis_tok = None
-                else:
-                    self._fail("a basis vector like 'e1'")
-            if basis_tok is not None:
-                k = int(basis_tok.text[1:])
-                if not 1 <= k <= dim:
-                    raise ResolutionError(
-                        f"basis vector e{k} out of range for dim {dim}")
-                out[k - 1] += coeff
+            coeff = Fraction(1) if self._at(_BASIS) else self._rational()
+            if coeff != 0 or self._at(_BASIS):
+                out[self._basis_index(dim)] += coeff
             if not self._accept("+"):
                 break
         return tuple(out)
 
-    def _parse_algebra(self):
-        self._expect("algebra")
-        name = self._ident("an algebra name")
-        if name in self.ws.algebras:
-            raise ResolutionError(f"duplicate algebra name {name!r}")
+    def _parse_algebra(self, keyword: str):
+        name = self._name(keyword, self.ws.algebras, "an algebra name")
         self._expect(":")
-        kind_name = self._ident("an algebra kind")
+        kind_name = self._take(_IDENT, "an algebra kind")
         if kind_name not in _KINDS:
             raise ResolutionError(f"unknown algebra kind {kind_name!r}")
         kind = _KINDS[kind_name]
-        self._expect("over")
-        omega_name = self._ident("a semigroup name")
-        omega = self._resolve_semigroup(omega_name)
-        dim = self._dim(f"algebra {name!r}")
+        owner = f"{keyword} {name!r}"
+        omega_name, omega, dim = self._over(owner)
         self._expect("{")
         element_index = {e: i for i, e in enumerate(omega.elements)}
-        n = omega.order
         product_entries: dict[str, dict] = {}
-        p_fam = q_fam = None
+        maps: dict[str, LinearFamily] = {}
         while not self._accept("}"):
-            tok = self._peek()
-            if tok is not None and tok.text == "product":
-                self._expect("product")
-                slot = self._ident("a product name")
+            if self._accept("product"):
+                slot = self._take(_IDENT, "a product name")
                 if slot not in kind.product_slots:
                     raise ResolutionError(
                         f"kind {kind_name} has no product {slot!r}")
@@ -338,19 +303,22 @@ class _Parser:
                     self._expect("*")
                     j = self._basis_index(dim)
                     self._expect("=")
-                    entries[(a, b, i, j)] = self._parse_lincomb(dim)
+                    cell = self._parse_lincomb(dim)
                     self._expect(";")
+                    if (a, b, i, j) in entries:
+                        raise ResolutionError(
+                            f"duplicate product entry ({omega.elements[a]},"
+                            f"{omega.elements[b]}): e{i + 1}*e{j + 1} "
+                            f"in algebra {name!r}")
+                    entries[(a, b, i, j)] = cell
                 product_entries[slot] = entries
-            elif tok is not None and tok.text == "map":
-                self._expect("map")
-                which = self._ident("'p' or 'q'")
+            elif self._accept("map"):
+                which = self._take(_IDENT, "'p' or 'q'")
                 if which not in ("p", "q"):
                     self._fail("'p' or 'q'")
-                fam = self._parse_map_body(omega, dim, f"algebra {name!r}")
-                if which == "p":
-                    p_fam = fam
-                else:
-                    q_fam = fam
+                if which in maps:
+                    raise ResolutionError(f"duplicate map block {which!r}")
+                maps[which] = self._parse_map_body(omega, dim, owner)
             else:
                 self._fail("'product', 'map' or '}'")
         zero = (Fraction(0),) * dim
@@ -361,24 +329,14 @@ class _Parser:
                 omega, dim,
                 lambda a, b, i, j, entries=entries:
                     entries.get((a, b, i, j), zero))))
-        p_fam = p_fam or LinearFamily.identity(omega, dim)
-        q_fam = q_fam or LinearFamily.identity(omega, dim)
+        identity = LinearFamily.identity(omega, dim)
         try:
-            inst = new_instance(kind, omega, tuple(products), p_fam, q_fam)
+            inst = new_instance(kind, omega, tuple(products),
+                                maps.get("p", identity), maps.get("q", identity))
         except Exception as exc:
             raise ResolutionError(f"algebra {name!r}: {exc}") from exc
         self.ws.algebras[name] = inst
         self.ws.omega_of[("algebra", name)] = omega_name
-
-    def _basis_index(self, dim: int) -> int:
-        tok = self._peek()
-        if tok is None or not re.fullmatch(r"e\d+", tok.text):
-            self._fail("a basis vector like 'e1'")
-        self.pos += 1
-        k = int(tok.text[1:])
-        if not 1 <= k <= dim:
-            raise ResolutionError(f"basis vector e{k} out of range for dim {dim}")
-        return k - 1
 
 
 def parse_workspace(text: str) -> Workspace:
@@ -453,20 +411,16 @@ def serialize_workspace(ws: Workspace, header_comments: tuple[str, ...] = ()
     for name in sorted(ws.semigroups):
         lines.append("")
         lines.extend(_serialize_semigroup(name, ws.semigroups[name]))
-    for name in sorted(ws.linear_maps):
-        fam = ws.linear_maps[name]
-        omega_name = ws.omega_of[("maps", name)]
+    families = [(f"maps {name} over {ws.omega_of[('maps', name)]} "
+                 f"dim {fam.dim}", fam)
+                for name, fam in sorted(ws.linear_maps.items())]
+    families += [(f"rota_baxter {name} over {ws.omega_of[('rb', name)]} "
+                  f"dim {rb.maps.dim} weight {rb.weight}", rb.maps)
+                 for name, rb in sorted(ws.rota_baxter.items())]
+    for header, fam in families:
         lines.append("")
-        lines.append(f"maps {name} over {omega_name} dim {fam.dim} {{")
+        lines.append(header + " {")
         lines.extend(_serialize_map_body(fam, "  "))
-        lines.append("}")
-    for name in sorted(ws.rota_baxter):
-        rb = ws.rota_baxter[name]
-        omega_name = ws.omega_of[("rb", name)]
-        lines.append("")
-        lines.append(f"rota_baxter {name} over {omega_name} dim {rb.maps.dim} "
-                     f"weight {rb.weight} {{")
-        lines.extend(_serialize_map_body(rb.maps, "  "))
         lines.append("}")
     for name in sorted(ws.algebras):
         omega_name = ws.omega_of[("algebra", name)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
                        check_rota_baxter, mismatches, morphism_axioms,
@@ -44,17 +44,19 @@ class TwoDimExampleParams:
 
     def violations(self) -> list[tuple[str, tuple[str, ...]]]:
         """All failing side-conditions, lexicographic in the indices."""
-        out = []
+        return list(self._violations())
+
+    def _violations(self) -> Iterator[tuple[str, tuple[str, ...]]]:
         om = self.omega
         for a in om.indices():
             for b in om.indices():
                 ab = om.mul(a, b)
                 if self.rthree[ab] != self.rthree[a] * self.rthree[b]:
-                    out.append(("rthree-multiplicative",
-                                (om.elements[a], om.elements[b])))
+                    yield ("rthree-multiplicative",
+                           (om.elements[a], om.elements[b]))
                 if self.lthree[ab] != self.lthree[a] * self.lthree[b]:
-                    out.append(("lthree-multiplicative",
-                                (om.elements[a], om.elements[b])))
+                    yield ("lthree-multiplicative",
+                           (om.elements[a], om.elements[b]))
         for a in om.indices():
             for b in om.indices():
                 for g in om.indices():
@@ -63,10 +65,8 @@ class TwoDimExampleParams:
                     lhs = self.c[a][b] * self.lthree[g] * self.c[ab][g]
                     rhs = self.c[a][bg] * self.rthree[a] * self.c[b][g]
                     if lhs != rhs:
-                        out.append(("c-cocycle",
-                                    (om.elements[a], om.elements[b],
-                                     om.elements[g])))
-        return out
+                        yield ("c-cocycle",
+                               (om.elements[a], om.elements[b], om.elements[g]))
 
 
 def two_dim_params(omega: SemigroupTable, c, rthree, lthree) -> TwoDimExampleParams:
@@ -88,10 +88,9 @@ def make_two_dim_example(params: TwoDimExampleParams,
     """
     if reading not in ("e1", "e2"):
         raise ValueError("reading must be 'e1' or 'e2'")
-    bad = params.violations()
-    if bad:
-        condition, indices = bad[0]
-        raise ConditionViolated(condition, indices)
+    first = next(params._violations(), None)
+    if first is not None:
+        raise ConditionViolated(*first)
     om = params.omega
 
     def product(a, b, i, j):

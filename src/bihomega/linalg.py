@@ -40,12 +40,6 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise ShapeMismatch(f"vector lengths {len(x)} and {len(y)} differ")
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c, x: Vector) -> Vector:
     c = frac(c)
     return tuple(c * a for a in x)
@@ -98,9 +92,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Each row's nonzero (column, entry) pairs; built on first use."""
@@ -133,17 +124,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             entries.append(sum((a.get(i, k) * b.get(k, j) for k in range(a.cols)),
                                Fraction(0)))
     return Matrix(a.rows, b.cols, tuple(entries))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ShapeMismatch("matrix shapes differ")
-    return Matrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = frac(c)
-    return Matrix(a.rows, a.cols, tuple(c * x for x in a.entries))
 
 
 def mat_inverse(a: Matrix) -> Matrix:

@@ -372,3 +372,20 @@ def test_maps_and_rota_baxter_names_are_separate():
     ws = parse_workspace(_MAPS + "rota_baxter f over T dim 1 weight 0 "
                          "{ t: [[1]]; }")
     assert set(ws.linear_maps) == set(ws.rota_baxter) == {"f"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("semigroup W { elements a; table { a*a = a; a*a = a; } }",
+     "duplicate table entry a*a in semigroup 'W'"),
+    (_ALG + "  product mul { (t,t): e1*e2 = 1 e1; (t,t): e1*e2 = 2 e2; } }",
+     "duplicate product entry (t,t): e1*e2 in algebra 'a'"),
+    (_SG + "maps f over T dim 1 { t: [[1]]; t: [[5]]; }",
+     "maps 'f': duplicate matrix for element 't'"),
+    (_ALG + "  map q { t: [[1, 0], [0, 1]]; }\n"
+     "  map q { t: [[2, 0], [0, 2]]; } }", "duplicate map block 'q'"),
+], ids=["table-entry", "product-entry", "map-element", "map-block"])
+def test_repeated_entry_in_a_block_rejected(text, message):
+    # each of these used to parse, keeping only the last entry
+    with pytest.raises(ResolutionError) as err:
+        parse_workspace(text)
+    assert str(err.value) == message

@@ -42,6 +42,18 @@ def test_two_dim_side_conditions_enforced():
         make_two_dim_example(params)
 
 
+def test_two_dim_builder_reports_the_first_violation():
+    for c, rthree, lthree in (([[1, 1], [1, 1]], [1, 2], [3, 1]),
+                              ([[1, 2], [0, 1]], [1, -1], [1, 1]),
+                              ([[0, 1], [1, 1]], [1, 1], [2, 2])):
+        params = two_dim_params(C2, c, rthree, lthree)
+        assert len(params.violations()) > 1
+        with pytest.raises(ConditionViolated) as err:
+            make_two_dim_example(params)
+        assert (err.value.condition, err.value.indices) == \
+            params.violations()[0]
+
+
 def test_two_dim_cocycle_violation_detected():
     # c not compatible with the sign characters
     params = two_dim_params(C2, [[1, 1], [1, 1]], [1, -1], [1, -1])

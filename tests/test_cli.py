@@ -13,15 +13,20 @@ from hypothesis import strategies as st
 
 import bihomega
 from bihomega.checkers import check_instance
-from bihomega.cli import main
+from bihomega.cli import _CliError, main
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.dsl import (parse_workspace, serialize_workspace,
                           workspace_for_instance)
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params)
+from bihomega.errors import (BudgetExceeded, ConditionViolated, KindMismatch,
+                             MorphismCheckFailed, ParseError,
+                             PostconditionCheckFailed, PreconditionCheckFailed,
+                             ResolutionError, Singular)
 from bihomega.linalg import Matrix
-from bihomega.semigroup import cyclic_group
+from bihomega.semigroup import (SemigroupTable, cyclic_group,
+                                left_zero_semigroup, validate_semigroup)
 from conftest import LIE_2D, two_dim_instance
 from test_dsl import GOLDEN_TWO_DIM
 
@@ -293,6 +298,51 @@ def test_example_rejects_bad_side_conditions(tmp_path, capsys):
     assert main(["example", "two-dim", "--params", str(params)]) == 1
     assert "rthree-multiplicative" in capsys.readouterr().out
 
+
+
+_LEFT_ZERO = left_zero_semigroup(2)
+_FAILED_REPORT = validate_semigroup(SemigroupTable(
+    _LEFT_ZERO.elements, _LEFT_ZERO.table, commutative=True), max_witnesses=1)
+_REPORT_TEXT = ("PASS semigroup associativity\n"
+                "FAIL semigroup commutativity (2 violations)\n"
+                "    witness indices=a,b lhs=(0) rhs=(1)\n")
+
+# (exception a command raises, exit code, standard error)
+RAISED = [
+    (_CliError("no algebra named 'x' in the workspace"), 2,
+     "error: no algebra named 'x' in the workspace\n"),
+    (ParseError(3, 7, "'p' or 'q'", "r"), 2,
+     "error: 3:7: expected 'p' or 'q', found 'r'\n"),
+    (ResolutionError("unknown semigroup 'U'"), 2,
+     "error: unknown semigroup 'U'\n"),
+    (Singular("matrix is singular", "g1"), 2, "error: matrix is singular\n"),
+    (BudgetExceeded(10, 5), 2,
+     "error: search space of 10 candidates exceeds budget 5\n"),
+    (KindMismatch("checker expects kind in {lie}, got zinbiel"), 2,
+     "error: checker expects kind in {lie}, got zinbiel\n"),
+    (ConditionViolated("c-cocycle", ("g0", "g1", "g1")), 1,
+     "error: condition 'c-cocycle' fails at indices ('g0', 'g1', 'g1')\n"),
+] + [
+    (cls(message, report), 1,
+     f"error: {message}\n" + (_REPORT_TEXT if report is not None else ""))
+    for cls, message in (
+        (PreconditionCheckFailed, "input fails its checker"),
+        (MorphismCheckFailed, "family is not a morphism"),
+        (PostconditionCheckFailed, "output fails its checker"))
+    for report in (None, _FAILED_REPORT)
+]
+
+
+@pytest.mark.parametrize("exc, code, err", RAISED, ids=[
+    type(exc).__name__ + ("" if getattr(exc, "report", None) is None
+                          else "-with-report") for exc, _, _ in RAISED])
+def test_main_exit_code_and_message_per_error(capsys, monkeypatch, exc, code,
+                                              err):
+    def raising(args):
+        raise exc
+    monkeypatch.setattr("bihomega.cli._cmd_fmt", raising)
+    assert main(["fmt", "never-read.bho"]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 def _commands(path):

@@ -66,6 +66,48 @@ def test_two_dim_sign_character_params_valid():
     assert params.violations() == []
 
 
+def _reference_violations(params):
+    """The four loops TwoDimExampleParams.violations was first written as."""
+    om, out = params.omega, []
+    for a in om.indices():
+        for b in om.indices():
+            ab = om.mul(a, b)
+            if params.rthree[ab] != params.rthree[a] * params.rthree[b]:
+                out.append(("rthree-multiplicative",
+                            (om.elements[a], om.elements[b])))
+            if params.lthree[ab] != params.lthree[a] * params.lthree[b]:
+                out.append(("lthree-multiplicative",
+                            (om.elements[a], om.elements[b])))
+    for a in om.indices():
+        for b in om.indices():
+            for g in om.indices():
+                ab = om.mul(a, b)
+                bg = om.mul(b, g)
+                lhs = params.c[a][b] * params.lthree[g] * params.c[ab][g]
+                rhs = params.c[a][bg] * params.rthree[a] * params.c[b][g]
+                if lhs != rhs:
+                    out.append(("c-cocycle",
+                                (om.elements[a], om.elements[b], om.elements[g])))
+    return out
+
+
+_SMALL_RATIONALS = st.sampled_from(
+    [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)])
+
+
+@pytest.mark.parametrize("omega", [C2, C3, left_zero_semigroup(2)],
+                         ids=["C2", "C3", "left-zero-2"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_two_dim_violations_match_reference_loops(omega, data):
+    n = omega.order
+    params = two_dim_params(
+        omega, [[data.draw(_SMALL_RATIONALS) for _ in range(n)] for _ in range(n)],
+        [data.draw(_SMALL_RATIONALS) for _ in range(n)],
+        [data.draw(_SMALL_RATIONALS) for _ in range(n)])
+    assert params.violations() == _reference_violations(params)
+
+
 def test_both_readings_reported_and_pass():
     params = two_dim_params(C2, [[1, 1], [1, 1]], [1, 1], [1, 1])
     report = two_dim_reading_report(params)

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihomega.errors import ShapeMismatch
+from bihomega.reports import AxiomResult, CheckReport, Witness
 from bihomega.semigroup import (SemigroupTable, cyclic_group,
                                 is_commutative_table, left_zero_semigroup,
                                 trivial_semigroup, validate_semigroup)
@@ -72,3 +75,55 @@ def test_witness_cap_respected():
     if not bad.passed:
         assert len(bad.witnesses) <= 2
         assert bad.total_violations >= len(bad.witnesses)
+
+
+def _reference_validate(t, max_witnesses):
+    """The two loop nests validate_semigroup was first written as."""
+    results = []
+    witnesses = []
+    total = 0
+    n = t.order
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = t.mul(t.mul(i, j), k)
+                rhs = t.mul(i, t.mul(j, k))
+                if lhs != rhs:
+                    total += 1
+                    if len(witnesses) < max_witnesses:
+                        witnesses.append(Witness(
+                            indices=(t.elements[i], t.elements[j], t.elements[k]),
+                            basis=(), lhs=(lhs,), rhs=(rhs,)))
+    results.append(AxiomResult("associativity", total == 0, tuple(witnesses), total))
+    if t.commutative:
+        witnesses = []
+        total = 0
+        for i in range(n):
+            for j in range(n):
+                lhs = t.mul(i, j)
+                rhs = t.mul(j, i)
+                if lhs != rhs:
+                    total += 1
+                    if len(witnesses) < max_witnesses:
+                        witnesses.append(Witness(
+                            indices=(t.elements[i], t.elements[j]),
+                            basis=(), lhs=(lhs,), rhs=(rhs,)))
+        results.append(AxiomResult("commutativity", total == 0, tuple(witnesses), total))
+    return CheckReport(subject="semigroup", results=tuple(results))
+
+
+@st.composite
+def _tables(draw):
+    """Any n x n table with n <= 4, associative or not, flagged either way."""
+    n = draw(st.integers(1, 4))
+    table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(n))
+                  for _ in range(n))
+    return SemigroupTable(tuple(f"x{i}" for i in range(n)), table,
+                          commutative=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.sampled_from((-1, 0, 1, 2, 10)))
+def test_validate_semigroup_matches_reference_loops(t, cap):
+    assert validate_semigroup(t, max_witnesses=cap) == \
+        _reference_validate(t, cap)

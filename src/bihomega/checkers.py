@@ -17,7 +17,7 @@ from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
 from .linalg import Vector, basis_vector
-from .reports import AxiomResult, CheckReport, Witness
+from .reports import CheckReport, collect
 from .semigroup import is_commutative_table
 
 DEFAULT_WITNESS_CAP = 10
@@ -282,16 +282,13 @@ def mismatches(axiom: Axiom, cells: _Cells
 def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
             cap: int) -> CheckReport:
     """Each axiom on every cell: index tuple outer, basis tuple inner."""
-    names, results = cells.omega.elements, []
+    omega, results = cells.omega, []
     for axiom in axioms:
-        at, witnesses, total = mismatches(axiom, cells), [], 0
-        for idx in product(range(cells.omega.order), repeat=axiom.arity):
-            for bas, left, right in at(idx):
-                total += 1
-                if len(witnesses) < cap:
-                    witnesses.append(Witness(tuple(names[a] for a in idx),
-                                             bas, left, right))
-        results.append(AxiomResult(axiom.name, total == 0, tuple(witnesses), total))
+        at = mismatches(axiom, cells)
+        results.append(collect(axiom.name, omega.elements, (
+            (idx, *mismatch)
+            for idx in product(range(omega.order), repeat=axiom.arity)
+            for mismatch in at(idx)), cap))
     return CheckReport(subject, tuple(results))
 
 

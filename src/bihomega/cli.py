@@ -1,8 +1,9 @@
 """Command-line interface: check, construct, search-rb, example, fmt.
 
 Exit codes: 0 all checks passed / operation succeeded, 1 a checker
-reported violations, 2 usage, parse or resolution error, or standard
-output closed by its reader before the output was written.
+reported violations, a construction's pre- or post-check failed or a
+side condition is violated, 2 usage, parse or resolution error, or
+standard output closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .checkers import DEFAULT_WITNESS_CAP, check_instance
 from .constructions import CONSTRUCTIONS, RECIPES
 from .dsl import (Workspace, parse_workspace, serialize_workspace,
                   workspace_for_instance)
-from .errors import (BihomegaError, ConditionViolated, ParseError,
-                     PostconditionCheckFailed, PreconditionCheckFailed,
-                     ResolutionError)
+from .errors import BihomegaError, CheckFailed, ConditionViolated
 from .forge import (SearchConfig, brute_force_rb_search, two_dim_params,
                     two_dim_reading_report)
 from .reports import REPORT_FORMAT_VERSION
@@ -33,9 +32,7 @@ EXIT_USAGE = 2
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error the command line itself finds; it exits 2."""
 
 
 def _int_at_least(low: int):
@@ -103,13 +100,11 @@ def _cmd_check(args) -> int:
                                 max_witnesses=args.max_witnesses)
         reports.append((f"algebra {name}", report))
     if args.axiom is not None:
-        filtered = []
-        for label, report in reports:
-            if args.axiom in report.axiom_names():
-                filtered.append((label, report.restrict(args.axiom)))
-        if not filtered:
+        reports = [(label, report.restrict(args.axiom))
+                   for label, report in reports
+                   if args.axiom in report.axiom_names()]
+        if not reports:
             raise _CliError(f"no checked object has an axiom named {args.axiom!r}")
-        reports = filtered
     if args.json:
         records = []
         for label, report in reports:
@@ -167,8 +162,7 @@ def _cmd_construct(args) -> int:
                         f"{args.name} needs --p2 NAME and --q2 NAME")
     out = CONSTRUCTIONS[args.name](inst, *(
         _resolve_named(ws, "rota_baxter" if op == "rb" else "maps",
-                       getattr(args, op)) for op in operands),
-        unchecked=args.unchecked)
+                       getattr(args, op)) for op in operands))
     omega_name = ws.semigroup_name(inst.omega)
     out_name = args.as_name or f"{alg_name}_{args.name}"
     out_ws = workspace_for_instance(out_name, omega_name, out)
@@ -283,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--q2", default=None)
     p_con.add_argument("--as-name", default=None)
     p_con.add_argument("--out", default=None)
-    p_con.add_argument("--unchecked", action="store_true")
     p_con.set_defaults(fn=_cmd_construct)
 
     p_search = sub.add_parser(
@@ -325,23 +318,13 @@ def main(argv=None) -> int:
         # the reader closed standard output early; the output is cut short
         _silence_stdout()
         return EXIT_USAGE
-    except _CliError as exc:
+    except (_CliError, BihomegaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, ResolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PreconditionCheckFailed, PostconditionCheckFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None:
+        if getattr(exc, "report", None) is not None:
             print(exc.report.summary(), file=sys.stderr)
-        return EXIT_VIOLATIONS
-    except ConditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATIONS
-    except BihomegaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a failed check or side condition is a verdict; anything else, usage
+        return (EXIT_VIOLATIONS if isinstance(exc, (CheckFailed, ConditionViolated))
+                else EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -79,7 +79,9 @@ class _Parser:
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _fail(self, expected: str):
+    def _fail(self, expected: str, back: int = 0):
+        """Raise at the next token, or at the one `back` tokens before it."""
+        self.pos -= back
         tok = self._peek()
         if tok is None:
             last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
@@ -138,7 +140,7 @@ class _Parser:
         if self._accept("/"):
             den = int(self._take(_INT, "an integer"))
             if den == 0:
-                self._fail("a nonzero denominator")
+                self._fail("a nonzero denominator", back=1)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
@@ -164,7 +166,7 @@ class _Parser:
         while not self._accept(";"):
             elements.append(self._take(_IDENT, "an element label or ';'"))
         if not elements:
-            self._fail("at least one element label")
+            self._fail("at least one element label", back=1)
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
             raise ResolutionError(f"duplicate element label in semigroup {name!r}")
@@ -222,13 +224,14 @@ class _Parser:
             raise ResolutionError(f"matrix must be {dim}x{dim}")
         return Matrix.from_rows(rows)
 
-    def _parse_map_body(self, omega: SemigroupTable, dim: int,
+    def _parse_map_body(self, omega_name: str, dim: int,
                         owner: str) -> LinearFamily:
+        omega = self.ws.semigroups[omega_name]
         index = {e: i for i, e in enumerate(omega.elements)}
         mats: dict[int, Matrix] = {}
         self._expect("{")
         while not self._accept("}"):
-            a = self._element(index, owner)
+            a = self._element(index, omega_name)
             self._expect(":")
             matrix = self._parse_matrix(dim)
             self._expect(";")
@@ -249,11 +252,11 @@ class _Parser:
         families = self.ws.rota_baxter if weighted else self.ws.linear_maps
         name = self._name(keyword, families, "a family name")
         owner = f"{keyword} {name!r}"
-        omega_name, omega, dim = self._over(owner)
+        omega_name, _, dim = self._over(owner)
         if weighted:
             self._expect("weight")
             weight = self._rational()
-        fam = self._parse_map_body(omega, dim, owner)
+        fam = self._parse_map_body(omega_name, dim, owner)
         families[name] = RotaBaxterFamily(fam, weight) if weighted else fam
         self.ws.omega_of[("rb" if weighted else "maps", name)] = omega_name
 
@@ -294,9 +297,9 @@ class _Parser:
                 self._expect("{")
                 while not self._accept("}"):
                     self._expect("(")
-                    a = self._element(element_index, name)
+                    a = self._element(element_index, omega_name)
                     self._expect(",")
-                    b = self._element(element_index, name)
+                    b = self._element(element_index, omega_name)
                     self._expect(")")
                     self._expect(":")
                     i = self._basis_index(dim)
@@ -315,10 +318,10 @@ class _Parser:
             elif self._accept("map"):
                 which = self._take(_IDENT, "'p' or 'q'")
                 if which not in ("p", "q"):
-                    self._fail("'p' or 'q'")
+                    self._fail("'p' or 'q'", back=1)
                 if which in maps:
                     raise ResolutionError(f"duplicate map block {which!r}")
-                maps[which] = self._parse_map_body(omega, dim, owner)
+                maps[which] = self._parse_map_body(omega_name, dim, owner)
             else:
                 self._fail("'product', 'map' or '}'")
         zero = (Fraction(0),) * dim

@@ -51,24 +51,25 @@ class NonzeroWeight(BihomegaError):
     """A construction defined only for weight 0 got a nonzero weight."""
 
 
-class PreconditionCheckFailed(BihomegaError):
-    """A construction's input failed its checker; the report is attached."""
+class CheckFailed(BihomegaError):
+    """A checker rejected a construction's input or output; `report`, when
+    given, is that checker's report."""
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+class PreconditionCheckFailed(CheckFailed):
+    """A construction's input failed its checker."""
 
 
 class MorphismCheckFailed(PreconditionCheckFailed):
     """A map family required to be a morphism is not."""
 
 
-class PostconditionCheckFailed(BihomegaError):
+class PostconditionCheckFailed(CheckFailed):
     """A construction's output failed its target checker."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ConditionViolated(BihomegaError):

@@ -47,26 +47,17 @@ class TwoDimExampleParams:
         return list(self._violations())
 
     def _violations(self) -> Iterator[tuple[str, tuple[str, ...]]]:
-        om = self.omega
-        for a in om.indices():
-            for b in om.indices():
-                ab = om.mul(a, b)
-                if self.rthree[ab] != self.rthree[a] * self.rthree[b]:
-                    yield ("rthree-multiplicative",
-                           (om.elements[a], om.elements[b]))
-                if self.lthree[ab] != self.lthree[a] * self.lthree[b]:
-                    yield ("lthree-multiplicative",
-                           (om.elements[a], om.elements[b]))
-        for a in om.indices():
-            for b in om.indices():
-                for g in om.indices():
-                    ab = om.mul(a, b)
-                    bg = om.mul(b, g)
-                    lhs = self.c[a][b] * self.lthree[g] * self.c[ab][g]
-                    rhs = self.c[a][bg] * self.rthree[a] * self.c[b][g]
-                    if lhs != rhs:
-                        yield ("c-cocycle",
-                               (om.elements[a], om.elements[b], om.elements[g]))
+        om, table, names = self.omega, self.omega.table, self.omega.elements
+        c, rthree, lthree = self.c, self.rthree, self.lthree
+        for a, b in itertools.product(om.indices(), repeat=2):
+            if rthree[table[a][b]] != rthree[a] * rthree[b]:
+                yield "rthree-multiplicative", (names[a], names[b])
+            if lthree[table[a][b]] != lthree[a] * lthree[b]:
+                yield "lthree-multiplicative", (names[a], names[b])
+        for a, b, g in itertools.product(om.indices(), repeat=3):
+            if (c[a][b] * lthree[g] * c[table[a][b]][g]
+                    != c[a][table[b][g]] * rthree[a] * c[b][g]):
+                yield "c-cocycle", (names[a], names[b], names[g])
 
 
 def two_dim_params(omega: SemigroupTable, c, rthree, lthree) -> TwoDimExampleParams:
@@ -247,16 +238,12 @@ def brute_force_rb_search(a: AlgebraInstance,
     """All weight-cfg.weight operator families over the entry set that
     pass check_rota_baxter, in enumeration order.  The search prunes
     index by index; every family it returns has passed the checker."""
-    found = []
-    for fam in _pruned_families(
-            a, cfg, rota_baxter_axioms(a.slot_names),
-            lambda fam: rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight))):
-        rb = RotaBaxterFamily(fam, cfg.weight)
-        if check_rota_baxter(a, rb, max_witnesses=1).passed:
-            found.append(rb)
-            if cfg.target_count is not None and len(found) >= cfg.target_count:
-                break
-    return found
+    rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _pruned_families(
+        a, cfg, rota_baxter_axioms(a.slot_names),
+        lambda fam: rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight))))
+    return list(itertools.islice(
+        (rb for rb in rbs if check_rota_baxter(a, rb, max_witnesses=1).passed),
+        cfg.target_count))
 
 
 def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
@@ -269,18 +256,16 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     passed commutes_with and check_morphism.
     """
     structure = a.p.maps + a.q.maps
-    morphisms = []
-    for fam in _pruned_families(
-            a, cfg, morphism_axioms(a.slot_names),
-            lambda fam: morphism_cells(fam, a, a),
-            # commutes_with(a.p) and (a.q) ask f_a to commute with every p_b, q_b
-            keep=lambda m: all(mats_commute(m, s) for s in structure)):
-        if not fam.commutes_with(a.p)[0] or not fam.commutes_with(a.q)[0]:
-            continue
-        if check_morphism(fam, a, a, max_witnesses=1).passed:
-            morphisms.append(fam)
-            if cfg.target_count is not None and len(morphisms) >= cfg.target_count:
-                break
+    candidates = _pruned_families(
+        a, cfg, morphism_axioms(a.slot_names),
+        lambda fam: morphism_cells(fam, a, a),
+        # commutes_with(a.p) and (a.q) ask f_a to commute with every p_b, q_b
+        keep=lambda m: all(mats_commute(m, s) for s in structure))
+    morphisms = list(itertools.islice(
+        (fam for fam in candidates
+         if fam.commutes_with(a.p)[0] and fam.commutes_with(a.q)[0]
+         and check_morphism(fam, a, a, max_witnesses=1).passed),
+        cfg.target_count))
     ident = LinearFamily.identity(a.omega, a.dim)
     pairs = [(ident, ident)]
     for f in morphisms:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Sequence
 
 REPORT_FORMAT_VERSION = 1
 
@@ -61,6 +63,18 @@ class AxiomResult:
             "total_violations": self.total_violations,
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
+
+
+def collect(axiom: str, names: Sequence[str], violations: Iterable[tuple],
+            cap: int) -> AxiomResult:
+    """The verdict on an ordered stream of (index tuple, basis tuple, lhs,
+    rhs) violations: all are counted, the first `cap` kept as witnesses
+    with each index named by `names`."""
+    rest = iter(violations)
+    witnesses = tuple(Witness(tuple(names[a] for a in idx), bas, lhs, rhs)
+                      for idx, bas, lhs, rhs in islice(rest, max(cap, 0)))
+    total = len(witnesses) + sum(1 for _ in rest)
+    return AxiomResult(axiom, total == 0, witnesses, total)
 
 
 @dataclass(frozen=True)

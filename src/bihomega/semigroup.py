@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import ShapeMismatch
-from .reports import AxiomResult, CheckReport, Witness
+from .reports import CheckReport, collect
 
 
 @dataclass(frozen=True)
@@ -60,42 +61,22 @@ def left_zero_semigroup(n: int) -> SemigroupTable:
     return SemigroupTable(elements, table, commutative=False)
 
 
+# (name, arity, law): law(table, *indices) gives the two sides' indices
+_LAWS = (("associativity", 3, lambda m, i, j, k: (m[m[i][j]][k], m[i][m[j][k]])),
+         ("commutativity", 2, lambda m, i, j: (m[i][j], m[j][i])))
+
+
 def validate_semigroup(t: SemigroupTable, max_witnesses: int = 10) -> CheckReport:
     """Check associativity and, if flagged, commutativity of the table.
 
     Witness vectors hold the two composite element indices that disagree.
     """
-    results = []
-    witnesses = []
-    total = 0
-    n = t.order
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = t.mul(t.mul(i, j), k)
-                rhs = t.mul(i, t.mul(j, k))
-                if lhs != rhs:
-                    total += 1
-                    if len(witnesses) < max_witnesses:
-                        witnesses.append(Witness(
-                            indices=(t.elements[i], t.elements[j], t.elements[k]),
-                            basis=(), lhs=(lhs,), rhs=(rhs,)))
-    results.append(AxiomResult("associativity", total == 0, tuple(witnesses), total))
-    if t.commutative:
-        witnesses = []
-        total = 0
-        for i in range(n):
-            for j in range(n):
-                lhs = t.mul(i, j)
-                rhs = t.mul(j, i)
-                if lhs != rhs:
-                    total += 1
-                    if len(witnesses) < max_witnesses:
-                        witnesses.append(Witness(
-                            indices=(t.elements[i], t.elements[j]),
-                            basis=(), lhs=(lhs,), rhs=(rhs,)))
-        results.append(AxiomResult("commutativity", total == 0, tuple(witnesses), total))
-    return CheckReport(subject="semigroup", results=tuple(results))
+    return CheckReport(subject="semigroup", results=tuple(
+        collect(name, t.elements, (
+            (idx, (), (lhs,), (rhs,))
+            for idx in product(t.indices(), repeat=arity)
+            for lhs, rhs in (law(t.table, *idx),) if lhs != rhs), max_witnesses)
+        for name, arity, law in (_LAWS if t.commutative else _LAWS[:1])))
 
 
 def is_commutative_table(t: SemigroupTable) -> bool:

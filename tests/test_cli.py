@@ -181,6 +181,13 @@ def test_construct_records_rb_weight_parameter(tmp_path, capsys):
     assert "# parameter weight: 0\n" in capsys.readouterr().out
 
 
+def test_construct_has_no_unchecked_flag(two_dim_file, capsys):
+    # construct always checks its input and its output
+    assert main(["construct", "assoc_to_lie", "--input", two_dim_file,
+                 "--unchecked"]) == 2
+    assert "unrecognized arguments: --unchecked" in capsys.readouterr().err
+
+
 def test_construct_unknown_name(two_dim_file, capsys):
     assert main(["construct", "nonsense", "--input", two_dim_file]) == 2
 

@@ -283,7 +283,7 @@ PARSE_ERRORS = [
      "banana"),
     ("semigroup {", 1, 11, "a semigroup name", "{"),
     ("semigroup W [", 1, 13, "'{'", "["),
-    ("semigroup W { elements ; }", 1, 26, "at least one element label", "}"),
+    ("semigroup W { elements ; }", 1, 24, "at least one element label", ";"),
     ("semigroup W { elements a 1; }", 1, 26, "an element label or ';'", "1"),
     ("semigroup W { elements a; table { a*1 = a; } }", 1, 37,
      "an element label", "1"),
@@ -296,8 +296,8 @@ PARSE_ERRORS = [
     (_SG + "algebra a : 1", 2, 13, "an algebra kind", "1"),
     (_SG + "algebra a : lie over T dim x { }", 2, 28, "an integer", "x"),
     (_ALG + "  product 1 { } }", 3, 11, "a product name", "1"),
-    (_ALG + "  product mul { (t,t): e1*e1 = 1/0 e1; } }", 3, 36,
-     "a nonzero denominator", "e1"),
+    (_ALG + "  product mul { (t,t): e1*e1 = 1/0 e1; } }", 3, 34,
+     "a nonzero denominator", "0"),
     (_ALG + "  product mul { (t,t): e1*e1 = 3 ; } }", 3, 34,
      "a basis vector like 'e1'", ";"),
     (_ALG + "  product mul { (t,t): e1*e1 = ; } }", 3, 32, "an integer", ";"),
@@ -311,12 +311,12 @@ PARSE_ERRORS = [
      "end of input"),
     (_ALG + "  junk }", 3, 3, "'product', 'map' or '}'", "junk"),
     (_ALG + "  map 1 { } }", 3, 7, "'p' or 'q'", "1"),
-    (_ALG + "  map r { } }", 3, 9, "'p' or 'q'", "{"),
+    (_ALG + "  map r { } }", 3, 7, "'p' or 'q'", "r"),
     (_ALG + "  map p { t: [[1, 0] [0, 1]]; } }", 3, 22, "']'", "["),
     (_SG + "maps 3 over T dim 1 { }", 2, 6, "a family name", "3"),
     (_SG + "maps f T dim 1 { }", 2, 8, "'over'", "T"),
-    (_SG + "maps f over T dim 1 { t: [[1/0]]; }", 2, 31,
-     "a nonzero denominator", "]"),
+    (_SG + "maps f over T dim 1 { t: [[1/0]]; }", 2, 30,
+     "a nonzero denominator", "0"),
     (_SG + "rota_baxter r over T dim 1 { t: [[1]]; }", 2, 28, "'weight'",
      "{"),
     (_SG + "rota_baxter r over T dim 1 weight x { t: [[1]]; }", 2, 35,
@@ -358,6 +358,17 @@ RESOLUTION_ERRORS = [
      "matrix must be 1x1"),
     (_ALG + "  product mul { (t,t): e1*e1 = 0 e3; } }",
      "basis vector e3 out of range for dim 2"),
+    # an unknown element label names the semigroup it was looked up in
+    ("semigroup W { elements a; table { a*b = a; } }",
+     "unknown element 'b' of semigroup 'W'"),
+    (_ALG + "  product mul { (t,u): e1*e1 = 1 e1; } }",
+     "unknown element 'u' of semigroup 'T'"),
+    (_ALG + "  map p { u: [[1, 0], [0, 1]]; } }",
+     "unknown element 'u' of semigroup 'T'"),
+    (_SG + "maps f over T dim 1 { u: [[1]]; }",
+     "unknown element 'u' of semigroup 'T'"),
+    (_SG + "rota_baxter r over T dim 1 weight 0 { u: [[1]]; }",
+     "unknown element 'u' of semigroup 'T'"),
 ]
 
 

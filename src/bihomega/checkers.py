@@ -8,15 +8,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
+from math import lcm
 from operator import add, itemgetter, sub
 from typing import Callable, Iterator, Union
 
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
-                   BilinearFamily, LinearFamily, RotaBaxterFamily)
+                   BilinearFamily, IntTensor, LinearFamily, RotaBaxterFamily,
+                   block_times)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Vector, basis_vector
+from .linalg import IntRows, Vector, frac, rows_times
 from .reports import CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -152,7 +154,8 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 
 # -- the evaluator ------------------------------------------------------
 
-Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], Vector]]]
+IntVector = tuple[int, ...]
+Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVector]]]
 
 
 @cache
@@ -164,81 +167,129 @@ def _positions(term: tuple) -> frozenset[int]:
 
 
 class _Cells:
-    """The data one checker call reads, and the terms it has compiled: a
-    term compiles to bind(index tuple) -> (its index, fn(basis tuple) ->
-    its vector)."""
+    """The data one checker call reads, in integers over one common
+    denominator `den`, and the terms it has compiled.
+
+    den is the lcm of every denominator of the products, the maps and the
+    weight.  A term compiles to (degree, bind): bind(index tuple) -> (its
+    index, fn(basis tuple) -> its value times den ** degree, an int
+    vector).  A variable's degree is its twist's length, a read from a
+    tensor's is 1, a product's is 1 plus its arguments', a map's 1 plus
+    its argument's; a sum lifts each term to its largest degree."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
                  products: dict[str, BilinearFamily] | None = None,
                  weight: Fraction = Fraction(0)):
         """Maps and products besides the instance's own, by name."""
-        self.omega, self.dim, self.weight = inst.omega, inst.dim, weight
+        self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
         self.maps = {"p": inst.p, "q": inst.q, **(maps or {})}
         self.products = {**dict(inst.products), **(products or {})}
-        self.cols = {"": [[basis_vector(self.dim, i) for i in range(self.dim)]]
-                     * self.omega.order}
-        self.binds: dict[tuple[Term, int], Bind] = {}
+        self.den = lcm(self.weight.denominator,
+                       *(fam.int_form.den for fam in self.products.values()),
+                       *(m.int_form[0] for fam in self.maps.values()
+                         for m in fam.maps))
+        d = self.dim
+        self.cols = {"": [[tuple(int(i == j) for j in range(d))
+                           for i in range(d)]] * self.omega.order}
+        self.rows: dict[str, list[IntRows]] = {}
+        self.tensors: dict[str, IntTensor] = {}
+        self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
 
-    def column(self, twist: str) -> list[list[Vector]]:
+    def matrices(self, name: str) -> list[IntRows]:
+        """[a] -> map `name` at index a times den."""
+        if name not in self.rows:
+            self.rows[name] = [m.int_rows(self.den) for m in self.maps[name].maps]
+        return self.rows[name]
+
+    def tensor(self, slot: str) -> IntTensor:
+        """Product `slot` times den."""
+        if slot not in self.tensors:
+            self.tensors[slot] = self.products[slot].int_tensor(self.den)
+        return self.tensors[slot]
+
+    def column(self, twist: str) -> list[list[IntVector]]:
         """[a][i] -> e_i twisted at index a, built once per twist."""
         if twist not in self.cols:
-            inner, fam = self.column(twist[1:]), self.maps[twist[0]]
-            self.cols[twist] = [[fam.apply(a, v) for v in col]
+            inner, rows = self.column(twist[1:]), self.matrices(twist[0])
+            self.cols[twist] = [[rows_times(rows[a], v) for v in col]
                                 for a, col in enumerate(inner)]
         return self.cols[twist]
 
-    def bind(self, term: Term, arity: int) -> Bind:
+    def rational(self, vector: IntVector, degree: int) -> Vector:
+        """The value of a term of this degree from its int vector."""
+        scale = self.den ** degree
+        return tuple(Fraction(v, scale) for v in vector)
+
+    def bind(self, term: Term, arity: int) -> tuple[int, Bind]:
         if (term, arity) not in self.binds:
             self.binds[term, arity] = self._compile(term, arity)
         return self.binds[term, arity]
 
-    def _compile(self, term: Term, arity: int) -> Bind:
-        table = self.omega.table
+    def _compile(self, term: Term, arity: int) -> tuple[int, Bind]:
+        table, d = self.omega.table, self.dim
         if isinstance(term, Var):
             cols, pos = self.column(term.twist), term.pos
             def bind_var(idx):
                 col = cols[idx[pos]]
                 return idx[pos], lambda bas: col[bas[pos]]
-            return bind_var
+            return len(term.twist), bind_var
         if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
             # a product of two basis vectors is read from the tensor
-            tensor, u, v = self.products[term.slot].tensor, term.left.pos, term.right.pos
+            tensor = self.tensor(term.slot).dense
+            u, v = term.left.pos, term.right.pos
             def bind_read(idx):
                 block = tensor[idx[u]][idx[v]]
                 return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
-            return bind_read
+            return 1, bind_read
         if isinstance(term, Mul):
-            apply = self.products[term.slot].apply
-            left, right = self.bind(term.left, arity), self.bind(term.right, arity)
+            sparse = self.tensor(term.slot).sparse
+            (dl, left), (dr, right) = (self.bind(term.left, arity),
+                                       self.bind(term.right, arity))
+            degree = 1 + dl + dr
             def bind(idx):
                 (a, lf), (b, rf) = left(idx), right(idx)
-                return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas))
+                block = sparse[a][b]
+                return table[a][b], lambda bas: block_times(block, d, lf(bas), rf(bas))
         elif isinstance(term, Map):
-            apply, inner = self.maps[term.name].apply, self.bind(term.arg, arity)
+            rows = self.matrices(term.name)
+            inner_degree, inner = self.bind(term.arg, arity)
+            degree = 1 + inner_degree
             def bind(idx):
                 a, fn = inner(idx)
-                return a, lambda bas: apply(a, fn(bas))
+                at = rows[a]
+                return a, lambda bas: rows_times(at, fn(bas))
         else:
-            # a term whose coefficient is 0 adds exactly nothing
-            parts = [(c, self.bind(t, arity)) for c, t in
-                     ((self.weight if c == "lam" else c, t) for c, t in term.terms) if c]
+            # a "lam" term weighs in lam * den, one degree up; a term whose
+            # coefficient is 0 adds exactly nothing
+            lam = self.weight.numerator * (self.den // self.weight.denominator)
+            parts = []
+            for c, t in term.terms:
+                c, up = (lam, 1) if c == "lam" else (c, 0)
+                if c:
+                    dt, b = self.bind(t, arity)
+                    parts.append((c, dt + up, b))
             if not parts:
-                zero = (Fraction(0),) * self.dim
-                return lambda idx: (None, lambda bas: zero)
+                zero = (0,) * d
+                return 0, lambda idx: (None, lambda bas: zero)
+            degree = max(dt for _, dt, _ in parts)
+            parts = [(c * self.den ** (degree - dt), b) for c, dt, b in parts]
             def bind(idx):
                 bound = [(c, b(idx)) for c, b in parts]
                 return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
         positions = sorted(_positions(term))
-        return bind if len(positions) == arity else _shared(bind, positions)
+        return degree, (bind if len(positions) == arity
+                        else _shared(bind, positions))
+
+
+def _scaled(c: int, fn):
+    return fn if c == 1 else lambda bas: tuple(c * u for u in fn(bas))
 
 
 def _signed_sum(terms):
     """Sum from the first term on, never from a zero vector."""
-    def scaled(c, fn):
-        return fn if c == 1 else lambda bas: tuple(c * u for u in fn(bas))
-    first = scaled(*terms[0])
-    rest = [(sub, fn) if c == -1 else (add, scaled(c, fn)) for c, fn in terms[1:]]
+    first = _scaled(*terms[0])
+    rest = [(sub, fn) if c == -1 else (add, _scaled(c, fn)) for c, fn in terms[1:]]
     def fn(bas):
         acc = first(bas)
         for op, term in rest:
@@ -248,35 +299,45 @@ def _signed_sum(terms):
 
 
 def _shared(bind: Bind, positions: list[int]) -> Bind:
-    """bind, with each vector computed once per assignment of `positions`."""
-    key, memo = itemgetter(*positions), {}
+    """bind, bound and each vector computed once per assignment of
+    `positions`."""
+    key, bound, memo = itemgetter(*positions), {}, {}
 
     def bind_shared(idx):
-        (index, fn), k = bind(idx), key(idx)
+        k = key(idx)
+        if k not in bound:
+            index, fn = bind(idx)
 
-        def cached(bas):
-            cell = k, key(bas)
-            return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
-        return index, cached
+            def cached(bas):
+                cell = k, key(bas)
+                return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
+            bound[k] = index, cached
+        return bound[k]
     return bind_shared
 
 
 # -- the checkers -------------------------------------------------------
 
 def mismatches(axiom: Axiom, cells: _Cells
-               ) -> Callable[[tuple[int, ...]], Iterator[tuple]]:
-    """fn(index tuple) -> (basis tuple, lhs, rhs) for each basis tuple, in
-    order, on which the axiom's two sides differ at those indices."""
-    lhs, rhs = (cells.bind(side, axiom.arity) for side in (axiom.lhs, axiom.rhs))
+               ) -> tuple[int, Callable[[tuple[int, ...]], Iterator[tuple]]]:
+    """(degree, fn): fn(index tuple) yields (basis tuple, lhs, rhs) for each
+    basis tuple, in order, on which the axiom's two sides differ at those
+    indices.  Both sides are compared as int vectors over cells.den **
+    degree, the larger of their degrees, and yielded so; cells.rational
+    turns them back into values."""
+    (dl, lhs), (dr, rhs) = (cells.bind(side, axiom.arity)
+                            for side in (axiom.lhs, axiom.rhs))
+    degree = max(dl, dr)
+    lift_l, lift_r = cells.den ** (degree - dl), cells.den ** (degree - dr)
     bases = list(product(range(cells.dim), repeat=axiom.arity))
 
     def at(idx):
-        lf, rf = lhs(idx)[1], rhs(idx)[1]
+        lf, rf = _scaled(lift_l, lhs(idx)[1]), _scaled(lift_r, rhs(idx)[1])
         for bas in bases:
             left, right = lf(bas), rf(bas)
             if left != right:
                 yield bas, left, right
-    return at
+    return degree, at
 
 
 def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
@@ -284,11 +345,11 @@ def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
     """Each axiom on every cell: index tuple outer, basis tuple inner."""
     omega, results = cells.omega, []
     for axiom in axioms:
-        at = mismatches(axiom, cells)
+        degree, at = mismatches(axiom, cells)
         results.append(collect(axiom.name, omega.elements, (
             (idx, *mismatch)
             for idx in product(range(omega.order), repeat=axiom.arity)
-            for mismatch in at(idx)), cap))
+            for mismatch in at(idx)), cap, partial(cells.rational, degree=degree)))
     return CheckReport(subject, tuple(results))
 
 

@@ -20,7 +20,6 @@ from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind as K,
 from .errors import (KindMismatch, MorphismCheckFailed, NonCommutativeOmega,
                      NonCommutingFamilies, NonzeroWeight,
                      PostconditionCheckFailed, PreconditionCheckFailed)
-from .linalg import vec
 from .semigroup import is_commutative_table
 
 _POST = (("instance", "output fails its {kind} checker"),)
@@ -102,10 +101,11 @@ RECIPES: dict[str, Recipe] = {
 
 def _product(cells: _Cells, term) -> BilinearFamily:
     """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j."""
-    bind, n, d = cells.bind(term, 2), cells.omega.order, cells.dim
+    (degree, bind), n, d = cells.bind(term, 2), cells.omega.order, cells.dim
 
     def block(fn):
-        return tuple(tuple(vec(fn((i, j))) for j in range(d)) for i in range(d))
+        return tuple(tuple(cells.rational(fn((i, j)), degree) for j in range(d))
+                     for i in range(d))
     return BilinearFamily(cells.omega, d, tuple(
         tuple(block(bind((a, b))[1]) for b in range(n)) for a in range(n)))
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
+from math import lcm
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import NonCommutingStructureMaps, ShapeMismatch
 from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
@@ -17,10 +18,34 @@ from .semigroup import SemigroupTable
 _ZERO = Fraction(0)
 
 Tensor = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]  # [i][j][k] per (a,b)
-# the nonzero cells of one block: (i, ((j, ((k, coefficient), ...)), ...)) rows,
-# listing only the i, j, k whose coefficient is nonzero, in ascending order
-SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, Fraction], ...]],
-                                     ...]], ...]
+# the nonzero cells of one block: (i, ((j, e_i * e_j), ...)) rows, listing
+# only the i and j whose product is nonzero, in ascending order
+SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+
+
+class IntTensor(NamedTuple):
+    """A family's tensor times den, in integers: dense[a][b][i][j] is the
+    vector of e_i *_{a,b} e_j, and sparse[a][b] lists that block's nonzero
+    vectors, the very tuples of dense."""
+
+    den: int
+    dense: tuple
+    sparse: tuple[tuple[SparseBlock, ...], ...]
+
+
+def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
+    """x * y under one sparse block, each coordinate started from `zero`."""
+    out = [zero] * dim
+    for i, row in block:
+        xi = x[i]
+        if xi:
+            for j, cell in row:
+                yj = y[j]
+                if yj:
+                    coeff = xi * yj
+                    for k, c in enumerate(cell):
+                        out[k] += coeff * c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -73,33 +98,37 @@ class BilinearFamily:
         return self.tensor[a][b][i][j]
 
     @cached_property
-    def _sparse(self) -> tuple[tuple[SparseBlock, ...], ...]:
-        """tensor in sparse form, [a][b] -> SparseBlock; built on first use."""
+    def int_form(self) -> IntTensor:
+        """The tensor over the lcm of its denominators; built on first use."""
+        return self._ints(lcm(*(c.denominator for row in self.tensor
+                                for cube in row for plane in cube
+                                for cell in plane for c in cell)))
+
+    def int_tensor(self, den: int) -> IntTensor:
+        """The tensor times den, a multiple of int_form's denominator."""
+        form = self.int_form
+        return form if den == form.den else self._ints(den)
+
+    def _ints(self, den: int) -> IntTensor:
         def block(cube):
             rows = []
             for i, plane in enumerate(cube):
-                row = tuple((j, tuple((k, c) for k, c in enumerate(cell) if c))
-                            for j, cell in enumerate(plane) if any(cell))
+                row = tuple((j, cell) for j, cell in enumerate(plane) if any(cell))
                 if row:
                     rows.append((i, row))
             return tuple(rows)
-        return tuple(tuple(block(cube) for cube in row) for row in self.tensor)
+        dense = tuple(tuple(tuple(tuple(tuple(
+            c.numerator * (den // c.denominator) for c in cell) for cell in plane)
+            for plane in cube) for cube in row) for row in self.tensor)
+        return IntTensor(den, dense, tuple(tuple(block(cube) for cube in row)
+                                           for row in dense))
 
     def apply(self, a: int, b: int, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch(f"vectors must have length {self.dim}")
-        out = [_ZERO] * self.dim
-        for i, row in self._sparse[a][b]:
-            xi = x[i]
-            if not xi:
-                continue
-            for j, cell in row:
-                yj = y[j]
-                if yj:
-                    coeff = xi * yj
-                    for k, c in cell:
-                        out[k] += coeff * c
-        return tuple(out)
+        den, _, sparse = self.int_form
+        out = block_times(sparse[a][b], self.dim, x, y, _ZERO)
+        return out if den == 1 else tuple(v / den for v in out)
 
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
@@ -46,17 +47,30 @@ class TwoDimExampleParams:
         """All failing side-conditions, lexicographic in the indices."""
         return list(self._violations())
 
+    @cached_property
+    def _ratios(self) -> tuple[list, list, list]:
+        """c, rthree and lthree as (numerator, denominator) pairs."""
+        def pairs(values):
+            return [(v.numerator, v.denominator) for v in values]
+        return [pairs(row) for row in self.c], pairs(self.rthree), pairs(self.lthree)
+
     def _violations(self) -> Iterator[tuple[str, tuple[str, ...]]]:
-        om, table, names = self.omega, self.omega.table, self.omega.elements
-        c, rthree, lthree = self.c, self.rthree, self.lthree
-        for a, b in itertools.product(om.indices(), repeat=2):
-            if rthree[table[a][b]] != rthree[a] * rthree[b]:
+        # each side condition compares two products of scalars, decided
+        # on the integers N * E == M * D for N / D and M / E
+        table, names = self.omega.table, self.omega.elements
+        indices = range(len(names))
+        c, rthree, lthree = self._ratios
+        for a, b in itertools.product(indices, repeat=2):
+            (n, d), (na, da), (nb, db) = rthree[table[a][b]], rthree[a], rthree[b]
+            if n * da * db != na * nb * d:
                 yield "rthree-multiplicative", (names[a], names[b])
-            if lthree[table[a][b]] != lthree[a] * lthree[b]:
+            (n, d), (na, da), (nb, db) = lthree[table[a][b]], lthree[a], lthree[b]
+            if n * da * db != na * nb * d:
                 yield "lthree-multiplicative", (names[a], names[b])
-        for a, b, g in itertools.product(om.indices(), repeat=3):
-            if (c[a][b] * lthree[g] * c[table[a][b]][g]
-                    != c[a][table[b][g]] * rthree[a] * c[b][g]):
+        for a, b, g in itertools.product(indices, repeat=3):
+            (n1, d1), (n2, d2), (n3, d3) = c[a][b], lthree[g], c[table[a][b]][g]
+            (m1, e1), (m2, e2), (m3, e3) = c[a][table[b][g]], rthree[a], c[b][g]
+            if n1 * n2 * n3 * e1 * e2 * e3 != m1 * m2 * m3 * d1 * d2 * d3:
                 yield "c-cocycle", (names[a], names[b], names[g])
 
 
@@ -227,7 +241,7 @@ def _holds(axioms, cells: _Cells, idxs) -> bool:
     """Whether each axiom's two sides agree on every basis tuple at each
     index tuple of `idxs`."""
     for axiom in axioms:
-        at = mismatches(axiom, cells)
+        at = mismatches(axiom, cells)[1]
         if any(next(at(idx), None) is not None for idx in idxs):
             return False
     return True
@@ -253,9 +267,25 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     Always starts with (id, id); found morphisms contribute (f, f) and
     the power pair (f, f o f), plus cross pairs that commute.  The
     morphism search prunes index by index; every morphism it keeps has
-    passed commutes_with and check_morphism.
+    passed commutes_with and check_morphism.  Commutation is decided once
+    per pair of matrices in a call.
     """
     structure = a.p.maps + a.q.maps
+    # keyed by identity, since hashing a Matrix hashes its Fractions; each
+    # entry holds its two matrices, so no key's id is reused in the call
+    decided: dict[tuple[int, int], tuple[bool, Matrix, Matrix]] = {}
+
+    def commute(f: LinearFamily, g: LinearFamily) -> bool:
+        """f.commutes_with(g)[0], each pair of matrices decided once."""
+        for m in f.maps:
+            for k in g.maps:
+                key = id(m), id(k)
+                if key not in decided:
+                    decided[key] = mats_commute(m, k), m, k
+                if not decided[key][0]:
+                    return False
+        return True
+
     candidates = _pruned_families(
         a, cfg, morphism_axioms(a.slot_names),
         lambda fam: morphism_cells(fam, a, a),
@@ -263,18 +293,18 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
         keep=lambda m: all(mats_commute(m, s) for s in structure))
     morphisms = list(itertools.islice(
         (fam for fam in candidates
-         if fam.commutes_with(a.p)[0] and fam.commutes_with(a.q)[0]
+         if commute(fam, a.p) and commute(fam, a.q)
          and check_morphism(fam, a, a, max_witnesses=1).passed),
         cfg.target_count))
     ident = LinearFamily.identity(a.omega, a.dim)
     pairs = [(ident, ident)]
     for f in morphisms:
         # a family may fail to commute with itself across indices
-        if not f.commutes_with(f)[0]:
+        if not commute(f, f):
             continue
         pairs.append((f, f))
         pairs.append((f, f.compose(f)))
     for f, g in itertools.combinations(morphisms, 2):
-        if f.commutes_with(g)[0]:
+        if commute(f, g):
             pairs.append((f, g))
     return pairs

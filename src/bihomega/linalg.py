@@ -9,11 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ShapeMismatch, Singular
 
 Vector = tuple[Fraction, ...]
+# a matrix times an integer: each row's nonzero (column, entry) pairs
+IntRows = tuple[tuple[tuple[int, int], ...], ...]
 
 _ZERO = Fraction(0)
 
@@ -93,26 +96,45 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each row's nonzero (column, entry) pairs; built on first use."""
-        return tuple(tuple((j, v) for j, v in enumerate(self.row(i)) if v)
+    def int_form(self) -> tuple[int, IntRows]:
+        """(den, rows): the matrix times den, the lcm of its entries'
+        denominators, in integers; built on first use."""
+        den = lcm(*(v.denominator for v in self.entries))
+        return den, self._rows(den)
+
+    def int_rows(self, den: int) -> IntRows:
+        """The matrix times den, a multiple of int_form's denominator."""
+        own, rows = self.int_form
+        return rows if den == own else self._rows(den)
+
+    def _rows(self, den: int) -> IntRows:
+        return tuple(tuple((j, v.numerator * (den // v.denominator))
+                           for j, v in enumerate(self.row(i)) if v)
                      for i in range(self.rows))
 
     def apply(self, x: Vector) -> Vector:
         if len(x) != self.cols:
             raise ShapeMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(x)}")
-        out = []
-        for row in self._sparse_rows:
-            acc = _ZERO
-            for j, v in row:
-                xj = x[j]
-                if xj:
-                    acc += v * xj
-            out.append(acc)
-        return tuple(out)
+        den, rows = self.int_form
+        out = rows_times(rows, x, _ZERO)
+        return out if den == 1 else tuple(v / den for v in out)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
+
+
+def rows_times(rows: IntRows, x: Sequence, zero=0) -> tuple:
+    """The matrix given by its rows' nonzero entries times x, each sum
+    started from `zero`."""
+    out = []
+    for row in rows:
+        acc = zero
+        for j, v in row:
+            xj = x[j]
+            if xj:
+                acc += v * xj
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -156,6 +178,20 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 
 def mats_commute(a: Matrix, b: Matrix) -> bool:
+    """Decided on the integer forms: both products are scaled by the same
+    two denominators."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ShapeMismatch("commutation needs square matrices of equal size")
-    return mat_mul(a, b) == mat_mul(b, a)
+    ra, rb = a.int_form[1], b.int_form[1]
+    return _int_mul(ra, rb, a.rows) == _int_mul(rb, ra, a.rows)
+
+
+def _int_mul(left: IntRows, right: IntRows, cols: int) -> list[list[int]]:
+    out = []
+    for row in left:
+        acc = [0] * cols
+        for k, v in row:
+            for j, w in right[k]:
+                acc[j] += v * w
+        out.append(acc)
+    return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 REPORT_FORMAT_VERSION = 1
 
@@ -66,12 +66,14 @@ class AxiomResult:
 
 
 def collect(axiom: str, names: Sequence[str], violations: Iterable[tuple],
-            cap: int) -> AxiomResult:
+            cap: int, convert: Callable[[tuple], tuple] = tuple) -> AxiomResult:
     """The verdict on an ordered stream of (index tuple, basis tuple, lhs,
     rhs) violations: all are counted, the first `cap` kept as witnesses
-    with each index named by `names`."""
+    with each index named by `names` and each side passed through
+    `convert`."""
     rest = iter(violations)
-    witnesses = tuple(Witness(tuple(names[a] for a in idx), bas, lhs, rhs)
+    witnesses = tuple(Witness(tuple(names[a] for a in idx), bas,
+                              convert(lhs), convert(rhs))
                       for idx, bas, lhs, rhs in islice(rest, max(cap, 0)))
     total = len(witnesses) + sum(1 for _ in rest)
     return AxiomResult(axiom, total == 0, witnesses, total)

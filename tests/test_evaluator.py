@@ -1,0 +1,260 @@
+"""The checkers' integer cell evaluator against a Fraction evaluator of the
+same axiom tables, written here and sharing no code with it.
+
+Entries, maps and weights draw denominators up to 11, among them the
+coprime 7, 9 and 11, so the common denominator and its powers get large;
+the reports, their dicts and the constructed tensors must still be equal,
+with every witness entry a Fraction."""
+
+from fractions import Fraction
+from functools import cache
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, check_instance,
+                               check_morphism, check_rota_baxter,
+                               morphism_axioms, rota_baxter_axioms)
+from bihomega.constructions import RECIPES, assoc_to_lie, rb_star_associative
+from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
+                           RotaBaxterFamily, new_instance)
+from bihomega.linalg import Matrix
+from bihomega.reports import AxiomResult, CheckReport, Witness
+from bihomega.semigroup import cyclic_group, left_zero_semigroup
+
+C2, C3, LEFT_ZERO = cyclic_group(2), cyclic_group(3), left_zero_semigroup(2)
+
+SCALARS = [Fraction(v) for v in (0, 0, 0, 1, -1, 2)] + [
+    Fraction(n, d) for n, d in ((1, 7), (-5, 7), (2, 9), (-4, 9), (3, 11),
+                                (-1, 2), (1, 3), (7, 8), (-6, 5), (5, 2))]
+WEIGHTS = [Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(5, 2),
+           Fraction(2, 7), Fraction(-1, 9)]
+CAPS = (0, 1, 10)
+
+
+# -- the Fraction evaluator -----------------------------------------------
+
+def _mat_vec(m, x):
+    return tuple(sum((m.get(i, j) * x[j] for j in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+
+
+def _bilinear(fam, a, b, x, y):
+    out, cube = [Fraction(0)] * fam.dim, fam.tensor[a][b]
+    for i, j in product(range(fam.dim), repeat=2):
+        xy = x[i] * y[j]
+        if xy:
+            for k, c in enumerate(cube[i][j]):
+                if c:
+                    out[k] += xy * c
+    return tuple(out)
+
+
+@cache
+def _reads(term):
+    """The variable positions a term reads."""
+    if isinstance(term, Var):
+        return (term.pos,)
+    parts = [t for _, t in term.terms] if isinstance(term, Sum) else [
+        t for t in term if isinstance(t, tuple)]
+    return tuple(sorted({pos for t in parts for pos in _reads(t)}))
+
+
+def _value(term, idx, bas, env, memo):
+    """(index, vector) of a term at index tuple idx and basis tuple bas;
+    memo keeps each term's value per assignment of what it reads."""
+    key = (term, *((idx[pos], bas[pos]) for pos in _reads(term)))
+    if key not in memo:
+        memo[key] = _evaluate(term, idx, bas, env, memo)
+    return memo[key]
+
+
+def _evaluate(term, idx, bas, env, memo):
+    maps, products, weight, table, d = env
+    if isinstance(term, Var):
+        a = idx[term.pos]
+        v = tuple(Fraction(int(k == bas[term.pos])) for k in range(d))
+        for name in reversed(term.twist):  # "pq" is p(q(e))
+            v = _mat_vec(maps[name].maps[a], v)
+        return a, v
+    if isinstance(term, Mul):
+        (a, x), (b, y) = (_value(t, idx, bas, env, memo)
+                          for t in (term.left, term.right))
+        return table[a][b], _bilinear(products[term.slot], a, b, x, y)
+    if isinstance(term, Map):
+        a, x = _value(term.arg, idx, bas, env, memo)
+        return a, _mat_vec(maps[term.name].maps[a], x)
+    # a sum sits at the index of its first term with a nonzero coefficient
+    index, total = None, (Fraction(0),) * d
+    for c, t in term.terms:
+        c = weight if c == "lam" else Fraction(c)
+        a, v = _value(t, idx, bas, env, memo)
+        if c and index is None:
+            index = a
+        total = tuple(s + c * u for s, u in zip(total, v))
+    return index, total
+
+
+def _env(inst, maps=None, products=None, weight=Fraction(0)):
+    return ({"p": inst.p, "q": inst.q, **(maps or {})},
+            {**dict(inst.products), **(products or {})}, weight,
+            inst.omega.table, inst.dim)
+
+
+def _reference(subject, axioms, env, omega, cap):
+    d, results = env[4], []
+    for ax in axioms:
+        witnesses, total, memo = [], 0, {}
+        for idx in product(range(omega.order), repeat=ax.arity):
+            for bas in product(range(d), repeat=ax.arity):
+                lhs = _value(ax.lhs, idx, bas, env, memo)[1]
+                rhs = _value(ax.rhs, idx, bas, env, memo)[1]
+                if lhs != rhs:
+                    total += 1
+                    if len(witnesses) < cap:
+                        witnesses.append(Witness(
+                            tuple(omega.elements[a] for a in idx), bas, lhs, rhs))
+        results.append(AxiomResult(ax.name, total == 0, tuple(witnesses), total))
+    return CheckReport(subject, tuple(results))
+
+
+def _assert_same(report, expected):
+    assert report == expected
+    assert report.to_dict() == expected.to_dict()
+    for r in report.results:
+        for w in r.witnesses:
+            assert all(type(v) is Fraction for v in w.lhs + w.rhs)
+
+
+# -- random inputs ----------------------------------------------------------
+
+# (omega, dim) pairs whose ternary cells number at most 216
+SHAPES = [(C2, 1), (C2, 2), (C2, 3), (C3, 1), (C3, 2), (LEFT_ZERO, 2),
+          (LEFT_ZERO, 3)]
+
+
+def _kinds(omega):
+    return [k for k in AlgebraKind
+            if omega is not LEFT_ZERO or not k.needs_commutative_omega]
+
+
+@st.composite
+def matrices(draw, d):
+    return Matrix(d, d, tuple(draw(st.sampled_from(SCALARS))
+                              for _ in range(d * d)))
+
+
+@st.composite
+def families(draw, omega, d):
+    return LinearFamily(omega, d, tuple(draw(matrices(d))
+                                        for _ in range(omega.order)))
+
+
+@st.composite
+def instances(draw, kind, omega, d):
+    """Random or zero products; q_a = c0 + c1 p_a + c2 p_a^2 commutes with p_a."""
+    n = omega.order
+    zero = draw(st.booleans())
+    products = []
+    for slot in kind.product_slots:
+        cells = {key: tuple(Fraction(0) if zero else draw(st.sampled_from(SCALARS))
+                            for _ in range(d))
+                 for key in product(range(n), range(n), range(d), range(d))}
+        products.append((slot, BilinearFamily.from_function(
+            omega, d, lambda a, b, i, j, cells=cells: cells[a, b, i, j])))
+    p = draw(families(omega, d))
+    qs = []
+    for m in p.maps:
+        c0, c1, c2 = (draw(st.sampled_from(SCALARS)) for _ in range(3))
+        rows = [[c0 * (i == j) + c1 * m.get(i, j)
+                 + c2 * sum(m.get(i, k) * m.get(k, j) for k in range(d))
+                 for j in range(d)] for i in range(d)]
+        qs.append(Matrix.from_rows(rows))
+    return new_instance(kind, omega, tuple(products), p,
+                        LinearFamily(omega, d, tuple(qs)))
+
+
+@st.composite
+def cases(draw):
+    omega, d = draw(st.sampled_from(SHAPES))
+    kind = draw(st.sampled_from(_kinds(omega)))
+    return omega, d, draw(instances(kind, omega, d))
+
+
+# -- the differentials ------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(case=cases(), cap=st.sampled_from(CAPS))
+def test_check_instance_matches_fraction_evaluator(case, cap):
+    omega, d, inst = case
+    expected = _reference(inst.kind.value, KIND_AXIOMS[inst.kind], _env(inst),
+                          omega, cap)
+    _assert_same(check_instance(inst, max_witnesses=cap), expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=cases(), cap=st.sampled_from(CAPS), data=st.data())
+def test_check_rota_baxter_matches_fraction_evaluator(case, cap, data):
+    omega, d, inst = case
+    rb = RotaBaxterFamily(data.draw(families(omega, d)),
+                          data.draw(st.sampled_from(WEIGHTS)))
+    expected = _reference("rota-baxter", rota_baxter_axioms(inst.slot_names),
+                          _env(inst, {"R": rb.maps}, weight=rb.weight), omega, cap)
+    _assert_same(check_rota_baxter(inst, rb, max_witnesses=cap), expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=cases(), cap=st.sampled_from(CAPS), data=st.data())
+def test_check_morphism_matches_fraction_evaluator(case, cap, data):
+    omega, d, src = case
+    dst = data.draw(st.one_of(st.just(src), instances(src.kind, omega, d)))
+    f = data.draw(families(omega, d))
+    env = _env(src, {"P": dst.p, "Q": dst.q, "f": f},
+               {slot + "'": fam for slot, fam in dst.products})
+    expected = _reference("morphism", morphism_axioms(src.slot_names), env,
+                          omega, cap)
+    _assert_same(check_morphism(f, src, dst, max_witnesses=cap), expected)
+
+
+def _rational_instance():
+    """BiHom-associative over C2: p, q and the product over 3, 4, 7, 9, 11."""
+    p = LinearFamily(C2, 2, (Matrix.from_rows([[Fraction(1, 7), 1], [0, 2]]),
+                             Matrix.from_rows([[Fraction(-2, 9), 0], [1, 1]])))
+    q = LinearFamily(C2, 2, tuple(Matrix.from_rows(
+        [[3 * m.get(i, j) + (i == j) for j in range(2)] for i in range(2)])
+        for m in p.maps))
+    cube = {(a, b, i, j): (Fraction(a + i - j, 3 + b), Fraction(j - 2 * i, 11))
+            for a, b, i, j in product(range(2), repeat=4)}
+    return new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, (
+        ("mul", BilinearFamily.from_function(C2, 2, lambda *k: cube[k])),), p, q)
+
+
+def _assert_product(out, slot, term, env):
+    tensor = out.product(slot).tensor
+    for a, b, i, j in product(range(2), repeat=4):
+        assert tensor[a][b][i][j] == _value(term, (a, b), (i, j), env, {})[1]
+        assert all(type(v) is Fraction for v in tensor[a][b][i][j])
+    assert any(v.denominator > 1 for row in tensor for cube in row
+               for plane in cube for cell in plane for v in cell)
+
+
+def test_constructed_product_matches_fraction_evaluator():
+    """rb_star_associative with weight 5/2 and R over 7, 9 and 11."""
+    inst = _rational_instance()
+    rb = RotaBaxterFamily(LinearFamily(C2, 2, (
+        Matrix.from_rows([[Fraction(3, 11), Fraction(-1, 7)], [0, Fraction(5, 9)]]),
+        Matrix.from_rows([[1, 0], [Fraction(2, 7), Fraction(-4, 11)]]))),
+        Fraction(5, 2))
+    _assert_product(rb_star_associative(inst, rb, unchecked=True), "mul",
+                    RECIPES["rb_star_associative"].products["mul"],
+                    _env(inst, {"R": rb.maps}, weight=rb.weight))
+
+
+def test_flip_product_matches_fraction_evaluator():
+    """assoc_to_lie: x.y at degree 1 minus the flip through p^-1 and q^-1 at
+    degree 5, so the sum lifts its first term."""
+    inst = _rational_instance()
+    _assert_product(assoc_to_lie(inst, unchecked=True), "bracket",
+                    RECIPES["assoc_to_lie"].products["bracket"],
+                    _env(inst, {"P": inst.p.inverse(), "Q": inst.q.inverse()}))

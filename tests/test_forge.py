@@ -108,6 +108,25 @@ def test_two_dim_violations_match_reference_loops(omega, data):
     assert params.violations() == _reference_violations(params)
 
 
+_NINTHS = st.sampled_from([Fraction(0)] * 3 + [
+    Fraction(n, d) for n in (-7, -2, -1, 1, 3, 8) for d in (1, 2, 3, 7, 9)])
+
+
+@pytest.mark.parametrize("omega", [C2, C3, left_zero_semigroup(2)],
+                         ids=["C2", "C3", "left-zero-2"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_two_dim_violations_match_reference_loops_over_ninths(omega, data):
+    """The integer cross-multiplication against the Fraction loops, on
+    scalars with denominators up to 9, signs and zeros."""
+    n = omega.order
+    params = two_dim_params(
+        omega, [[data.draw(_NINTHS) for _ in range(n)] for _ in range(n)],
+        [data.draw(_NINTHS) for _ in range(n)],
+        [data.draw(_NINTHS) for _ in range(n)])
+    assert params.violations() == _reference_violations(params)
+
+
 def test_both_readings_reported_and_pass():
     params = two_dim_params(C2, [[1, 1], [1, 1]], [1, 1], [1, 1])
     report = two_dim_reading_report(params)

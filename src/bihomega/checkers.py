@@ -15,10 +15,9 @@ from operator import add, itemgetter, sub
 from typing import Callable, Iterator, Union
 
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
-                   BilinearFamily, IntTensor, LinearFamily, RotaBaxterFamily,
-                   block_times)
+                   BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import IntRows, Vector, frac, rows_times
+from .linalg import Vector, frac
 from .reports import CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -175,7 +174,8 @@ class _Cells:
     index, fn(basis tuple) -> its value times den ** degree, an int
     vector).  A variable's degree is its twist's length, a read from a
     tensor's is 1, a product's is 1 plus its arguments', a map's 1 plus
-    its argument's; a sum lifts each term to its largest degree."""
+    its argument's; a sum lifts each term to its largest degree.  Products
+    and maps are applied by their own `apply` at den."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
@@ -186,33 +186,18 @@ class _Cells:
         self.maps = {"p": inst.p, "q": inst.q, **(maps or {})}
         self.products = {**dict(inst.products), **(products or {})}
         self.den = lcm(self.weight.denominator,
-                       *(fam.int_form.den for fam in self.products.values()),
-                       *(m.int_form[0] for fam in self.maps.values()
-                         for m in fam.maps))
+                       *(fam.den for fam in self.products.values()),
+                       *(m.den for fam in self.maps.values() for m in fam.maps))
         d = self.dim
         self.cols = {"": [[tuple(int(i == j) for j in range(d))
                            for i in range(d)]] * self.omega.order}
-        self.rows: dict[str, list[IntRows]] = {}
-        self.tensors: dict[str, IntTensor] = {}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
-
-    def matrices(self, name: str) -> list[IntRows]:
-        """[a] -> map `name` at index a times den."""
-        if name not in self.rows:
-            self.rows[name] = [m.int_rows(self.den) for m in self.maps[name].maps]
-        return self.rows[name]
-
-    def tensor(self, slot: str) -> IntTensor:
-        """Product `slot` times den."""
-        if slot not in self.tensors:
-            self.tensors[slot] = self.products[slot].int_tensor(self.den)
-        return self.tensors[slot]
 
     def column(self, twist: str) -> list[list[IntVector]]:
         """[a][i] -> e_i twisted at index a, built once per twist."""
         if twist not in self.cols:
-            inner, rows = self.column(twist[1:]), self.matrices(twist[0])
-            self.cols[twist] = [[rows_times(rows[a], v) for v in col]
+            inner, fam = self.column(twist[1:]), self.maps[twist[0]]
+            self.cols[twist] = [[fam.apply(a, v, self.den) for v in col]
                                 for a, col in enumerate(inner)]
         return self.cols[twist]
 
@@ -236,29 +221,27 @@ class _Cells:
             return len(term.twist), bind_var
         if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
             # a product of two basis vectors is read from the tensor
-            tensor = self.tensor(term.slot).dense
+            tensor = self.products[term.slot].int_tensor(self.den).dense
             u, v = term.left.pos, term.right.pos
             def bind_read(idx):
                 block = tensor[idx[u]][idx[v]]
                 return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
             return 1, bind_read
         if isinstance(term, Mul):
-            sparse = self.tensor(term.slot).sparse
+            apply, den = self.products[term.slot].apply, self.den
             (dl, left), (dr, right) = (self.bind(term.left, arity),
                                        self.bind(term.right, arity))
             degree = 1 + dl + dr
             def bind(idx):
                 (a, lf), (b, rf) = left(idx), right(idx)
-                block = sparse[a][b]
-                return table[a][b], lambda bas: block_times(block, d, lf(bas), rf(bas))
+                return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
         elif isinstance(term, Map):
-            rows = self.matrices(term.name)
+            apply, den = self.maps[term.name].apply, self.den
             inner_degree, inner = self.bind(term.arg, arity)
             degree = 1 + inner_degree
             def bind(idx):
                 a, fn = inner(idx)
-                at = rows[a]
-                return a, lambda bas: rows_times(at, fn(bas))
+                return a, lambda bas: apply(a, fn(bas), den)
         else:
             # a "lam" term weighs in lam * den, one degree up; a term whose
             # coefficient is 0 adds exactly nothing

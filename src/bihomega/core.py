@@ -24,11 +24,10 @@ SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
 
 
 class IntTensor(NamedTuple):
-    """A family's tensor times den, in integers: dense[a][b][i][j] is the
-    vector of e_i *_{a,b} e_j, and sparse[a][b] lists that block's nonzero
-    vectors, the very tuples of dense."""
+    """A family's tensor times some den, in integers: dense[a][b][i][j] is
+    the vector of e_i *_{a,b} e_j, and sparse[a][b] lists that block's
+    nonzero vectors, the very tuples of dense."""
 
-    den: int
     dense: tuple
     sparse: tuple[tuple[SparseBlock, ...], ...]
 
@@ -98,16 +97,21 @@ class BilinearFamily:
         return self.tensor[a][b][i][j]
 
     @cached_property
-    def int_form(self) -> IntTensor:
-        """The tensor over the lcm of its denominators; built on first use."""
-        return self._ints(lcm(*(c.denominator for row in self.tensor
-                                for cube in row for plane in cube
-                                for cell in plane for c in cell)))
+    def den(self) -> int:
+        """The lcm of the tensor's denominators."""
+        return lcm(*(c.denominator for row in self.tensor for cube in row
+                     for plane in cube for cell in plane for c in cell))
+
+    @cached_property
+    def _int_forms(self) -> dict[int, IntTensor]:
+        return {}
 
     def int_tensor(self, den: int) -> IntTensor:
-        """The tensor times den, a multiple of int_form's denominator."""
-        form = self.int_form
-        return form if den == form.den else self._ints(den)
+        """The tensor times den, a multiple of self.den; built once per den."""
+        forms = self._int_forms
+        if den not in forms:
+            forms[den] = self._ints(den)
+        return forms[den]
 
     def _ints(self, den: int) -> IntTensor:
         def block(cube):
@@ -120,15 +124,20 @@ class BilinearFamily:
         dense = tuple(tuple(tuple(tuple(tuple(
             c.numerator * (den // c.denominator) for c in cell) for cell in plane)
             for plane in cube) for cube in row) for row in self.tensor)
-        return IntTensor(den, dense, tuple(tuple(block(cube) for cube in row)
-                                           for row in dense))
+        return IntTensor(dense, tuple(tuple(block(cube) for cube in row)
+                                      for row in dense))
 
-    def apply(self, a: int, b: int, x: Vector, y: Vector) -> Vector:
+    def apply(self, a: int, b: int, x: Vector, y: Vector,
+              den: int | None = None) -> Vector:
+        """x *_{a,b} y.  Given den, a multiple of self.den, x and y are int
+        vectors and so is the result: their product times den."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch(f"vectors must have length {self.dim}")
-        den, _, sparse = self.int_form
-        out = block_times(sparse[a][b], self.dim, x, y, _ZERO)
-        return out if den == 1 else tuple(v / den for v in out)
+        if den is not None:
+            return block_times(self.int_tensor(den).sparse[a][b], self.dim, x, y)
+        own = self.den
+        out = block_times(self.int_tensor(own).sparse[a][b], self.dim, x, y, _ZERO)
+        return out if own == 1 else tuple(v / own for v in out)
 
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)
@@ -164,8 +173,9 @@ class LinearFamily:
     def matrix(self, a: int) -> Matrix:
         return self.maps[a]
 
-    def apply(self, a: int, x: Vector) -> Vector:
-        return self.maps[a].apply(x)
+    def apply(self, a: int, x: Vector, den: int | None = None) -> Vector:
+        """The matrix at a times x; given den, as Matrix.apply."""
+        return self.maps[a].apply(x, den)
 
     def compose(self, other: "LinearFamily") -> "LinearFamily":
         """Index-wise composition self_a after other_a."""
@@ -186,11 +196,14 @@ class LinearFamily:
                     index=self.omega.elements[a])
         return LinearFamily(self.omega, self.dim, tuple(mats))
 
-    def commutes_with(self, other: "LinearFamily") -> tuple[bool, int | None]:
-        """Elementwise commutation over all index pairs; returns first bad pair."""
+    def commutes_with(self, other: "LinearFamily",
+                      commute: Callable[[Matrix, Matrix], bool] = mats_commute
+                      ) -> tuple[bool, int | None]:
+        """Elementwise commutation over all index pairs, each decided by
+        `commute`; returns first bad pair."""
         for a in self.omega.indices():
             for b in self.omega.indices():
-                if not mats_commute(self.maps[a], other.maps[b]):
+                if not commute(self.maps[a], other.maps[b]):
                     return False, a
         return True, None
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
@@ -47,19 +46,15 @@ class TwoDimExampleParams:
         """All failing side-conditions, lexicographic in the indices."""
         return list(self._violations())
 
-    @cached_property
-    def _ratios(self) -> tuple[list, list, list]:
-        """c, rthree and lthree as (numerator, denominator) pairs."""
-        def pairs(values):
-            return [(v.numerator, v.denominator) for v in values]
-        return [pairs(row) for row in self.c], pairs(self.rthree), pairs(self.lthree)
-
     def _violations(self) -> Iterator[tuple[str, tuple[str, ...]]]:
         # each side condition compares two products of scalars, decided
         # on the integers N * E == M * D for N / D and M / E
         table, names = self.omega.table, self.omega.elements
         indices = range(len(names))
-        c, rthree, lthree = self._ratios
+        def pairs(values):
+            return [(v.numerator, v.denominator) for v in values]
+        c = [pairs(row) for row in self.c]
+        rthree, lthree = pairs(self.rthree), pairs(self.lthree)
         for a, b in itertools.product(indices, repeat=2):
             (n, d), (na, da), (nb, db) = rthree[table[a][b]], rthree[a], rthree[b]
             if n * da * db != na * nb * d:
@@ -275,16 +270,12 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     # entry holds its two matrices, so no key's id is reused in the call
     decided: dict[tuple[int, int], tuple[bool, Matrix, Matrix]] = {}
 
-    def commute(f: LinearFamily, g: LinearFamily) -> bool:
-        """f.commutes_with(g)[0], each pair of matrices decided once."""
-        for m in f.maps:
-            for k in g.maps:
-                key = id(m), id(k)
-                if key not in decided:
-                    decided[key] = mats_commute(m, k), m, k
-                if not decided[key][0]:
-                    return False
-        return True
+    def commute(m: Matrix, k: Matrix) -> bool:
+        """mats_commute, decided once per pair of matrices in this call."""
+        key = id(m), id(k)
+        if key not in decided:
+            decided[key] = mats_commute(m, k), m, k
+        return decided[key][0]
 
     candidates = _pruned_families(
         a, cfg, morphism_axioms(a.slot_names),
@@ -293,18 +284,19 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
         keep=lambda m: all(mats_commute(m, s) for s in structure))
     morphisms = list(itertools.islice(
         (fam for fam in candidates
-         if commute(fam, a.p) and commute(fam, a.q)
+         if fam.commutes_with(a.p, commute)[0]
+         and fam.commutes_with(a.q, commute)[0]
          and check_morphism(fam, a, a, max_witnesses=1).passed),
         cfg.target_count))
     ident = LinearFamily.identity(a.omega, a.dim)
     pairs = [(ident, ident)]
     for f in morphisms:
         # a family may fail to commute with itself across indices
-        if not commute(f, f):
+        if not f.commutes_with(f, commute)[0]:
             continue
         pairs.append((f, f))
         pairs.append((f, f.compose(f)))
     for f, g in itertools.combinations(morphisms, 2):
-        if commute(f, g):
+        if f.commutes_with(g, commute)[0]:
             pairs.append((f, g))
     return pairs

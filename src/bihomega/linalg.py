@@ -96,28 +96,34 @@ class Matrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     @cached_property
-    def int_form(self) -> tuple[int, IntRows]:
-        """(den, rows): the matrix times den, the lcm of its entries'
-        denominators, in integers; built on first use."""
-        den = lcm(*(v.denominator for v in self.entries))
-        return den, self._rows(den)
+    def den(self) -> int:
+        """The lcm of the entries' denominators."""
+        return lcm(*(v.denominator for v in self.entries))
+
+    @cached_property
+    def _int_rows(self) -> dict[int, IntRows]:
+        return {}
 
     def int_rows(self, den: int) -> IntRows:
-        """The matrix times den, a multiple of int_form's denominator."""
-        own, rows = self.int_form
-        return rows if den == own else self._rows(den)
+        """The matrix times den, a multiple of self.den, as each row's
+        nonzero (column, entry) pairs; built once per den."""
+        forms = self._int_rows
+        if den not in forms:
+            forms[den] = tuple(tuple((j, v.numerator * (den // v.denominator))
+                                     for j, v in enumerate(self.row(i)) if v)
+                               for i in range(self.rows))
+        return forms[den]
 
-    def _rows(self, den: int) -> IntRows:
-        return tuple(tuple((j, v.numerator * (den // v.denominator))
-                           for j, v in enumerate(self.row(i)) if v)
-                     for i in range(self.rows))
-
-    def apply(self, x: Vector) -> Vector:
+    def apply(self, x: Vector, den: int | None = None) -> Vector:
+        """The matrix times x.  Given den, a multiple of self.den, x is an
+        int vector and so is the result: the product times den."""
         if len(x) != self.cols:
             raise ShapeMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(x)}")
-        den, rows = self.int_form
-        out = rows_times(rows, x, _ZERO)
-        return out if den == 1 else tuple(v / den for v in out)
+        if den is not None:
+            return rows_times(self.int_rows(den), x)
+        own = self.den
+        out = rows_times(self.int_rows(own), x, _ZERO)
+        return out if own == 1 else tuple(v / own for v in out)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
@@ -182,7 +188,7 @@ def mats_commute(a: Matrix, b: Matrix) -> bool:
     two denominators."""
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ShapeMismatch("commutation needs square matrices of equal size")
-    ra, rb = a.int_form[1], b.int_form[1]
+    ra, rb = a.int_rows(a.den), b.int_rows(b.den)
     return _int_mul(ra, rb, a.rows) == _int_mul(rb, ra, a.rows)
 
 

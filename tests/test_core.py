@@ -29,6 +29,28 @@ def test_scalar_multiplication_dim1():
     assert fam.apply(0, 0, vec([5]), vec([7])) == (35,)
 
 
+def test_apply_in_integers_at_a_multiple_of_den():
+    # cells over 2, 3 and 7: den is 42; at den * k the int product of
+    # x * sx and y * sy is the rational product times sx * sy * den * k
+    cells = {(a, b, i, j): (Fraction(a - i, 2), Fraction(b + j, 3),
+                            Fraction(i * j - 1, 7))
+             for a in range(2) for b in range(2)
+             for i in range(3) for j in range(3)}
+    fam = BilinearFamily.from_function(C2, 3, lambda a, b, i, j: cells[a, b, i, j])
+    assert fam.den == 42
+    x, y = vec([Fraction(1, 3), 0, -2]), vec([Fraction(-5, 4), 1, Fraction(1, 9)])
+    xi, yi = tuple(int(v * 3) for v in x), tuple(int(v * 36) for v in y)
+    for den in (42, 84, 42 * 11):
+        for a in range(2):
+            for b in range(2):
+                out = fam.apply(a, b, xi, yi, den)
+                assert all(type(v) is int for v in out)
+                assert out == tuple(v * 3 * 36 * den
+                                    for v in fam.apply(a, b, x, y))
+    # each den's form is built once
+    assert fam.int_tensor(84) is fam.int_tensor(84)
+
+
 def test_two_dim_example_product():
     # with all scalars 1, e2 * e1 = e2
     params = two_dim_params(TRIVIAL, [[1]], [1], [1])

@@ -139,3 +139,16 @@ def test_apply_matches_dense_sum(case):
 def test_apply_rejects_wrong_length():
     with pytest.raises(ShapeMismatch):
         Matrix.identity(2).apply(vec([1, 2, 3]))
+
+
+def test_apply_in_integers_at_a_multiple_of_den():
+    m = Matrix.from_rows([[Fraction(1, 2), 0, 3],
+                          [0, Fraction(-2, 9), Fraction(5, 6)]])
+    assert m.den == 18
+    x = vec([Fraction(7, 5), 1, Fraction(-1, 5)])
+    xi = tuple(int(v * 5) for v in x)
+    for den in (18, 36, 18 * 7):
+        out = m.apply(xi, den)
+        assert all(type(v) is int for v in out)
+        assert out == tuple(v * 5 * den for v in m.apply(x))
+    assert m.int_rows(36) is m.int_rows(36)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import product
 from math import lcm
 from operator import add, itemgetter, sub
@@ -155,6 +155,7 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 
 IntVector = tuple[int, ...]
 Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVector]]]
+Make = Callable[["_Cells"], Bind]
 
 
 @cache
@@ -165,41 +166,207 @@ def _positions(term: tuple) -> frozenset[int]:
     return frozenset().union(*(_positions(t) for t in term if isinstance(t, tuple)))
 
 
-class _Cells:
-    """The data one checker call reads, in integers over one common
-    denominator `den`, and the terms it has compiled.
+@cache
+def _word(term: Term) -> tuple[int, ...]:
+    """The positions whose product, left to right, is the term's index."""
+    if isinstance(term, Var):
+        return (term.pos,)
+    if isinstance(term, Mul):
+        return _word(term.left) + _word(term.right)
+    if isinstance(term, Map):
+        return _word(term.arg)
+    return _word(term.terms[0][1]) if term.terms else ()
 
-    den is the lcm of every denominator of the products, the maps and the
-    weight.  A term compiles to (degree, bind): bind(index tuple) -> (its
-    index, fn(basis tuple) -> its value times den ** degree, an int
-    vector).  A variable's degree is its twist's length, a read from a
-    tensor's is 1, a product's is 1 plus its arguments', a map's 1 plus
-    its argument's; a sum lifts each term to its largest degree.  Products
-    and maps are applied by their own `apply` at den."""
+
+@cache
+def _reads(term: Term) -> frozenset[tuple[int, ...]]:
+    """The words of every index at which the term or a sub-term is
+    evaluated, so reads a map or a product."""
+    if isinstance(term, Var):
+        return frozenset((_word(term),))
+    if isinstance(term, Mul):
+        return _reads(term.left) | _reads(term.right) | {_word(term)}
+    if isinstance(term, Map):
+        return _reads(term.arg)
+    return frozenset().union(*(_reads(t) for _, t in term.terms))
+
+
+class _Plan:
+    """The terms compiled over one index semigroup and dimension.
+
+    A term compiles to (degree, make); make(cells) binds it to the values
+    a `_Cells` holds and returns bind(index tuple) -> (its index,
+    fn(basis tuple) -> its value times den ** degree, an int vector).
+    A variable's degree is its twist's length, a read from a tensor's is
+    1, a product's is 1 plus its arguments', a map's 1 plus its
+    argument's; a sum lifts each term to its largest degree.  No value is
+    read here: den, the tensors, the matrices, the weight and the `apply`
+    methods are all looked up by make, on the binding."""
+
+    def __init__(self, omega, dim: int):
+        self.omega, self.dim = omega, dim
+        self.terms: dict[tuple[Term, int], tuple[int, Make]] = {}
+
+    def compile(self, term: Term, arity: int) -> tuple[int, Make]:
+        if (term, arity) not in self.terms:
+            self.terms[term, arity] = self._compile(term, arity)
+        return self.terms[term, arity]
+
+    def _compile(self, term: Term, arity: int) -> tuple[int, Make]:
+        table = self.omega.table
+        if isinstance(term, Var):
+            twist, pos = term.twist, term.pos
+            def make_var(cells):
+                cols, twisted = cells.column(twist), cells.twisted
+                def bind_var(idx):
+                    a = idx[pos]
+                    col = cols[a] or twisted(twist, a)
+                    return a, lambda bas: col[bas[pos]]
+                return bind_var
+            return len(twist), make_var
+        if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
+            # a product of two basis vectors is read from the tensor
+            slot, u, v = term.slot, term.left.pos, term.right.pos
+            def make_read(cells):
+                tensor = cells.products[slot].int_tensor(cells.den).dense
+                def bind_read(idx):
+                    block = tensor[idx[u]][idx[v]]
+                    return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
+                return bind_read
+            return 1, make_read
+        if isinstance(term, Mul):
+            degree = (1 + self.compile(term.left, arity)[0]
+                      + self.compile(term.right, arity)[0])
+            def make(cells):
+                apply, den = cells.products[term.slot].apply, cells.den
+                left, right = (cells.bind(term.left, arity)[1],
+                               cells.bind(term.right, arity)[1])
+                def bind(idx):
+                    (a, lf), (b, rf) = left(idx), right(idx)
+                    return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
+                return bind
+        elif isinstance(term, Map):
+            degree = 1 + self.compile(term.arg, arity)[0]
+            def make(cells):
+                fams, den = cells.maps[term.name], cells.den
+                inner = cells.bind(term.arg, arity)[1]
+                def bind(idx):
+                    a, fn = inner(idx)
+                    apply = fams[a].apply
+                    return a, lambda bas: apply(a, fn(bas), den)
+                return bind
+        else:
+            # a "lam" term weighs in lam * den, one degree up
+            parts = [(c, self.compile(t, arity)[0] + (c == "lam"), t)
+                     for c, t in term.terms if c]
+            zero = (0,) * self.dim
+            if not parts:
+                return 0, lambda cells: lambda idx: (None, lambda bas: zero)
+            degree = max(dt for _, dt, _ in parts)
+            def make(cells):
+                # a term whose coefficient is 0, lam at weight 0 too, adds
+                # exactly nothing
+                w, den, scaled = cells.weight, cells.den, []
+                lam = w.numerator * (den // w.denominator)
+                for c, dt, t in parts:
+                    c = lam if c == "lam" else c
+                    if c:
+                        scaled.append((c * den ** (degree - dt),
+                                       cells.bind(t, arity)[1]))
+                if not scaled:
+                    return lambda idx: (None, lambda bas: zero)
+                def bind(idx):
+                    bound = [(c, b(idx)) for c, b in scaled]
+                    return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
+                return bind
+        positions = sorted(_positions(term))
+        if len(positions) == arity:
+            return degree, make
+        readers = self._readers(term, positions, arity)
+        return degree, lambda cells: cells.shared(make(cells), positions, readers)
+
+    def _readers(self, term: Term, positions: list[int], arity: int
+                 ) -> list[set]:
+        """[a] -> the keys of the shared entries of term that read index a."""
+        table, key = self.omega.table, itemgetter(*positions)
+        readers = [set() for _ in range(self.omega.order)]
+        for idx in product(range(self.omega.order), repeat=arity):
+            for word in _reads(term):
+                a = idx[word[0]]
+                for pos in word[1:]:
+                    a = table[a][idx[pos]]
+                readers[a].add(key(idx))
+        return readers
+
+
+@lru_cache(maxsize=64)
+def _plan(omega, dim: int) -> _Plan:
+    """One plan per (Omega, d), so each term is compiled once."""
+    return _Plan(omega, dim)
+
+
+class _Cells:
+    """A binding: the values a plan reads for one checker call, one
+    construction or one whole search, in integers over one common
+    denominator `den`.
+
+    den is the lcm of `den`, of every denominator of the products and
+    the maps, and of the weight's.  The binding holds the int tensors,
+    each map's matrix per index (as a family whose matrix there is it),
+    the twisted columns built from them, lam and the memos of the
+    sub-terms that read fewer variables than their axiom.  rebind(name,
+    a, fam) swaps one map's matrix at one index: it drops the twisted
+    columns at a, rebuilt when next read, and every memo entry that read
+    index a, so a search binds once and rebinds one index per node.  Products and
+    maps are applied by their own `apply` at den, looked up here, never
+    by the plan."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
                  products: dict[str, BilinearFamily] | None = None,
-                 weight: Fraction = Fraction(0)):
+                 weight: Fraction = Fraction(0), den: int = 1):
         """Maps and products besides the instance's own, by name."""
+        self.plan = _plan(inst.omega, inst.dim)
         self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
-        self.maps = {"p": inst.p, "q": inst.q, **(maps or {})}
+        families = {"p": inst.p, "q": inst.q, **(maps or {})}
         self.products = {**dict(inst.products), **(products or {})}
-        self.den = lcm(self.weight.denominator,
+        self.den = lcm(den, self.weight.denominator,
                        *(fam.den for fam in self.products.values()),
-                       *(m.den for fam in self.maps.values() for m in fam.maps))
-        d = self.dim
+                       *(m.den for fam in families.values() for m in fam.maps))
+        n, d = self.omega.order, self.dim
+        self.maps = {name: [fam] * n for name, fam in families.items()}
         self.cols = {"": [[tuple(int(i == j) for j in range(d))
-                           for i in range(d)]] * self.omega.order}
+                           for i in range(d)]] * n}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
+        self.memos: list[tuple[dict, list[set]]] = []
 
-    def column(self, twist: str) -> list[list[IntVector]]:
-        """[a][i] -> e_i twisted at index a, built once per twist."""
+    def column(self, twist: str) -> list[list[IntVector] | None]:
+        """[a] -> the twisted basis at index a, or None until `twisted`
+        builds it."""
         if twist not in self.cols:
-            inner, fam = self.column(twist[1:]), self.maps[twist[0]]
-            self.cols[twist] = [[fam.apply(a, v, self.den) for v in col]
-                                for a, col in enumerate(inner)]
+            self.column(twist[1:])
+            self.cols[twist] = [None] * self.omega.order
         return self.cols[twist]
+
+    def twisted(self, twist: str, a: int) -> list[IntVector]:
+        """[i] -> e_i twisted at index a, built once per binding of a."""
+        cols = self.cols[twist]
+        if cols[a] is None:
+            fam = self.maps[twist[0]][a]
+            cols[a] = [fam.apply(a, v, self.den)
+                       for v in self.twisted(twist[1:], a)]
+        return cols[a]
+
+    def rebind(self, name: str, a: int, fam: LinearFamily) -> None:
+        """Map `name` at index a becomes fam's matrix there, whose den
+        must divide self.den."""
+        self.maps[name][a] = fam
+        for twist, cols in self.cols.items():
+            if name in twist:
+                cols[a] = None
+        for bound, readers in self.memos:
+            for key in readers[a]:
+                bound.pop(key, None)
 
     def rational(self, vector: IntVector, degree: int) -> Vector:
         """The value of a term of this degree from its int vector."""
@@ -208,61 +375,29 @@ class _Cells:
 
     def bind(self, term: Term, arity: int) -> tuple[int, Bind]:
         if (term, arity) not in self.binds:
-            self.binds[term, arity] = self._compile(term, arity)
+            degree, make = self.plan.compile(term, arity)
+            self.binds[term, arity] = degree, make(self)
         return self.binds[term, arity]
 
-    def _compile(self, term: Term, arity: int) -> tuple[int, Bind]:
-        table, d = self.omega.table, self.dim
-        if isinstance(term, Var):
-            cols, pos = self.column(term.twist), term.pos
-            def bind_var(idx):
-                col = cols[idx[pos]]
-                return idx[pos], lambda bas: col[bas[pos]]
-            return len(term.twist), bind_var
-        if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
-            # a product of two basis vectors is read from the tensor
-            tensor = self.products[term.slot].int_tensor(self.den).dense
-            u, v = term.left.pos, term.right.pos
-            def bind_read(idx):
-                block = tensor[idx[u]][idx[v]]
-                return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
-            return 1, bind_read
-        if isinstance(term, Mul):
-            apply, den = self.products[term.slot].apply, self.den
-            (dl, left), (dr, right) = (self.bind(term.left, arity),
-                                       self.bind(term.right, arity))
-            degree = 1 + dl + dr
-            def bind(idx):
-                (a, lf), (b, rf) = left(idx), right(idx)
-                return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
-        elif isinstance(term, Map):
-            apply, den = self.maps[term.name].apply, self.den
-            inner_degree, inner = self.bind(term.arg, arity)
-            degree = 1 + inner_degree
-            def bind(idx):
-                a, fn = inner(idx)
-                return a, lambda bas: apply(a, fn(bas), den)
-        else:
-            # a "lam" term weighs in lam * den, one degree up; a term whose
-            # coefficient is 0 adds exactly nothing
-            lam = self.weight.numerator * (self.den // self.weight.denominator)
-            parts = []
-            for c, t in term.terms:
-                c, up = (lam, 1) if c == "lam" else (c, 0)
-                if c:
-                    dt, b = self.bind(t, arity)
-                    parts.append((c, dt + up, b))
-            if not parts:
-                zero = (0,) * d
-                return 0, lambda idx: (None, lambda bas: zero)
-            degree = max(dt for _, dt, _ in parts)
-            parts = [(c * self.den ** (degree - dt), b) for c, dt, b in parts]
-            def bind(idx):
-                bound = [(c, b(idx)) for c, b in parts]
-                return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
-        positions = sorted(_positions(term))
-        return degree, (bind if len(positions) == arity
-                        else _shared(bind, positions))
+    def shared(self, bind: Bind, positions: list[int], readers: list[set]
+               ) -> Bind:
+        """bind, bound and each vector computed once per assignment of
+        `positions`; readers[a] are the assignments that read index a."""
+        key, bound = itemgetter(*positions), {}
+        self.memos.append((bound, readers))
+
+        def bind_shared(idx):
+            k = key(idx)
+            if k not in bound:
+                index, fn = bind(idx)
+                memo = {}
+
+                def cached(bas):
+                    cell = key(bas)
+                    return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
+                bound[k] = index, cached
+            return bound[k]
+        return bind_shared
 
 
 def _scaled(c: int, fn):
@@ -279,24 +414,6 @@ def _signed_sum(terms):
             acc = tuple(map(op, acc, term(bas)))
         return acc
     return fn
-
-
-def _shared(bind: Bind, positions: list[int]) -> Bind:
-    """bind, bound and each vector computed once per assignment of
-    `positions`."""
-    key, bound, memo = itemgetter(*positions), {}, {}
-
-    def bind_shared(idx):
-        k = key(idx)
-        if k not in bound:
-            index, fn = bind(idx)
-
-            def cached(bas):
-                cell = k, key(bas)
-                return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
-            bound[k] = index, cached
-        return bound[k]
-    return bind_shared
 
 
 # -- the checkers -------------------------------------------------------
@@ -389,9 +506,11 @@ def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
                    rota_baxter_cells(inst, rb), max_witnesses)
 
 
-def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily) -> _Cells:
-    """What `rota_baxter_axioms` read: the instance, R and the weight."""
-    return _Cells(inst, {"R": rb.maps}, weight=rb.weight)
+def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily,
+                      den: int = 1) -> _Cells:
+    """What `rota_baxter_axioms` read: the instance, R and the weight,
+    over a multiple of den."""
+    return _Cells(inst, {"R": rb.maps}, weight=rb.weight, den=den)
 
 
 def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
@@ -407,8 +526,8 @@ def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
 
 
 def morphism_cells(f: LinearFamily, src: AlgebraInstance,
-                   dst: AlgebraInstance) -> _Cells:
+                   dst: AlgebraInstance, den: int = 1) -> _Cells:
     """What `morphism_axioms` read: src's maps and products, f, and dst's
-    maps and products as P, Q and slot'."""
+    maps and products as P, Q and slot', over a multiple of den."""
     return _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
-                  {slot + "'": fam for slot, fam in dst.products})
+                  {slot + "'": fam for slot, fam in dst.products}, den=den)

@@ -151,7 +151,8 @@ def _run(name: str, a: AlgebraInstance, operands: tuple,
 
     cells = _Cells(a, maps, weight=rb.weight if rb is not None else 0)
     kind = recipe.kinds[a.kind]
-    p, q = (reduce(LinearFamily.compose, map(cells.maps.get, word))
+    families = {"p": a.p, "q": a.q, **maps}
+    p, q = (reduce(LinearFamily.compose, map(families.get, word))
             for word in recipe.maps)
     out = new_instance(kind, a.omega, tuple(
         (slot, _product(cells, recipe.products[slot]))

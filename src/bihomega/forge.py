@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
@@ -151,7 +152,12 @@ def constant_product_instance(kind: AlgebraKind, omega: SemigroupTable,
                               ) -> AlgebraInstance:
     """Lift classical structure constants to a constant indexed family
     with identity structure maps."""
+    if set(tensors) != set(kind.product_slots):
+        raise ShapeMismatch(f"kind {kind.value} expects tensors for "
+                            f"{kind.product_slots}, got {tuple(tensors)}")
     dims = {len(t) for t in tensors.values()}
+    if len(dims) != 1:
+        raise ShapeMismatch(f"tensors of different sizes {sorted(dims)}")
     dim = dims.pop()
 
     products = []
@@ -185,8 +191,8 @@ class SearchConfig:
 
 
 def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
-                     axioms: tuple[Axiom, ...],
-                     cells_for: Callable[[LinearFamily], _Cells],
+                     axioms: tuple[Axiom, ...], name: str,
+                     cells_for: Callable[[LinearFamily, int], _Cells],
                      keep: Callable[[Matrix], bool] = lambda m: True):
     """Every matrix family with entries from the configured set that passes
     `axioms` on every cell, in the lexicographic order of the whole space
@@ -196,23 +202,33 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     and at their product.  So each index keeps the matrices that pass
     `keep` and the unary axioms there, and families grow index by index,
     dropped at the first binary cell (x, y) whose sides differ, compared
-    as soon as x, y and xy all have matrices.  cells_for(family) gives
-    the cells the axioms read with that family in place.
+    as soon as x, y and xy all have matrices.
+
+    One binding serves the whole search: cells_for(fam, den) binds the
+    axioms with fam as map `name` over a multiple of den, the lcm of the
+    entries' denominators, so every candidate's matrices are exact in it.
+    The unary pass rebinds `name` at each (index, matrix), and a node at
+    depth k rebinds it at index k only: that drops the twisted columns
+    at k and the memo entries that read k.  Indices past k keep
+    stale matrices, but no cell compared at depth k reads them.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
     if space > cfg.budget:
         raise BudgetExceeded(space, cfg.budget)
-    unary = [ax for ax in axioms if ax.arity == 1]
-    binary = [ax for ax in axioms if ax.arity == 2]
+    cells = cells_for(LinearFamily.identity(omega, dim),
+                      lcm(*(v.denominator for v in cfg.entries)))
+    unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
+    binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
     choices = [[] for _ in range(n)]
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
-            cells = cells_for(LinearFamily.constant(omega, m))
+            fam = LinearFamily.constant(omega, m)
             for x in range(n):
-                if _holds(unary, cells, [(x,)]):
-                    choices[x].append(m)
+                cells.rebind(name, x, fam)
+                if _holds(unary, [(x,)]):
+                    choices[x].append((m, fam))
     # the binary cells first readable once index k has its matrix
     fresh = [[] for _ in range(n)]
     for x in range(n):
@@ -224,22 +240,18 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
         if k == n:
             yield LinearFamily(omega, dim, mats)
             return
-        for m in choices[k]:
-            # indices past k are never read at depth k: pad them with m
-            fam = LinearFamily(omega, dim, mats + (m,) * (n - k))
-            if not fresh[k] or _holds(binary, cells_for(fam), fresh[k]):
+        for m, fam in choices[k]:
+            cells.rebind(name, k, fam)
+            if _holds(binary, fresh[k]):
                 yield from extend(mats + (m,))
     return extend(())
 
 
-def _holds(axioms, cells: _Cells, idxs) -> bool:
-    """Whether each axiom's two sides agree on every basis tuple at each
-    index tuple of `idxs`."""
-    for axiom in axioms:
-        at = mismatches(axiom, cells)[1]
-        if any(next(at(idx), None) is not None for idx in idxs):
-            return False
-    return True
+def _holds(checks, idxs) -> bool:
+    """Whether each check, an axiom's `mismatches` function, finds the two
+    sides equal on every basis tuple at each index tuple of `idxs`."""
+    return not any(next(at(idx), None) is not None
+                   for at in checks for idx in idxs)
 
 
 def brute_force_rb_search(a: AlgebraInstance,
@@ -248,8 +260,9 @@ def brute_force_rb_search(a: AlgebraInstance,
     pass check_rota_baxter, in enumeration order.  The search prunes
     index by index; every family it returns has passed the checker."""
     rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _pruned_families(
-        a, cfg, rota_baxter_axioms(a.slot_names),
-        lambda fam: rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight))))
+        a, cfg, rota_baxter_axioms(a.slot_names), "R",
+        lambda fam, den: rota_baxter_cells(
+            a, RotaBaxterFamily(fam, cfg.weight), den)))
     return list(itertools.islice(
         (rb for rb in rbs if check_rota_baxter(a, rb, max_witnesses=1).passed),
         cfg.target_count))
@@ -278,8 +291,8 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
         return decided[key][0]
 
     candidates = _pruned_families(
-        a, cfg, morphism_axioms(a.slot_names),
-        lambda fam: morphism_cells(fam, a, a),
+        a, cfg, morphism_axioms(a.slot_names), "f",
+        lambda fam, den: morphism_cells(fam, a, a, den),
         # commutes_with(a.p) and (a.q) ask f_a to commute with every p_b, q_b
         keep=lambda m: all(mats_commute(m, s) for s in structure))
     morphisms = list(itertools.islice(

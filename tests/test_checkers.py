@@ -407,3 +407,21 @@ def test_dendriform_swap_detected():
         if not check_dendriform(swapped).passed:
             swapped_failures += 1
     assert swapped_failures > 0
+
+
+def test_a_cached_plan_applies_through_the_classes_it_is_bound_with(monkeypatch):
+    # wrappers put on the apply methods after the plan for (C3, d=2) is
+    # compiled, as a tracer does, still see every product and map applied
+    omega = cyclic_group(3)
+    p = LinearFamily.constant(omega, Matrix.diagonal([1, -1]))
+    inst = zero_instance(AlgebraKind.LIE, omega, 2, p=p)
+    rb = RotaBaxterFamily(p, 1)
+    before = check_instance(inst), check_rota_baxter(inst, rb)
+    calls = dict.fromkeys((BilinearFamily, LinearFamily, Matrix), 0)
+    for cls in calls:
+        def counted(*args, cls=cls, apply=cls.__dict__["apply"]):
+            calls[cls] += 1
+            return apply(*args)
+        monkeypatch.setattr(cls, "apply", counted)
+    assert (check_instance(inst), check_rota_baxter(inst, rb)) == before
+    assert min(calls.values()) > 0

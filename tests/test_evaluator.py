@@ -6,16 +6,19 @@ coprime 7, 9 and 11, so the common denominator and its powers get large;
 the reports, their dicts and the constructed tensors must still be equal,
 with every witness entry a Fraction."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, check_instance,
-                               check_morphism, check_rota_baxter,
-                               morphism_axioms, rota_baxter_axioms)
+from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, _Cells, _report,
+                               check_instance, check_morphism,
+                               check_rota_baxter, morphism_axioms,
+                               rota_baxter_axioms)
 from bihomega.constructions import RECIPES, assoc_to_lie, rb_star_associative
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
@@ -215,6 +218,28 @@ def test_check_morphism_matches_fraction_evaluator(case, cap, data):
     expected = _reference("morphism", morphism_axioms(src.slot_names), env,
                           omega, cap)
     _assert_same(check_morphism(f, src, dst, max_witnesses=cap), expected)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=cases(), data=st.data())
+def test_rebinding_one_index_matches_the_fraction_evaluator(case, data):
+    """One binding checked, then rebound at one index after another as a
+    search rebinds it, gives the report of the instance with those
+    matrices in place: no twisted column, and no memo entry of a sub-term
+    that read the index, outlives its matrix."""
+    omega, d, inst = case
+    axioms, n = KIND_AXIOMS[inst.kind], omega.order
+    cells = _Cells(inst, den=lcm(*(v.denominator for v in SCALARS)))
+    maps = {"p": list(inst.p.maps), "q": list(inst.q.maps)}
+    for step in range(3):
+        if step:
+            name, k = data.draw(st.sampled_from("pq")), data.draw(st.integers(0, n - 1))
+            maps[name][k] = data.draw(matrices(d))
+            cells.rebind(name, k, LinearFamily.constant(omega, maps[name][k]))
+        now = replace(inst, **{name: LinearFamily(omega, d, tuple(mats))
+                               for name, mats in maps.items()})
+        expected = _reference(inst.kind.value, axioms, _env(now), omega, 10)
+        _assert_same(_report(inst.kind.value, axioms, cells, 10), expected)
 
 
 def _rational_instance():

@@ -151,6 +151,26 @@ def test_embed_omega_as_bihom():
     assert embed_omega_as_bihom(twisted).products == twisted.products
 
 
+def test_constant_product_instance_rejects_a_missing_slot():
+    with pytest.raises(ShapeMismatch, match=r"expects tensors for \('prec', 'succ'\)"):
+        constant_product_instance(AlgebraKind.DENDRIFORM, C2, {"prec": LIE_2D})
+    with pytest.raises(ShapeMismatch, match=r"expects tensors for \('bracket',\)"):
+        constant_product_instance(AlgebraKind.LIE, C2,
+                                  {"bracket": LIE_2D, "mul": LIE_2D})
+
+
+def test_constant_product_instance_rejects_no_tensors():
+    with pytest.raises(ShapeMismatch, match=r"expects tensors for \('mul',\), got \(\)"):
+        constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, {})
+
+
+def test_constant_product_instance_rejects_tensors_of_different_sizes():
+    cube3 = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    with pytest.raises(ShapeMismatch, match=r"different sizes \[2, 3\]"):
+        constant_product_instance(AlgebraKind.DENDRIFORM, C2,
+                                  {"prec": LIE_2D, "succ": cube3})
+
+
 def test_embed_rejects_nonidentity_maps():
     params = two_dim_params(C2, [[1, -1], [-1, 1]], [1, -1], [1, -1])
     inst = make_two_dim_example(params)
@@ -262,14 +282,14 @@ def _reference_endomorphism_pairs(inst, morphisms):
 
 
 @st.composite
-def search_cases(draw, omega, d):
+def search_cases(draw, omega, d, values=(-1, 0, 1, 2, Fraction(1, 2)),
+                 weights=(-1, 0, 1)):
     """A small instance over omega at dimension d, with random products
-    and diagonal structure maps, and a search configuration whose space
-    is at most 256 candidates."""
+    and diagonal structure maps, and a search configuration over `values`
+    and `weights` whose space is at most 256 candidates."""
     cells = omega.order * d * d
     size = draw(st.integers(1, max(n for n in range(1, 5) if n ** cells <= 256)))
-    entries = [draw(st.sampled_from((-1, 0, 1, 2, Fraction(1, 2))))
-               for _ in range(size)]
+    entries = [draw(st.sampled_from(values)) for _ in range(size)]
     kind = draw(st.sampled_from((AlgebraKind.BIHOM_ASSOCIATIVE,
                                  AlgebraKind.DENDRIFORM)))
     # per index pair, a scalar (often 0, which every family passes) times
@@ -295,7 +315,7 @@ def search_cases(draw, omega, d):
                                          for _ in omega.indices()))
             for _ in range(2))
     cfg = SearchConfig(entries=tuple(entries),
-                       weight=draw(st.sampled_from((-1, 0, 1))),
+                       weight=draw(st.sampled_from(weights)),
                        target_count=draw(st.one_of(st.none(),
                                                    st.integers(1, 6))))
     return new_instance(kind, omega, products, p, q), cfg
@@ -328,6 +348,27 @@ def test_pruned_searches_match_exhaustive_reference_dim_2(omega, data):
     _searches_match_reference(*data.draw(search_cases(omega, 2)))
 
 
+# entries over 3 and 2 and weights over 4 and 2: the search binds once over
+# the lcm of every denominator, the reference checks each candidate over
+# its own
+FRACTIONAL = dict(values=(Fraction(1, 3), Fraction(1, 2), 2, 0, -1),
+                  weights=(Fraction(-3, 4), Fraction(1, 2), 0, 1))
+
+
+@pytest.mark.parametrize("omega", [TRIVIAL, C3, left_zero_semigroup(2)],
+                         ids=["trivial", "c3", "left-zero"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pruned_searches_over_one_den_match_reference_dim_1(omega, data):
+    _searches_match_reference(*data.draw(search_cases(omega, 1, **FRACTIONAL)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pruned_searches_over_one_den_match_reference_dim_2(data):
+    _searches_match_reference(*data.draw(search_cases(TRIVIAL, 2, **FRACTIONAL)))
+
+
 def test_rb_search_reads_a_cell_once_its_product_index_has_a_matrix():
     # over C3 only cell (1, 1) has a nonzero product, read at index 1*1 = 2:
     # r1^2 = r2 (r1 + r1) holds at (r1, r2) = (2, 1) and fails at (2, 2)
@@ -340,6 +381,28 @@ def test_rb_search_reads_a_cell_once_its_product_index_has_a_matrix():
     found = brute_force_rb_search(inst, cfg)
     assert [tuple(m.entries[0] for m in rb.maps.maps) for rb in found] == [
         (1, 2, 1), (2, 2, 1)]
+    assert found == _reference_rb_search(inst, cfg)
+
+
+@pytest.mark.parametrize("omega, cell, entries, weight, hits", [
+    # r1^2 = r2 (r1 + r1) on cell (1, 1), first read at index 1 * 1 = 2:
+    # under r1 = 2, R_2 = 1 passes and R_2 = 3, tried next, fails
+    (C3, (1, 1), (2, 1, 3), 0, [(2, 2, 1), (1, 2, 1), (3, 2, 1)]),
+    # r1 r0 = r1 (r1 + r0 - 1) on cell (1, 0), read at index 1 through R's
+    # column and its map there: R_1 = 0 passes and R_1 = 2, next, fails
+    (left_zero_semigroup(2), (1, 0), (0, 2, 1), -1,
+     [(0, 0), (0, 1), (2, 0), (2, 1), (1, 0), (1, 1)]),
+], ids=["c3", "left-zero"])
+def test_rb_search_drops_the_binding_of_a_sibling_it_backtracks_from(
+        omega, cell, entries, weight, hits):
+    mul = BilinearFamily.from_function(
+        omega, 1, lambda a, b, i, j: (1 if (a, b) == cell else 0,))
+    ident = LinearFamily.identity(omega, 1)
+    inst = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega, (("mul", mul),),
+                        ident, ident)
+    cfg = SearchConfig(entries=entries, weight=weight)
+    found = brute_force_rb_search(inst, cfg)
+    assert [tuple(m.entries[0] for m in rb.maps.maps) for rb in found] == hits
     assert found == _reference_rb_search(inst, cfg)
 
 

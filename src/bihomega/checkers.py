@@ -217,7 +217,8 @@ class _Plan:
         if isinstance(term, Var):
             twist, pos = term.twist, term.pos
             def make_var(cells):
-                cols, twisted = cells.column(twist), cells.twisted
+                cols = cells.column(twist)
+                twisted = partial(_twisted, cells.cols, cells.maps, cells.den)
                 def bind_var(idx):
                     a = idx[pos]
                     col = cols[a] or twisted(twist, a)
@@ -341,21 +342,12 @@ class _Cells:
         self.memos: list[tuple[dict, list[set]]] = []
 
     def column(self, twist: str) -> list[list[IntVector] | None]:
-        """[a] -> the twisted basis at index a, or None until `twisted`
+        """[a] -> the twisted basis at index a, or None until `_twisted`
         builds it."""
         if twist not in self.cols:
             self.column(twist[1:])
             self.cols[twist] = [None] * self.omega.order
         return self.cols[twist]
-
-    def twisted(self, twist: str, a: int) -> list[IntVector]:
-        """[i] -> e_i twisted at index a, built once per binding of a."""
-        cols = self.cols[twist]
-        if cols[a] is None:
-            fam = self.maps[twist[0]][a]
-            cols[a] = [fam.apply(a, v, self.den)
-                       for v in self.twisted(twist[1:], a)]
-        return cols[a]
 
     def rebind(self, name: str, a: int, fam: LinearFamily) -> None:
         """Map `name` at index a becomes fam's matrix there, whose den
@@ -398,6 +390,19 @@ class _Cells:
                 bound[k] = index, cached
             return bound[k]
         return bind_shared
+
+
+def _twisted(cols: dict, maps: dict, den: int, twist: str, a: int
+             ) -> list[IntVector]:
+    """[i] -> e_i twisted at index a, built once per binding of a.  It
+    takes a binding's parts, not the binding, so that no closure of a
+    binding refers back to it and each is freed as soon as it is dropped."""
+    col = cols[twist]
+    if col[a] is None:
+        fam = maps[twist[0]][a]
+        col[a] = [fam.apply(a, v, den)
+                  for v in _twisted(cols, maps, den, twist[1:], a)]
+    return col[a]
 
 
 def _scaled(c: int, fn):

@@ -1,8 +1,11 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from bihomega.checkers import (KIND_AXIOMS, check_bihom_associative,
+from bihomega.checkers import (KIND_AXIOMS, _Cells, _report,
+                               check_bihom_associative,
                                check_dendriform,
                                check_instance, check_lie, check_morphism,
                                check_postlie, check_prelie, check_prepoisson,
@@ -425,3 +428,20 @@ def test_a_cached_plan_applies_through_the_classes_it_is_bound_with(monkeypatch)
         monkeypatch.setattr(cls, "apply", counted)
     assert (check_instance(inst), check_rota_baxter(inst, rb)) == before
     assert min(calls.values()) > 0
+
+
+def test_a_binding_is_freed_once_dropped_without_the_cycle_collector():
+    # a closure of a binding that referred back to it would keep every
+    # binding, its columns and its memos alive until a collection ran
+    omega = cyclic_group(3)
+    p = LinearFamily.constant(omega, Matrix.diagonal([1, -1]))
+    inst = zero_instance(AlgebraKind.PREPOISSON, omega, 2, p=p)
+    gc.disable()
+    try:
+        cells = _Cells(inst)
+        assert _report("prepoisson", KIND_AXIOMS[inst.kind], cells, 10).passed
+        ref = weakref.ref(cells)
+        del cells
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -166,29 +166,19 @@ def _positions(term: tuple) -> frozenset[int]:
     return frozenset().union(*(_positions(t) for t in term if isinstance(t, tuple)))
 
 
-@cache
-def _word(term: Term) -> tuple[int, ...]:
-    """The positions whose product, left to right, is the term's index."""
+def _read_at(term: Term, idx: tuple[int, ...], table) -> tuple[int, set[int]]:
+    """The term's index at idx, and every index at which it or a sub-term
+    is evaluated there, so reads a map or a product."""
     if isinstance(term, Var):
-        return (term.pos,)
+        return idx[term.pos], {idx[term.pos]}
     if isinstance(term, Mul):
-        return _word(term.left) + _word(term.right)
+        (a, left), (b, right) = (_read_at(term.left, idx, table),
+                                 _read_at(term.right, idx, table))
+        return table[a][b], left | right | {table[a][b]}
     if isinstance(term, Map):
-        return _word(term.arg)
-    return _word(term.terms[0][1]) if term.terms else ()
-
-
-@cache
-def _reads(term: Term) -> frozenset[tuple[int, ...]]:
-    """The words of every index at which the term or a sub-term is
-    evaluated, so reads a map or a product."""
-    if isinstance(term, Var):
-        return frozenset((_word(term),))
-    if isinstance(term, Mul):
-        return _reads(term.left) | _reads(term.right) | {_word(term)}
-    if isinstance(term, Map):
-        return _reads(term.arg)
-    return frozenset().union(*(_reads(t) for _, t in term.terms))
+        return _read_at(term.arg, idx, table)
+    parts = [_read_at(t, idx, table) for _, t in term.terms]
+    return parts[0][0], set().union(*(reads for _, reads in parts))
 
 
 class _Plan:
@@ -289,13 +279,10 @@ class _Plan:
     def _readers(self, term: Term, positions: list[int], arity: int
                  ) -> list[set]:
         """[a] -> the keys of the shared entries of term that read index a."""
-        table, key = self.omega.table, itemgetter(*positions)
-        readers = [set() for _ in range(self.omega.order)]
-        for idx in product(range(self.omega.order), repeat=arity):
-            for word in _reads(term):
-                a = idx[word[0]]
-                for pos in word[1:]:
-                    a = table[a][idx[pos]]
+        n, key = self.omega.order, itemgetter(*positions)
+        readers = [set() for _ in range(n)]
+        for idx in product(range(n), repeat=arity):
+            for a in _read_at(term, idx, self.omega.table)[1]:
                 readers[a].add(key(idx))
         return readers
 
@@ -318,9 +305,9 @@ class _Cells:
     sub-terms that read fewer variables than their axiom.  rebind(name,
     a, fam) swaps one map's matrix at one index: it drops the twisted
     columns at a, rebuilt when next read, and every memo entry that read
-    index a, so a search binds once and rebinds one index per node.  Products and
-    maps are applied by their own `apply` at den, looked up here, never
-    by the plan."""
+    index a, so a search binds once and rebinds one index per node.
+    Products and maps are applied by their own `apply` at den, looked up
+    here, never by the plan."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import product
 from math import lcm
 from operator import add, itemgetter, sub
@@ -155,7 +155,6 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 
 IntVector = tuple[int, ...]
 Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVector]]]
-Make = Callable[["_Cells"], Bind]
 
 
 @cache
@@ -166,155 +165,35 @@ def _positions(term: tuple) -> frozenset[int]:
     return frozenset().union(*(_positions(t) for t in term if isinstance(t, tuple)))
 
 
-def _read_at(term: Term, idx: tuple[int, ...], table) -> tuple[int, set[int]]:
-    """The term's index at idx, and every index at which it or a sub-term
-    is evaluated there, so reads a map or a product."""
-    if isinstance(term, Var):
-        return idx[term.pos], {idx[term.pos]}
-    if isinstance(term, Mul):
-        (a, left), (b, right) = (_read_at(term.left, idx, table),
-                                 _read_at(term.right, idx, table))
-        return table[a][b], left | right | {table[a][b]}
-    if isinstance(term, Map):
-        return _read_at(term.arg, idx, table)
-    parts = [_read_at(t, idx, table) for _, t in term.terms]
-    return parts[0][0], set().union(*(reads for _, reads in parts))
-
-
-class _Plan:
-    """The terms compiled over one index semigroup and dimension.
-
-    A term compiles to (degree, make); make(cells) binds it to the values
-    a `_Cells` holds and returns bind(index tuple) -> (its index,
-    fn(basis tuple) -> its value times den ** degree, an int vector).
-    A variable's degree is its twist's length, a read from a tensor's is
-    1, a product's is 1 plus its arguments', a map's 1 plus its
-    argument's; a sum lifts each term to its largest degree.  No value is
-    read here: den, the tensors, the matrices, the weight and the `apply`
-    methods are all looked up by make, on the binding."""
-
-    def __init__(self, omega, dim: int):
-        self.omega, self.dim = omega, dim
-        self.terms: dict[tuple[Term, int], tuple[int, Make]] = {}
-
-    def compile(self, term: Term, arity: int) -> tuple[int, Make]:
-        if (term, arity) not in self.terms:
-            self.terms[term, arity] = self._compile(term, arity)
-        return self.terms[term, arity]
-
-    def _compile(self, term: Term, arity: int) -> tuple[int, Make]:
-        table = self.omega.table
-        if isinstance(term, Var):
-            twist, pos = term.twist, term.pos
-            def make_var(cells):
-                cols = cells.column(twist)
-                twisted = partial(_twisted, cells.cols, cells.maps, cells.den)
-                def bind_var(idx):
-                    a = idx[pos]
-                    col = cols[a] or twisted(twist, a)
-                    return a, lambda bas: col[bas[pos]]
-                return bind_var
-            return len(twist), make_var
-        if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
-            # a product of two basis vectors is read from the tensor
-            slot, u, v = term.slot, term.left.pos, term.right.pos
-            def make_read(cells):
-                tensor = cells.products[slot].int_tensor(cells.den).dense
-                def bind_read(idx):
-                    block = tensor[idx[u]][idx[v]]
-                    return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
-                return bind_read
-            return 1, make_read
-        if isinstance(term, Mul):
-            degree = (1 + self.compile(term.left, arity)[0]
-                      + self.compile(term.right, arity)[0])
-            def make(cells):
-                apply, den = cells.products[term.slot].apply, cells.den
-                left, right = (cells.bind(term.left, arity)[1],
-                               cells.bind(term.right, arity)[1])
-                def bind(idx):
-                    (a, lf), (b, rf) = left(idx), right(idx)
-                    return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
-                return bind
-        elif isinstance(term, Map):
-            degree = 1 + self.compile(term.arg, arity)[0]
-            def make(cells):
-                fams, den = cells.maps[term.name], cells.den
-                inner = cells.bind(term.arg, arity)[1]
-                def bind(idx):
-                    a, fn = inner(idx)
-                    apply = fams[a].apply
-                    return a, lambda bas: apply(a, fn(bas), den)
-                return bind
-        else:
-            # a "lam" term weighs in lam * den, one degree up
-            parts = [(c, self.compile(t, arity)[0] + (c == "lam"), t)
-                     for c, t in term.terms if c]
-            zero = (0,) * self.dim
-            if not parts:
-                return 0, lambda cells: lambda idx: (None, lambda bas: zero)
-            degree = max(dt for _, dt, _ in parts)
-            def make(cells):
-                # a term whose coefficient is 0, lam at weight 0 too, adds
-                # exactly nothing
-                w, den, scaled = cells.weight, cells.den, []
-                lam = w.numerator * (den // w.denominator)
-                for c, dt, t in parts:
-                    c = lam if c == "lam" else c
-                    if c:
-                        scaled.append((c * den ** (degree - dt),
-                                       cells.bind(t, arity)[1]))
-                if not scaled:
-                    return lambda idx: (None, lambda bas: zero)
-                def bind(idx):
-                    bound = [(c, b(idx)) for c, b in scaled]
-                    return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
-                return bind
-        positions = sorted(_positions(term))
-        if len(positions) == arity:
-            return degree, make
-        readers = self._readers(term, positions, arity)
-        return degree, lambda cells: cells.shared(make(cells), positions, readers)
-
-    def _readers(self, term: Term, positions: list[int], arity: int
-                 ) -> list[set]:
-        """[a] -> the keys of the shared entries of term that read index a."""
-        n, key = self.omega.order, itemgetter(*positions)
-        readers = [set() for _ in range(n)]
-        for idx in product(range(n), repeat=arity):
-            for a in _read_at(term, idx, self.omega.table)[1]:
-                readers[a].add(key(idx))
-        return readers
-
-
-@lru_cache(maxsize=64)
-def _plan(omega, dim: int) -> _Plan:
-    """One plan per (Omega, d), so each term is compiled once."""
-    return _Plan(omega, dim)
-
-
 class _Cells:
-    """A binding: the values a plan reads for one checker call, one
-    construction or one whole search, in integers over one common
-    denominator `den`.
+    """The data one checker call, one construction or one whole search
+    reads, in integers over one common denominator `den`, and the terms
+    it has compiled.
 
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds the int tensors,
     each map's matrix per index (as a family whose matrix there is it),
     the twisted columns built from them, lam and the memos of the
-    sub-terms that read fewer variables than their axiom.  rebind(name,
-    a, fam) swaps one map's matrix at one index: it drops the twisted
-    columns at a, rebuilt when next read, and every memo entry that read
-    index a, so a search binds once and rebinds one index per node.
-    Products and maps are applied by their own `apply` at den, looked up
-    here, never by the plan."""
+    sub-terms that read fewer variables than their axiom.  A term
+    compiles to (degree, bind): bind(index tuple) -> (its index,
+    fn(basis tuple) -> its value times den ** degree, an int vector).
+    A variable's degree is its twist's length, a read from a tensor's is
+    1, a product's is 1 plus its arguments', a map's 1 plus its
+    argument's; a sum lifts each term to its largest degree, a "lam"
+    term's counted even at weight 0.  Products and maps are applied by
+    their own `apply` at den, looked up when a term is compiled.  The
+    closures hold the binding's parts, never the binding, so that each
+    binding is freed as soon as it is dropped.
+
+    rebind(name, a, fam) swaps one map's matrix at one index: it drops
+    the twisted columns at a, rebuilt when next read, and every memo, so
+    a search binds once and rebinds one index per node."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
                  products: dict[str, BilinearFamily] | None = None,
                  weight: Fraction = Fraction(0), den: int = 1):
         """Maps and products besides the instance's own, by name."""
-        self.plan = _plan(inst.omega, inst.dim)
         self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
         families = {"p": inst.p, "q": inst.q, **(maps or {})}
         self.products = {**dict(inst.products), **(products or {})}
@@ -326,7 +205,7 @@ class _Cells:
         self.cols = {"": [[tuple(int(i == j) for j in range(d))
                            for i in range(d)]] * n}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
-        self.memos: list[tuple[dict, list[set]]] = []
+        self.memos: list[dict] = []
 
     def column(self, twist: str) -> list[list[IntVector] | None]:
         """[a] -> the twisted basis at index a, or None until `_twisted`
@@ -343,9 +222,8 @@ class _Cells:
         for twist, cols in self.cols.items():
             if name in twist:
                 cols[a] = None
-        for bound, readers in self.memos:
-            for key in readers[a]:
-                bound.pop(key, None)
+        for memo in self.memos:
+            memo.clear()
 
     def rational(self, vector: IntVector, degree: int) -> Vector:
         """The value of a term of this degree from its int vector."""
@@ -354,36 +232,70 @@ class _Cells:
 
     def bind(self, term: Term, arity: int) -> tuple[int, Bind]:
         if (term, arity) not in self.binds:
-            degree, make = self.plan.compile(term, arity)
-            self.binds[term, arity] = degree, make(self)
+            self.binds[term, arity] = self._compile(term, arity)
         return self.binds[term, arity]
 
-    def shared(self, bind: Bind, positions: list[int], readers: list[set]
-               ) -> Bind:
-        """bind, bound and each vector computed once per assignment of
-        `positions`; readers[a] are the assignments that read index a."""
-        key, bound = itemgetter(*positions), {}
-        self.memos.append((bound, readers))
-
-        def bind_shared(idx):
-            k = key(idx)
-            if k not in bound:
-                index, fn = bind(idx)
-                memo = {}
-
-                def cached(bas):
-                    cell = key(bas)
-                    return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
-                bound[k] = index, cached
-            return bound[k]
-        return bind_shared
+    def _compile(self, term: Term, arity: int) -> tuple[int, Bind]:
+        table, den = self.omega.table, self.den
+        if isinstance(term, Var):
+            cols, pos = self.column(term.twist), term.pos
+            twisted = partial(_twisted, self.cols, self.maps, den, term.twist)
+            def bind_var(idx):
+                a = idx[pos]
+                col = cols[a] or twisted(a)
+                return a, lambda bas: col[bas[pos]]
+            return len(term.twist), bind_var
+        if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
+            # a product of two basis vectors is read from the tensor
+            tensor = self.products[term.slot].int_tensor(den).dense
+            u, v = term.left.pos, term.right.pos
+            def bind_read(idx):
+                block = tensor[idx[u]][idx[v]]
+                return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
+            return 1, bind_read
+        if isinstance(term, Mul):
+            apply = self.products[term.slot].apply
+            (dl, left), (dr, right) = (self.bind(term.left, arity),
+                                       self.bind(term.right, arity))
+            degree = 1 + dl + dr
+            def bind(idx):
+                (a, lf), (b, rf) = left(idx), right(idx)
+                return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
+        elif isinstance(term, Map):
+            fams = self.maps[term.name]
+            inner_degree, inner = self.bind(term.arg, arity)
+            degree = 1 + inner_degree
+            def bind(idx):
+                a, fn = inner(idx)
+                apply = fams[a].apply
+                return a, lambda bas: apply(a, fn(bas), den)
+        else:
+            # a "lam" term weighs in lam * den, one degree up; a term whose
+            # coefficient is 0, lam at weight 0 too, adds exactly nothing
+            w = self.weight
+            lam = w.numerator * (den // w.denominator)
+            parts = []
+            for c, t in term.terms:
+                if c:
+                    (c, up), (dt, b) = ((lam, 1) if c == "lam" else (c, 0),
+                                        self.bind(t, arity))
+                    parts.append((c, dt + up, b))
+            degree = max((dt for _, dt, _ in parts), default=0)
+            parts = [(c * den ** (degree - dt), b) for c, dt, b in parts if c]
+            if not parts:
+                zero = (0,) * self.dim
+                return degree, lambda idx: (None, lambda bas: zero)
+            def bind(idx):
+                bound = [(c, b(idx)) for c, b in parts]
+                return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
+        positions = sorted(_positions(term))
+        return degree, (bind if len(positions) == arity
+                        else _shared(bind, positions, self.memos))
 
 
 def _twisted(cols: dict, maps: dict, den: int, twist: str, a: int
              ) -> list[IntVector]:
-    """[i] -> e_i twisted at index a, built once per binding of a.  It
-    takes a binding's parts, not the binding, so that no closure of a
-    binding refers back to it and each is freed as soon as it is dropped."""
+    """[i] -> e_i twisted at index a, built once per binding of a."""
     col = cols[twist]
     if col[a] is None:
         fam = maps[twist[0]][a]
@@ -406,6 +318,26 @@ def _signed_sum(terms):
             acc = tuple(map(op, acc, term(bas)))
         return acc
     return fn
+
+
+def _shared(bind: Bind, positions: list[int], memos: list[dict]) -> Bind:
+    """bind, bound and each vector computed once per assignment of
+    `positions`; the memo of bound entries joins memos."""
+    key, bound = itemgetter(*positions), {}
+    memos.append(bound)
+
+    def bind_shared(idx):
+        k = key(idx)
+        if k not in bound:
+            index, fn = bind(idx)
+            memo = {}
+
+            def cached(bas):
+                cell = key(bas)
+                return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
+            bound[k] = index, cached
+        return bound[k]
+    return bind_shared
 
 
 # -- the checkers -------------------------------------------------------

@@ -10,7 +10,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import NonCommutingStructureMaps, ShapeMismatch
+from .errors import NonCommutingStructureMaps, ShapeMismatch, Singular
 from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
                      vec, zero_vector)
 from .semigroup import SemigroupTable
@@ -85,7 +85,6 @@ class BilinearFamily:
             )
             for a in range(n)
         )
-        # reorder: built [a][b][i][j]; keep as is
         return BilinearFamily(omega, dim, tensor)
 
     @staticmethod
@@ -110,6 +109,8 @@ class BilinearFamily:
         """The tensor times den, a multiple of self.den; built once per den."""
         forms = self._int_forms
         if den not in forms:
+            if den % self.den:
+                raise ValueError(f"den {den} is not a multiple of {self.den}")
             forms[den] = self._ints(den)
         return forms[den]
 
@@ -185,7 +186,6 @@ class LinearFamily:
                             tuple(mat_mul(s, o) for s, o in zip(self.maps, other.maps)))
 
     def inverse(self) -> "LinearFamily":
-        from .errors import Singular
         mats = []
         for a, m in enumerate(self.maps):
             try:

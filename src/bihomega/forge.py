@@ -185,8 +185,9 @@ class SearchConfig:
         if self.target_count is not None and self.target_count < 1:
             raise ValueError("target count must be at least 1, got "
                              f"{self.target_count}")
+        # a repeated entry would enumerate every family again
         object.__setattr__(self, "entries",
-                           tuple(frac(v) for v in self.entries))
+                           tuple(dict.fromkeys(frac(v) for v in self.entries)))
         object.__setattr__(self, "weight", frac(self.weight))
 
 
@@ -209,8 +210,9 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     entries' denominators, so every candidate's matrices are exact in it.
     The unary pass rebinds `name` at each (index, matrix), and a node at
     depth k rebinds it at index k only: that drops the twisted columns
-    at k and the memo entries that read k.  Indices past k keep
-    stale matrices, but no cell compared at depth k reads them.
+    at k and the binding's memos, of which the search axioms make none.
+    Indices past k keep stale matrices, but no cell compared at depth k
+    reads them.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)

@@ -109,6 +109,8 @@ class Matrix:
         nonzero (column, entry) pairs; built once per den."""
         forms = self._int_rows
         if den not in forms:
+            if den % self.den:
+                raise ValueError(f"den {den} is not a multiple of {self.den}")
             forms[den] = tuple(tuple((j, v.numerator * (den // v.denominator))
                                      for j, v in enumerate(self.row(i)) if v)
                                for i in range(self.rows))

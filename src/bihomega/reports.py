@@ -9,12 +9,8 @@ from typing import Callable, Iterable, Sequence
 REPORT_FORMAT_VERSION = 1
 
 
-def _fmt_scalar(v) -> str:
-    return str(v)
-
-
 def _fmt_vector(vec) -> str:
-    return "(" + ", ".join(_fmt_scalar(v) for v in vec) + ")"
+    return "(" + ", ".join(map(str, vec)) + ")"
 
 
 @dataclass(frozen=True)

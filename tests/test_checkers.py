@@ -9,7 +9,9 @@ from bihomega.checkers import (KIND_AXIOMS, _Cells, _report,
                                check_dendriform,
                                check_instance, check_lie, check_morphism,
                                check_postlie, check_prelie, check_prepoisson,
-                               check_rota_baxter, check_zinbiel)
+                               check_rota_baxter, check_zinbiel, mismatches,
+                               morphism_axioms, morphism_cells,
+                               rota_baxter_axioms, rota_baxter_cells)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
@@ -413,8 +415,8 @@ def test_dendriform_swap_detected():
 
 
 def test_a_cached_plan_applies_through_the_classes_it_is_bound_with(monkeypatch):
-    # wrappers put on the apply methods after the plan for (C3, d=2) is
-    # compiled, as a tracer does, still see every product and map applied
+    # wrappers put on the apply methods after a first check, as a tracer
+    # does, still see every product and map applied
     omega = cyclic_group(3)
     p = LinearFamily.constant(omega, Matrix.diagonal([1, -1]))
     inst = zero_instance(AlgebraKind.LIE, omega, 2, p=p)
@@ -445,3 +447,20 @@ def test_a_binding_is_freed_once_dropped_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_rota_baxter_and_morphism_bindings_hold_no_memo():
+    # every sub-term of their axioms reads all the axiom's variables, so
+    # rebinding the searched map costs the searches no memo
+    omega = cyclic_group(3)
+    ident = LinearFamily.identity(omega, 2)
+    for kind in AlgebraKind:
+        inst = zero_instance(kind, omega, 2)
+        slots = inst.slot_names
+        for axioms, cells in (
+                (rota_baxter_axioms(slots),
+                 rota_baxter_cells(inst, RotaBaxterFamily(ident, 1))),
+                (morphism_axioms(slots), morphism_cells(ident, inst, inst))):
+            for axiom in axioms:
+                mismatches(axiom, cells)
+            assert cells.memos == []

@@ -220,6 +220,15 @@ def test_search_rb_roundtrip(two_dim_file, tmp_path, capsys):
     assert len(dend.algebras) == 1
 
 
+def test_search_rb_repeated_entries_write_each_family_once(two_dim_file, tmp_path,
+                                                          capsys):
+    out_path = tmp_path / "rbs.bho"
+    assert main(["search-rb", "--algebra", two_dim_file, "--entries", "0,0",
+                 "--out", str(out_path)]) == 0
+    assert "found 1 operator families" in capsys.readouterr().err
+    assert sorted(parse_workspace(out_path.read_text()).rota_baxter) == ["rb000"]
+
+
 def test_search_rb_limit_below_one_exits_2(two_dim_file, capsys):
     for bad in ("0", "-1", "x"):
         assert main(["search-rb", "--algebra", two_dim_file,

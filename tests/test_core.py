@@ -49,6 +49,11 @@ def test_apply_in_integers_at_a_multiple_of_den():
                                     for v in fam.apply(a, b, x, y))
     # each den's form is built once
     assert fam.int_tensor(84) is fam.int_tensor(84)
+    # at a den that is not a multiple, no int form is exact
+    third = BilinearFamily.from_function(
+        C2, 1, lambda a, b, i, j: (Fraction(1, 3),))
+    with pytest.raises(ValueError, match="not a multiple of 3"):
+        third.apply(0, 0, (1,), (1,), 2)
 
 
 def test_two_dim_example_product():

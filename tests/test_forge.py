@@ -241,6 +241,20 @@ def test_search_respects_entry_set():
         assert set(rb.maps.matrix(0).entries) <= allowed
 
 
+def test_repeated_entries_enumerate_each_family_once():
+    base = two_dim_instance(C2)
+    half = Fraction(1, 2)
+    for repeated, distinct in (((0, 0), (0,)), ((half, "2/4", 0), (half, 0))):
+        cfg = SearchConfig(entries=repeated, weight=1)
+        assert cfg.entries == SearchConfig(entries=distinct).entries
+        for search in (brute_force_rb_search, make_endomorphism_pairs):
+            assert search(base, cfg) == search(
+                base, SearchConfig(entries=distinct, weight=1))
+    # the budget counts distinct entries: one family over {0}
+    found = brute_force_rb_search(base, SearchConfig(entries=(0, 0), budget=1))
+    assert [rb.maps for rb in found] == [LinearFamily.constant(C2, Matrix.zero(2, 2))]
+
+
 # -- the pruned searches against an exhaustive reference ------------------
 
 def _every_family(inst, cfg):

@@ -152,3 +152,7 @@ def test_apply_in_integers_at_a_multiple_of_den():
         assert all(type(v) is int for v in out)
         assert out == tuple(v * 5 * den for v in m.apply(x))
     assert m.int_rows(36) is m.int_rows(36)
+    # at a den that is not a multiple, no int form is exact
+    third = Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(5, 2)]])
+    with pytest.raises(ValueError, match="not a multiple of 6"):
+        third.apply((1, 1), 2)

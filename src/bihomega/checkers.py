@@ -277,8 +277,8 @@ class _Cells:
             parts = []
             for c, t in term.terms:
                 if c:
-                    (c, up), (dt, b) = ((lam, 1) if c == "lam" else (c, 0),
-                                        self.bind(t, arity))
+                    dt, b = self.bind(t, arity)
+                    c, up = (lam, 1) if c == "lam" else (c, 0)
                     parts.append((c, dt + up, b))
             degree = max((dt for _, dt, _ in parts), default=0)
             parts = [(c * den ** (degree - dt), b) for c, dt, b in parts if c]
@@ -322,7 +322,8 @@ def _signed_sum(terms):
 
 def _shared(bind: Bind, positions: list[int], memos: list[dict]) -> Bind:
     """bind, bound and each vector computed once per assignment of
-    `positions`; the memo of bound entries joins memos."""
+    `positions`; its dict of bound entries joins memos, for rebind to
+    clear."""
     key, bound = itemgetter(*positions), {}
     memos.append(bound)
 

@@ -134,12 +134,18 @@ KIND_AXIOMS: dict[AlgebraKind, tuple[Axiom, ...]] = {
 }
 
 
+def rota_baxter_product(m: str) -> Sum:
+    """x.R(y) + R(x).y + lam x.y over product m: R(x).R(y) = R of it is the
+    weight-lam identity, and rb_star_associative and rb_bracket_lie build it."""
+    return Sum(((1, Mul(m, X, R(Y))), (1, Mul(m, R(X), Y)), ("lam", Mul(m, X, Y))))
+
+
 def rota_baxter_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
-    """R(x).R(y) = R(R(x).y + x.R(y) + lam x.y) per product; R commutes with p, q."""
-    return tuple(Axiom(f"rb-identity-{m}", 2, Mul(m, R(X), R(Y)), R(Sum((
-        (1, Mul(m, R(X), Y)), (1, Mul(m, X, R(Y))), ("lam", Mul(m, X, Y))))))
-        for m in slots) + (Axiom("rb-commutes-p", 1, R(p(X)), p(R(X))),
-                           Axiom("rb-commutes-q", 1, R(q(X)), q(R(X))))
+    """R(x).R(y) = R(x.R(y) + R(x).y + lam x.y) per product; R commutes with p, q."""
+    return tuple(Axiom(f"rb-identity-{m}", 2, Mul(m, R(X), R(Y)),
+                       R(rota_baxter_product(m))) for m in slots) + (
+        Axiom("rb-commutes-p", 1, R(p(X)), p(R(X))),
+        Axiom("rb-commutes-q", 1, R(q(X)), q(R(X))))
 
 
 def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:

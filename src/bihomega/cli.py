@@ -73,9 +73,12 @@ def _read_workspace(path: str) -> Workspace:
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}")
 
 
 def _pick_algebra(ws: Workspace, name: str | None) -> tuple[str, object]:
@@ -89,16 +92,11 @@ def _pick_algebra(ws: Workspace, name: str | None) -> tuple[str, object]:
 
 
 def _cmd_check(args) -> int:
-    ws = _read_workspace(args.workspace)
-    reports = []
-    for name in sorted(ws.semigroups):
-        report = validate_semigroup(ws.semigroups[name],
-                                    max_witnesses=args.max_witnesses)
-        reports.append((f"semigroup {name}", report))
-    for name in sorted(ws.algebras):
-        report = check_instance(ws.algebras[name],
-                                max_witnesses=args.max_witnesses)
-        reports.append((f"algebra {name}", report))
+    ws, cap = _read_workspace(args.workspace), args.max_witnesses
+    reports = ([(f"semigroup {name}", validate_semigroup(t, max_witnesses=cap))
+                for name, t in sorted(ws.semigroups.items())]
+               + [(f"algebra {name}", check_instance(inst, max_witnesses=cap))
+                  for name, inst in sorted(ws.algebras.items())])
     if args.axiom is not None:
         reports = [(label, report.restrict(args.axiom))
                    for label, report in reports
@@ -106,17 +104,11 @@ def _cmd_check(args) -> int:
         if not reports:
             raise _CliError(f"no checked object has an axiom named {args.axiom!r}")
     if args.json:
-        records = []
-        for label, report in reports:
-            record = report.to_dict()
-            record["label"] = label
-            records.append(record)
-        doc = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "tool_version": __version__,
-            "reports": records,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        records = [{**report.to_dict(), "label": label}
+                   for label, report in reports]
+        print(json.dumps({"format_version": REPORT_FORMAT_VERSION,
+                          "tool_version": __version__, "reports": records},
+                         indent=2, sort_keys=True))
     else:
         for label, report in reports:
             for line in dataclasses.replace(report, subject=label).summary_lines():
@@ -127,14 +119,13 @@ def _cmd_check(args) -> int:
 def _resolve_named(ws: Workspace, namespace: str, ref: str):
     """Find a family by name in the workspace, or by NAME inside a
     second workspace file given as FILE:NAME or as a one-family FILE."""
-    table = ws.rota_baxter if namespace == "rota_baxter" else ws.linear_maps
+    attr = "rota_baxter" if namespace == "rota_baxter" else "linear_maps"
+    table = getattr(ws, attr)
     if ref in table:
         return table[ref]
     path, _, name = ref.partition(":")
     if os.path.exists(path):
-        other = _read_workspace(path)
-        table = (other.rota_baxter if namespace == "rota_baxter"
-                 else other.linear_maps)
+        table = getattr(_read_workspace(path), attr)
         if name:
             if name not in table:
                 raise _CliError(f"no {namespace} family named {name!r} in {path}")
@@ -163,7 +154,7 @@ def _cmd_construct(args) -> int:
     out = CONSTRUCTIONS[args.name](inst, *(
         _resolve_named(ws, "rota_baxter" if op == "rb" else "maps",
                        getattr(args, op)) for op in operands))
-    omega_name = ws.semigroup_name(inst.omega)
+    omega_name = ws.omega_of[("algebra", alg_name)]
     out_name = args.as_name or f"{alg_name}_{args.name}"
     out_ws = workspace_for_instance(out_name, omega_name, out)
     comments = [f"construction: {args.name}",
@@ -186,7 +177,7 @@ def _cmd_search_rb(args) -> int:
     cfg = SearchConfig(entries=entries, weight=weight,
                        target_count=args.limit)
     found = brute_force_rb_search(inst, cfg)
-    omega_name = ws.semigroup_name(inst.omega)
+    omega_name = ws.omega_of[("algebra", alg_name)]
     out_ws = Workspace()
     out_ws.semigroups[omega_name] = inst.omega
     for idx, rb in enumerate(found):
@@ -200,17 +191,35 @@ def _cmd_search_rb(args) -> int:
     return EXIT_OK
 
 
+def _json_decimal(text: str) -> Fraction:
+    """A JSON decimal, read exactly; its exponent may be no larger than
+    a JSON integer's 4300 digits, so that no power of ten is too large."""
+    if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+        raise ValueError(f"exponent of {text} exceeds 4300")
+    return Fraction(text)
+
+
 def _load_two_dim_params(path: str):
     text = _read_text(path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=_json_decimal)
+    except (ValueError, RecursionError) as exc:
         raise _CliError(f"bad JSON in {path}: {exc}")
     try:
         om = doc["omega"]
-        omega = SemigroupTable(tuple(om["elements"]),
-                               tuple(tuple(row) for row in om["table"]),
-                               bool(om.get("commutative", False)))
+        elements = tuple(om["elements"])
+        # the labels the workspace format reads back
+        if len(set(elements)) != len(elements) or not all(
+                isinstance(e, str) and e.isascii() and e.isidentifier()
+                for e in elements):
+            raise ValueError("element labels must be distinct identifiers")
+        table = tuple(tuple(row) for row in om["table"])
+        if not all(type(v) is int for row in table for v in row):
+            raise ValueError("table entries must be integers")
+        commutative = om.get("commutative", False)
+        if not isinstance(commutative, bool):
+            raise ValueError("'commutative' must be true or false")
+        omega = SemigroupTable(elements, table, commutative)
         c = [[Fraction(v) for v in row] for row in doc["c"]]
         rthree = [Fraction(v) for v in doc["rthree"]]
         lthree = [Fraction(v) for v in doc["lthree"]]
@@ -229,12 +238,10 @@ def _cmd_example(args) -> int:
             print(f"FAIL side-condition {condition} at ({', '.join(indices)})")
         return EXIT_VIOLATIONS
     report = two_dim_reading_report(params)
-    all_pass = True
     out_ws = Workspace()
     out_ws.semigroups["W"] = params.omega
     for reading, (inst, check) in report.items():
         verdict = "PASS" if check.passed else "FAIL"
-        all_pass = all_pass and check.passed
         print(f"{verdict} two-dim reading={reading} "
               f"(q maps e2 to a multiple of {reading})")
         name = f"two_dim_{reading}"
@@ -244,7 +251,8 @@ def _cmd_example(args) -> int:
         _write_text(args.out, serialize_workspace(
             out_ws, ("example: two-dim, both readings of the second "
                      "structure map",)))
-    return EXIT_OK if all_pass else EXIT_VIOLATIONS
+    return (EXIT_OK if all(check.passed for _, check in report.values())
+            else EXIT_VIOLATIONS)
 
 
 def _cmd_fmt(args) -> int:

@@ -13,7 +13,8 @@ from functools import reduce
 from itertools import combinations
 
 from .checkers import (Mul, R, Sum, Var, X, Y, _Cells, check_instance,
-                       check_morphism, check_rota_baxter, minus, plus)
+                       check_morphism, check_rota_baxter, minus, plus,
+                       rota_baxter_product)
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind as K,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
@@ -47,20 +48,15 @@ def _flip(m: str) -> Mul:
 _FLIPS = ("commutative", "inverses")  # what the flip, reading p^-1 and q^-1, needs
 
 
-def _rb(m: str) -> Sum:
-    return Sum(((1, Mul(m, X, R(Y))), (1, Mul(m, R(X), Y)),
-                ("lam", Mul(m, X, Y))))
-
-
 RECIPES: dict[str, Recipe] = {
     "yau_twist": Recipe(
         {k: k for k in K} | _to(K.BIHOM_ASSOCIATIVE, *ASSOCIATIVE_KINDS),
         {m: Mul(m, Var(0, "s"), Var(1, "t")) for k in K for m in k.product_slots},
         ("p2", "q2"), ("commuting",), ("ps", "qt")),
     "rb_star_associative": Recipe(
-        {k: k for k in ASSOCIATIVE_KINDS}, {"mul": _rb("mul")}, ("rb",),
-        post=(("instance", "output not associative"),
-              ("rb", "operator family lost on the output"))),
+        {k: k for k in ASSOCIATIVE_KINDS}, {"mul": rota_baxter_product("mul")},
+        ("rb",), post=(("instance", "output not associative"),
+                       ("rb", "operator family lost on the output"))),
     "dendriform_total": Recipe(
         _to(K.BIHOM_ASSOCIATIVE, K.DENDRIFORM),
         {"mul": plus(Mul("prec", X, Y), Mul("succ", X, Y))}),
@@ -84,7 +80,7 @@ RECIPES: dict[str, Recipe] = {
         {"bracket": minus(Mul("mul", X, Y), _flip("mul"))},
         requires=_FLIPS),
     "rb_bracket_lie": Recipe(
-        _to(K.LIE, K.LIE), {"bracket": _rb("bracket")}, ("rb",)),
+        _to(K.LIE, K.LIE), {"bracket": rota_baxter_product("bracket")}, ("rb",)),
     "rb_lie_to_prelie": Recipe(
         _to(K.PRELIE, K.LIE), {"triangle": Mul("bracket", R(X), Y)}, ("rb",),
         ("weight0",)),

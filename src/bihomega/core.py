@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import NonCommutingStructureMaps, ShapeMismatch, Singular
 from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
@@ -294,23 +294,20 @@ class AlgebraInstance:
 
 
 def new_instance(kind: AlgebraKind, omega: SemigroupTable,
-                 products: Mapping[str, BilinearFamily] | tuple,
+                 products: tuple[tuple[str, BilinearFamily], ...],
                  p: LinearFamily, q: LinearFamily,
                  provenance: Provenance | None = None) -> AlgebraInstance:
-    """Validate shapes and the commuting p/q invariant, then build."""
-    if isinstance(products, Mapping):
-        items = tuple(products.items())
-    else:
-        items = tuple(products)
-    slots = tuple(name for name, _ in items)
+    """Validate shapes and the commuting p/q invariant, then build from
+    the (slot, family) pairs."""
+    slots = tuple(name for name, _ in products)
     if slots != kind.product_slots:
         raise ShapeMismatch(
             f"kind {kind.value} expects products {kind.product_slots}, got {slots}")
-    dims = {fam.dim for _, fam in items} | {p.dim, q.dim}
+    dims = {fam.dim for _, fam in products} | {p.dim, q.dim}
     if len(dims) != 1:
         raise ShapeMismatch(f"inconsistent dimensions {sorted(dims)}")
     dim = dims.pop()
-    for _, fam in items:
+    for _, fam in products:
         if fam.omega != omega:
             raise ShapeMismatch("product family indexed by a different semigroup")
     if p.omega != omega or q.omega != omega:
@@ -318,7 +315,7 @@ def new_instance(kind: AlgebraKind, omega: SemigroupTable,
     for a in omega.indices():
         if not mats_commute(p.maps[a], q.maps[a]):
             raise NonCommutingStructureMaps(omega.elements[a])
-    return AlgebraInstance(kind, omega, dim, items, p, q, provenance)
+    return AlgebraInstance(kind, omega, dim, products, p, q, provenance)
 
 
 @dataclass(frozen=True)

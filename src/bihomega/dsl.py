@@ -26,12 +26,10 @@ from .semigroup import SemigroupTable
 HEADER = "# bihomega workspace"
 
 # Only "\n" ends a line; other whitespace, like a comment, is skipped.
+# The group that matches a token is its kind.
 _SCAN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*"
-                      r"|(?P<token>[A-Za-z_][A-Za-z0-9_]*|\d+|[{}()\[\]:;,*=+\-/])"
-                      r"|(?P<stray>.)")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"\d+")
-_BASIS = re.compile(r"e\d+")
+                      r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+                      r"|(?P<punct>[{}()\[\]:;,*=+\-/])|(?P<stray>.)")
 _KINDS = {k.value: k for k in AlgebraKind}
 
 
@@ -43,14 +41,9 @@ class Workspace:
     rota_baxter: dict[str, RotaBaxterFamily] = field(default_factory=dict)
     omega_of: dict[tuple[str, str], str] = field(default_factory=dict)
 
-    def semigroup_name(self, table: SemigroupTable) -> str:
-        for name, t in self.semigroups.items():
-            if t == table:
-                return name
-        raise ResolutionError("instance's semigroup is not in the workspace")
 
-
-_Token = namedtuple("_Token", "text line column")
+# kind: "ident", "int" or "punct", or "end" for the parser's end token
+_Token = namedtuple("_Token", "text line column kind")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -58,35 +51,37 @@ def _tokenize(text: str) -> list[_Token]:
     line, line_start = 1, 0
     for m in _SCAN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "token":
-            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
-        elif kind == "newline":
+        if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "stray":
             raise ParseError(line, m.start() - line_start + 1, "a token",
                              m.group())
+        elif kind is not None:
+            tokens.append(_Token(m.group(), line, m.start() - line_start + 1,
+                                 kind))
     return tokens
+
+
+def _is_basis(tok: _Token) -> bool:
+    """A basis vector: an identifier made of `e` and digits."""
+    return tok.kind == "ident" and tok.text[0] == "e" and tok.text[1:].isdigit()
 
 
 class _Parser:
     def __init__(self, text: str):
+        # one end token closes the input: just past the last token, or at 1:1
         self.tokens = _tokenize(text)
+        last = self.tokens[-1] if self.tokens else _Token("", 1, 1, "")
+        self.tokens.append(_Token("end of input", last.line,
+                                  last.column + len(last.text), "end"))
         self.pos = 0
         self.ws = Workspace()
 
     # token plumbing -------------------------------------------------
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _fail(self, expected: str, back: int = 0):
         """Raise at the next token, or at the one `back` tokens before it."""
-        self.pos -= back
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ParseError(last.line, last.column + len(last.text),
-                             expected, "end of input")
+        tok = self.tokens[self.pos - back]
         raise ParseError(tok.line, tok.column, expected, tok.text)
 
     def _expect(self, text: str):
@@ -94,30 +89,30 @@ class _Parser:
             self._fail(repr(text))
 
     def _accept(self, text: str) -> bool:
-        tok = self._peek()
-        if tok is not None and tok.text == text:
+        if self.tokens[self.pos].text == text:
             self.pos += 1
             return True
         return False
 
-    def _at(self, pattern: re.Pattern) -> bool:
-        tok = self._peek()
-        return tok is not None and pattern.fullmatch(tok.text) is not None
-
-    def _take(self, pattern: re.Pattern, what: str) -> str:
-        if not self._at(pattern):
+    def _take(self, kind: str, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
             self._fail(what)
         self.pos += 1
-        return self.tokens[self.pos - 1].text
+        return tok.text
 
     def _basis_index(self, dim: int) -> int:
-        k = int(self._take(_BASIS, "a basis vector like 'e1'")[1:])
+        tok = self.tokens[self.pos]
+        if not _is_basis(tok):
+            self._fail("a basis vector like 'e1'")
+        self.pos += 1
+        k = int(tok.text[1:])
         if not 1 <= k <= dim:
             raise ResolutionError(f"basis vector e{k} out of range for dim {dim}")
         return k - 1
 
     def _name(self, keyword: str, taken: dict, what: str) -> str:
-        name = self._take(_IDENT, what)
+        name = self._take("ident", what)
         if name in taken:
             raise ResolutionError(f"duplicate {keyword} name {name!r}")
         return name
@@ -125,20 +120,20 @@ class _Parser:
     def _over(self, owner: str) -> tuple[str, SemigroupTable, int]:
         """`over W dim D`, the clause algebra and family headers share."""
         self._expect("over")
-        omega_name = self._take(_IDENT, "a semigroup name")
+        omega_name = self._take("ident", "a semigroup name")
         if omega_name not in self.ws.semigroups:
             raise ResolutionError(f"unknown semigroup {omega_name!r}")
         self._expect("dim")
-        dim = int(self._take(_INT, "an integer"))
+        dim = int(self._take("int", "an integer"))
         if dim < 1:
             raise ResolutionError(f"{owner} must have dim at least 1")
         return omega_name, self.ws.semigroups[omega_name], dim
 
     def _rational(self) -> Fraction:
         sign = -1 if self._accept("-") else 1
-        num = int(self._take(_INT, "an integer"))
+        num = int(self._take("int", "an integer"))
         if self._accept("/"):
-            den = int(self._take(_INT, "an integer"))
+            den = int(self._take("int", "an integer"))
             if den == 0:
                 self._fail("a nonzero denominator", back=1)
             return Fraction(sign * num, den)
@@ -151,7 +146,7 @@ class _Parser:
                  "algebra": self._parse_algebra,
                  "maps": self._parse_family,
                  "rota_baxter": self._parse_family}
-        while (tok := self._peek()) is not None:
+        while (tok := self.tokens[self.pos]).kind != "end":
             if tok.text not in rules:
                 self._fail("'semigroup', 'algebra', 'maps' or 'rota_baxter'")
             self.pos += 1
@@ -164,7 +159,7 @@ class _Parser:
         self._expect("elements")
         elements = []
         while not self._accept(";"):
-            elements.append(self._take(_IDENT, "an element label or ';'"))
+            elements.append(self._take("ident", "an element label or ';'"))
         if not elements:
             self._fail("at least one element label", back=1)
         index = {e: i for i, e in enumerate(elements)}
@@ -192,16 +187,15 @@ class _Parser:
                     raise ResolutionError(
                         f"semigroup {name!r} table is missing "
                         f"{elements[i]}*{elements[j]}")
-        commutative = False
-        if self._accept("commutative"):
+        commutative = self._accept("commutative")
+        if commutative:
             self._expect(";")
-            commutative = True
         self._expect("}")
         self.ws.semigroups[name] = SemigroupTable(
             tuple(elements), tuple(tuple(row) for row in table), commutative)
 
     def _element(self, index: dict[str, int], sg_name: str) -> int:
-        label = self._take(_IDENT, "an element label")
+        label = self._take("ident", "an element label")
         if label not in index:
             raise ResolutionError(
                 f"unknown element {label!r} of semigroup {sg_name!r}")
@@ -263,10 +257,11 @@ class _Parser:
     def _parse_lincomb(self, dim: int) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * dim
         while True:
-            if self._peek() is None:
+            tok = self.tokens[self.pos]
+            if tok.kind == "end":
                 self._fail("a term")
-            coeff = Fraction(1) if self._at(_BASIS) else self._rational()
-            if coeff != 0 or self._at(_BASIS):
+            coeff = Fraction(1) if _is_basis(tok) else self._rational()
+            if coeff != 0 or _is_basis(self.tokens[self.pos]):
                 out[self._basis_index(dim)] += coeff
             if not self._accept("+"):
                 break
@@ -275,7 +270,7 @@ class _Parser:
     def _parse_algebra(self, keyword: str):
         name = self._name(keyword, self.ws.algebras, "an algebra name")
         self._expect(":")
-        kind_name = self._take(_IDENT, "an algebra kind")
+        kind_name = self._take("ident", "an algebra kind")
         if kind_name not in _KINDS:
             raise ResolutionError(f"unknown algebra kind {kind_name!r}")
         kind = _KINDS[kind_name]
@@ -287,7 +282,7 @@ class _Parser:
         maps: dict[str, LinearFamily] = {}
         while not self._accept("}"):
             if self._accept("product"):
-                slot = self._take(_IDENT, "a product name")
+                slot = self._take("ident", "a product name")
                 if slot not in kind.product_slots:
                     raise ResolutionError(
                         f"kind {kind_name} has no product {slot!r}")
@@ -316,7 +311,7 @@ class _Parser:
                     entries[(a, b, i, j)] = cell
                 product_entries[slot] = entries
             elif self._accept("map"):
-                which = self._take(_IDENT, "'p' or 'q'")
+                which = self._take("ident", "'p' or 'q'")
                 if which not in ("p", "q"):
                     self._fail("'p' or 'q'", back=1)
                 if which in maps:
@@ -375,10 +370,8 @@ def _serialize_semigroup(name: str, t: SemigroupTable) -> list[str]:
 
 
 def _serialize_map_body(fam: LinearFamily, indent: str) -> list[str]:
-    lines = []
-    for a, label in enumerate(fam.omega.elements):
-        lines.append(f"{indent}{label}: {_fmt_matrix(fam.maps[a])};")
-    return lines
+    return [f"{indent}{label}: {_fmt_matrix(m)};"
+            for label, m in zip(fam.omega.elements, fam.maps)]
 
 
 def _serialize_algebra(name: str, omega_name: str,

@@ -76,8 +76,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(Fraction(1 if i == j else 0)
-                                  for i in range(n) for j in range(n)))
+        return Matrix.diagonal((1,) * n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -146,14 +145,12 @@ def rows_times(rows: IntRows, x: Sequence, zero=0) -> tuple:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Multiplied on the integer forms, then divided by both denominators."""
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    entries = []
-    for i in range(a.rows):
-        for j in range(b.cols):
-            entries.append(sum((a.get(i, k) * b.get(k, j) for k in range(a.cols)),
-                               Fraction(0)))
-    return Matrix(a.rows, b.cols, tuple(entries))
+    rows = _int_mul(a.int_rows(a.den), b.int_rows(b.den), b.cols)
+    den = a.den * b.den
+    return Matrix(a.rows, b.cols, tuple(Fraction(v, den) for row in rows for v in row))
 
 
 def mat_inverse(a: Matrix) -> Matrix:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -435,3 +436,121 @@ def _mutated_golden(draw) -> bytes:
 @given(_mutated_golden())
 def test_main_exit_codes_on_mutated_workspaces(data):
     _exit_codes_hold(data, lambda path: _commands(path)[:4])
+
+
+def test_out_that_cannot_be_written_exits_2(two_dim_file, tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(PARAMS_OK))
+    commands = (["fmt", two_dim_file],
+                ["construct", "assoc_to_lie", "--input", two_dim_file],
+                ["search-rb", "--algebra", two_dim_file, "--entries", "0"],
+                ["example", "two-dim", "--params", str(params)])
+    # a file under a missing directory, and a directory
+    for out in (str(tmp_path / "missing" / "x.bho"), str(tmp_path)):
+        for argv in commands:
+            assert main(argv + ["--out", out]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {out}: "), argv
+            assert "Traceback" not in err
+
+
+_W_THEN_V = GOLDEN_TWO_DIM.replace(
+    "\nalgebra two_dim : bihom_associative over W",
+    "\nsemigroup V { elements g0 g1; table { g0*g0 = g0; g0*g1 = g1; "
+    "g1*g0 = g1; g1*g1 = g0; } commutative; }\n"
+    "\nalgebra two_dim : bihom_associative over V")
+
+
+def test_outputs_keep_the_semigroup_the_algebra_was_declared_over(tmp_path,
+                                                                 capsys):
+    path = tmp_path / "w_then_v.bho"
+    path.write_text(_W_THEN_V)
+    ws = parse_workspace(_W_THEN_V)
+    assert ws.semigroups["W"] == ws.semigroups["V"]
+    assert ws.omega_of[("algebra", "two_dim")] == "V"
+    out_path = tmp_path / "out.bho"
+    assert main(["construct", "assoc_to_lie", "--input", str(path),
+                 "--out", str(out_path)]) == 0
+    out = parse_workspace(out_path.read_text())
+    assert list(out.semigroups) == ["V"]
+    assert out.omega_of == {("algebra", "two_dim_assoc_to_lie"): "V"}
+    assert main(["search-rb", "--algebra", str(path), "--entries", "0",
+                 "--out", str(out_path)]) == 0
+    out = parse_workspace(out_path.read_text())
+    assert list(out.semigroups) == ["V"]
+    assert out.omega_of == {("rb", "rb000"): "V"}
+
+
+def _params_with(**omega):
+    return dict(PARAMS_OK, omega=dict(PARAMS_OK["omega"], **omega))
+
+
+# each document is refused before any example is built
+BAD_PARAMS = [
+    ("commutative-string", _params_with(commutative="false"),
+     "'commutative' must be true or false"),
+    ("table-decimal", _params_with(table=[[0.0, 1], [1, 0]]),
+     "table entries must be integers"),
+    ("table-bool", _params_with(table=[[0, True], [True, 0]]),
+     "table entries must be integers"),
+    ("integer-labels", _params_with(elements=[0, 1]),
+     "element labels must be distinct identifiers"),
+    ("label-not-an-identifier", _params_with(elements=["g0", "g-1"]),
+     "element labels must be distinct identifiers"),
+    ("label-not-ascii", _params_with(elements=["g0", "gé"]),
+     "element labels must be distinct identifiers"),
+    ("repeated-labels", _params_with(elements=["g0", "g0"]),
+     "element labels must be distinct identifiers"),
+]
+
+
+@pytest.mark.parametrize("doc, message", [row[1:] for row in BAD_PARAMS],
+                         ids=[row[0] for row in BAD_PARAMS])
+def test_example_rejects_bad_parameter_documents(tmp_path, capsys, doc,
+                                                 message):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    assert main(["example", "two-dim", "--params", str(params)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad parameter document: "
+                                       f"{message}\n")
+
+
+def test_example_reads_json_decimals_exactly(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(dict(PARAMS_OK, c=[[0.1, 0.1], [0.1, 0.1]])))
+    out_path = tmp_path / "example.bho"
+    assert main(["example", "two-dim", "--params", str(params),
+                 "--out", str(out_path)]) == 0
+    ws = parse_workspace(out_path.read_text())
+    mul = ws.algebras["two_dim_e2"].product("mul")
+    assert mul.basis_product(0, 0, 0, 0) == (Fraction(1, 10), 0)
+    assert "(g0,g0): e1*e1 = 1/10 e1;" in out_path.read_text()
+
+
+def test_example_refuses_a_decimal_exponent_past_the_digit_limit(tmp_path,
+                                                                 capsys):
+    params = tmp_path / "params.json"
+    text = json.dumps(dict(PARAMS_OK, c=[["E", 1], [1, 1]]))
+    for big in ("1e999999999", "1e-999999999"):
+        params.write_text(text.replace('"E"', big))
+        assert main(["example", "two-dim", "--params", str(params)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad JSON in {params}: exponent of {big}")
+
+
+def test_name_lookups_that_find_nothing_exit_2(two_dim_file, tmp_path, capsys):
+    assert main(["construct", "assoc_to_lie", "--input", two_dim_file,
+                 "--algebra", "zz"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no algebra named 'zz' in the workspace\n")
+    rbs = tmp_path / "rbs.bho"
+    assert main(["search-rb", "--algebra", two_dim_file, "--entries", "0,-1",
+                 "--weight", "1", "--limit", "2", "--out", str(rbs)]) == 0
+    capsys.readouterr()
+    split = ["construct", "rb_split_dendriform", "--input", two_dim_file]
+    assert main(split + ["--rb", f"{rbs}:zz"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: no rota_baxter family named 'zz' in {rbs}\n")
+    assert main(split + ["--rb", str(rbs)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {rbs} holds 2 rota_baxter families; use FILE:NAME\n")

@@ -11,15 +11,18 @@ from bihomega.constructions import (CONSTRUCTIONS, assoc_as_prelie,
                                     rb_bracket_lie, rb_lie_to_prelie,
                                     rb_split_dendriform, rb_star_associative,
                                     yau_twist)
+from bihomega.constructions import RECIPES
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.errors import (KindMismatch, MorphismCheckFailed,
                              NonCommutingFamilies, NonzeroWeight,
                              PreconditionCheckFailed, Singular)
+from bihomega.errors import NonCommutativeOmega
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
 from bihomega.linalg import Matrix, basis_vector, mat_inverse
 from bihomega.semigroup import cyclic_group, trivial_semigroup
+from bihomega.semigroup import left_zero_semigroup
 from conftest import LIE_2D, two_dim_instance
 from test_checkers import _twisted_instance
 
@@ -336,3 +339,26 @@ def test_constructions_follow_their_formulas_on_twisted_input():
             for x in e:
                 assert out.p.apply(a, x) == p.apply(a, s.apply(a, x) if s else x)
                 assert out.q.apply(a, x) == q.apply(a, t.apply(a, x) if t else x)
+
+
+@pytest.mark.parametrize("name", ["assoc_as_prelie", "assoc_to_lie",
+                                  "dendriform_to_prelie", "postlie_to_lie",
+                                  "prelie_to_lie"])
+def test_noncommutative_omega_refused_before_any_checker(name, monkeypatch):
+    assert "commutative" in RECIPES[name].requires
+    def checker(*args, **kwargs):
+        raise AssertionError(f"{name} ran a checker")
+    for which in ("check_instance", "check_morphism", "check_rota_baxter"):
+        monkeypatch.setattr(f"bihomega.constructions.{which}", checker)
+    kind = next(iter(RECIPES[name].kinds))
+    a = zero_instance(kind, left_zero_semigroup(2), 2)
+    with pytest.raises(NonCommutativeOmega) as err:
+        CONSTRUCTIONS[name](a)
+    assert str(err.value) == f"{name} requires a commutative index semigroup"
+
+
+def test_every_recipe_that_needs_a_commutative_omega_is_covered():
+    assert sorted(name for name, recipe in RECIPES.items()
+                  if "commutative" in recipe.requires) == [
+        "assoc_as_prelie", "assoc_to_lie", "dendriform_to_prelie",
+        "postlie_to_lie", "prelie_to_lie"]

@@ -369,6 +369,10 @@ RESOLUTION_ERRORS = [
      "unknown element 'u' of semigroup 'T'"),
     (_SG + "rota_baxter r over T dim 1 weight 0 { u: [[1]]; }",
      "unknown element 'u' of semigroup 'T'"),
+    (_ALG + "  product bracket { } }",
+     "kind bihom_associative has no product 'bracket'"),
+    (_ALG + "  map p { t: [[1, 1], [0, 1]]; } map q { t: [[1, 0], [1, 1]]; } }",
+     "algebra 'a': structure maps p and q do not commute at index 't'"),
 ]
 
 

@@ -156,3 +156,30 @@ def test_apply_in_integers_at_a_multiple_of_den():
     third = Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(5, 2)]])
     with pytest.raises(ValueError, match="not a multiple of 6"):
         third.apply((1, 1), 2)
+
+
+@st.composite
+def matrix_pair(draw):
+    """The rows of two matrices that multiply, of any shape up to 4x4,
+    square or not, with many zero entries."""
+    n, k, m = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    return ([[draw(entry) for _ in range(k)] for _ in range(n)],
+            [[draw(entry) for _ in range(m)] for _ in range(k)])
+
+
+@given(matrix_pair())
+@settings(max_examples=80, deadline=None)
+def test_mat_mul_matches_dense_sum(case):
+    a, b = case
+    dense = []
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            total = Fraction(0)
+            for k in range(len(b)):
+                total += a[i][k] * b[k][j]
+            dense.append(total)
+    out = mat_mul(Matrix.from_rows(a), Matrix.from_rows(b))
+    assert (out.rows, out.cols) == (len(a), len(b[0]))
+    assert out.entries == tuple(dense)
+    assert all(type(v) is Fraction for v in out.entries)

@@ -86,6 +86,8 @@ def _pick_algebra(ws: Workspace, name: str | None) -> tuple[str, object]:
         if name not in ws.algebras:
             raise _CliError(f"no algebra named {name!r} in the workspace")
         return name, ws.algebras[name]
+    if not ws.algebras:
+        raise _CliError("workspace holds no algebra")
     if len(ws.algebras) == 1:
         return next(iter(ws.algebras.items()))
     raise _CliError("workspace holds several algebras; pass --algebra NAME")
@@ -199,6 +201,14 @@ def _json_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _scalar(value) -> Fraction:
+    """A parameter scalar: an integer, a string such as "1/3" or a JSON
+    decimal, but not `true` or `false`, which `Fraction` reads as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError("scalars must not be true or false")
+    return Fraction(value)
+
+
 def _load_two_dim_params(path: str):
     text = _read_text(path)
     try:
@@ -207,6 +217,8 @@ def _load_two_dim_params(path: str):
         raise _CliError(f"bad JSON in {path}: {exc}")
     try:
         om = doc["omega"]
+        if not isinstance(om["elements"], list):
+            raise ValueError("'elements' must be a list of labels")
         elements = tuple(om["elements"])
         # the labels the workspace format reads back
         if len(set(elements)) != len(elements) or not all(
@@ -220,9 +232,9 @@ def _load_two_dim_params(path: str):
         if not isinstance(commutative, bool):
             raise ValueError("'commutative' must be true or false")
         omega = SemigroupTable(elements, table, commutative)
-        c = [[Fraction(v) for v in row] for row in doc["c"]]
-        rthree = [Fraction(v) for v in doc["rthree"]]
-        lthree = [Fraction(v) for v in doc["lthree"]]
+        c = [[_scalar(v) for v in row] for row in doc["c"]]
+        rthree = [_scalar(v) for v in doc["rthree"]]
+        lthree = [_scalar(v) for v in doc["lthree"]]
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CliError(f"bad parameter document: {exc}")
     return two_dim_params(omega, c, rthree, lthree)

@@ -4,10 +4,12 @@ A workspace holds named semigroups, algebras, linear-map families and
 operator families.  The grammar is LL(1); `#` starts a comment anywhere
 on a line and runs to its end.  A linear combination's coefficient is
 optional (`e2` means `1 e2`) and a bare `0` stands for the zero vector.
-A name or entry repeated within its scope is an error.  Serialization
-is canonical: names sorted, rationals in lowest terms with explicit
-coefficients, only nonzero tensor entries written, fixed two-space
-indentation.
+A name or entry repeated within its scope is an error.  The parser reads
+the token texts alone; a stray character anywhere is reported first, and
+line and column are worked out only when an error is raised.
+Serialization is canonical: names sorted, rationals in lowest terms with
+explicit coefficients, only nonzero tensor entries written, fixed
+two-space indentation.
 """
 
 from __future__ import annotations
@@ -25,11 +27,19 @@ from .semigroup import SemigroupTable
 
 HEADER = "# bihomega workspace"
 
-# Only "\n" ends a line; other whitespace, like a comment, is skipped.
-# The group that matches a token is its kind.
-_SCAN_RE = re.compile(r"(?P<newline>\n)|[^\S\n]+|#[^\n]*"
-                      r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
-                      r"|(?P<punct>[{}()\[\]:;,*=+\-/])|(?P<stray>.)")
+# A token is an identifier, an integer or one punctuation character.  Only
+# "\n" ends a line; other whitespace, like a comment, is skipped.
+_PUNCT = r"{}()\[\]:;,*=+\-/"
+_TOKEN = rf"[A-Za-z_][A-Za-z0-9_]*|\d+|[{_PUNCT}]"
+_SCAN_RE = re.compile(
+    rf"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<token>{_TOKEN})|(?P<stray>.)")
+_TOKENS_RE = re.compile(rf"#[^\n]*|{_TOKEN}")
+# up to the first stray character: each of the class starts a token
+_CLEAN_RE = re.compile(rf"(?:[\sA-Za-z_\d{_PUNCT}]+|#[^\n]*)*")
+_END = "#"      # closes the token texts: every "#" starts a comment
+# the kinds a rule takes, told by a token's first character (no token
+# starts with a non-ASCII letter: that is a stray character)
+_IS_KIND = {"ident": lambda c: c.isalpha() or c == "_", "int": str.isdecimal}
 _KINDS = {k.value: k for k in AlgebraKind}
 
 
@@ -42,11 +52,11 @@ class Workspace:
     omega_of: dict[tuple[str, str], str] = field(default_factory=dict)
 
 
-# kind: "ident", "int" or "punct", or "end" for the parser's end token
-_Token = namedtuple("_Token", "text line column kind")
+_Token = namedtuple("_Token", "text line column")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Every token with its line and column, which only errors need."""
     tokens = []
     line, line_start = 1, 0
     for m in _SCAN_RE.finditer(text):
@@ -57,31 +67,35 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(line, m.start() - line_start + 1, "a token",
                              m.group())
         elif kind is not None:
-            tokens.append(_Token(m.group(), line, m.start() - line_start + 1,
-                                 kind))
+            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
     return tokens
 
 
-def _is_basis(tok: _Token) -> bool:
+def _is_basis(tok: str) -> bool:
     """A basis vector: an identifier made of `e` and digits."""
-    return tok.kind == "ident" and tok.text[0] == "e" and tok.text[1:].isdigit()
+    return tok[0] == "e" and tok[1:].isdigit()
 
 
 class _Parser:
     def __init__(self, text: str):
-        # one end token closes the input: just past the last token, or at 1:1
-        self.tokens = _tokenize(text)
-        last = self.tokens[-1] if self.tokens else _Token("", 1, 1, "")
-        self.tokens.append(_Token("end of input", last.line,
-                                  last.column + len(last.text), "end"))
+        if _CLEAN_RE.match(text).end() < len(text):
+            _tokenize(text)     # raises at the first stray character
+        self.text = text
+        self.toks = [t for t in _TOKENS_RE.findall(text) if t[0] != "#"]
+        self.toks.append(_END)
         self.pos = 0
         self.ws = Workspace()
 
     # token plumbing -------------------------------------------------
 
     def _fail(self, expected: str, back: int = 0):
-        """Raise at the next token, or at the one `back` tokens before it."""
-        tok = self.tokens[self.pos - back]
+        """Raise at the next token, or at the one `back` tokens before it;
+        the end of input is just past the last token, or at 1:1."""
+        tokens = _tokenize(self.text)
+        last = tokens[-1] if tokens else _Token("", 1, 1)
+        tokens.append(_Token("end of input", last.line,
+                             last.column + len(last.text)))
+        tok = tokens[self.pos - back]
         raise ParseError(tok.line, tok.column, expected, tok.text)
 
     def _expect(self, text: str):
@@ -89,24 +103,24 @@ class _Parser:
             self._fail(repr(text))
 
     def _accept(self, text: str) -> bool:
-        if self.tokens[self.pos].text == text:
+        if self.toks[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def _take(self, kind: str, what: str) -> str:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        tok = self.toks[self.pos]
+        if not _IS_KIND[kind](tok[0]):
             self._fail(what)
         self.pos += 1
-        return tok.text
+        return tok
 
     def _basis_index(self, dim: int) -> int:
-        tok = self.tokens[self.pos]
+        tok = self.toks[self.pos]
         if not _is_basis(tok):
             self._fail("a basis vector like 'e1'")
         self.pos += 1
-        k = int(tok.text[1:])
+        k = int(tok[1:])
         if not 1 <= k <= dim:
             raise ResolutionError(f"basis vector e{k} out of range for dim {dim}")
         return k - 1
@@ -146,11 +160,11 @@ class _Parser:
                  "algebra": self._parse_algebra,
                  "maps": self._parse_family,
                  "rota_baxter": self._parse_family}
-        while (tok := self.tokens[self.pos]).kind != "end":
-            if tok.text not in rules:
+        while (tok := self.toks[self.pos]) != _END:
+            if tok not in rules:
                 self._fail("'semigroup', 'algebra', 'maps' or 'rota_baxter'")
             self.pos += 1
-            rules[tok.text](tok.text)
+            rules[tok](tok)
         return self.ws
 
     def _parse_semigroup(self, keyword: str):
@@ -257,12 +271,13 @@ class _Parser:
     def _parse_lincomb(self, dim: int) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * dim
         while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "end":
+            tok = self.toks[self.pos]
+            if tok == _END:
                 self._fail("a term")
             coeff = Fraction(1) if _is_basis(tok) else self._rational()
-            if coeff != 0 or _is_basis(self.tokens[self.pos]):
-                out[self._basis_index(dim)] += coeff
+            if coeff != 0 or _is_basis(self.toks[self.pos]):
+                k = self._basis_index(dim)   # add only to a repeated vector
+                out[k] = out[k] + coeff if out[k] else coeff
             if not self._accept("+"):
                 break
         return tuple(out)

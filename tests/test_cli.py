@@ -501,6 +501,14 @@ BAD_PARAMS = [
      "element labels must be distinct identifiers"),
     ("repeated-labels", _params_with(elements=["g0", "g0"]),
      "element labels must be distinct identifiers"),
+    ("labels-in-a-string", _params_with(elements="ab"),
+     "'elements' must be a list of labels"),
+    ("c-bool", dict(PARAMS_OK, c=[[True, "1"], ["1", "1"]]),
+     "scalars must not be true or false"),
+    ("rthree-bool", dict(PARAMS_OK, rthree=["1", True]),
+     "scalars must not be true or false"),
+    ("lthree-bool", dict(PARAMS_OK, lthree=[False, "1"]),
+     "scalars must not be true or false"),
 ]
 
 
@@ -554,3 +562,13 @@ def test_name_lookups_that_find_nothing_exit_2(two_dim_file, tmp_path, capsys):
     assert main(split + ["--rb", str(rbs)]) == 2
     assert capsys.readouterr().err == (
         f"error: {rbs} holds 2 rota_baxter families; use FILE:NAME\n")
+
+
+def test_a_workspace_with_no_algebra_exits_2(tmp_path, capsys):
+    path = tmp_path / "semigroup_only.bho"
+    path.write_text("semigroup T { elements t; table { t*t = t; } }\n")
+    for argv in (["construct", "assoc_to_lie", "--input", str(path)],
+                 ["search-rb", "--algebra", str(path), "--entries", "0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: workspace holds no "
+                                           "algebra\n"), argv

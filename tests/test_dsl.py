@@ -1,4 +1,6 @@
 import re
+from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 
 from bihomega import dsl
 from bihomega.core import AlgebraKind
+from bihomega.core import BilinearFamily, LinearFamily, new_instance
 from bihomega.dsl import (HEADER, Workspace, parse_workspace,
                           serialize_workspace, workspace_for_instance)
 from bihomega.errors import ParseError, ResolutionError
 from bihomega.forge import constant_product_instance, zero_instance
+from bihomega.linalg import Matrix
 from bihomega.semigroup import cyclic_group, trivial_semigroup
 from conftest import LIE_2D, full_corpus, two_dim_instance
 
@@ -404,3 +408,81 @@ def test_repeated_entry_in_a_block_rejected(text, message):
     with pytest.raises(ResolutionError) as err:
         parse_workspace(text)
     assert str(err.value) == message
+
+
+# the parser's token texts ---------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    list("ae19_{}()[]:;,*=+-/ ")
+    + ["#", "\n", "\t", "\r", "\x0b", "\x1c", "\xa0", "@", ".", "٣"]),
+    max_size=40))
+def test_parser_token_texts_match_the_tokenizer(text):
+    # a stray character raises the tokenizer's error before any rule runs
+    try:
+        texts = [tok.text for tok in dsl._tokenize(text)]
+    except ParseError as expected:
+        with pytest.raises(ParseError) as err:
+            dsl._Parser(text)
+        assert str(err.value) == str(expected)
+        return
+    assert dsl._Parser(text).toks[:-1] == texts
+
+
+def _cli_size_workspace() -> tuple[str, Workspace]:
+    """Nine algebras over C3 at d=4, every structure constant and map
+    entry a nonzero rational: about 90 KB of text."""
+    rng = Random(4)
+
+    def q():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                        rng.randint(1, 99))
+
+    c3, d = cyclic_group(3), 4
+    ws = Workspace(semigroups={"W": c3})
+    for idx in range(9):
+        cells = {(a, b, i, j): tuple(q() for _ in range(d))
+                 for a in range(3) for b in range(3)
+                 for i in range(d) for j in range(d)}
+        mul = BilinearFamily.from_function(
+            c3, d, lambda a, b, i, j, cells=cells: cells[(a, b, i, j)])
+        p = LinearFamily(c3, d, tuple(
+            Matrix.from_rows([[q() for _ in range(d)] for _ in range(d)])
+            for _ in range(3)))
+        name = f"a{idx}"
+        ws.algebras[name] = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, c3,
+                                         (("mul", mul),), p, p)
+        ws.omega_of[("algebra", name)] = "W"
+    return serialize_workspace(ws), ws
+
+
+def test_success_path_never_places_a_token(monkeypatch):
+    text, ws = _cli_size_workspace()
+    assert len(text) > 80_000
+
+    def tokenize(text):
+        raise AssertionError("_tokenize called on the success path")
+
+    monkeypatch.setattr(dsl, "_tokenize", tokenize)
+    assert parse_workspace(GOLDEN_TWO_DIM).algebras["two_dim"] == \
+        two_dim_instance(C2)
+    assert parse_workspace(text) == ws
+
+
+def test_stray_character_outranks_an_earlier_error():
+    for text, column in (("banana\n@", 1),
+                         ("semigroup W { elements a; table { a*b = a; } } @",
+                          48)):
+        with pytest.raises(ParseError) as err:
+            parse_workspace(text)
+        assert (err.value.line, err.value.column, err.value.expected,
+                err.value.found) == (text.count("\n") + 1, column, "a token",
+                                     "@")
+
+
+def test_repeated_terms_of_a_sum_add_up():
+    ws = parse_workspace(_ALG + "  product mul { (t,t): e1*e1 = "
+                         "1/2 e1 + 1/2 e1 + -1 e1 + 3 e2; } }")
+    cell = ws.algebras["a"].product("mul").basis_product(0, 0, 0, 0)
+    assert cell == (0, 3)
+    assert all(type(v) is Fraction for v in cell)

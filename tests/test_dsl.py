@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from bihomega import dsl
 from bihomega.core import AlgebraKind
-from bihomega.core import BilinearFamily, LinearFamily, new_instance
 from bihomega.dsl import (HEADER, Workspace, parse_workspace,
                           serialize_workspace, workspace_for_instance)
 from bihomega.errors import ParseError, ResolutionError
 from bihomega.forge import constant_product_instance, zero_instance
-from bihomega.linalg import Matrix
 from bihomega.semigroup import cyclic_group, trivial_semigroup
 from conftest import LIE_2D, full_corpus, two_dim_instance
 
@@ -430,29 +428,18 @@ def test_parser_token_texts_match_the_tokenizer(text):
 
 
 def _cli_size_workspace() -> tuple[str, Workspace]:
-    """Nine algebras over C3 at d=4, every structure constant and map
-    entry a nonzero rational: about 90 KB of text."""
+    """Nine algebras over C3 at d=4, every structure constant a nonzero
+    rational: about 90 KB of text."""
     rng = Random(4)
-
-    def q():
-        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
-                        rng.randint(1, 99))
-
-    c3, d = cyclic_group(3), 4
+    c3 = cyclic_group(3)
     ws = Workspace(semigroups={"W": c3})
     for idx in range(9):
-        cells = {(a, b, i, j): tuple(q() for _ in range(d))
-                 for a in range(3) for b in range(3)
-                 for i in range(d) for j in range(d)}
-        mul = BilinearFamily.from_function(
-            c3, d, lambda a, b, i, j, cells=cells: cells[(a, b, i, j)])
-        p = LinearFamily(c3, d, tuple(
-            Matrix.from_rows([[q() for _ in range(d)] for _ in range(d)])
-            for _ in range(3)))
-        name = f"a{idx}"
-        ws.algebras[name] = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, c3,
-                                         (("mul", mul),), p, p)
-        ws.omega_of[("algebra", name)] = "W"
+        cube = [[[Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                           rng.randint(1, 99)) for _ in range(4)]
+                 for _ in range(4)] for _ in range(4)]
+        ws.algebras[f"a{idx}"] = constant_product_instance(
+            AlgebraKind.BIHOM_ASSOCIATIVE, c3, {"mul": cube})
+        ws.omega_of[("algebra", f"a{idx}")] = "W"
     return serialize_workspace(ws), ws
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Union
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Vector, frac
+from .linalg import Matrix, Vector, frac
 from .reports import CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -186,14 +186,19 @@ class _Cells:
     A variable's degree is its twist's length, a read from a tensor's is
     1, a product's is 1 plus its arguments', a map's 1 plus its
     argument's; a sum lifts each term to its largest degree, a "lam"
-    term's counted even at weight 0.  Products and maps are applied by
-    their own `apply` at den, looked up when a term is compiled.  The
-    closures hold the binding's parts, never the binding, so that each
-    binding is freed as soon as it is dropped.
+    term's counted even at weight 0.  Products are applied by their own
+    `apply` at den, looked up when a term is compiled; a map's family at
+    an index, and a twisted column, are looked up when fn runs, and the
+    family's `apply` is called then.  So a bound term depends on its
+    index tuple alone, and stays bound across rebinds.  The closures
+    hold the binding's parts, never the binding, so that each binding is
+    freed as soon as it is dropped.
 
-    rebind(name, a, fam) swaps one map's matrix at one index: it drops
-    the twisted columns at a, rebuilt when next read, and every memo, so
-    a search binds once and rebinds one index per node."""
+    rebind(name, a, fam, cols) swaps one map's matrix at one index and
+    drops the values that read it, never a bound term: the twisted
+    columns at a, rebuilt when next read unless cols is the bare one,
+    and every value memo.  So a search binds each index tuple once and
+    rebinds one index per node."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
@@ -221,13 +226,21 @@ class _Cells:
             self.cols[twist] = [None] * self.omega.order
         return self.cols[twist]
 
-    def rebind(self, name: str, a: int, fam: LinearFamily) -> None:
+    def columns(self, m: Matrix) -> list[IntVector]:
+        """m times den, column by column: the twisted column at a of a
+        map whose matrix at a is m."""
+        return [m.apply(e, self.den) for e in self.cols[""][0]]
+
+    def rebind(self, name: str, a: int, fam: LinearFamily,
+               cols: list[IntVector] | None = None) -> None:
         """Map `name` at index a becomes fam's matrix there, whose den
-        must divide self.den."""
+        must divide self.den; cols, if given, are `columns` of it."""
         self.maps[name][a] = fam
-        for twist, cols in self.cols.items():
+        for twist, twisted in self.cols.items():
             if name in twist:
-                cols[a] = None
+                twisted[a] = None
+        if cols is not None:
+            self.column(name)[a] = cols
         for memo in self.memos:
             memo.clear()
 
@@ -248,8 +261,7 @@ class _Cells:
             twisted = partial(_twisted, self.cols, self.maps, den, term.twist)
             def bind_var(idx):
                 a = idx[pos]
-                col = cols[a] or twisted(a)
-                return a, lambda bas: col[bas[pos]]
+                return a, lambda bas: (cols[a] or twisted(a))[bas[pos]]
             return len(term.twist), bind_var
         if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
             # a product of two basis vectors is read from the tensor
@@ -273,8 +285,7 @@ class _Cells:
             degree = 1 + inner_degree
             def bind(idx):
                 a, fn = inner(idx)
-                apply = fams[a].apply
-                return a, lambda bas: apply(a, fn(bas), den)
+                return a, lambda bas: fams[a].apply(a, fn(bas), den)
         else:
             # a "lam" term weighs in lam * den, one degree up; a term whose
             # coefficient is 0, lam at weight 0 too, adds exactly nothing
@@ -301,7 +312,7 @@ class _Cells:
 
 def _twisted(cols: dict, maps: dict, den: int, twist: str, a: int
              ) -> list[IntVector]:
-    """[i] -> e_i twisted at index a, built once per binding of a."""
+    """[i] -> e_i twisted at index a, built once per matrix at a."""
     col = cols[twist]
     if col[a] is None:
         fam = maps[twist[0]][a]
@@ -327,17 +338,17 @@ def _signed_sum(terms):
 
 
 def _shared(bind: Bind, positions: list[int], memos: list[dict]) -> Bind:
-    """bind, bound and each vector computed once per assignment of
-    `positions`; its dict of bound entries joins memos, for rebind to
-    clear."""
+    """bind, bound once per assignment of `positions` and kept, with
+    each vector computed once per assignment of them; each bound entry's
+    dict of vectors joins memos, for rebind to clear."""
     key, bound = itemgetter(*positions), {}
-    memos.append(bound)
 
     def bind_shared(idx):
         k = key(idx)
         if k not in bound:
             index, fn = bind(idx)
             memo = {}
+            memos.append(memo)
 
             def cached(bas):
                 cell = key(bas)
@@ -355,15 +366,21 @@ def mismatches(axiom: Axiom, cells: _Cells
     basis tuple, in order, on which the axiom's two sides differ at those
     indices.  Both sides are compared as int vectors over cells.den **
     degree, the larger of their degrees, and yielded so; cells.rational
-    turns them back into values."""
+    turns them back into values.  Each index tuple's two sides are bound
+    once and kept, valid across the binding's rebinds."""
     (dl, lhs), (dr, rhs) = (cells.bind(side, axiom.arity)
                             for side in (axiom.lhs, axiom.rhs))
     degree = max(dl, dr)
     lift_l, lift_r = cells.den ** (degree - dl), cells.den ** (degree - dr)
     bases = list(product(range(cells.dim), repeat=axiom.arity))
 
+    sides = {}
+
     def at(idx):
-        lf, rf = _scaled(lift_l, lhs(idx)[1]), _scaled(lift_r, rhs(idx)[1])
+        if idx not in sides:
+            sides[idx] = (_scaled(lift_l, lhs(idx)[1]),
+                          _scaled(lift_r, rhs(idx)[1]))
+        lf, rf = sides[idx]
         for bas in bases:
             left, right = lf(bas), rf(bas)
             if left != right:

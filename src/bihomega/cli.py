@@ -172,8 +172,8 @@ def _cmd_search_rb(args) -> int:
     ws = _read_workspace(args.algebra)
     alg_name, inst = _pick_algebra(ws, args.name)
     try:
-        entries = tuple(Fraction(v) for v in args.entries.split(","))
-        weight = Fraction(args.weight)
+        entries = tuple(_decimal(v) for v in args.entries.split(","))
+        weight = _decimal(args.weight)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(f"bad rational: {exc}")
     cfg = SearchConfig(entries=entries, weight=weight,
@@ -193,9 +193,10 @@ def _cmd_search_rb(args) -> int:
     return EXIT_OK
 
 
-def _json_decimal(text: str) -> Fraction:
-    """A JSON decimal, read exactly; its exponent may be no larger than
-    a JSON integer's 4300 digits, so that no power of ten is too large."""
+def _decimal(text: str) -> Fraction:
+    """A rational or decimal text, such as "1/3" or a JSON decimal, read
+    exactly; its exponent may be no larger than a JSON integer's 4300
+    digits, so that no power of ten is too large."""
     if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
         raise ValueError(f"exponent of {text} exceeds 4300")
     return Fraction(text)
@@ -206,13 +207,13 @@ def _scalar(value) -> Fraction:
     decimal, but not `true` or `false`, which `Fraction` reads as 1 and 0."""
     if isinstance(value, bool):
         raise ValueError("scalars must not be true or false")
-    return Fraction(value)
+    return _decimal(value) if isinstance(value, str) else Fraction(value)
 
 
 def _load_two_dim_params(path: str):
     text = _read_text(path)
     try:
-        doc = json.loads(text, parse_float=_json_decimal)
+        doc = json.loads(text, parse_float=_decimal)
     except (ValueError, RecursionError) as exc:
         raise _CliError(f"bad JSON in {path}: {exc}")
     try:

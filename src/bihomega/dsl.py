@@ -15,6 +15,7 @@ two-space indentation.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -115,12 +116,24 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def _int(self, digits: str, what: str) -> int:
+        """The digits of the token just taken as an int, which Python
+        converts only up to its digit limit (4300 by default)."""
+        try:
+            return int(digits)
+        except ValueError:
+            self._fail(f"{what} of at most {sys.get_int_max_str_digits()} "
+                       "digits", back=1)
+
+    def _integer(self) -> int:
+        return self._int(self._take("int", "an integer"), "an integer")
+
     def _basis_index(self, dim: int) -> int:
         tok = self.toks[self.pos]
         if not _is_basis(tok):
             self._fail("a basis vector like 'e1'")
         self.pos += 1
-        k = int(tok[1:])
+        k = self._int(tok[1:], "a basis vector")
         if not 1 <= k <= dim:
             raise ResolutionError(f"basis vector e{k} out of range for dim {dim}")
         return k - 1
@@ -138,16 +151,16 @@ class _Parser:
         if omega_name not in self.ws.semigroups:
             raise ResolutionError(f"unknown semigroup {omega_name!r}")
         self._expect("dim")
-        dim = int(self._take("int", "an integer"))
+        dim = self._integer()
         if dim < 1:
             raise ResolutionError(f"{owner} must have dim at least 1")
         return omega_name, self.ws.semigroups[omega_name], dim
 
     def _rational(self) -> Fraction:
         sign = -1 if self._accept("-") else 1
-        num = int(self._take("int", "an integer"))
+        num = self._integer()
         if self._accept("/"):
-            den = int(self._take("int", "an integer"))
+            den = self._integer()
             if den == 0:
                 self._fail("a nonzero denominator", back=1)
             return Fraction(sign * num, den)
@@ -366,8 +379,8 @@ def _fmt_matrix(m: Matrix) -> str:
 
 
 def _fmt_lincomb(vec: tuple) -> str:
-    terms = [f"{v} e{k + 1}" for k, v in enumerate(vec) if v != 0]
-    return " + ".join(terms)
+    """The vector's nonzero terms, or "" for the zero vector."""
+    return " + ".join(f"{v} e{k + 1}" for k, v in enumerate(vec) if v)
 
 
 def _serialize_semigroup(name: str, t: SemigroupTable) -> list[str]:
@@ -396,15 +409,14 @@ def _serialize_algebra(name: str, omega_name: str,
     elements = inst.omega.elements
     for slot, fam in inst.products:
         lines.append(f"  product {slot} {{")
-        for a in range(inst.omega.order):
-            for b in range(inst.omega.order):
-                for i in range(inst.dim):
-                    for j in range(inst.dim):
-                        cell = fam.basis_product(a, b, i, j)
-                        if any(v != 0 for v in cell):
+        for a, row in enumerate(fam.tensor):
+            for b, cube in enumerate(row):
+                for i, plane in enumerate(cube):
+                    for j, cell in enumerate(plane):
+                        if lincomb := _fmt_lincomb(cell):
                             lines.append(
                                 f"    ({elements[a]},{elements[b]}): "
-                                f"e{i + 1}*e{j + 1} = {_fmt_lincomb(cell)};")
+                                f"e{i + 1}*e{j + 1} = {lincomb};")
         lines.append("  }")
     for which, fam in (("p", inst.p), ("q", inst.q)):
         lines.append(f"  map {which} {{")

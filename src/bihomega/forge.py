@@ -208,11 +208,14 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     One binding serves the whole search: cells_for(fam, den) binds the
     axioms with fam as map `name` over a multiple of den, the lcm of the
     entries' denominators, so every candidate's matrices are exact in it.
-    The unary pass rebinds `name` at each (index, matrix), and a node at
-    depth k rebinds it at index k only: that drops the twisted columns
-    at k and the binding's memos, of which the search axioms make none.
-    Indices past k keep stale matrices, but no cell compared at depth k
-    reads them.
+    Each index tuple's sides are bound once.  Each candidate matrix
+    carries its columns at the binding's den, built once, and the unary
+    pass rebinds `name` at each (index, matrix) with them; a node at
+    depth k rebinds it at index k only.  A rebind installs the carried
+    columns and drops the twists that compose `name` at k, which only
+    the unary axioms read, and the binding's value memos, of which the
+    search axioms make none.  Indices past k keep stale matrices, but no
+    cell compared at depth k reads them.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
@@ -226,11 +229,11 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
-            fam = LinearFamily.constant(omega, m)
+            fam, cols = LinearFamily.constant(omega, m), cells.columns(m)
             for x in range(n):
-                cells.rebind(name, x, fam)
+                cells.rebind(name, x, fam, cols)
                 if _holds(unary, [(x,)]):
-                    choices[x].append((m, fam))
+                    choices[x].append((m, fam, cols))
     # the binary cells first readable once index k has its matrix
     fresh = [[] for _ in range(n)]
     for x in range(n):
@@ -242,8 +245,8 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
         if k == n:
             yield LinearFamily(omega, dim, mats)
             return
-        for m, fam in choices[k]:
-            cells.rebind(name, k, fam)
+        for m, fam, cols in choices[k]:
+            cells.rebind(name, k, fam, cols)
             if _holds(binary, fresh[k]):
                 yield from extend(mats + (m,))
     return extend(())

@@ -509,6 +509,8 @@ BAD_PARAMS = [
      "scalars must not be true or false"),
     ("lthree-bool", dict(PARAMS_OK, lthree=[False, "1"]),
      "scalars must not be true or false"),
+    ("c-string-exponent", dict(PARAMS_OK, c=[["1e4301", "1"], ["1", "1"]]),
+     "exponent of 1e4301 exceeds 4300"),
 ]
 
 
@@ -572,3 +574,28 @@ def test_a_workspace_with_no_algebra_exits_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", "error: workspace holds no "
                                            "algebra\n"), argv
+
+
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.bho"
+    digits = "1" * 5000
+    for text, place in (
+            ("semigroup T { elements t; table { t*t = t; } }\n"
+             "algebra a : lie over T dim 1 {\n"
+             f"  product bracket {{ (t,t): e1*e1 = {digits} e1; }} }}\n", "3:36"),
+            ("semigroup T { elements t; table { t*t = t; } }\n"
+             f"algebra a : lie over T dim {digits} {{ }}\n", "2:28")):
+        path.write_text(text)
+        assert main(["fmt", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {place}: expected an integer of at most 4300 digits, "
+            f"found {digits!r}\n"))
+
+
+def test_search_rb_refuses_a_decimal_exponent_past_the_digit_limit(
+        two_dim_file, capsys):
+    for flag in ("--weight", "--entries"):
+        argv = ["search-rb", "--algebra", two_dim_file, flag, "1e4301"]
+        assert main(argv) == 2, flag
+        assert capsys.readouterr() == ("", "error: bad rational: exponent of "
+                                           "1e4301 exceeds 4300\n"), flag

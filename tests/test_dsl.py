@@ -323,6 +323,12 @@ PARSE_ERRORS = [
      "{"),
     (_SG + "rota_baxter r over T dim 1 weight x { t: [[1]]; }", 2, 35,
      "an integer", "x"),
+    (_ALG + "  product mul { (t,t): e1*e1 = " + "1" * 5000 + " e1; } }", 3, 32,
+     "an integer of at most 4300 digits", "1" * 5000),
+    (_SG + "algebra a : lie over T dim " + "1" * 5000 + " { }", 2, 28,
+     "an integer of at most 4300 digits", "1" * 5000),
+    (_ALG + "  product mul { (t,t): e1*e1 = 1 e" + "1" * 5000 + "; } }", 3, 34,
+     "a basis vector of at most 4300 digits", "e" + "1" * 5000),
 ]
 
 

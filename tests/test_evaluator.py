@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, _Cells, _report,
                                check_instance, check_morphism,
-                               check_rota_baxter, morphism_axioms,
-                               rota_baxter_axioms)
+                               check_rota_baxter, mismatches, morphism_axioms,
+                               rota_baxter_axioms, rota_baxter_cells)
 from bihomega.constructions import RECIPES, assoc_to_lie, rb_star_associative
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
@@ -283,3 +283,46 @@ def test_flip_product_matches_fraction_evaluator():
     _assert_product(assoc_to_lie(inst, unchecked=True), "bracket",
                     RECIPES["assoc_to_lie"].products["bracket"],
                     _env(inst, {"P": inst.p.inverse(), "Q": inst.q.inverse()}))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=cases(), data=st.data())
+def test_one_mismatches_per_axiom_across_rebinds_matches_the_fraction_evaluator(
+        case, data):
+    """As a search binds: one `mismatches` function per axiom, kept across
+    rebinds of p, q or R at one index after another, some of which install
+    the new matrix's carried columns.  After each rebind every index
+    tuple's mismatches are the Fraction evaluator's with those matrices in
+    place, so no bound side keeps a stale matrix, column or memo."""
+    omega, d, inst = case
+    n = omega.order
+    rb = RotaBaxterFamily(data.draw(families(omega, d)),
+                          data.draw(st.sampled_from(WEIGHTS)))
+    axioms = KIND_AXIOMS[inst.kind] + rota_baxter_axioms(inst.slot_names)
+    cells = rota_baxter_cells(inst, rb,
+                              den=lcm(*(v.denominator for v in SCALARS)))
+    checks = [(ax, *mismatches(ax, cells)) for ax in axioms]
+    maps = {"p": list(inst.p.maps), "q": list(inst.q.maps),
+            "R": list(rb.maps.maps)}
+    for step in range(4):
+        if step:
+            name, k = data.draw(st.sampled_from("pqR")), data.draw(st.integers(0, n - 1))
+            m = maps[name][k] = data.draw(matrices(d))
+            cols = cells.columns(m) if data.draw(st.booleans()) else None
+            cells.rebind(name, k, LinearFamily.constant(omega, m), cols)
+        fams = {name: LinearFamily(omega, d, tuple(mats))
+                for name, mats in maps.items()}
+        env = _env(replace(inst, p=fams["p"], q=fams["q"]), {"R": fams["R"]},
+                   weight=rb.weight)
+        memo = {}
+        for ax, degree, at in checks:
+            for idx in product(range(n), repeat=ax.arity):
+                expected = []
+                for bas in product(range(d), repeat=ax.arity):
+                    lhs = _value(ax.lhs, idx, bas, env, memo)[1]
+                    rhs = _value(ax.rhs, idx, bas, env, memo)[1]
+                    if lhs != rhs:
+                        expected.append((bas, lhs, rhs))
+                assert [(bas, cells.rational(lhs, degree),
+                         cells.rational(rhs, degree))
+                        for bas, lhs, rhs in at(idx)] == expected, (ax.name, idx)

@@ -388,17 +388,71 @@ def mismatches(axiom: Axiom, cells: _Cells
     return degree, at
 
 
+def index_classes(cells: _Cells) -> list[int]:
+    """[a] -> a's class in the coarsest partition of Omega under which
+    every map's matrix at a, every product's block at (a, b) and the
+    class of ab depend only on the classes of a and b; classes are
+    numbered in order of their first index.
+
+    It is refined to a fixpoint from the classes of equal data: the
+    matrices at a, and the blocks at (a, b) and (b, a) for each b, in
+    their int forms at cells.den.  Each round splits a class whose
+    members' products with some b fall into different classes."""
+    n, den, table = cells.omega.order, cells.den, cells.omega.table
+    tensors = [fam.int_tensor(den).dense for fam in cells.products.values()]
+    data = [(tuple(fams[a].matrix(a).int_rows(den) for fams in cells.maps.values()),
+             tuple(t[a][b] for b in range(n) for t in tensors),
+             tuple(t[b][a] for b in range(n) for t in tensors))
+            for a in range(n)]
+    classes = _numbered(data)
+    while True:
+        refined = _numbered([(classes[a], *(classes[ab] for ab in table[a]),
+                              *(classes[row[a]] for row in table))
+                             for a in range(n)])
+        if refined == classes:
+            return classes
+        classes = refined
+
+
+def _numbered(keys: list) -> list[int]:
+    """Equal keys get one number, in order of first appearance."""
+    numbers: dict = {}
+    return [numbers.setdefault(k, len(numbers)) for k in keys]
+
+
 def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
             cap: int) -> CheckReport:
-    """Each axiom on every cell: index tuple outer, basis tuple inner."""
+    """Each axiom on every cell: index tuple outer, basis tuple inner.
+
+    Index tuples whose entries have the same `index_classes` read the
+    same data: by induction on the term, each sub-term's index has the
+    same class and its value is the same at all of them.  So each class
+    tuple's mismatches are found once, at its first index tuple, and
+    reported at every index tuple of it."""
     omega, results = cells.omega, []
+    classes = index_classes(cells)
     for axiom in axioms:
         degree, at = mismatches(axiom, cells)
+        found = _once_per_class(at, classes)
         results.append(collect(axiom.name, omega.elements, (
             (idx, *mismatch)
             for idx in product(range(omega.order), repeat=axiom.arity)
-            for mismatch in at(idx)), cap, partial(cells.rational, degree=degree)))
+            for mismatch in found(idx)), cap, partial(cells.rational, degree=degree)))
     return CheckReport(subject, tuple(results))
+
+
+def _once_per_class(at: Callable[[tuple[int, ...]], Iterator[tuple]],
+                    classes: list[int]) -> Callable[[tuple[int, ...]], tuple]:
+    """at's mismatches, found at the first index tuple of each class
+    tuple and kept for the others."""
+    found: dict[tuple[int, ...], tuple] = {}
+
+    def once(idx):
+        key = tuple(classes[a] for a in idx)
+        if key not in found:
+            found[key] = tuple(at(idx))
+        return found[key]
+    return once
 
 
 def _kind_checker(name: str, kinds: tuple[AlgebraKind, ...], doc: str):

@@ -113,9 +113,13 @@ def _cmd_check(args) -> int:
                          indent=2, sort_keys=True))
     else:
         for label, report in reports:
-            for line in dataclasses.replace(report, subject=label).summary_lines():
-                print(line)
+            _print_summary(label, report)
     return EXIT_OK if all(r.passed for _, r in reports) else EXIT_VIOLATIONS
+
+
+def _print_summary(label: str, report) -> None:
+    for line in dataclasses.replace(report, subject=label).summary_lines():
+        print(line)
 
 
 def _resolve_named(ws: Workspace, namespace: str, ref: str):
@@ -221,6 +225,8 @@ def _load_two_dim_params(path: str):
         if not isinstance(om["elements"], list):
             raise ValueError("'elements' must be a list of labels")
         elements = tuple(om["elements"])
+        if not elements:
+            raise ValueError("'elements' must name at least one element")
         # the labels the workspace format reads back
         if len(set(elements)) != len(elements) or not all(
                 isinstance(e, str) and e.isascii() and e.isidentifier()
@@ -245,6 +251,11 @@ def _cmd_example(args) -> int:
     if args.which != "two-dim":
         raise _CliError(f"unknown example {args.which!r}; only 'two-dim' exists")
     params = _load_two_dim_params(args.params)
+    # a table that is no semigroup would give a workspace that check fails
+    semigroup = validate_semigroup(params.omega)
+    if not semigroup.passed:
+        _print_summary("semigroup W", semigroup)
+        return EXIT_VIOLATIONS
     bad = params.violations()
     if bad:
         for condition, indices in bad:

@@ -9,7 +9,8 @@ from bihomega.checkers import (KIND_AXIOMS, _Cells, _report,
                                check_dendriform,
                                check_instance, check_lie, check_morphism,
                                check_postlie, check_prelie, check_prepoisson,
-                               check_rota_baxter, check_zinbiel, mismatches,
+                               check_rota_baxter, check_zinbiel,
+                               index_classes, mismatches,
                                morphism_axioms, morphism_cells,
                                rota_baxter_axioms, rota_baxter_cells)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
@@ -464,3 +465,60 @@ def test_rota_baxter_and_morphism_bindings_hold_no_memo():
             for axiom in axioms:
                 mismatches(axiom, cells)
             assert cells.memos == []
+
+
+# -- index classes ----------------------------------------------------------
+
+C3 = cyclic_group(3)
+
+
+def _diagonals(omega, *entries):
+    return LinearFamily(omega, 2, tuple(Matrix.diagonal(e) for e in entries))
+
+
+def test_a_constant_family_has_one_index_class():
+    inst = constant_product_instance(AlgebraKind.LIE, C3, {"bracket": LIE_2D})
+    assert index_classes(_Cells(inst)) == [0, 0, 0]
+
+
+def test_a_different_map_at_each_index_gives_discrete_classes():
+    p = _diagonals(C3, (1, 2), (1, 3), (1, 5))
+    inst = zero_instance(AlgebraKind.PREPOISSON, C3, 2, p=p)
+    assert index_classes(_Cells(inst)) == [0, 1, 2]
+
+
+def test_equal_data_splits_where_products_of_indices_part():
+    # p_0 = p_1 but 0 + 2 = 2 and 1 + 2 = 0 fall in different classes;
+    # a left zero semigroup, where ab = a, keeps the equal data together
+    p = _diagonals(C3, (1, 1), (1, 1), (1, -1))
+    assert index_classes(_Cells(zero_instance(AlgebraKind.LIE, C3, 2, p=p))) \
+        == [0, 1, 2]
+    left_zero = left_zero_semigroup(3)
+    p = _diagonals(left_zero, (1, 1), (1, 1), (1, -1))
+    inst = zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, left_zero, 2, p=p)
+    assert index_classes(_Cells(inst)) == [0, 0, 1]
+
+
+def test_left_zero_classes_follow_the_products_blocks():
+    omega = left_zero_semigroup(2)
+    cube = [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]
+    inst = constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega,
+                                     {"mul": cube})
+    assert index_classes(_Cells(inst)) == [0, 0]
+    # one block that differs, at (1, 0), parts the two indices
+    mul = BilinearFamily.from_function(
+        omega, 2, lambda a, b, i, j: basis_vector(2, 0 if (a, b) == (1, 0) else 1))
+    inst = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega, (("mul", mul),),
+                        LinearFamily.identity(omega, 2),
+                        LinearFamily.identity(omega, 2))
+    assert index_classes(_Cells(inst)) == [0, 1]
+
+
+def test_rota_baxter_and_morphism_maps_take_part_in_the_classes():
+    inst = constant_product_instance(AlgebraKind.LIE, C3, {"bracket": LIE_2D})
+    r = _diagonals(C3, (1, 0), (1, 0), (0, 1))
+    assert index_classes(rota_baxter_cells(inst, RotaBaxterFamily(r, 0))) \
+        == [0, 1, 2]
+    assert index_classes(morphism_cells(r, inst, inst)) == [0, 1, 2]
+    ident = LinearFamily.identity(C3, 2)
+    assert index_classes(morphism_cells(ident, inst, inst)) == [0, 0, 0]

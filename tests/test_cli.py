@@ -511,6 +511,9 @@ BAD_PARAMS = [
      "scalars must not be true or false"),
     ("c-string-exponent", dict(PARAMS_OK, c=[["1e4301", "1"], ["1", "1"]]),
      "exponent of 1e4301 exceeds 4300"),
+    ("no-elements", dict(PARAMS_OK, omega={"elements": [], "table": []}, c=[],
+                         rthree=[], lthree=[]),
+     "'elements' must name at least one element"),
 ]
 
 
@@ -599,3 +602,20 @@ def test_search_rb_refuses_a_decimal_exponent_past_the_digit_limit(
         assert main(argv) == 2, flag
         assert capsys.readouterr() == ("", "error: bad rational: exponent of "
                                            "1e4301 exceeds 4300\n"), flag
+
+
+def test_example_refuses_a_table_that_is_not_associative(tmp_path, capsys):
+    # (a.a).b = b.b = a but a.(a.b) = a.a = b: check would fail the file
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_params_with(
+        elements=["a", "b"], table=[[1, 0], [0, 0]], commutative=False)))
+    out_path = tmp_path / "example.bho"
+    assert main(["example", "two-dim", "--params", str(params),
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr() == ((
+        "FAIL semigroup W associativity (4 violations)\n"
+        "    witness indices=a,a,b lhs=(0) rhs=(1)\n"
+        "    witness indices=a,b,b lhs=(0) rhs=(1)\n"
+        "    witness indices=b,a,a lhs=(1) rhs=(0)\n"
+        "    witness indices=b,b,a lhs=(1) rhs=(0)\n"), "")
+    assert not out_path.exists()

@@ -8,7 +8,7 @@ with every witness entry a Fraction."""
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import lcm
 
@@ -326,3 +326,114 @@ def test_one_mismatches_per_axiom_across_rebinds_matches_the_fraction_evaluator(
                 assert [(bas, cells.rational(lhs, degree),
                          cells.rational(rhs, degree))
                         for bas, lhs, rhs in at(idx)] == expected, (ax.name, idx)
+
+
+# -- merged index classes -----------------------------------------------------
+# The draws above give fresh data at each index, so that index classes
+# rarely merge.  Here two values are drawn per family, and a pattern,
+# shared by every map of an instance, picks one of them at each index (a
+# second pattern, at each index pair, for the blocks); so equal data
+# recurs, both where it is a congruence of Omega and where it is not.
+
+@st.composite
+def pooled(draw, values, pattern):
+    pool = draw(st.tuples(values, values))
+    return tuple(pool[k] for k in pattern)
+
+
+def _cubes(d):
+    scalar = st.sampled_from(SCALARS)
+    return st.tuples(*[st.tuples(*[st.tuples(*[scalar] * d)] * d)] * d)
+
+
+def _polynomial(m, c0, c1, c2):
+    """c0 + c1 m + c2 m^2, which commutes with m."""
+    d = m.rows
+    return Matrix.from_rows([[c0 * (i == j) + c1 * m.get(i, j)
+                              + c2 * sum(m.get(i, k) * m.get(k, j) for k in range(d))
+                              for j in range(d)] for i in range(d)])
+
+
+@st.composite
+def patterns(draw, omega):
+    """(at each index, at each index pair), the blocks' often constant."""
+    n = omega.order
+    bits = partial(st.lists, st.integers(0, 1))
+    return (tuple(draw(bits(min_size=n, max_size=n))),
+            tuple(draw(st.one_of(st.just([0] * n * n),
+                                 bits(min_size=n * n, max_size=n * n)))))
+
+
+@st.composite
+def pooled_families(draw, omega, d, pattern):
+    return LinearFamily(omega, d, draw(pooled(matrices(d), pattern[0])))
+
+
+@st.composite
+def pooled_instances(draw, kind, omega, d, pattern):
+    n = omega.order
+    products = []
+    for slot in kind.product_slots:
+        blocks = draw(pooled(_cubes(d), pattern[1]))
+        products.append((slot, BilinearFamily(omega, d, tuple(
+            blocks[a * n:(a + 1) * n] for a in range(n)))))
+    p = draw(pooled_families(omega, d, pattern))
+    scalar = st.sampled_from(SCALARS)
+    coefficients = draw(pooled(st.tuples(scalar, scalar, scalar), pattern[0]))
+    q = LinearFamily(omega, d, tuple(_polynomial(m, *c) for m, c
+                                     in zip(p.maps, coefficients)))
+    return new_instance(kind, omega, tuple(products), p, q)
+
+
+def _assert_all_checkers_match(inst, dst, rb, f, cap):
+    """Each checker's report against the reference's, at cap witnesses."""
+    omega = inst.omega
+    _assert_same(check_instance(inst, max_witnesses=cap), _reference(
+        inst.kind.value, KIND_AXIOMS[inst.kind], _env(inst), omega, cap))
+    _assert_same(check_rota_baxter(inst, rb, max_witnesses=cap), _reference(
+        "rota-baxter", rota_baxter_axioms(inst.slot_names),
+        _env(inst, {"R": rb.maps}, weight=rb.weight), omega, cap))
+    _assert_same(check_morphism(f, inst, dst, max_witnesses=cap), _reference(
+        "morphism", morphism_axioms(inst.slot_names),
+        _env(inst, {"P": dst.p, "Q": dst.q, "f": f},
+             {slot + "'": fam for slot, fam in dst.products}), omega, cap))
+
+
+# as many witnesses as cells, so that a wrong value past the first few
+# shows even where random data fails at every cell
+ALL_CELLS = 216
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(SHAPES), cap=st.sampled_from(CAPS), data=st.data())
+def test_checkers_on_merged_index_classes_match_the_fraction_evaluator(
+        shape, cap, data):
+    omega, d = shape
+    kind = data.draw(st.sampled_from(_kinds(omega)))
+    pattern = data.draw(patterns(omega))
+    inst = data.draw(pooled_instances(kind, omega, d, pattern))
+    dst = data.draw(st.one_of(st.just(inst),
+                              pooled_instances(kind, omega, d, pattern)))
+    rb = RotaBaxterFamily(data.draw(pooled_families(omega, d, pattern)),
+                          data.draw(st.sampled_from(WEIGHTS)))
+    f = data.draw(pooled_families(omega, d, pattern))
+    for witnesses in (cap, ALL_CELLS):
+        _assert_all_checkers_match(inst, dst, rb, f, witnesses)
+
+
+def test_equal_data_at_indices_that_are_not_congruent_is_checked_at_each():
+    """Over C3, p_0 = p_1 = 1 and p_2 = 2: at (1, 1), whose product is 2,
+    p-multiplicativity fails, while at (0, 0), which reads the same maps
+    and blocks, it holds; so do R and f with the same pattern."""
+    cube = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
+    blocks = tuple(tuple(tuple(tuple(tuple(Fraction(c) for c in cell)
+                                     for cell in plane) for plane in cube)
+                         for _ in range(3)) for _ in range(3))
+    bracket = BilinearFamily(C3, 2, blocks)
+    pattern = LinearFamily(C3, 2, tuple(Matrix.diagonal((s, s)) for s in (1, 1, 2)))
+    inst = new_instance(AlgebraKind.LIE, C3, (("bracket", bracket),), pattern,
+                        LinearFamily.identity(C3, 2))
+    for cap in CAPS:
+        _assert_all_checkers_match(inst, inst, RotaBaxterFamily(pattern, 1),
+                                   pattern, cap)
+    assert not check_instance(inst).result("p-multiplicativity").passed

@@ -198,7 +198,11 @@ class _Cells:
     drops the values that read it, never a bound term: the twisted
     columns at a, rebuilt when next read unless cols is the bare one,
     and every value memo.  So a search binds each index tuple once and
-    rebinds one index per node."""
+    rebinds one index per node.
+
+    A check binds and evaluates one index tuple per class tuple of
+    `index_classes`: indices whose maps, blocks and semigroup products
+    no term can tell apart give every term the same value."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,

@@ -160,7 +160,8 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 # -- the evaluator ------------------------------------------------------
 
 IntVector = tuple[int, ...]
-Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVector]]]
+Bind = Callable[[tuple[int, ...]],
+                tuple[int, Callable[[tuple[int, ...]], IntVector] | None]]
 
 
 @cache
@@ -193,6 +194,11 @@ class _Cells:
     index tuple alone, and stays bound across rebinds.  The closures
     hold the binding's parts, never the binding, so that each binding is
     freed as soon as it is dropped.
+
+    fn is None, and nothing is evaluated, where the term is zero: a
+    product over an empty block or with a zero argument, a map of a zero
+    term, a sum of zero terms only (still at its first term's index).
+    That is decided from product blocks alone, so no rebind changes it.
 
     rebind(name, a, fam, cols) swaps one map's matrix at one index and
     drops the values that read it, never a bound term: the twisted
@@ -269,19 +275,25 @@ class _Cells:
             return len(term.twist), bind_var
         if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
             # a product of two basis vectors is read from the tensor
-            tensor = self.products[term.slot].int_tensor(den).dense
+            tensor, blocks = self.products[term.slot].int_tensor(den)
             u, v = term.left.pos, term.right.pos
             def bind_read(idx):
-                block = tensor[idx[u]][idx[v]]
-                return table[idx[u]][idx[v]], lambda bas: block[bas[u]][bas[v]]
+                a, b = idx[u], idx[v]
+                if not blocks[a][b]:
+                    return table[a][b], None
+                block = tensor[a][b]
+                return table[a][b], lambda bas: block[bas[u]][bas[v]]
             return 1, bind_read
         if isinstance(term, Mul):
-            apply = self.products[term.slot].apply
+            fam = self.products[term.slot]
+            apply, blocks = fam.apply, fam.int_tensor(den).sparse
             (dl, left), (dr, right) = (self.bind(term.left, arity),
                                        self.bind(term.right, arity))
             degree = 1 + dl + dr
             def bind(idx):
                 (a, lf), (b, rf) = left(idx), right(idx)
+                if lf is None or rf is None or not blocks[a][b]:
+                    return table[a][b], None
                 return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
         elif isinstance(term, Map):
             fams = self.maps[term.name]
@@ -289,6 +301,8 @@ class _Cells:
             degree = 1 + inner_degree
             def bind(idx):
                 a, fn = inner(idx)
+                if fn is None:
+                    return a, None
                 return a, lambda bas: fams[a].apply(a, fn(bas), den)
         else:
             # a "lam" term weighs in lam * den, one degree up; a term whose
@@ -304,11 +318,11 @@ class _Cells:
             degree = max((dt for _, dt, _ in parts), default=0)
             parts = [(c * den ** (degree - dt), b) for c, dt, b in parts if c]
             if not parts:
-                zero = (0,) * self.dim
-                return degree, lambda idx: (None, lambda bas: zero)
+                return degree, lambda idx: (None, None)
             def bind(idx):
                 bound = [(c, b(idx)) for c, b in parts]
-                return bound[0][1][0], _signed_sum([(c, fn) for c, (_, fn) in bound])
+                live = [(c, fn) for c, (_, fn) in bound if fn is not None]
+                return bound[0][1][0], _signed_sum(live) if live else None
         positions = sorted(_positions(term))
         return degree, (bind if len(positions) == arity
                         else _shared(bind, positions, self.memos))
@@ -344,13 +358,17 @@ def _signed_sum(terms):
 def _shared(bind: Bind, positions: list[int], memos: list[dict]) -> Bind:
     """bind, bound once per assignment of `positions` and kept, with
     each vector computed once per assignment of them; each bound entry's
-    dict of vectors joins memos, for rebind to clear."""
+    dict of vectors joins memos, for rebind to clear.  A zero entry is
+    kept as it is bound, with no memo."""
     key, bound = itemgetter(*positions), {}
 
     def bind_shared(idx):
         k = key(idx)
         if k not in bound:
             index, fn = bind(idx)
+            if fn is None:
+                bound[k] = index, None
+                return bound[k]
             memo = {}
             memos.append(memo)
 
@@ -371,19 +389,28 @@ def mismatches(axiom: Axiom, cells: _Cells
     indices.  Both sides are compared as int vectors over cells.den **
     degree, the larger of their degrees, and yielded so; cells.rational
     turns them back into values.  Each index tuple's two sides are bound
-    once and kept, valid across the binding's rebinds."""
+    once and kept, valid across the binding's rebinds.  Where both are
+    zero, fn yields nothing and visits no basis tuple; where one is, the
+    other is compared against the int zero vector."""
     (dl, lhs), (dr, rhs) = (cells.bind(side, axiom.arity)
                             for side in (axiom.lhs, axiom.rhs))
     degree = max(dl, dr)
     lift_l, lift_r = cells.den ** (degree - dl), cells.den ** (degree - dr)
     bases = list(product(range(cells.dim), repeat=axiom.arity))
+    zero = (0,) * cells.dim
+
+    def side(lift, fn):
+        return (lambda bas: zero) if fn is None else _scaled(lift, fn)
 
     sides = {}
 
     def at(idx):
         if idx not in sides:
-            sides[idx] = (_scaled(lift_l, lhs(idx)[1]),
-                          _scaled(lift_r, rhs(idx)[1]))
+            lf, rf = lhs(idx)[1], rhs(idx)[1]
+            sides[idx] = (None if lf is None and rf is None
+                          else (side(lift_l, lf), side(lift_r, rf)))
+        if sides[idx] is None:
+            return
         lf, rf = sides[idx]
         for bas in bases:
             left, right = lf(bas), rf(bas)
@@ -448,7 +475,10 @@ def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
 def _once_per_class(at: Callable[[tuple[int, ...]], Iterator[tuple]],
                     classes: list[int]) -> Callable[[tuple[int, ...]], tuple]:
     """at's mismatches, found at the first index tuple of each class
-    tuple and kept for the others."""
+    tuple and kept for the others; at itself where every class is one
+    index, so that no index tuple is read twice."""
+    if len(set(classes)) == len(classes):
+        return at
     found: dict[tuple[int, ...], tuple] = {}
 
     def once(idx):

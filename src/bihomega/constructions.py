@@ -98,10 +98,11 @@ RECIPES: dict[str, Recipe] = {
 def _product(cells: _Cells, term) -> BilinearFamily:
     """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j."""
     (degree, bind), n, d = cells.bind(term, 2), cells.omega.order, cells.dim
+    zero = cells.rational((0,) * d, degree)
 
     def block(fn):
-        return tuple(tuple(cells.rational(fn((i, j)), degree) for j in range(d))
-                     for i in range(d))
+        return tuple(tuple(zero if fn is None else cells.rational(fn((i, j)), degree)
+                           for j in range(d)) for i in range(d))
     return BilinearFamily(cells.omega, d, tuple(
         tuple(block(bind((a, b))[1]) for b in range(n)) for a in range(n)))
 

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import weakref
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
 from bihomega.errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
-from bihomega.linalg import Matrix, basis_vector
+from bihomega.linalg import Matrix, basis_vector, mat_mul
 from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
                                 trivial_semigroup)
 from conftest import LIE_2D, first_failing_perturbation, perturb_entry
@@ -418,9 +420,10 @@ def test_dendriform_swap_detected():
 def test_a_cached_plan_applies_through_the_classes_it_is_bound_with(monkeypatch):
     # wrappers put on the apply methods after a first check, as a tracer
     # does, still see every product and map applied
+    # a nonzero bracket, since no product is applied where it is zero
     omega = cyclic_group(3)
     p = LinearFamily.constant(omega, Matrix.diagonal([1, -1]))
-    inst = zero_instance(AlgebraKind.LIE, omega, 2, p=p)
+    inst = constant_product_instance(AlgebraKind.LIE, omega, {"bracket": LIE_2D})
     rb = RotaBaxterFamily(p, 1)
     before = check_instance(inst), check_rota_baxter(inst, rb)
     calls = dict.fromkeys((BilinearFamily, LinearFamily, Matrix), 0)
@@ -431,6 +434,30 @@ def test_a_cached_plan_applies_through_the_classes_it_is_bound_with(monkeypatch)
         monkeypatch.setattr(cls, "apply", counted)
     assert (check_instance(inst), check_rota_baxter(inst, rb)) == before
     assert min(calls.values()) > 0
+
+
+def test_zero_products_are_skipped_when_bound_and_reports_stay_the_same(
+        monkeypatch):
+    # a different p_a at each index, so that the index classes are
+    # discrete and every index tuple is bound; each product is zero, so
+    # no term over one is evaluated, and the reports are those recorded
+    # before zero terms were skipped
+    omega = cyclic_group(3)
+    mats = tuple(Matrix.from_rows([[1 if i == j else a + 1 if j == i + 1 else 0
+                                    for j in range(4)] for i in range(4)])
+                 for a in range(3))
+    p = LinearFamily(omega, 4, mats)
+    q = LinearFamily(omega, 4, tuple(mat_mul(m, m) for m in mats))
+    calls = []
+    apply = BilinearFamily.__dict__["apply"]
+    monkeypatch.setattr(BilinearFamily, "apply",
+                        lambda *args: calls.append(1) or apply(*args))
+    reports = [check_instance(zero_instance(kind, omega, 4, p, q)).to_dict()
+               for kind in AlgebraKind]
+    assert calls == []
+    assert all(report["passed"] for report in reports)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == "597d7a58c87c828e"
 
 
 def test_a_binding_is_freed_once_dropped_without_the_cycle_collector():

@@ -443,3 +443,109 @@ def test_equal_data_at_indices_that_are_not_congruent_is_checked_at_each():
     _assert_all_checkers_match(inst, inst, RotaBaxterFamily(pattern, 1),
                                pattern, CAPS)
     assert not check_instance(inst).result("p-multiplicativity").passed
+
+
+# -- mixed zero blocks ----------------------------------------------------------
+# A term over a zero block is skipped where it is bound.  Here each (a, b)
+# block of each product is zero or not at random, and some single cells
+# of the others too, so that sums, maps and products mix zero terms with
+# nonzero ones, and a side can be zero where the other is not.
+
+@st.composite
+def mixed_blocks(draw, omega, d):
+    n, scalar = omega.order, st.sampled_from(SCALARS)
+    zero = (Fraction(0),) * d
+
+    def cube():
+        return tuple(tuple(zero if draw(st.integers(0, 3)) == 0
+                           else tuple(draw(scalar) for _ in range(d))
+                           for _ in range(d)) for _ in range(d))
+    blocks = [((zero,) * d,) * d if draw(st.booleans()) else cube()
+              for _ in range(n * n)]
+    return BilinearFamily(omega, d, tuple(tuple(blocks[a * n:(a + 1) * n])
+                                          for a in range(n)))
+
+
+@st.composite
+def mixed_instances(draw, kind, omega, d):
+    """q_a = c0 + c1 p_a + c2 p_a^2 commutes with p_a."""
+    products = tuple((slot, draw(mixed_blocks(omega, d)))
+                     for slot in kind.product_slots)
+    p = draw(families(omega, d))
+    scalar = st.sampled_from(SCALARS)
+    q = LinearFamily(omega, d, tuple(
+        _polynomial(m, draw(scalar), draw(scalar), draw(scalar)) for m in p.maps))
+    return new_instance(kind, omega, products, p, q)
+
+
+@st.composite
+def mixed_cases(draw):
+    omega, d = draw(st.sampled_from(SHAPES))
+    kind = draw(st.sampled_from(_kinds(omega)))
+    return omega, d, draw(mixed_instances(kind, omega, d))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=mixed_cases(), cap=st.sampled_from(CAPS), data=st.data())
+def test_checkers_on_mixed_zero_blocks_match_the_fraction_evaluator(
+        case, cap, data):
+    """check_instance, check_rota_baxter and check_morphism, every witness."""
+    omega, d, inst = case
+    dst = data.draw(st.one_of(st.just(inst), mixed_instances(inst.kind, omega, d)))
+    rb = RotaBaxterFamily(data.draw(families(omega, d)),
+                          data.draw(st.sampled_from(WEIGHTS)))
+    _assert_all_checkers_match(inst, dst, rb, data.draw(families(omega, d)),
+                               (cap, ALL_CELLS))
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=mixed_cases(), data=st.data())
+def test_mixed_zero_blocks_across_rebinds_match_the_fraction_evaluator(
+        case, data):
+    """One `mismatches` function per axiom, kept across rebinds of p, q or
+    R: a side bound as zero stays zero whatever the maps become."""
+    omega, d, inst = case
+    n = omega.order
+    rb = RotaBaxterFamily(data.draw(families(omega, d)),
+                          data.draw(st.sampled_from(WEIGHTS)))
+    axioms = KIND_AXIOMS[inst.kind] + rota_baxter_axioms(inst.slot_names)
+    cells = rota_baxter_cells(inst, rb, den=lcm(*(v.denominator for v in SCALARS)))
+    checks = [(ax, *mismatches(ax, cells)) for ax in axioms]
+    maps = {"p": list(inst.p.maps), "q": list(inst.q.maps), "R": list(rb.maps.maps)}
+    for step in range(4):
+        if step:
+            name, k = data.draw(st.sampled_from("pqR")), data.draw(st.integers(0, n - 1))
+            m = maps[name][k] = data.draw(matrices(d))
+            cells.rebind(name, k, LinearFamily.constant(omega, m), cells.columns(m))
+        fams = {name: LinearFamily(omega, d, tuple(mats)) for name, mats in maps.items()}
+        env = _env(replace(inst, p=fams["p"], q=fams["q"]), {"R": fams["R"]},
+                   weight=rb.weight)
+        memo = {}
+        for ax, degree, at in checks:
+            for idx in product(range(n), repeat=ax.arity):
+                sides = ((bas, _value(ax.lhs, idx, bas, env, memo)[1],
+                          _value(ax.rhs, idx, bas, env, memo)[1])
+                         for bas in product(range(d), repeat=ax.arity))
+                assert [(bas, cells.rational(lhs, degree),
+                         cells.rational(rhs, degree))
+                        for bas, lhs, rhs in at(idx)] == [
+                    side for side in sides if side[1] != side[2]], (ax.name, idx)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_constructed_product_on_mixed_zero_blocks_matches_fraction_evaluator(data):
+    """rb_star_associative: x.R(y) + R(x).y + lam x.y is zero, and written
+    as zeros, on every block where the product is."""
+    omega, d = data.draw(st.sampled_from(SHAPES))
+    inst = data.draw(mixed_instances(AlgebraKind.BIHOM_ASSOCIATIVE, omega, d))
+    rb = RotaBaxterFamily(data.draw(families(omega, d)),
+                          data.draw(st.sampled_from(WEIGHTS)))
+    out = rb_star_associative(inst, rb, unchecked=True)
+    term = RECIPES["rb_star_associative"].products["mul"]
+    env = _env(inst, {"R": rb.maps}, weight=rb.weight)
+    tensor = out.product("mul").tensor
+    for a, b in product(range(omega.order), repeat=2):
+        for i, j in product(range(d), repeat=2):
+            assert tensor[a][b][i][j] == _value(term, (a, b), (i, j), env, {})[1]
+            assert all(type(v) is Fraction for v in tensor[a][b][i][j])

@@ -448,13 +448,16 @@ def test_zero_products_are_skipped_when_bound_and_reports_stay_the_same(
                  for a in range(3))
     p = LinearFamily(omega, 4, mats)
     q = LinearFamily(omega, 4, tuple(mat_mul(m, m) for m in mats))
-    calls = []
-    apply = BilinearFamily.__dict__["apply"]
-    monkeypatch.setattr(BilinearFamily, "apply",
-                        lambda *args: calls.append(1) or apply(*args))
+    calls = 0
+
+    def counted(*args, apply=BilinearFamily.__dict__["apply"]):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+    monkeypatch.setattr(BilinearFamily, "apply", counted)
     reports = [check_instance(zero_instance(kind, omega, 4, p, q)).to_dict()
                for kind in AlgebraKind]
-    assert calls == []
+    assert calls == 0
     assert all(report["passed"] for report in reports)
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
     assert digest.hexdigest()[:16] == "597d7a58c87c828e"

@@ -160,8 +160,7 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 # -- the evaluator ------------------------------------------------------
 
 IntVector = tuple[int, ...]
-Bind = Callable[[tuple[int, ...]],
-                tuple[int, Callable[[tuple[int, ...]], IntVector] | None]]
+Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVector] | None]]
 
 
 @cache
@@ -365,17 +364,14 @@ def _shared(bind: Bind, positions: list[int], memos: list[dict]) -> Bind:
     def bind_shared(idx):
         k = key(idx)
         if k not in bound:
-            index, fn = bind(idx)
-            if fn is None:
-                bound[k] = index, None
-                return bound[k]
-            memo = {}
-            memos.append(memo)
+            (index, fn), memo = bind(idx), {}
+            if fn is not None:
+                memos.append(memo)
 
             def cached(bas):
                 cell = key(bas)
                 return memo[cell] if cell in memo else memo.setdefault(cell, fn(bas))
-            bound[k] = index, cached
+            bound[k] = index, (None if fn is None else cached)
         return bound[k]
     return bind_shared
 
@@ -475,10 +471,7 @@ def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
 def _once_per_class(at: Callable[[tuple[int, ...]], Iterator[tuple]],
                     classes: list[int]) -> Callable[[tuple[int, ...]], tuple]:
     """at's mismatches, found at the first index tuple of each class
-    tuple and kept for the others; at itself where every class is one
-    index, so that no index tuple is read twice."""
-    if len(set(classes)) == len(classes):
-        return at
+    tuple and kept for the others."""
     found: dict[tuple[int, ...], tuple] = {}
 
     def once(idx):

@@ -294,6 +294,10 @@ def test_one_mismatches_per_axiom_across_rebinds_matches_the_fraction_evaluator(
     the new matrix's carried columns.  After each rebind every index
     tuple's mismatches are the Fraction evaluator's with those matrices in
     place, so no bound side keeps a stale matrix, column or memo."""
+    _assert_rebinds_match(case, data)
+
+
+def _assert_rebinds_match(case, data):
     omega, d, inst = case
     n = omega.order
     rb = RotaBaxterFamily(data.draw(families(omega, d)),
@@ -504,32 +508,7 @@ def test_mixed_zero_blocks_across_rebinds_match_the_fraction_evaluator(
         case, data):
     """One `mismatches` function per axiom, kept across rebinds of p, q or
     R: a side bound as zero stays zero whatever the maps become."""
-    omega, d, inst = case
-    n = omega.order
-    rb = RotaBaxterFamily(data.draw(families(omega, d)),
-                          data.draw(st.sampled_from(WEIGHTS)))
-    axioms = KIND_AXIOMS[inst.kind] + rota_baxter_axioms(inst.slot_names)
-    cells = rota_baxter_cells(inst, rb, den=lcm(*(v.denominator for v in SCALARS)))
-    checks = [(ax, *mismatches(ax, cells)) for ax in axioms]
-    maps = {"p": list(inst.p.maps), "q": list(inst.q.maps), "R": list(rb.maps.maps)}
-    for step in range(4):
-        if step:
-            name, k = data.draw(st.sampled_from("pqR")), data.draw(st.integers(0, n - 1))
-            m = maps[name][k] = data.draw(matrices(d))
-            cells.rebind(name, k, LinearFamily.constant(omega, m), cells.columns(m))
-        fams = {name: LinearFamily(omega, d, tuple(mats)) for name, mats in maps.items()}
-        env = _env(replace(inst, p=fams["p"], q=fams["q"]), {"R": fams["R"]},
-                   weight=rb.weight)
-        memo = {}
-        for ax, degree, at in checks:
-            for idx in product(range(n), repeat=ax.arity):
-                sides = ((bas, _value(ax.lhs, idx, bas, env, memo)[1],
-                          _value(ax.rhs, idx, bas, env, memo)[1])
-                         for bas in product(range(d), repeat=ax.arity))
-                assert [(bas, cells.rational(lhs, degree),
-                         cells.rational(rhs, degree))
-                        for bas, lhs, rhs in at(idx)] == [
-                    side for side in sides if side[1] != side[2]], (ax.name, idx)
+    _assert_rebinds_match(case, data)
 
 
 @settings(max_examples=15, deadline=None)

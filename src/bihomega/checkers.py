@@ -177,22 +177,23 @@ class _Cells:
     it has compiled.
 
     den is the lcm of `den`, of every denominator of the products and
-    the maps, and of the weight's.  The binding holds the int tensors,
-    each map's matrix per index (as a family whose matrix there is it),
-    the twisted columns built from them, lam and the memos of the
-    sub-terms that read fewer variables than their axiom.  A term
+    the maps, and of the weight's.  The binding holds each product's
+    nonzero cells times den (its `int_tensor`), each map's matrix per
+    index (as a family whose matrix there is it), the twisted columns
+    built from them, lam and the memos of the sub-terms that read fewer
+    variables than their axiom.  A term
     compiles to (degree, bind): bind(index tuple) -> (its index,
     fn(basis tuple) -> its value times den ** degree, an int vector).
-    A variable's degree is its twist's length, a read from a tensor's is
-    1, a product's is 1 plus its arguments', a map's 1 plus its
-    argument's; a sum lifts each term to its largest degree, a "lam"
-    term's counted even at weight 0.  Products are applied by their own
-    `apply` at den, looked up when a term is compiled; a map's family at
-    an index, and a twisted column, are looked up when fn runs, and the
-    family's `apply` is called then.  So a bound term depends on its
-    index tuple alone, and stays bound across rebinds.  The closures
-    hold the binding's parts, never the binding, so that each binding is
-    freed as soon as it is dropped.
+    A variable's degree is its twist's length, a read of a cell's is 1,
+    a product's is 1 plus its arguments', a map's 1 plus its argument's;
+    a sum lifts each term to its largest degree, a "lam" term's counted
+    even at weight 0.  Products are applied by their own `apply` at den,
+    looked up when a term is compiled; a map's family at an index, and a
+    twisted column, are looked up when fn runs, and the family's `apply`
+    is called then.  So a bound term depends on its index tuple alone,
+    and stays bound across rebinds.  The closures hold the binding's
+    parts, never the binding, so that each binding is freed as soon as
+    it is dropped.
 
     fn is None, and nothing is evaluated, where the term is zero: a
     product over an empty block or with a zero argument, a map of a zero
@@ -273,19 +274,22 @@ class _Cells:
                 return a, lambda bas: (cols[a] or twisted(a))[bas[pos]]
             return len(term.twist), bind_var
         if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
-            # a product of two basis vectors is read from the tensor
-            tensor, blocks = self.products[term.slot].int_tensor(den)
+            # a product of two basis vectors is read from its block's cells
+            zero = (0,) * self.dim
+            lookup = [[{(i, j): cell for i, row in block for j, cell in row}
+                       for block in blocks]
+                      for blocks in self.products[term.slot].int_tensor(den)]
             u, v = term.left.pos, term.right.pos
             def bind_read(idx):
                 a, b = idx[u], idx[v]
-                if not blocks[a][b]:
+                if not lookup[a][b]:
                     return table[a][b], None
-                block = tensor[a][b]
-                return table[a][b], lambda bas: block[bas[u]][bas[v]]
+                get = lookup[a][b].get
+                return table[a][b], lambda bas: get((bas[u], bas[v]), zero)
             return 1, bind_read
         if isinstance(term, Mul):
             fam = self.products[term.slot]
-            apply, blocks = fam.apply, fam.int_tensor(den).sparse
+            apply, blocks = fam.apply, fam.int_tensor(den)
             (dl, left), (dr, right) = (self.bind(term.left, arity),
                                        self.bind(term.right, arity))
             degree = 1 + dl + dr
@@ -382,29 +386,31 @@ def mismatches(axiom: Axiom, cells: _Cells
                ) -> tuple[int, Callable[[tuple[int, ...]], Iterator[tuple]]]:
     """(degree, fn): fn(index tuple) yields (basis tuple, lhs, rhs) for each
     basis tuple, in order, on which the axiom's two sides differ at those
-    indices.  Both sides are compared as int vectors over cells.den **
-    degree, the larger of their degrees, and yielded so; cells.rational
-    turns them back into values.  Each index tuple's two sides are bound
-    once and kept, valid across the binding's rebinds.  Where both are
-    zero, fn yields nothing and visits no basis tuple; where one is, the
-    other is compared against the int zero vector."""
+    indices; the basis tuples are listed at the first index tuple with a
+    nonzero side.  Both sides are compared as int vectors over cells.den
+    ** degree, the larger of their degrees, and yielded so;
+    cells.rational turns them back into values.  Each index tuple's two
+    sides are bound once and kept, valid across the binding's rebinds.
+    Where both are zero, fn yields nothing and visits no basis tuple;
+    where one is, the other is compared against the int zero vector."""
     (dl, lhs), (dr, rhs) = (cells.bind(side, axiom.arity)
                             for side in (axiom.lhs, axiom.rhs))
     degree = max(dl, dr)
     lift_l, lift_r = cells.den ** (degree - dl), cells.den ** (degree - dr)
-    bases = list(product(range(cells.dim), repeat=axiom.arity))
     zero = (0,) * cells.dim
 
     def side(lift, fn):
         return (lambda bas: zero) if fn is None else _scaled(lift, fn)
 
-    sides = {}
+    sides, bases = {}, []
 
     def at(idx):
         if idx not in sides:
             lf, rf = lhs(idx)[1], rhs(idx)[1]
             sides[idx] = (None if lf is None and rf is None
                           else (side(lift_l, lf), side(lift_r, rf)))
+            if sides[idx] is not None and not bases:
+                bases.extend(product(range(cells.dim), repeat=axiom.arity))
         if sides[idx] is None:
             return
         lf, rf = sides[idx]
@@ -426,7 +432,7 @@ def index_classes(cells: _Cells) -> list[int]:
     their int forms at cells.den.  Each round splits a class whose
     members' products with some b fall into different classes."""
     n, den, table = cells.omega.order, cells.den, cells.omega.table
-    tensors = [fam.int_tensor(den).dense for fam in cells.products.values()]
+    tensors = [fam.int_tensor(den) for fam in cells.products.values()]
     data = [(tuple(fams[a].matrix(a).int_rows(den) for fams in cells.maps.values()),
              tuple(t[a][b] for b in range(n) for t in tensors),
              tuple(t[b][a] for b in range(n) for t in tensors))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 from .checkers import (Mul, R, Sum, Var, X, Y, _Cells, check_instance,
                        check_morphism, check_rota_baxter, minus, plus,
@@ -96,15 +96,16 @@ RECIPES: dict[str, Recipe] = {
 
 
 def _product(cells: _Cells, term) -> BilinearFamily:
-    """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j."""
-    (degree, bind), n, d = cells.bind(term, 2), cells.omega.order, cells.dim
-    zero = cells.rational((0,) * d, degree)
-
-    def block(fn):
-        return tuple(tuple(zero if fn is None else cells.rational(fn((i, j)), degree)
-                           for j in range(d)) for i in range(d))
-    return BilinearFamily(cells.omega, d, tuple(
-        tuple(block(bind((a, b))[1]) for b in range(n)) for a in range(n)))
+    """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j;
+    only the blocks where the bound term is not zero are evaluated."""
+    (degree, bind), d = cells.bind(term, 2), cells.dim
+    entries = {}
+    for a, b in product(cells.omega.indices(), repeat=2):
+        fn = bind((a, b))[1]
+        if fn is not None:
+            for i, j in product(range(d), repeat=2):
+                entries[a, b, i, j] = cells.rational(fn((i, j)), degree)
+    return BilinearFamily.from_cells(cells.omega, d, entries)
 
 
 def _gate(error: type, message: str, report):

@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator
 
 from .errors import NonCommutingStructureMaps, ShapeMismatch, Singular
 from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
@@ -20,16 +21,8 @@ _ZERO = Fraction(0)
 Tensor = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]  # [i][j][k] per (a,b)
 # the nonzero cells of one block: (i, ((j, e_i * e_j), ...)) rows, listing
 # only the i and j whose product is nonzero, in ascending order
-SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
-
-
-class IntTensor(NamedTuple):
-    """A family's tensor times some den, in integers: dense[a][b][i][j] is
-    the vector of e_i *_{a,b} e_j, and sparse[a][b] lists that block's
-    nonzero vectors, the very tuples of dense."""
-
-    dense: tuple
-    sparse: tuple[tuple[SparseBlock, ...], ...]
+SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple], ...]], ...]
+Blocks = tuple[tuple[SparseBlock, ...], ...]  # [a][b] -> one SparseBlock
 
 
 def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
@@ -49,84 +42,88 @@ def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
 
 @dataclass(frozen=True)
 class BilinearFamily:
-    """One d x d x d structure-constant tensor per index pair (a, b).
-
-    tensor[(a, b)][i][j][k] is the coefficient of e_k in e_i * e_j under
-    the operation indexed by (a, b).
-    """
+    """One bilinear product per index pair (a, b), stored as its nonzero
+    cells: blocks[a][b] is a SparseBlock of Fraction vectors, where the
+    vector of e_i *_{a,b} e_j gives its coefficient of each e_k.  Zero
+    products are left out, so equal families have equal fields.  Build
+    one with `from_cells`, `from_function` or `zero`."""
 
     omega: SemigroupTable
     dim: int
-    tensor: tuple[tuple[Tensor, ...], ...]  # [a][b] -> d x d x d
+    blocks: Blocks
 
-    def __post_init__(self):
-        n = self.omega.order
-        d = self.dim
-        if len(self.tensor) != n or any(len(row) != n for row in self.tensor):
-            raise ShapeMismatch("tensor must cover all of Omega x Omega")
-        for row in self.tensor:
-            for cube in row:
-                if (len(cube) != d or any(len(pl) != d for pl in cube)
-                        or any(len(v) != d for pl in cube for v in pl)):
-                    raise ShapeMismatch(f"each tensor block must be {d}x{d}x{d}")
+    @staticmethod
+    def from_cells(omega: SemigroupTable, dim: int,
+                   cells: dict[tuple[int, int, int, int], Vector]
+                   ) -> "BilinearFamily":
+        """The family whose e_i *_{a,b} e_j is cells[a, b, i, j], and zero
+        at every key left out."""
+        n = omega.order
+        grid: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+        for (a, b, i, j), cell in cells.items():
+            if not (0 <= a < n and 0 <= b < n and 0 <= i < dim and 0 <= j < dim
+                    and len(cell) == dim):
+                raise ShapeMismatch(f"cell {(a, b, i, j)} must be a vector of length "
+                                    f"{dim} in {n}x{n} blocks of {dim}x{dim}")
+            cell = vec(cell)
+            if any(cell):
+                grid[a][b].setdefault(i, {})[j] = cell
+        return BilinearFamily(omega, dim, tuple(
+            tuple(tuple((i, tuple(sorted(block[i].items()))) for i in sorted(block))
+                  for block in row) for row in grid))
 
     @staticmethod
     def from_function(omega: SemigroupTable, dim: int,
                       fn: Callable[[int, int, int, int], Vector]) -> "BilinearFamily":
         """Build from fn(a, b, i, j) -> coefficient vector of e_i *_{a,b} e_j."""
-        n = omega.order
-        tensor = tuple(
-            tuple(
-                tuple(
-                    tuple(vec(fn(a, b, i, j)) for j in range(dim))
-                    for i in range(dim)
-                )
-                for b in range(n)
-            )
-            for a in range(n)
-        )
-        return BilinearFamily(omega, dim, tensor)
+        keys = product(omega.indices(), omega.indices(), range(dim), range(dim))
+        return BilinearFamily.from_cells(omega, dim, {k: fn(*k) for k in keys})
 
     @staticmethod
     def zero(omega: SemigroupTable, dim: int) -> "BilinearFamily":
-        z = zero_vector(dim)
-        return BilinearFamily.from_function(omega, dim, lambda a, b, i, j: z)
+        return BilinearFamily.from_cells(omega, dim, {})
+
+    def cells(self) -> Iterator[tuple[tuple[int, int, int, int], Vector]]:
+        """((a, b, i, j), e_i *_{a,b} e_j) for each nonzero product, in order."""
+        for a, row in enumerate(self.blocks):
+            for b, block in enumerate(row):
+                for i, cells_i in block:
+                    for j, cell in cells_i:
+                        yield (a, b, i, j), cell
+
+    @cached_property
+    def tensor(self) -> tuple[tuple[Tensor, ...], ...]:
+        """The dense view, built on first read: tensor[a][b][i][j][k] is
+        the coefficient of e_k in e_i *_{a,b} e_j."""
+        cells, zero = dict(self.cells()), zero_vector(self.dim)
+        n, d = range(self.omega.order), range(self.dim)
+        return tuple(tuple(tuple(tuple(cells.get((a, b, i, j), zero) for j in d)
+                                 for i in d) for b in n) for a in n)
 
     def basis_product(self, a: int, b: int, i: int, j: int) -> Vector:
         return self.tensor[a][b][i][j]
 
     @cached_property
     def den(self) -> int:
-        """The lcm of the tensor's denominators."""
-        return lcm(*(c.denominator for row in self.tensor for cube in row
-                     for plane in cube for cell in plane for c in cell))
+        """The lcm of the cells' denominators."""
+        return lcm(*(c.denominator for _, cell in self.cells() for c in cell))
 
     @cached_property
-    def _int_forms(self) -> dict[int, IntTensor]:
+    def _int_forms(self) -> dict[int, Blocks]:
         return {}
 
-    def int_tensor(self, den: int) -> IntTensor:
-        """The tensor times den, a multiple of self.den; built once per den."""
+    def int_tensor(self, den: int) -> Blocks:
+        """The blocks times den, a multiple of self.den: the same
+        SparseBlock rows with int vectors, built once per den."""
         forms = self._int_forms
         if den not in forms:
             if den % self.den:
                 raise ValueError(f"den {den} is not a multiple of {self.den}")
-            forms[den] = self._ints(den)
+            forms[den] = tuple(tuple(tuple(
+                (i, tuple((j, tuple(c.numerator * (den // c.denominator)
+                                    for c in cell)) for j, cell in cells_i))
+                for i, cells_i in block) for block in row) for row in self.blocks)
         return forms[den]
-
-    def _ints(self, den: int) -> IntTensor:
-        def block(cube):
-            rows = []
-            for i, plane in enumerate(cube):
-                row = tuple((j, cell) for j, cell in enumerate(plane) if any(cell))
-                if row:
-                    rows.append((i, row))
-            return tuple(rows)
-        dense = tuple(tuple(tuple(tuple(tuple(
-            c.numerator * (den // c.denominator) for c in cell) for cell in plane)
-            for plane in cube) for cube in row) for row in self.tensor)
-        return IntTensor(dense, tuple(tuple(block(cube) for cube in row)
-                                      for row in dense))
 
     def apply(self, a: int, b: int, x: Vector, y: Vector,
               den: int | None = None) -> Vector:
@@ -135,16 +132,15 @@ class BilinearFamily:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch(f"vectors must have length {self.dim}")
         if den is not None:
-            return block_times(self.int_tensor(den).sparse[a][b], self.dim, x, y)
+            return block_times(self.int_tensor(den)[a][b], self.dim, x, y)
         own = self.den
-        out = block_times(self.int_tensor(own).sparse[a][b], self.dim, x, y, _ZERO)
+        out = block_times(self.int_tensor(own)[a][b], self.dim, x, y, _ZERO)
         return out if own == 1 else tuple(v / own for v in out)
 
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)
-        return BilinearFamily.from_function(
-            self.omega, self.dim,
-            lambda a, b, i, j: tuple(c * v for v in self.tensor[a][b][i][j]))
+        return BilinearFamily.from_cells(self.omega, self.dim, {
+            key: tuple(c * v for v in cell) for key, cell in self.cells()})
 
 
 @dataclass(frozen=True)

@@ -347,17 +347,11 @@ class _Parser:
                 maps[which] = self._parse_map_body(omega_name, dim, owner)
             else:
                 self._fail("'product', 'map' or '}'")
-        zero = (Fraction(0),) * dim
-        products = []
-        for slot in kind.product_slots:
-            entries = product_entries.get(slot, {})
-            products.append((slot, BilinearFamily.from_function(
-                omega, dim,
-                lambda a, b, i, j, entries=entries:
-                    entries.get((a, b, i, j), zero))))
-        identity = LinearFamily.identity(omega, dim)
+        products = tuple((slot, BilinearFamily.from_cells(
+            omega, dim, product_entries.get(slot, {}))) for slot in kind.product_slots)
+        identity = None if len(maps) == 2 else LinearFamily.identity(omega, dim)
         try:
-            inst = new_instance(kind, omega, tuple(products),
+            inst = new_instance(kind, omega, products,
                                 maps.get("p", identity), maps.get("q", identity))
         except Exception as exc:
             raise ResolutionError(f"algebra {name!r}: {exc}") from exc
@@ -379,7 +373,7 @@ def _fmt_matrix(m: Matrix) -> str:
 
 
 def _fmt_lincomb(vec: tuple) -> str:
-    """The vector's nonzero terms, or "" for the zero vector."""
+    """A nonzero vector as the sum of its nonzero terms."""
     return " + ".join(f"{v} e{k + 1}" for k, v in enumerate(vec) if v)
 
 
@@ -409,14 +403,9 @@ def _serialize_algebra(name: str, omega_name: str,
     elements = inst.omega.elements
     for slot, fam in inst.products:
         lines.append(f"  product {slot} {{")
-        for a, row in enumerate(fam.tensor):
-            for b, cube in enumerate(row):
-                for i, plane in enumerate(cube):
-                    for j, cell in enumerate(plane):
-                        if lincomb := _fmt_lincomb(cell):
-                            lines.append(
-                                f"    ({elements[a]},{elements[b]}): "
-                                f"e{i + 1}*e{j + 1} = {lincomb};")
+        for (a, b, i, j), cell in fam.cells():
+            lines.append(f"    ({elements[a]},{elements[b]}): "
+                         f"e{i + 1}*e{j + 1} = {_fmt_lincomb(cell)};")
         lines.append("  }")
     for which, fam in (("p", inst.p), ("q", inst.q)):
         lines.append(f"  map {which} {{")

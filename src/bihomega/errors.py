@@ -91,10 +91,17 @@ class BudgetExceeded(BihomegaError):
 
 
 class ParseError(BihomegaError):
-    """Syntax error in workspace text; positions are 1-based."""
+    """Syntax error in workspace text; positions are 1-based.  The message
+    quotes at most QUOTED characters of the token found; `found` keeps
+    all of it."""
+
+    QUOTED = 64
 
     def __init__(self, line: int, column: int, expected: str, found: str):
-        super().__init__(f"{line}:{column}: expected {expected}, found {found!r}")
+        more = len(found) - self.QUOTED
+        super().__init__(f"{line}:{column}: expected {expected}, found "
+                         f"{found[:self.QUOTED]!r}"
+                         + (f" and {more} more characters" if more > 0 else ""))
         self.line = line
         self.column = column
         self.expected = expected

@@ -579,6 +579,42 @@ def test_a_workspace_with_no_algebra_exits_2(tmp_path, capsys):
                                            "algebra\n"), argv
 
 
+def test_a_workspace_with_two_algebras_needs_a_name(tmp_path, capsys):
+    path = tmp_path / "two.bho"
+    path.write_text(GOLDEN_TWO_DIM + "\nalgebra flat : bihom_associative "
+                    "over W dim 2 { }\n")
+    assert main(["construct", "assoc_to_lie", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: workspace holds several "
+                                       "algebras; pass --algebra NAME\n")
+    out_path = tmp_path / "out.bho"
+    assert main(["construct", "assoc_to_lie", "--input", str(path),
+                 "--algebra", "two_dim", "--out", str(out_path)]) == 0
+    from bihomega.constructions import assoc_to_lie
+    got = parse_workspace(out_path.read_text()).algebras
+    assert list(got) == ["two_dim_assoc_to_lie"]
+    assert got["two_dim_assoc_to_lie"].product("bracket") == assoc_to_lie(
+        two_dim_instance(C2)).product("bracket")
+    assert main(["search-rb", "--algebra", str(path), "--name", "flat",
+                 "--entries", "0,1", "--limit", "3", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err == "found 3 operator families\n"
+    text = out_path.read_text()
+    assert "# search-rb over flat: entries 0,1, weight 0, found 3\n" in text
+    assert sorted(parse_workspace(text).rota_baxter) == ["rb000", "rb001", "rb002"]
+
+
+def test_an_empty_algebra_of_large_dim_stores_no_cell(tmp_path, capsys):
+    text = ("semigroup T { elements t; table { t*t = t; } }\n"
+            "algebra a : lie over T dim 400 { }\n")
+    assert parse_workspace(text).algebras["a"].product("bracket").blocks == (((),),)
+    path = tmp_path / "big.bho"
+    path.write_text(text)
+    assert main(["fmt", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "algebra a : lie over T dim 400 {\n  product bracket {\n  }\n" in out
+    assert main(["check", str(path)]) == 0
+    assert "PASS algebra a jacobi" in capsys.readouterr().out
+
+
 def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "long.bho"
     digits = "1" * 5000
@@ -592,7 +628,7 @@ def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
         assert main(["fmt", str(path)]) == 2
         assert capsys.readouterr() == ("", (
             f"error: {place}: expected an integer of at most 4300 digits, "
-            f"found {digits!r}\n"))
+            f"found '{digits[:64]}' and 4936 more characters\n"))
 
 
 def test_search_rb_refuses_a_decimal_exponent_past_the_digit_limit(

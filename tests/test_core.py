@@ -120,6 +120,30 @@ def test_apply_matches_dense_triple_sum(case):
             out = fam.apply(a, b, x, y)
             assert out == tuple(dense)
             assert all(type(v) is Fraction for v in out)
+            for i in range(d):
+                for j in range(d):
+                    assert fam.tensor[a][b][i][j] == cells[a, b, i, j]
+
+
+def test_zero_cells_are_not_stored():
+    cells = {(0, 1, 1, 0): (Fraction(1, 2), 0), (1, 1, 0, 0): (0, -3)}
+    zeros = {(a, b, i, j): (0, 0) for a in range(2) for b in range(2)
+             for i in range(2) for j in range(2)}
+    explicit = BilinearFamily.from_cells(C2, 2, {**zeros, **cells})
+    sparse = BilinearFamily.from_cells(C2, 2, cells)
+    assert explicit == sparse and hash(explicit) == hash(sparse)
+    assert explicit.blocks == (((), ((1, ((0, (Fraction(1, 2), 0)),)),)),
+                               ((), ((0, ((0, (0, -3)),)),)))
+    assert BilinearFamily.zero(C2, 2) == BilinearFamily.from_cells(C2, 2, zeros)
+    assert BilinearFamily.zero(C2, 2).blocks == (((), ()), ((), ()))
+
+
+def test_from_cells_rejects_bad_shapes():
+    for key, cell in (((0, 0, 0, 0), (1,)), ((2, 0, 0, 0), (1, 0)),
+                      ((0, 0, 0, 2), (1, 0)), ((0, -1, 0, 0), (1, 0))):
+        with pytest.raises(ShapeMismatch, match="must be a vector of length 2 "
+                                                "in 2x2 blocks of 2x2"):
+            BilinearFamily.from_cells(C2, 2, {key: cell})
 
 
 def test_new_instance_accepts_identity_maps():

@@ -338,8 +338,10 @@ def test_parse_error_table(text, line, column, expected, found):
         parse_workspace(text)
     assert (err.value.line, err.value.column, err.value.expected,
             err.value.found) == (line, column, expected, found)
+    quoted = repr(found) if len(found) <= 64 else (
+        f"{found[:64]!r} and {len(found) - 64} more characters")
     assert str(err.value) == f"{line}:{column}: expected {expected}, " \
-                             f"found {found!r}"
+                             f"found {quoted}"
 
 
 RESOLUTION_ERRORS = [

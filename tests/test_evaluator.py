@@ -381,8 +381,8 @@ def pooled_instances(draw, kind, omega, d, pattern):
     products = []
     for slot in kind.product_slots:
         blocks = draw(pooled(_cubes(d), pattern[1]))
-        products.append((slot, BilinearFamily(omega, d, tuple(
-            blocks[a * n:(a + 1) * n] for a in range(n)))))
+        products.append((slot, BilinearFamily.from_function(
+            omega, d, lambda a, b, i, j, blocks=blocks: blocks[a * n + b][i][j])))
     p = draw(pooled_families(omega, d, pattern))
     scalar = st.sampled_from(SCALARS)
     coefficients = draw(pooled(st.tuples(scalar, scalar, scalar), pattern[0]))
@@ -466,8 +466,8 @@ def mixed_blocks(draw, omega, d):
                            for _ in range(d)) for _ in range(d))
     blocks = [((zero,) * d,) * d if draw(st.booleans()) else cube()
               for _ in range(n * n)]
-    return BilinearFamily(omega, d, tuple(tuple(blocks[a * n:(a + 1) * n])
-                                          for a in range(n)))
+    return BilinearFamily.from_function(
+        omega, d, lambda a, b, i, j: blocks[a * n + b][i][j])
 
 
 @st.composite

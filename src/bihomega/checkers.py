@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Union
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Matrix, Vector, frac
+from .linalg import Vector, frac
 from .reports import CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -181,8 +181,10 @@ class _Cells:
     nonzero cells times den (its `int_tensor`), each map's matrix per
     index (as a family whose matrix there is it), the twisted columns
     built from them, lam and the memos of the sub-terms that read fewer
-    variables than their axiom.  A term
-    compiles to (degree, bind): bind(index tuple) -> (its index,
+    variables than their axiom.  A twist's columns are built at every
+    index when a variable with that twist is first compiled, and a
+    one-letter twist's are its matrix's `int_cols`.  A term compiles to
+    (degree, bind): bind(index tuple) -> (its index,
     fn(basis tuple) -> its value times den ** degree, an int vector).
     A variable's degree is its twist's length, a read of a cell's is 1,
     a product's is 1 plus its arguments', a map's 1 plus its argument's;
@@ -200,11 +202,10 @@ class _Cells:
     term, a sum of zero terms only (still at its first term's index).
     That is decided from product blocks alone, so no rebind changes it.
 
-    rebind(name, a, fam, cols) swaps one map's matrix at one index and
-    drops the values that read it, never a bound term: the twisted
-    columns at a, rebuilt when next read unless cols is the bare one,
-    and every value memo.  So a search binds each index tuple once and
-    rebinds one index per node.
+    rebind(name, a, fam) swaps one map's matrix at one index and renews
+    what reads it, never a bound term: it rebuilds every twisted column
+    through `name` at a, and clears every value memo.  So a search binds
+    each index tuple once and rebinds one index per node.
 
     A check binds and evaluates one index tuple per class tuple of
     `index_classes`: indices whose maps, blocks and semigroup products
@@ -228,29 +229,29 @@ class _Cells:
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
         self.memos: list[dict] = []
 
-    def column(self, twist: str) -> list[list[IntVector] | None]:
-        """[a] -> the twisted basis at index a, or None until `_twisted`
-        builds it."""
+    def column(self, twist: str) -> list[list[IntVector]]:
+        """[a][i] -> e_i twisted at index a, times den ** len(twist); its
+        suffixes are built first, so they come first in self.cols."""
         if twist not in self.cols:
             self.column(twist[1:])
-            self.cols[twist] = [None] * self.omega.order
+            self.cols[twist] = [self._twist_at(twist, a)
+                                for a in range(self.omega.order)]
         return self.cols[twist]
 
-    def columns(self, m: Matrix) -> list[IntVector]:
-        """m times den, column by column: the twisted column at a of a
-        map whose matrix at a is m."""
-        return [m.apply(e, self.den) for e in self.cols[""][0]]
+    def _twist_at(self, twist: str, a: int) -> list[IntVector]:
+        fam = self.maps[twist[0]][a]
+        if len(twist) == 1:
+            return fam.matrix(a).int_cols(self.den)
+        return [fam.apply(a, v, self.den) for v in self.cols[twist[1:]][a]]
 
-    def rebind(self, name: str, a: int, fam: LinearFamily,
-               cols: list[IntVector] | None = None) -> None:
+    def rebind(self, name: str, a: int, fam: LinearFamily) -> None:
         """Map `name` at index a becomes fam's matrix there, whose den
-        must divide self.den; cols, if given, are `columns` of it."""
+        must divide self.den: every twist through it is rebuilt at a,
+        suffixes first, and every memo cleared."""
         self.maps[name][a] = fam
         for twist, twisted in self.cols.items():
             if name in twist:
-                twisted[a] = None
-        if cols is not None:
-            self.column(name)[a] = cols
+                twisted[a] = self._twist_at(twist, a)
         for memo in self.memos:
             memo.clear()
 
@@ -268,10 +269,9 @@ class _Cells:
         table, den = self.omega.table, self.den
         if isinstance(term, Var):
             cols, pos = self.column(term.twist), term.pos
-            twisted = partial(_twisted, self.cols, self.maps, den, term.twist)
             def bind_var(idx):
                 a = idx[pos]
-                return a, lambda bas: (cols[a] or twisted(a))[bas[pos]]
+                return a, lambda bas: cols[a][bas[pos]]
             return len(term.twist), bind_var
         if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
             # a product of two basis vectors is read from its block's cells
@@ -329,17 +329,6 @@ class _Cells:
         positions = sorted(_positions(term))
         return degree, (bind if len(positions) == arity
                         else _shared(bind, positions, self.memos))
-
-
-def _twisted(cols: dict, maps: dict, den: int, twist: str, a: int
-             ) -> list[IntVector]:
-    """[i] -> e_i twisted at index a, built once per matrix at a."""
-    col = cols[twist]
-    if col[a] is None:
-        fam = maps[twist[0]][a]
-        col[a] = [fam.apply(a, v, den)
-                  for v in _twisted(cols, maps, den, twist[1:], a)]
-    return col[a]
 
 
 def _scaled(c: int, fn):
@@ -461,31 +450,19 @@ def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
     same data: by induction on the term, each sub-term's index has the
     same class and its value is the same at all of them.  So each class
     tuple's mismatches are found once, at its first index tuple, and
-    reported at every index tuple of it."""
+    `collect` is handed them, as one group, at every index tuple of it."""
     omega, results = cells.omega, []
     classes = index_classes(cells)
     for axiom in axioms:
         degree, at = mismatches(axiom, cells)
-        found = _once_per_class(at, classes)
-        results.append(collect(axiom.name, omega.elements, (
-            (idx, *mismatch)
-            for idx in product(range(omega.order), repeat=axiom.arity)
-            for mismatch in found(idx)), cap, partial(cells.rational, degree=degree)))
+        found: dict[tuple[int, ...], tuple] = {}
+        groups = ((idx, found[key] if key in found
+                   else found.setdefault(key, tuple(at(idx))))
+                  for idx in product(range(omega.order), repeat=axiom.arity)
+                  for key in (tuple(classes[a] for a in idx),))
+        results.append(collect(axiom.name, omega.elements, groups, cap,
+                               partial(cells.rational, degree=degree)))
     return CheckReport(subject, tuple(results))
-
-
-def _once_per_class(at: Callable[[tuple[int, ...]], Iterator[tuple]],
-                    classes: list[int]) -> Callable[[tuple[int, ...]], tuple]:
-    """at's mismatches, found at the first index tuple of each class
-    tuple and kept for the others."""
-    found: dict[tuple[int, ...], tuple] = {}
-
-    def once(idx):
-        key = tuple(classes[a] for a in idx)
-        if key not in found:
-            found[key] = tuple(at(idx))
-        return found[key]
-    return once
 
 
 def _kind_checker(name: str, kinds: tuple[AlgebraKind, ...], doc: str):

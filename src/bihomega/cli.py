@@ -163,12 +163,12 @@ def _cmd_construct(args) -> int:
     omega_name = ws.omega_of[("algebra", alg_name)]
     out_name = args.as_name or f"{alg_name}_{args.name}"
     out_ws = workspace_for_instance(out_name, omega_name, out)
-    comments = [f"construction: {args.name}",
-                f"input: {alg_name} (digest {inst.digest()})"]
-    if out.provenance is not None:
-        for key, value in out.provenance.parameters:
-            comments.append(f"parameter {key}: {value}")
-    _write_text(args.out, serialize_workspace(out_ws, tuple(comments)))
+    # every construction records its input's digest in the provenance
+    prov = out.provenance
+    comments = (f"construction: {args.name}",
+                f"input: {alg_name} (digest {prov.input_digests[0]})",
+                *(f"parameter {key}: {value}" for key, value in prov.parameters))
+    _write_text(args.out, serialize_workspace(out_ws, comments))
     return EXIT_OK
 
 

@@ -205,35 +205,34 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     dropped at the first binary cell (x, y) whose sides differ, compared
     as soon as x, y and xy all have matrices.
 
-    One binding serves the whole search: cells_for(fam, den) binds the
-    axioms with fam as map `name` over a multiple of den, the lcm of the
-    entries' denominators, so every candidate's matrices are exact in it.
-    Each index tuple's sides are bound once.  Each candidate matrix
-    carries its columns at the binding's den, built once, and the unary
-    pass rebinds `name` at each (index, matrix) with them; a node at
-    depth k rebinds it at index k only.  A rebind installs the carried
-    columns and drops the twists that compose `name` at k, which only
-    the unary axioms read, and the binding's value memos, of which the
-    search axioms make none.  Indices past k keep stale matrices, but no
-    cell compared at depth k reads them.
+    Two bindings serve the whole search, one for the unary axioms and
+    one for the binary ones: cells_for(fam, den) binds the axioms with
+    fam as map `name` over a multiple of den, the lcm of the entries'
+    denominators, so every candidate's matrices are exact in it.  Each
+    index tuple's sides are bound once.  The unary pass rebinds `name`
+    at each (index, matrix); a node at depth k rebinds it at index k
+    only, so it renews just the twists the binary axioms read.  Indices
+    past k keep stale matrices, but no cell compared at depth k reads
+    them.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
     if space > cfg.budget:
         raise BudgetExceeded(space, cfg.budget)
-    cells = cells_for(LinearFamily.identity(omega, dim),
-                      lcm(*(v.denominator for v in cfg.entries)))
-    unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
-    binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
+    ident = LinearFamily.identity(omega, dim)
+    den = lcm(*(v.denominator for v in cfg.entries))
+    unary_cells, binary_cells = cells_for(ident, den), cells_for(ident, den)
+    unary = [mismatches(ax, unary_cells)[1] for ax in axioms if ax.arity == 1]
+    binary = [mismatches(ax, binary_cells)[1] for ax in axioms if ax.arity == 2]
     choices = [[] for _ in range(n)]
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
-            fam, cols = LinearFamily.constant(omega, m), cells.columns(m)
+            fam = LinearFamily.constant(omega, m)
             for x in range(n):
-                cells.rebind(name, x, fam, cols)
+                unary_cells.rebind(name, x, fam)
                 if _holds(unary, [(x,)]):
-                    choices[x].append((m, fam, cols))
+                    choices[x].append((m, fam))
     # the binary cells first readable once index k has its matrix
     fresh = [[] for _ in range(n)]
     for x in range(n):
@@ -245,8 +244,8 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
         if k == n:
             yield LinearFamily(omega, dim, mats)
             return
-        for m, fam, cols in choices[k]:
-            cells.rebind(name, k, fam, cols)
+        for m, fam in choices[k]:
+            binary_cells.rebind(name, k, fam)
             if _holds(binary, fresh[k]):
                 yield from extend(mats + (m,))
     return extend(())

@@ -115,6 +115,20 @@ class Matrix:
                                for i in range(self.rows))
         return forms[den]
 
+    @cached_property
+    def _int_cols(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def int_cols(self, den: int) -> tuple[tuple[int, ...], ...]:
+        """The matrix times den, a multiple of self.den, column by column:
+        column j is apply(e_j, den); built once per den."""
+        forms = self._int_cols
+        if den not in forms:
+            rows = [dict(row) for row in self.int_rows(den)]
+            forms[den] = tuple(tuple(row.get(j, 0) for row in rows)
+                               for j in range(self.cols))
+        return forms[den]
+
     def apply(self, x: Vector, den: int | None = None) -> Vector:
         """The matrix times x.  Given den, a multiple of self.den, x is an
         int vector and so is the result: the product times den."""
@@ -163,7 +177,8 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise ShapeMismatch("only square matrices invert")
     n = a.rows
     work = [list(a.row(i)) for i in range(n)]
-    inv = [list(Matrix.identity(n).row(i)) for i in range(n)]
+    ident = Matrix.identity(n)
+    inv = [list(ident.row(i)) for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot is None:

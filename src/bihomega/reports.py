@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 REPORT_FORMAT_VERSION = 1
@@ -61,18 +60,21 @@ class AxiomResult:
         }
 
 
-def collect(axiom: str, names: Sequence[str], violations: Iterable[tuple],
-            cap: int, convert: Callable[[tuple], tuple] = tuple) -> AxiomResult:
-    """The verdict on an ordered stream of (index tuple, basis tuple, lhs,
-    rhs) violations: all are counted, the first `cap` kept as witnesses
-    with each index named by `names` and each side passed through
-    `convert`."""
-    rest = iter(violations)
-    witnesses = tuple(Witness(tuple(names[a] for a in idx), bas,
-                              convert(lhs), convert(rhs))
-                      for idx, bas, lhs, rhs in islice(rest, max(cap, 0)))
-    total = len(witnesses) + sum(1 for _ in rest)
-    return AxiomResult(axiom, total == 0, witnesses, total)
+def collect(axiom: str, names: Sequence[str],
+            groups: Iterable[tuple[tuple[int, ...], tuple]], cap: int,
+            convert: Callable[[tuple], tuple] = tuple) -> AxiomResult:
+    """The verdict on an ordered stream of (index tuple, its violations)
+    groups, each violation a (basis tuple, lhs, rhs): every group adds
+    its length to the total, and the first `cap` violations are kept as
+    witnesses, with each index named by `names` and each side passed
+    through `convert`."""
+    witnesses, total = [], 0
+    for idx, found in groups:
+        total += len(found)
+        for bas, lhs, rhs in found[:max(cap - len(witnesses), 0)]:
+            witnesses.append(Witness(tuple(names[a] for a in idx), bas,
+                                     convert(lhs), convert(rhs)))
+    return AxiomResult(axiom, total == 0, tuple(witnesses), total)
 
 
 @dataclass(frozen=True)

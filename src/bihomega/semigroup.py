@@ -73,7 +73,7 @@ def validate_semigroup(t: SemigroupTable, max_witnesses: int = 10) -> CheckRepor
     """
     return CheckReport(subject="semigroup", results=tuple(
         collect(name, t.elements, (
-            (idx, (), (lhs,), (rhs,))
+            (idx, (((), (lhs,), (rhs,)),))
             for idx in product(t.indices(), repeat=arity)
             for lhs, rhs in (law(t.table, *idx),) if lhs != rhs), max_witnesses)
         for name, arity, law in (_LAWS if t.commutative else _LAWS[:1])))

@@ -182,6 +182,53 @@ def test_construct_records_rb_weight_parameter(tmp_path, capsys):
     assert "# parameter weight: 0\n" in capsys.readouterr().out
 
 
+def test_construct_reads_the_one_rb_family_of_another_file(tmp_path, capsys):
+    lie = constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D})
+    ws = workspace_for_instance("l", "W", lie)
+    path = tmp_path / "lie.bho"
+    path.write_text(serialize_workspace(ws))
+    ws.rota_baxter["r"] = RotaBaxterFamily(
+        LinearFamily.constant(C2, Matrix.from_rows([[0, 0], [0, 0]])), 0)
+    ws.omega_of[("rb", "r")] = "W"
+    rb_path = tmp_path / "rb.bho"
+    rb_path.write_text(serialize_workspace(ws))
+    assert main(["construct", "rb_lie_to_prelie", "--input", str(path),
+                 "--rb", str(rb_path)]) == 0
+    assert "# parameter weight: 0\n" in capsys.readouterr().out
+
+
+def test_construct_unknown_rb_family_exits_2(tmp_path, capsys, monkeypatch):
+    lie = constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D})
+    path = tmp_path / "lie.bho"
+    path.write_text(serialize_workspace(workspace_for_instance("l", "W", lie)))
+    monkeypatch.chdir(tmp_path)  # no file named nosuch either
+    assert main(["construct", "rb_lie_to_prelie", "--input", str(path),
+                 "--rb", "nosuch"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no rota_baxter family named 'nosuch'\n")
+
+
+def test_construct_yau_twist_needs_both_maps(two_dim_file, capsys):
+    assert main(["construct", "yau_twist", "--input", two_dim_file,
+                 "--p2", "g"]) == 2
+    assert capsys.readouterr().err == (
+        "error: yau_twist needs --p2 NAME and --q2 NAME\n")
+
+
+def test_construct_digests_its_input_once(two_dim_file, capsys, monkeypatch):
+    from bihomega.core import AlgebraInstance
+    digest, calls = AlgebraInstance.digest, []
+
+    def counted(inst):
+        calls.append(inst)
+        return digest(inst)
+    monkeypatch.setattr(AlgebraInstance, "digest", counted)
+    assert main(["construct", "assoc_to_lie", "--input", two_dim_file]) == 0
+    assert len(calls) == 1
+    header = f"# input: two_dim (digest {digest(calls[0])})\n"
+    assert header in capsys.readouterr().out
+
+
 def test_construct_has_no_unchecked_flag(two_dim_file, capsys):
     # construct always checks its input and its output
     assert main(["construct", "assoc_to_lie", "--input", two_dim_file,
@@ -305,6 +352,13 @@ def test_example_two_dim_both_readings(tmp_path, capsys):
     assert "PASS two-dim reading=e2" in out
     ws = parse_workspace(out_path.read_text())
     assert sorted(ws.algebras) == ["two_dim_e1", "two_dim_e2"]
+
+
+def test_example_unknown_name_exits_2(tmp_path, capsys):
+    assert main(["example", "nosuch", "--params",
+                 str(tmp_path / "params.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown example 'nosuch'; only 'two-dim' exists\n")
 
 
 def test_example_rejects_bad_side_conditions(tmp_path, capsys):

@@ -290,10 +290,10 @@ def test_flip_product_matches_fraction_evaluator():
 def test_one_mismatches_per_axiom_across_rebinds_matches_the_fraction_evaluator(
         case, data):
     """As a search binds: one `mismatches` function per axiom, kept across
-    rebinds of p, q or R at one index after another, some of which install
-    the new matrix's carried columns.  After each rebind every index
-    tuple's mismatches are the Fraction evaluator's with those matrices in
-    place, so no bound side keeps a stale matrix, column or memo."""
+    rebinds of p, q or R at one index after another.  After each rebind
+    every index tuple's mismatches are the Fraction evaluator's with those
+    matrices in place, so no bound side keeps a stale matrix, column or
+    memo."""
     _assert_rebinds_match(case, data)
 
 
@@ -312,8 +312,7 @@ def _assert_rebinds_match(case, data):
         if step:
             name, k = data.draw(st.sampled_from("pqR")), data.draw(st.integers(0, n - 1))
             m = maps[name][k] = data.draw(matrices(d))
-            cols = cells.columns(m) if data.draw(st.booleans()) else None
-            cells.rebind(name, k, LinearFamily.constant(omega, m), cols)
+            cells.rebind(name, k, LinearFamily.constant(omega, m))
         fams = {name: LinearFamily(omega, d, tuple(mats))
                 for name, mats in maps.items()}
         env = _env(replace(inst, p=fams["p"], q=fams["q"]), {"R": fams["R"]},

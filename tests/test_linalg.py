@@ -52,6 +52,17 @@ def test_inverse_unipotent():
     assert mat_inverse(m) == Matrix.from_rows([[1, -1], [0, 1]])
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],
+    [[0, 2, 1], [3, 0, 0], [1, 1, Fraction(5, 2)]],
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+])
+def test_inverse_with_row_swaps(rows):
+    # each has a zero pivot in row order, so elimination swaps rows
+    m = Matrix.from_rows(rows)
+    assert mat_mul(m, mat_inverse(m)) == Matrix.identity(len(rows))
+
+
 def test_inverse_singular():
     with pytest.raises(Singular):
         mat_inverse(Matrix.from_rows([[1, 2], [2, 4]]))
@@ -156,6 +167,23 @@ def test_apply_in_integers_at_a_multiple_of_den():
     third = Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(5, 2)]])
     with pytest.raises(ValueError, match="not a multiple of 6"):
         third.apply((1, 1), 2)
+
+
+@given(sparse_matrix_and_vector(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_int_cols_are_the_images_of_the_basis(case, k):
+    m = case[0]
+    den = m.den * k
+    cols = m.int_cols(den)
+    assert cols == tuple(m.apply(tuple(int(i == j) for i in range(m.cols)), den)
+                         for j in range(m.cols))
+    assert m.int_cols(den) is cols
+
+
+def test_int_cols_reject_a_den_that_is_no_multiple():
+    third = Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(5, 2)]])
+    with pytest.raises(ValueError, match="not a multiple of 6"):
+        third.int_cols(2)
 
 
 @st.composite

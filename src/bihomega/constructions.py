@@ -2,8 +2,9 @@
 
 Every construction is a `Recipe` in `RECIPES`, its products written in the
 checkers' term forms. One runner runs them all in a fixed order: the
-requirements, the pre-checks, the products, the post-checks (both checks
-skipped with unchecked=True), then the provenance."""
+operands' shapes, the requirements, the pre-checks, the products, the
+post-checks (both checks skipped with unchecked=True), then the
+provenance."""
 
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind as K,
                    new_instance)
 from .errors import (KindMismatch, MorphismCheckFailed, NonCommutativeOmega,
                      NonCommutingFamilies, NonzeroWeight,
-                     PostconditionCheckFailed, PreconditionCheckFailed)
+                     PostconditionCheckFailed, PreconditionCheckFailed,
+                     ShapeMismatch)
 from .semigroup import is_commutative_table
 
 _POST = (("instance", "output fails its {kind} checker"),)
@@ -122,6 +124,11 @@ def _run(name: str, a: AlgebraInstance, operands: tuple,
         wanted = ", ".join(k.value for k in recipe.kinds)
         raise KindMismatch(f"{name} expects kind in {{{wanted}}}, "
                            f"got {a.kind.value}")
+    for op, operand in ops.items():
+        fam = operand.maps if op == "rb" else operand
+        if fam.omega != a.omega or fam.dim != a.dim:
+            raise ShapeMismatch(f"{name}: {op} does not match the input's "
+                                "semigroup and dim")
     if "commutative" in recipe.requires and not is_commutative_table(a.omega):
         raise NonCommutativeOmega(f"{name} requires a commutative index semigroup")
     if "weight0" in recipe.requires and rb.weight != 0:

@@ -197,6 +197,8 @@ class LinearFamily:
                       ) -> tuple[bool, int | None]:
         """Elementwise commutation over all index pairs, each decided by
         `commute`; returns first bad pair."""
+        if self.dim != other.dim or self.omega != other.omega:
+            raise ShapeMismatch("cannot commute mismatched families")
         for a in self.omega.indices():
             for b in self.omega.indices():
                 if not commute(self.maps[a], other.maps[b]):

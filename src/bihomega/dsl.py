@@ -5,8 +5,9 @@ operator families.  The grammar is LL(1); `#` starts a comment anywhere
 on a line and runs to its end.  A linear combination's coefficient is
 optional (`e2` means `1 e2`) and a bare `0` stands for the zero vector.
 A name or entry repeated within its scope is an error.  The parser reads
-the token texts alone; a stray character anywhere is reported first, and
-line and column are worked out only when an error is raised.
+the token texts alone; a stray character anywhere is reported first.
+Line and column are worked out only when an error is raised, from the
+offsets of the same token regex the parser reads.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero tensor entries written, fixed
 two-space indentation.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,8 +32,6 @@ HEADER = "# bihomega workspace"
 # "\n" ends a line; other whitespace, like a comment, is skipped.
 _PUNCT = r"{}()\[\]:;,*=+\-/"
 _TOKEN = rf"[A-Za-z_][A-Za-z0-9_]*|\d+|[{_PUNCT}]"
-_SCAN_RE = re.compile(
-    rf"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<token>{_TOKEN})|(?P<stray>.)")
 _TOKENS_RE = re.compile(rf"#[^\n]*|{_TOKEN}")
 # up to the first stray character: each of the class starts a token
 _CLEAN_RE = re.compile(rf"(?:[\sA-Za-z_\d{_PUNCT}]+|#[^\n]*)*")
@@ -53,23 +51,10 @@ class Workspace:
     omega_of: dict[tuple[str, str], str] = field(default_factory=dict)
 
 
-_Token = namedtuple("_Token", "text line column")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Every token with its line and column, which only errors need."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _SCAN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "stray":
-            raise ParseError(line, m.start() - line_start + 1, "a token",
-                             m.group())
-        elif kind is not None:
-            tokens.append(_Token(m.group(), line, m.start() - line_start + 1))
-    return tokens
+def _place(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of an offset: only "\n" ends a line."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def _is_basis(tok: str) -> bool:
@@ -79,8 +64,9 @@ def _is_basis(tok: str) -> bool:
 
 class _Parser:
     def __init__(self, text: str):
-        if _CLEAN_RE.match(text).end() < len(text):
-            _tokenize(text)     # raises at the first stray character
+        stray = _CLEAN_RE.match(text).end()
+        if stray < len(text):
+            raise ParseError(*_place(text, stray), "a token", text[stray])
         self.text = text
         self.toks = [t for t in _TOKENS_RE.findall(text) if t[0] != "#"]
         self.toks.append(_END)
@@ -92,12 +78,14 @@ class _Parser:
     def _fail(self, expected: str, back: int = 0):
         """Raise at the next token, or at the one `back` tokens before it;
         the end of input is just past the last token, or at 1:1."""
-        tokens = _tokenize(self.text)
-        last = tokens[-1] if tokens else _Token("", 1, 1)
-        tokens.append(_Token("end of input", last.line,
-                             last.column + len(last.text)))
-        tok = tokens[self.pos - back]
-        raise ParseError(tok.line, tok.column, expected, tok.text)
+        k = self.pos - back
+        tokens = [m for m in _TOKENS_RE.finditer(self.text) if m[0][0] != "#"]
+        if k < len(tokens):
+            offset, found = tokens[k].start(), tokens[k][0]
+        else:
+            offset = tokens[-1].end() if tokens else 0
+            found = "end of input"
+        raise ParseError(*_place(self.text, offset), expected, found)
 
     def _expect(self, text: str):
         if not self._accept(text):

@@ -208,6 +208,21 @@ def test_construct_unknown_rb_family_exits_2(tmp_path, capsys, monkeypatch):
         "error: no rota_baxter family named 'nosuch'\n")
 
 
+def test_construct_operand_over_another_semigroup_exits_2(tmp_path, capsys):
+    # a usage error found before the commuting requirement reads f
+    ws = workspace_for_instance("a", "W", two_dim_instance(C2))
+    ws.semigroups["T"] = SemigroupTable(("t",), ((0,),))
+    ws.linear_maps["f"] = LinearFamily.identity(ws.semigroups["T"], 2)
+    ws.omega_of[("maps", "f")] = "T"
+    path = tmp_path / "ws.bho"
+    path.write_text(serialize_workspace(ws))
+    assert main(["construct", "yau_twist", "--input", str(path),
+                 "--p2", "f", "--q2", "f"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: yau_twist: p2 does not match")
+    assert "Traceback" not in err
+
+
 def test_construct_yau_twist_needs_both_maps(two_dim_file, capsys):
     assert main(["construct", "yau_twist", "--input", two_dim_file,
                  "--p2", "g"]) == 2

@@ -16,7 +16,7 @@ from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.errors import (KindMismatch, MorphismCheckFailed,
                              NonCommutingFamilies, NonzeroWeight,
-                             PreconditionCheckFailed, Singular)
+                             PreconditionCheckFailed, ShapeMismatch, Singular)
 from bihomega.errors import NonCommutativeOmega
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
@@ -243,6 +243,22 @@ def test_postlie_to_lie_matches_classical_oracle():
     got = [[list(out.product("bracket").basis_product(0, 0, i, j))
             for j in range(2)] for i in range(2)]
     assert got == expected
+
+
+@pytest.mark.parametrize("unchecked", [False, True])
+@pytest.mark.parametrize("omega, dim", [(cyclic_group(3), 2), (TRIVIAL, 2),
+                                        (C2, 1)], ids=["C3", "trivial", "dim1"])
+def test_operand_of_another_shape_refused_before_any_requirement(
+        omega, dim, unchecked):
+    # unchecked skips the checks, not the shapes: products read R_a and
+    # commutation reads p2_a at every index a of the input's semigroup
+    a = two_dim_instance(C2)
+    rb = rb_const(omega, [[0] * dim] * dim)
+    with pytest.raises(ShapeMismatch, match="rb does not match"):
+        rb_star_associative(a, rb, unchecked=unchecked)
+    with pytest.raises(ShapeMismatch, match="p2 does not match"):
+        yau_twist(a, rb.maps, LinearFamily.identity(C2, 2),
+                  unchecked=unchecked)
 
 
 def test_outputs_carry_provenance():

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihomega.checkers import check_instance, check_morphism
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            new_instance)
 from bihomega.errors import (NonCommutingStructureMaps, ShapeMismatch,
                              Singular)
-from bihomega.forge import make_two_dim_example, two_dim_params
-from bihomega.linalg import Matrix, basis_vector, vec, vec_add, vec_scale
+from bihomega.forge import SearchConfig, make_two_dim_example, two_dim_params
+from bihomega.linalg import (Matrix, basis_vector, mats_commute, vec, vec_add,
+                             vec_scale)
 from bihomega.semigroup import cyclic_group, trivial_semigroup
+from conftest import two_dim_instance
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -208,3 +211,49 @@ def test_kind_slots():
     assert AlgebraKind.PREPOISSON.product_slots == ("triangle", "star")
     assert not AlgebraKind.BIHOM_ASSOCIATIVE.needs_commutative_omega
     assert AlgebraKind.ZINBIEL.needs_commutative_omega
+
+
+_TWO_DIM = two_dim_instance(C2)
+_I1, _I2 = Matrix.identity(1), Matrix.identity(2)
+_ID_C2, _ID_T = LinearFamily.identity(C2, 2), LinearFamily.identity(TRIVIAL, 2)
+_MUL_T = (("mul", BilinearFamily.zero(TRIVIAL, 2)),)
+
+# (call, error) for each shape or argument guard
+GUARDS = {
+    "bilinear-apply-length": (
+        lambda: BilinearFamily.zero(C2, 2).apply(0, 0, vec([1]), vec([1, 0])),
+        ShapeMismatch),
+    "family-matrix-count": (lambda: LinearFamily(C2, 2, (_I2,)), ShapeMismatch),
+    "family-matrix-size": (lambda: LinearFamily(C2, 2, (_I1, _I1)),
+                           ShapeMismatch),
+    "compose-mismatched": (lambda: _ID_C2.compose(_ID_T), ShapeMismatch),
+    "commutes-with-mismatched": (lambda: _ID_C2.commutes_with(_ID_T),
+                                 ShapeMismatch),
+    "unknown-product-slot": (lambda: _TWO_DIM.product("bracket"), KeyError),
+    "product-over-another-semigroup": (
+        lambda: new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, _MUL_T,
+                             _ID_C2, _ID_C2), ShapeMismatch),
+    "maps-over-another-semigroup": (
+        lambda: new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, TRIVIAL, _MUL_T,
+                             _ID_C2, _ID_T), ShapeMismatch),
+    "vec-add-lengths": (lambda: vec_add(vec([1]), vec([1, 2])), ShapeMismatch),
+    "matrix-entry-count": (lambda: Matrix(2, 2, vec([1])), ShapeMismatch),
+    "ragged-rows": (lambda: Matrix.from_rows([[1, 2], [3]]), ShapeMismatch),
+    "commute-non-square": (
+        lambda: mats_commute(Matrix.from_rows([[1, 2]]), _I2), ShapeMismatch),
+    "two-dim-reading": (
+        lambda: make_two_dim_example(two_dim_params(
+            C2, [[1, 1], [1, 1]], [1, 1], [1, 1]), reading="e3"), ValueError),
+    "empty-entry-set": (lambda: SearchConfig(entries=()), ValueError),
+    "morphism-of-another-dim": (
+        lambda: check_morphism(LinearFamily.identity(C2, 1), _TWO_DIM,
+                               _TWO_DIM), ShapeMismatch),
+    "unknown-axiom": (lambda: check_instance(_TWO_DIM).result("nosuch"),
+                      KeyError),
+}
+
+
+@pytest.mark.parametrize("call, error", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises(call, error):
+    with pytest.raises(error):
+        call()

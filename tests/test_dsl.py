@@ -235,7 +235,7 @@ _REFERENCE_TOKEN_RE = re.compile(
 
 
 def _reference_tokenize(text: str) -> list[tuple[str, int, int]]:
-    """The per-line scan the tokenizer must agree with: split at "\n",
+    """The per-line scan the parser must agree with: split at "\n",
     cut each line at "#", skip `str.isspace` characters one at a time."""
     tokens = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -252,24 +252,6 @@ def _reference_tokenize(text: str) -> list[tuple[str, int, int]]:
             tokens.append((m.group(), lineno, pos + 1))
             pos = m.end()
     return tokens
-
-
-def _scan(tokenize, text):
-    try:
-        return [tuple(tok) for tok in tokenize(text)]
-    except ParseError as err:
-        return ("error", err.line, err.column, err.expected, err.found)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.text(alphabet=st.sampled_from(
-    list("ae19_{}()[]:;,*=+-/ ")
-    + ["#", "\n", "\t", "\r", "\x0b", "\x1c", "\xa0", "@", ".", "\u0663"]),
-    max_size=40))
-def test_tokenizer_matches_per_line_reference(text):
-    got = _scan(lambda t: [(tok.text, tok.line, tok.column)
-                           for tok in dsl._tokenize(t)], text)
-    assert got == _scan(_reference_tokenize, text)
 
 
 _SG = "semigroup T { elements t; table { t*t = t; } }\n"
@@ -416,23 +398,36 @@ def test_repeated_entry_in_a_block_rejected(text, message):
     assert str(err.value) == message
 
 
-# the parser's token texts ---------------------------------------------
+# the parser's token texts and their places ------------------------------
 
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet=st.sampled_from(
     list("ae19_{}()[]:;,*=+-/ ")
-    + ["#", "\n", "\t", "\r", "\x0b", "\x1c", "\xa0", "@", ".", "٣"]),
+    + ["#", "\n", "\t", "\r", "\x0b", "\x1c", "\xa0", "@", ".", "\u0663"]),
     max_size=40))
-def test_parser_token_texts_match_the_tokenizer(text):
-    # a stray character raises the tokenizer's error before any rule runs
+def test_parser_tokens_and_places_match_per_line_reference(text):
+    # a stray character raises before any rule runs
     try:
-        texts = [tok.text for tok in dsl._tokenize(text)]
+        reference = _reference_tokenize(text)
     except ParseError as expected:
         with pytest.raises(ParseError) as err:
             dsl._Parser(text)
         assert str(err.value) == str(expected)
         return
-    assert dsl._Parser(text).toks[:-1] == texts
+    parser = dsl._Parser(text)
+    assert parser.toks[:-1] == [tok for tok, _, _ in reference]
+    # each token is placed where the reference puts it; the end of input
+    # just past the last token, or at 1:1
+    last_text, last_line, last_column = (reference[-1] if reference
+                                         else ("", 1, 1))
+    tokens = reference + [("end of input", last_line,
+                           last_column + len(last_text))]
+    for k, (tok, line, column) in enumerate(tokens):
+        parser.pos = k
+        with pytest.raises(ParseError) as err:
+            parser._fail("something")
+        assert (err.value.line, err.value.column, err.value.found) == \
+            (line, column, tok)
 
 
 def _cli_size_workspace() -> tuple[str, Workspace]:
@@ -455,10 +450,10 @@ def test_success_path_never_places_a_token(monkeypatch):
     text, ws = _cli_size_workspace()
     assert len(text) > 80_000
 
-    def tokenize(text):
-        raise AssertionError("_tokenize called on the success path")
+    def place(text, offset):
+        raise AssertionError("_place called on the success path")
 
-    monkeypatch.setattr(dsl, "_tokenize", tokenize)
+    monkeypatch.setattr(dsl, "_place", place)
     assert parse_workspace(GOLDEN_TWO_DIM).algebras["two_dim"] == \
         two_dim_instance(C2)
     assert parse_workspace(text) == ws

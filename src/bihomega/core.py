@@ -285,10 +285,42 @@ class AlgebraInstance:
         h.update(repr(self.omega.table).encode())
         for name, fam in self.products:
             h.update(name.encode())
-            h.update(repr(fam.tensor).encode())
+            for piece in _tensor_repr(fam):
+                h.update(piece.encode())
         h.update(repr(self.p.maps).encode())
         h.update(repr(self.q.maps).encode())
         return h.hexdigest()[:16]
+
+
+def _tuple_repr(items: list[str]) -> str:
+    """The repr of a tuple whose items have these reprs."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _tensor_repr(fam: BilinearFamily) -> Iterator[str]:
+    """repr(fam.tensor) piece by piece, made from the nonzero cells: the
+    zero vector's repr is made once, and so is a row's with no cell."""
+    d = fam.dim
+    zero = repr(zero_vector(d))
+    empty_row = _tuple_repr([zero] * d)
+    # each level closes as a tuple of n or of d items does
+    close_n = ",)" if fam.omega.order == 1 else ")"
+    close_d = ",)" if d == 1 else ")"
+    yield "("
+    for a, blocks in enumerate(fam.blocks):
+        yield ", (" if a else "("
+        for b, block in enumerate(blocks):
+            yield ", (" if b else "("
+            rows = dict(block)
+            for i in range(d):
+                cells = dict(rows.get(i, ()))
+                if i:
+                    yield ", "
+                yield _tuple_repr([repr(cells[j]) if j in cells else zero
+                                   for j in range(d)]) if cells else empty_row
+            yield close_d
+        yield close_n
+    yield close_n
 
 
 def new_instance(kind: AlgebraKind, omega: SemigroupTable,

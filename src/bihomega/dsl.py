@@ -6,8 +6,12 @@ on a line and runs to its end.  A linear combination's coefficient is
 optional (`e2` means `1 e2`) and a bare `0` stands for the zero vector.
 A name or entry repeated within its scope is an error.  The parser reads
 the token texts alone; a stray character anywhere is reported first.
-Line and column are worked out only when an error is raised, from the
-offsets of the same token regex the parser reads.
+A product entry or a map row in the form the serializer writes (every
+term with its coefficient, each vector once, no comment inside) is read
+by one regex match; every other form, and every error, goes through the
+token rules, so the text is parsed again by them whenever that read
+finds anything it does not take.  Line and column are worked out only
+when an error is raised, from the offsets of the plain token regex.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero tensor entries written, fixed
 two-space indentation.
@@ -33,6 +37,27 @@ HEADER = "# bihomega workspace"
 _PUNCT = r"{}()\[\]:;,*=+\-/"
 _TOKEN = rf"[A-Za-z_][A-Za-z0-9_]*|\d+|[{_PUNCT}]"
 _TOKENS_RE = re.compile(rf"#[^\n]*|{_TOKEN}")
+# A whole statement as one token: a product entry `(a,b): e_i*e_j = c e_k
+# + ...;` whose every term has a coefficient, or a map row `a: [[...],
+# ...];`.  It starts and ends where a token does and holds no comment, so
+# the token regex would split it into the tokens its groups are read
+# from.  No two quantifiers can take the same whitespace, so a statement
+# that fails to match fails in linear time.
+_ID, _INT = "[A-Za-z_][A-Za-z0-9_]*", "[0-9]+"
+_RATIONAL = rf"(?:-\s*)?{_INT}\s*(?:/\s*{_INT}\s*)?"
+_TERM = rf"{_RATIONAL}e{_INT}\s*"
+_ROW = rf"\[\s*{_RATIONAL}(?:,\s*{_RATIONAL})*\]\s*"
+_ENTRY = (rf"\(\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})\s*\)\s*:\s*e(?P<i>{_INT})"
+          rf"\s*\*\s*e(?P<j>{_INT})\s*=\s*(?P<terms>{_TERM}(?:\+\s*{_TERM})*);")
+_MAP_ROW = (rf"(?P<label>{_ID})\s*:\s*\[\s*(?P<rows>{_ROW}(?:,\s*{_ROW})*)"
+            rf"\]\s*;")
+_STATEMENTS_RE = re.compile(rf"#[^\n]*|{_ENTRY}|{_MAP_ROW}|{_TOKEN}")
+# the parts of a matched statement: a term's sign, digits and vector, a
+# row, and a rational's sign and digits
+_PARTS = rf"(?:(-)\s*)?({_INT})\s*(?:/\s*({_INT})\s*)?"
+_TERM_RE = re.compile(rf"{_PARTS}e({_INT})")
+_ROW_RE = re.compile(r"\[([^\]]*)\]")
+_RATIONAL_RE = re.compile(_PARTS)
 # up to the first stray character: each of the class starts a token
 _CLEAN_RE = re.compile(rf"(?:[\sA-Za-z_\d{_PUNCT}]+|#[^\n]*)*")
 _END = "#"      # closes the token texts: every "#" starts a comment
@@ -40,6 +65,7 @@ _END = "#"      # closes the token texts: every "#" starts a comment
 # starts with a non-ASCII letter: that is a stray character)
 _IS_KIND = {"ident": lambda c: c.isalpha() or c == "_", "int": str.isdecimal}
 _KINDS = {k.value: k for k in AlgebraKind}
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -57,18 +83,75 @@ def _place(text: str, offset: int) -> tuple[int, int]:
             offset - text.rfind("\n", 0, offset))
 
 
+class _NotRead(Exception):
+    """A statement the one-match read does not take."""
+
+
 def _is_basis(tok: str) -> bool:
     """A basis vector: an identifier made of `e` and digits."""
     return tok[0] == "e" and tok[1:].isdigit()
 
 
+# A statement read by one match gets every check the token rules make,
+# but raises _NotRead where they raise; it raises _NotRead for a repeated
+# vector too, which the token rules add up.  Past the digit limit int()
+# raises ValueError, and n/0 Fraction raises ZeroDivisionError.
+_NOT_READ = (KeyError, ValueError, ZeroDivisionError)
+
+
+def _read_entry(m: re.Match, index: dict[str, int], dim: int
+                ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]]:
+    """A matched product entry from its groups."""
+    if m.lastgroup != "terms":          # a map row where an entry belongs
+        raise _NotRead
+    a, b, i, j, terms = m.group("a", "b", "i", "j", "terms")
+    try:
+        key = (index[a], index[b], int(i) - 1, int(j) - 1)
+        cell = [_ZERO] * dim
+        for sign, num, den, k in _TERM_RE.findall(terms):
+            k = int(k) - 1
+            # a vector already read holds a new Fraction, never _ZERO itself
+            if not 0 <= k < dim or cell[k] is not _ZERO:
+                raise _NotRead
+            cell[k] = Fraction(-int(num) if sign else int(num), int(den or 1))
+    except _NOT_READ:
+        raise _NotRead from None
+    if not (0 <= key[2] < dim and 0 <= key[3] < dim):
+        raise _NotRead
+    return key, tuple(cell)
+
+
+def _read_map_row(m: re.Match, index: dict[str, int], dim: int
+                  ) -> tuple[int, Matrix]:
+    """A matched map row statement from its groups."""
+    if m.lastgroup != "rows":           # an entry where a map row belongs
+        raise _NotRead
+    label, body = m.group("label", "rows")
+    try:
+        rows = [[Fraction(-int(num) if sign else int(num), int(den or 1))
+                 for sign, num, den in _RATIONAL_RE.findall(row)]
+                for row in _ROW_RE.findall(body)]
+        a = index[label]
+    except _NOT_READ:
+        raise _NotRead from None
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise _NotRead
+    return a, Matrix.from_rows(rows)
+
+
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, statements: bool = False):
+        """Given statements, each statement `_STATEMENTS_RE` matches is one
+        token, its match; every other token is its text."""
         stray = _CLEAN_RE.match(text).end()
         if stray < len(text):
             raise ParseError(*_place(text, stray), "a token", text[stray])
         self.text = text
-        self.toks = [t for t in _TOKENS_RE.findall(text) if t[0] != "#"]
+        if statements:
+            self.toks = [m if m.lastindex else m[0]
+                         for m in _STATEMENTS_RE.finditer(text) if m[0][0] != "#"]
+        else:
+            self.toks = [t for t in _TOKENS_RE.findall(text) if t[0] != "#"]
         self.toks.append(_END)
         self.pos = 0
         self.ws = Workspace()
@@ -99,7 +182,8 @@ class _Parser:
 
     def _take(self, kind: str, what: str) -> str:
         tok = self.toks[self.pos]
-        if not _IS_KIND[kind](tok[0]):
+        # a statement is taken only by the loop that reads it
+        if type(tok) is not str or not _IS_KIND[kind](tok[0]):
             self._fail(what)
         self.pos += 1
         return tok
@@ -240,10 +324,14 @@ class _Parser:
         mats: dict[int, Matrix] = {}
         self._expect("{")
         while not self._accept("}"):
-            a = self._element(index, omega_name)
-            self._expect(":")
-            matrix = self._parse_matrix(dim)
-            self._expect(";")
+            if type(tok := self.toks[self.pos]) is str:
+                a = self._element(index, omega_name)
+                self._expect(":")
+                matrix = self._parse_matrix(dim)
+                self._expect(";")
+            else:
+                self.pos += 1
+                a, matrix = _read_map_row(tok, index, dim)
             if a in mats:
                 raise ResolutionError(
                     f"{owner}: duplicate matrix for element {omega.elements[a]!r}")
@@ -307,18 +395,23 @@ class _Parser:
                 entries: dict[tuple[int, int, int, int], tuple] = {}
                 self._expect("{")
                 while not self._accept("}"):
-                    self._expect("(")
-                    a = self._element(element_index, omega_name)
-                    self._expect(",")
-                    b = self._element(element_index, omega_name)
-                    self._expect(")")
-                    self._expect(":")
-                    i = self._basis_index(dim)
-                    self._expect("*")
-                    j = self._basis_index(dim)
-                    self._expect("=")
-                    cell = self._parse_lincomb(dim)
-                    self._expect(";")
+                    if type(tok := self.toks[self.pos]) is str:
+                        self._expect("(")
+                        a = self._element(element_index, omega_name)
+                        self._expect(",")
+                        b = self._element(element_index, omega_name)
+                        self._expect(")")
+                        self._expect(":")
+                        i = self._basis_index(dim)
+                        self._expect("*")
+                        j = self._basis_index(dim)
+                        self._expect("=")
+                        cell = self._parse_lincomb(dim)
+                        self._expect(";")
+                    else:
+                        self.pos += 1
+                        (a, b, i, j), cell = _read_entry(
+                            tok, element_index, dim)
                     if (a, b, i, j) in entries:
                         raise ResolutionError(
                             f"duplicate product entry ({omega.elements[a]},"
@@ -348,7 +441,12 @@ class _Parser:
 
 
 def parse_workspace(text: str) -> Workspace:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text, statements=True).parse()
+    except (ParseError, ResolutionError, _NotRead):
+        # every error, and every statement the one-match read does not
+        # take, is left to the token rules alone
+        return _Parser(text).parse()
 
 
 # serialization ------------------------------------------------------

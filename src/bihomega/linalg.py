@@ -187,8 +187,9 @@ def mat_inverse(a: Matrix) -> Matrix:
             work[col], work[pivot] = work[pivot], work[col]
             inv[col], inv[pivot] = inv[pivot], inv[col]
         scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        inv[col] = [v / scale for v in inv[col]]
+        if scale != 1:
+            work[col] = [v / scale for v in work[col]]
+            inv[col] = [v / scale for v in inv[col]]
         for r in range(n):
             if r != col and work[r][col] != 0:
                 factor = work[r][col]

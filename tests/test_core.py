@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -257,3 +258,43 @@ GUARDS = {
 def test_guard_raises(call, error):
     with pytest.raises(error):
         call()
+
+
+def _dense_digest(inst) -> str:
+    """The digest as it was first defined: over the repr of each product's
+    dense tensor."""
+    h = hashlib.sha256()
+    h.update(inst.kind.value.encode())
+    h.update(repr(inst.omega.table).encode())
+    for name, fam in inst.products:
+        h.update(name.encode())
+        h.update(repr(fam.tensor).encode())
+    h.update(repr(inst.p.maps).encode())
+    h.update(repr(inst.q.maps).encode())
+    return h.hexdigest()[:16]
+
+
+@st.composite
+def sparse_instances(draw):
+    """An instance over a semigroup of order 1 to 3 at d = 1 to 3 (so
+    some of its tensor's tuples have one item), with blocks, rows and
+    cells often wholly zero, and scalar structure maps."""
+    omega = draw(st.sampled_from((TRIVIAL, C2, cyclic_group(3))))
+    d = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from((AlgebraKind.BIHOM_ASSOCIATIVE,
+                                 AlgebraKind.DENDRIFORM)))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    keys = st.tuples(*(st.integers(0, omega.order - 1),) * 2,
+                     *(st.integers(0, d - 1),) * 2)
+    products = tuple(
+        (slot, BilinearFamily.from_cells(omega, d, draw(st.dictionaries(
+            keys, st.tuples(*(entry,) * d), max_size=6))))
+        for slot in kind.product_slots)
+    p = LinearFamily.constant(omega, Matrix.diagonal([draw(rationals)] * d))
+    return new_instance(kind, omega, products, p, p)
+
+
+@given(sparse_instances())
+@settings(max_examples=80, deadline=None)
+def test_digest_matches_dense_tensor_digest(inst):
+    assert inst.digest() == _dense_digest(inst)

@@ -1,4 +1,6 @@
 import re
+import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihomega import dsl
-from bihomega.core import AlgebraKind
+from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
+                           RotaBaxterFamily, new_instance)
 from bihomega.dsl import (HEADER, Workspace, parse_workspace,
                           serialize_workspace, workspace_for_instance)
 from bihomega.errors import ParseError, ResolutionError
 from bihomega.forge import constant_product_instance, zero_instance
+from bihomega.linalg import Matrix
 from bihomega.semigroup import cyclic_group, trivial_semigroup
 from conftest import LIE_2D, full_corpus, two_dim_instance
 
@@ -476,3 +480,162 @@ def test_repeated_terms_of_a_sum_add_up():
     cell = ws.algebras["a"].product("mul").basis_product(0, 0, 0, 0)
     assert cell == (0, 3)
     assert all(type(v) is Fraction for v in cell)
+
+
+# statements read by one match -------------------------------------------
+
+def _statement_workspace() -> Workspace:
+    """A dendriform algebra over C2 at d=4 with sparse rational products
+    and structure maps, a maps family and a rota_baxter family."""
+    rng = Random(19)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                        rng.randint(1, 3))
+
+    def matrix():
+        return Matrix.from_rows([[rational() if rng.random() < 0.6 else 0
+                                  for _ in range(4)] for _ in range(4)])
+
+    products = tuple((slot, BilinearFamily.from_cells(C2, 4, {
+        (a, b, i, j): tuple(rational() if rng.random() < 0.5 else 0
+                            for _ in range(4))
+        for a in range(2) for b in range(2) for i in range(4) for j in range(4)
+        if rng.random() < 0.4})) for slot in ("prec", "succ"))
+    p = LinearFamily(C2, 4, (matrix(), matrix()))
+    ws = Workspace(semigroups={"W": C2})
+    ws.algebras["d"] = new_instance(AlgebraKind.DENDRIFORM, C2, products, p, p)
+    ws.linear_maps["f"] = LinearFamily(C2, 4, (matrix(), matrix()))
+    ws.rota_baxter["r"] = RotaBaxterFamily(
+        LinearFamily(C2, 4, (matrix(), matrix())), Fraction(-1, 2))
+    for key in (("algebra", "d"), ("maps", "f"), ("rb", "r")):
+        ws.omega_of[key] = "W"
+    return ws
+
+
+STATEMENT_WS = _statement_workspace()
+STATEMENT_TEXT = serialize_workspace(STATEMENT_WS)
+_LINES = STATEMENT_TEXT.split("\n")
+_ENTRY_LINES = [k for k, line in enumerate(_LINES) if line.startswith("    (")]
+_ROW_LINES = [k for k, line in enumerate(_LINES)
+              if re.match(r"\s+g\d: \[\[", line)]
+_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+# each a way to rewrite one product entry (first) or map row (second)
+# that the one-match read does not take
+ENTRY_MUTATIONS = {
+    "comment": (r"= ", "= # a comment\n      "),
+    "bare vector": (r"= [-0-9/]+ e", "= e"),
+    "lone zero": (r"= .*;", "= 0;"),
+    "repeated vector": (r"= ([-0-9/]+) e(\d+)", r"= \1 e\2 + 2 e\2"),
+    "vector past dim": (r" e(\d+);", " e5;"),
+    "index past dim": (r"e\d+\*", "e5*"),
+    "unknown element": (r"\(g\d,", "(g7,"),
+    "zero denominator": (r"= [-0-9/]+ ", "= 1/0 "),
+    "long integer": (r"= -?\d+", "= " + _LONG),
+    "long vector": (r" e\d+;", f" e{_LONG};"),
+    "duplicate": (r"^(.*)$", r"\1\n\1"),
+    "map row": (r"\(.*", "g0: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], "
+                "[0, 0, 0, 1]];"),
+}
+ROW_MUTATIONS = {
+    "comment": (r": \[", ": [ # a comment\n      "),
+    "unknown element": (r"g\d:", "g7:"),
+    "zero denominator": (r"\[\[[-0-9/]+", "[[1/0"),
+    "long integer": (r"\[\[-?\d+", "[[" + _LONG),
+    "short row": (r", [-0-9/]+\]", "]"),
+    "missing row": (r", \[[^\]]*\]\]", "]"),
+    "duplicate": (r"^(.*)$", r"\1\n\1"),
+    "product entry": (r"g\d.*", "(g0,g1): e1*e2 = 1 e3;"),
+}
+
+
+def _mutated(mutations) -> str:
+    """The canonical text with each (line, rewrite) applied in turn."""
+    lines = list(_LINES)
+    for k, (pattern, repl) in mutations:
+        lines[k] = re.sub(pattern, repl, lines[k], count=1)
+    return "\n".join(lines)
+
+
+@st.composite
+def mutated_statements(draw) -> str:
+    """The canonical text with one to three of its statements rewritten."""
+    mutations = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            k, table = draw(st.sampled_from(_ENTRY_LINES)), ENTRY_MUTATIONS
+        else:
+            k, table = draw(st.sampled_from(_ROW_LINES)), ROW_MUTATIONS
+        mutations.append((k, table[draw(st.sampled_from(sorted(table)))]))
+    return _mutated(mutations)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ResolutionError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+def _agrees_with_token_rules(text):
+    assert _outcome(parse_workspace, text) == \
+        _outcome(lambda t: dsl._Parser(t).parse(), text)
+
+
+@pytest.mark.parametrize("lines, mutation", [
+    *((_ENTRY_LINES, m) for m in ENTRY_MUTATIONS.values()),
+    *((_ROW_LINES, m) for m in ROW_MUTATIONS.values())],
+    ids=[*(f"entry-{m}" for m in ENTRY_MUTATIONS),
+         *(f"row-{m}" for m in ROW_MUTATIONS)])
+def test_each_mutation_agrees_with_token_rules(lines, mutation):
+    # the first statement of its kind, and the last
+    for k in (lines[0], lines[-1]):
+        _agrees_with_token_rules(_mutated([(k, mutation)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_statements())
+def test_statement_read_agrees_with_token_rules(text):
+    _agrees_with_token_rules(text)
+
+
+def test_canonical_statements_skip_the_token_rules(monkeypatch):
+    def rule(*args):
+        raise AssertionError("a token rule read a canonical statement")
+
+    monkeypatch.setattr(dsl._Parser, "_parse_lincomb", rule)
+    monkeypatch.setattr(dsl._Parser, "_parse_matrix", rule)
+    assert parse_workspace(STATEMENT_TEXT) == STATEMENT_WS
+    text, ws = _cli_size_workspace()
+    assert parse_workspace(text) == ws
+
+
+_SPACES = " " * 100_000
+
+
+@pytest.mark.parametrize("statement", [
+    "(t,t): e1*e1 = 1" + _SPACES + "x;",
+    "(t,t): e1*e1 =" + _SPACES + "x;",
+    "(t,t): e1*e1 = -" + _SPACES + "x;",
+    "(t,t): e1*e1 = 1/" + _SPACES + "x;",
+    "(t,t): e1*e1 = 1 e1" + _SPACES + "x;",
+    "(t,t): e1*e1 = 1 e1 +" + _SPACES + "x;",
+    "(t" + _SPACES + "x,t): e1*e1 = 1 e1;",
+    "(t,t): e1*e1 = -" + _SPACES + "1" + _SPACES + "/" + _SPACES + "2"
+    + _SPACES + "e1" + _SPACES + "+" + _SPACES + "1 e2" + _SPACES + ";",
+], ids=["coefficient", "equals", "minus", "slash", "vector", "plus",
+        "element", "accepted"])
+def test_statement_with_long_whitespace_runs_in_linear_time(statement):
+    text = _ALG + "  product mul { " + statement + " } }"
+    start = time.perf_counter()
+    outcome = _outcome(parse_workspace, text)
+    assert time.perf_counter() - start < 1
+    assert isinstance(outcome, Workspace) == statement.endswith(" ;")
+    for row in ("t: [[1" + _SPACES + "x]];", "t: [[1," + _SPACES + "x]];",
+                "t: [[1]" + _SPACES + "x];"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_workspace(_SG + "maps f over T dim 1 { " + row + " }")
+        assert time.perf_counter() - start < 1

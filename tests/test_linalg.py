@@ -63,6 +63,16 @@ def test_inverse_with_row_swaps(rows):
     assert mat_mul(m, mat_inverse(m)) == Matrix.identity(len(rows))
 
 
+def test_inverse_of_identity_divides_nothing(monkeypatch):
+    # a pivot of 1 leaves its row as it is
+    divisions = []
+    divide = Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__", lambda a, b: (
+        divisions.append((a, b)), divide(a, b))[1])
+    assert mat_inverse(Matrix.identity(50)) == Matrix.identity(50)
+    assert divisions == []
+
+
 def test_inverse_singular():
     with pytest.raises(Singular):
         mat_inverse(Matrix.from_rows([[1, 2], [2, 4]]))

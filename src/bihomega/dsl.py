@@ -8,10 +8,10 @@ A name or entry repeated within its scope is an error.  The parser reads
 the token texts alone; a stray character anywhere is reported first.
 A product entry or a map row in the form the serializer writes (every
 term with its coefficient, each vector once, no comment inside) is read
-by one regex match; every other form, and every error, goes through the
-token rules, so the text is parsed again by them whenever that read
-finds anything it does not take.  Line and column are worked out only
-when an error is raised, from the offsets of the plain token regex.
+by one regex match; one it rejects, or any other rule meets, is split
+into its tokens where it stands for the token rules, so nothing is
+parsed twice.  Line and column are worked out only when an error is
+raised, from the offsets of the plain token regex.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero tensor entries written, fixed
 two-space indentation.
@@ -83,27 +83,23 @@ def _place(text: str, offset: int) -> tuple[int, int]:
             offset - text.rfind("\n", 0, offset))
 
 
-class _NotRead(Exception):
-    """A statement the one-match read does not take."""
-
-
 def _is_basis(tok: str) -> bool:
     """A basis vector: an identifier made of `e` and digits."""
     return tok[0] == "e" and tok[1:].isdigit()
 
 
 # A statement read by one match gets every check the token rules make,
-# but raises _NotRead where they raise; it raises _NotRead for a repeated
-# vector too, which the token rules add up.  Past the digit limit int()
-# raises ValueError, and n/0 Fraction raises ZeroDivisionError.
+# but gives None where they raise; it gives None for a repeated vector
+# too, which the token rules add up.  Past the digit limit int() raises
+# ValueError, and n/0 Fraction raises ZeroDivisionError.
 _NOT_READ = (KeyError, ValueError, ZeroDivisionError)
 
 
 def _read_entry(m: re.Match, index: dict[str, int], dim: int
-                ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]]:
+                ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]] | None:
     """A matched product entry from its groups."""
     if m.lastgroup != "terms":          # a map row where an entry belongs
-        raise _NotRead
+        return None
     a, b, i, j, terms = m.group("a", "b", "i", "j", "terms")
     try:
         key = (index[a], index[b], int(i) - 1, int(j) - 1)
@@ -112,20 +108,20 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int
             k = int(k) - 1
             # a vector already read holds a new Fraction, never _ZERO itself
             if not 0 <= k < dim or cell[k] is not _ZERO:
-                raise _NotRead
+                return None
             cell[k] = Fraction(-int(num) if sign else int(num), int(den or 1))
     except _NOT_READ:
-        raise _NotRead from None
+        return None
     if not (0 <= key[2] < dim and 0 <= key[3] < dim):
-        raise _NotRead
+        return None
     return key, tuple(cell)
 
 
 def _read_map_row(m: re.Match, index: dict[str, int], dim: int
-                  ) -> tuple[int, Matrix]:
+                  ) -> tuple[int, Matrix] | None:
     """A matched map row statement from its groups."""
     if m.lastgroup != "rows":           # an entry where a map row belongs
-        raise _NotRead
+        return None
     label, body = m.group("label", "rows")
     try:
         rows = [[Fraction(-int(num) if sign else int(num), int(den or 1))
@@ -133,35 +129,42 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int
                 for row in _ROW_RE.findall(body)]
         a = index[label]
     except _NOT_READ:
-        raise _NotRead from None
+        return None
     if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise _NotRead
+        return None
     return a, Matrix.from_rows(rows)
 
 
 class _Parser:
-    def __init__(self, text: str, statements: bool = False):
-        """Given statements, each statement `_STATEMENTS_RE` matches is one
-        token, its match; every other token is its text."""
+    def __init__(self, text: str):
+        """Each statement `_STATEMENTS_RE` matches is one token, its match,
+        which only the loop of a product block or map body reads; every
+        other token is its text.  `_peek` splits any other statement."""
         stray = _CLEAN_RE.match(text).end()
         if stray < len(text):
             raise ParseError(*_place(text, stray), "a token", text[stray])
         self.text = text
-        if statements:
-            self.toks = [m if m.lastindex else m[0]
-                         for m in _STATEMENTS_RE.finditer(text) if m[0][0] != "#"]
-        else:
-            self.toks = [t for t in _TOKENS_RE.findall(text) if t[0] != "#"]
+        self.toks = [m if m.lastindex else m[0]
+                     for m in _STATEMENTS_RE.finditer(text) if m[0][0] != "#"]
         self.toks.append(_END)
         self.pos = 0
         self.ws = Workspace()
 
     # token plumbing -------------------------------------------------
 
+    def _peek(self) -> str:
+        """The next token's text; a statement is split in place first."""
+        if type(tok := self.toks[self.pos]) is not str:
+            self.toks[self.pos:self.pos + 1] = _TOKENS_RE.findall(tok[0])
+        return self.toks[self.pos]
+
     def _fail(self, expected: str, back: int = 0):
         """Raise at the next token, or at the one `back` tokens before it;
         the end of input is just past the last token, or at 1:1."""
         k = self.pos - back
+        # a statement read whole before it stands for each of its tokens
+        k += sum(len(_TOKENS_RE.findall(t[0])) - 1
+                 for t in self.toks[:k] if type(t) is not str)
         tokens = [m for m in _TOKENS_RE.finditer(self.text) if m[0][0] != "#"]
         if k < len(tokens):
             offset, found = tokens[k].start(), tokens[k][0]
@@ -175,15 +178,14 @@ class _Parser:
             self._fail(repr(text))
 
     def _accept(self, text: str) -> bool:
-        if self.toks[self.pos] == text:
+        if self._peek() == text:
             self.pos += 1
             return True
         return False
 
     def _take(self, kind: str, what: str) -> str:
-        tok = self.toks[self.pos]
-        # a statement is taken only by the loop that reads it
-        if type(tok) is not str or not _IS_KIND[kind](tok[0]):
+        tok = self._peek()
+        if not _IS_KIND[kind](tok[0]):
             self._fail(what)
         self.pos += 1
         return tok
@@ -201,7 +203,7 @@ class _Parser:
         return self._int(self._take("int", "an integer"), "an integer")
 
     def _basis_index(self, dim: int) -> int:
-        tok = self.toks[self.pos]
+        tok = self._peek()
         if not _is_basis(tok):
             self._fail("a basis vector like 'e1'")
         self.pos += 1
@@ -245,7 +247,7 @@ class _Parser:
                  "algebra": self._parse_algebra,
                  "maps": self._parse_family,
                  "rota_baxter": self._parse_family}
-        while (tok := self.toks[self.pos]) != _END:
+        while (tok := self._peek()) != _END:
             if tok not in rules:
                 self._fail("'semigroup', 'algebra', 'maps' or 'rota_baxter'")
             self.pos += 1
@@ -323,19 +325,20 @@ class _Parser:
         index = {e: i for i, e in enumerate(omega.elements)}
         mats: dict[int, Matrix] = {}
         self._expect("{")
-        while not self._accept("}"):
-            if type(tok := self.toks[self.pos]) is str:
+        while (tok := self.toks[self.pos]) != "}":
+            if type(tok) is not str and (read := _read_map_row(tok, index, dim)):
+                self.pos += 1
+                a, matrix = read
+            else:
                 a = self._element(index, omega_name)
                 self._expect(":")
                 matrix = self._parse_matrix(dim)
                 self._expect(";")
-            else:
-                self.pos += 1
-                a, matrix = _read_map_row(tok, index, dim)
             if a in mats:
                 raise ResolutionError(
                     f"{owner}: duplicate matrix for element {omega.elements[a]!r}")
             mats[a] = matrix
+        self.pos += 1
         missing = [omega.elements[i] for i in range(omega.order) if i not in mats]
         if missing:
             raise ResolutionError(
@@ -360,11 +363,11 @@ class _Parser:
     def _parse_lincomb(self, dim: int) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * dim
         while True:
-            tok = self.toks[self.pos]
+            tok = self._peek()
             if tok == _END:
                 self._fail("a term")
             coeff = Fraction(1) if _is_basis(tok) else self._rational()
-            if coeff != 0 or _is_basis(self.toks[self.pos]):
+            if coeff != 0 or _is_basis(self._peek()):
                 k = self._basis_index(dim)   # add only to a repeated vector
                 out[k] = out[k] + coeff if out[k] else coeff
             if not self._accept("+"):
@@ -394,8 +397,12 @@ class _Parser:
                     raise ResolutionError(f"duplicate product block {slot!r}")
                 entries: dict[tuple[int, int, int, int], tuple] = {}
                 self._expect("{")
-                while not self._accept("}"):
-                    if type(tok := self.toks[self.pos]) is str:
+                while (tok := self.toks[self.pos]) != "}":
+                    if type(tok) is not str and (
+                            read := _read_entry(tok, element_index, dim)):
+                        self.pos += 1
+                        (a, b, i, j), cell = read
+                    else:
                         self._expect("(")
                         a = self._element(element_index, omega_name)
                         self._expect(",")
@@ -408,16 +415,13 @@ class _Parser:
                         self._expect("=")
                         cell = self._parse_lincomb(dim)
                         self._expect(";")
-                    else:
-                        self.pos += 1
-                        (a, b, i, j), cell = _read_entry(
-                            tok, element_index, dim)
                     if (a, b, i, j) in entries:
                         raise ResolutionError(
                             f"duplicate product entry ({omega.elements[a]},"
                             f"{omega.elements[b]}): e{i + 1}*e{j + 1} "
                             f"in algebra {name!r}")
                     entries[(a, b, i, j)] = cell
+                self.pos += 1
                 product_entries[slot] = entries
             elif self._accept("map"):
                 which = self._take("ident", "'p' or 'q'")
@@ -441,12 +445,7 @@ class _Parser:
 
 
 def parse_workspace(text: str) -> Workspace:
-    try:
-        return _Parser(text, statements=True).parse()
-    except (ParseError, ResolutionError, _NotRead):
-        # every error, and every statement the one-match read does not
-        # take, is left to the token rules alone
-        return _Parser(text).parse()
+    return _Parser(text).parse()
 
 
 # serialization ------------------------------------------------------

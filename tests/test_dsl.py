@@ -3,9 +3,10 @@ import sys
 import time
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bihomega import dsl
@@ -404,11 +405,27 @@ def test_repeated_entry_in_a_block_rejected(text, message):
 
 # the parser's token texts and their places ------------------------------
 
+def _plain_tokens():
+    """No statement is one token while this holds: the token rules alone
+    read the text, which makes them the oracle for the one-match read."""
+    return mock.patch.object(dsl, "_STATEMENTS_RE", dsl._TOKENS_RE)
+
+
+def _fail_at(parser, k):
+    parser.pos = k
+    with pytest.raises(ParseError) as err:
+        parser._fail("something")
+    return err.value.found, err.value.line, err.value.column
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet=st.sampled_from(
     list("ae19_{}()[]:;,*=+-/ ")
     + ["#", "\n", "\t", "\r", "\x0b", "\x1c", "\xa0", "@", ".", "\u0663"]),
     max_size=40))
+@example("a:[[1]];(a,a):e1*e1=1e1;")
+@example("(a, a) :e1 *e19= -1/9e1 + 1 e9; \n#\n a_9\t: [[1], [ -9/1 ,1]];a")
+@example("e1 (a,a): e1*e1 = 1e1 + 1e1;\n:[[1]]; a: [[1]] ;")
 def test_parser_tokens_and_places_match_per_line_reference(text):
     # a stray character raises before any rule runs
     try:
@@ -418,20 +435,28 @@ def test_parser_tokens_and_places_match_per_line_reference(text):
             dsl._Parser(text)
         assert str(err.value) == str(expected)
         return
-    parser = dsl._Parser(text)
-    assert parser.toks[:-1] == [tok for tok, _, _ in reference]
+    with _plain_tokens():
+        plain = dsl._Parser(text)
+    assert plain.toks[:-1] == [tok for tok, _, _ in reference]
     # each token is placed where the reference puts it; the end of input
     # just past the last token, or at 1:1
     last_text, last_line, last_column = (reference[-1] if reference
                                          else ("", 1, 1))
     tokens = reference + [("end of input", last_line,
                            last_column + len(last_text))]
-    for k, (tok, line, column) in enumerate(tokens):
-        parser.pos = k
-        with pytest.raises(ParseError) as err:
-            parser._fail("something")
-        assert (err.value.line, err.value.column, err.value.found) == \
-            (line, column, tok)
+    for k, place in enumerate(tokens):
+        assert _fail_at(plain, k) == place
+    # a statement token stands for the tokens its text spans: an error at
+    # it, or past it, is placed at the plain token there
+    parser, j = dsl._Parser(text), 0
+    for k, tok in enumerate(parser.toks):
+        assert _fail_at(parser, k) == tokens[j]
+        if type(tok) is str:
+            j += 1
+            continue
+        end = len(text[:tok.end()].rsplit("\n", 1)[-1]) + 1
+        while tokens[j][1:] < (text.count("\n", 0, tok.end()) + 1, end):
+            j += 1
 
 
 def _cli_size_workspace() -> tuple[str, Workspace]:
@@ -579,9 +604,13 @@ def _outcome(parse, text):
                 getattr(exc, "column", None))
 
 
+def _token_rules(text):
+    with _plain_tokens():
+        return parse_workspace(text)
+
+
 def _agrees_with_token_rules(text):
-    assert _outcome(parse_workspace, text) == \
-        _outcome(lambda t: dsl._Parser(t).parse(), text)
+    assert _outcome(parse_workspace, text) == _outcome(_token_rules, text)
 
 
 @pytest.mark.parametrize("lines, mutation", [
@@ -599,6 +628,75 @@ def test_each_mutation_agrees_with_token_rules(lines, mutation):
 @given(mutated_statements())
 def test_statement_read_agrees_with_token_rules(text):
     _agrees_with_token_rules(text)
+
+
+# Text the statement regex takes as one token where no statement belongs:
+# each rule that meets it splits it, so the token rules read it as they
+# would read the text with no statement token.
+MISPLACED_STATEMENTS = {
+    "algebra name": (_SG + "algebra A: [[1]];",
+                     "2:12: expected an algebra kind, found '['"),
+    "semigroup name": ("semigroup t: [[1]];",
+                       "1:12: expected '{', found ':'"),
+    "family name": ("maps: [[1]];", "1:5: expected a family name, found ':'"),
+    "element label": ("semigroup W { elements a: [[1]]; }",
+                      "1:25: expected an element label or ';', found ':'"),
+    "product": (_ALG + "  product: [[1]]; }",
+                "3:10: expected a product name, found ':'"),
+    "map": (_ALG + "  map: [[1]]; }", "3:6: expected 'p' or 'q', found ':'"),
+    "commutative in an algebra": (
+        _ALG + "  commutative: [[1]]; }",
+        "3:3: expected 'product', 'map' or '}', found 'commutative'"),
+    "commutative": ("semigroup W { elements a; table { a*a = a; } "
+                    "commutative: [[1]]; }",
+                    "1:57: expected ';', found ':'"),
+    "over": (_SG + "maps f over: [[1]];",
+             "2:12: expected a semigroup name, found ':'"),
+    "basis index": (_ALG + "  product mul { (t,t): e1: [[1]]; } }",
+                    "3:26: expected '*', found ':'"),
+    "start of a sum": (_ALG + "  product mul { (t,t): e1*e1 = e1: [[1]]; } }",
+                       "3:34: expected ';', found ':'"),
+    "zero coefficient": (_ALG + "  product mul { (t,t): e1*e1 = 0/1 e1: [[1]]; } }",
+                         "3:38: expected ';', found ':'"),
+    "end of a sum": (_ALG + "  product mul { (t,t): e1*e1 = 1 e1: [[1]]; } }",
+                     "3:36: expected ';', found ':'"),
+    "repeated vector": (_ALG + "  product mul { (t,t): e1*e1 = 1 e1 + 2 e1; } }",
+                        None),
+}
+
+
+@pytest.mark.parametrize("text, message", MISPLACED_STATEMENTS.values(),
+                         ids=MISPLACED_STATEMENTS)
+def test_statement_where_none_belongs_is_read_by_token_rules(text, message):
+    outcome = _outcome(parse_workspace, text)
+    assert outcome == _outcome(_token_rules, text)
+    if message is None:
+        assert outcome.algebras["a"].product("mul").basis_product(
+            0, 0, 0, 0) == (3, 0)
+    else:
+        assert outcome[:2] == (ParseError, message)
+
+
+def test_each_text_is_parsed_once(monkeypatch):
+    parse, calls = dsl._Parser.parse, []
+
+    def counted(parser):
+        calls.append(parser)
+        return parse(parser)
+
+    monkeypatch.setattr(dsl._Parser, "parse", counted)
+    # an error the one-match read leaves to the token rules, and a valid
+    # repeated vector, which they add up
+    for text, outcome in (
+            (_mutated([(_ENTRY_LINES[0], ENTRY_MUTATIONS["zero denominator"])]),
+             ParseError),
+            (_mutated([(_ROW_LINES[-1], ROW_MUTATIONS["short row"])]),
+             ResolutionError),
+            (MISPLACED_STATEMENTS["repeated vector"][0], Workspace)):
+        calls.clear()
+        got = _outcome(parse_workspace, text)
+        assert (type(got) if isinstance(got, Workspace) else got[0]) is outcome
+        assert len(calls) == 1
 
 
 def test_canonical_statements_skip_the_token_rules(monkeypatch):

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Union
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Vector, frac
+from .linalg import Matrix, Vector, frac
 from .reports import CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -179,19 +179,19 @@ class _Cells:
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds each product's
     nonzero cells times den (its `int_tensor`), each map's matrix per
-    index (as a family whose matrix there is it), the twisted columns
-    built from them, lam and the memos of the sub-terms that read fewer
-    variables than their axiom.  A twist's columns are built at every
-    index when a variable with that twist is first compiled, and a
-    one-letter twist's are its matrix's `int_cols`.  A term compiles to
-    (degree, bind): bind(index tuple) -> (its index,
-    fn(basis tuple) -> its value times den ** degree, an int vector).
+    index, the twisted columns built from them, lam and the memos of
+    the sub-terms that read fewer variables than their axiom.  A twist's
+    columns are built at every index when a variable with that twist is
+    first compiled, and a one-letter twist's are its matrix's
+    `int_cols`.  A term compiles to (degree, bind): bind(index tuple)
+    -> (its index, fn(basis tuple) -> its value times den ** degree, an
+    int vector).
     A variable's degree is its twist's length, a read of a cell's is 1,
     a product's is 1 plus its arguments', a map's 1 plus its argument's;
     a sum lifts each term to its largest degree, a "lam" term's counted
     even at weight 0.  Products are applied by their own `apply` at den,
-    looked up when a term is compiled; a map's family at an index, and a
-    twisted column, are looked up when fn runs, and the family's `apply`
+    looked up when a term is compiled; a map's matrix at an index, and a
+    twisted column, are looked up when fn runs, and the matrix's `apply`
     is called then.  So a bound term depends on its index tuple alone,
     and stays bound across rebinds.  The closures hold the binding's
     parts, never the binding, so that each binding is freed as soon as
@@ -202,7 +202,7 @@ class _Cells:
     term, a sum of zero terms only (still at its first term's index).
     That is decided from product blocks alone, so no rebind changes it.
 
-    rebind(name, a, fam) swaps one map's matrix at one index and renews
+    rebind(name, a, m) swaps one map's matrix at one index and renews
     what reads it, never a bound term: it rebuilds every twisted column
     through `name` at a, and clears every value memo.  So a search binds
     each index tuple once and rebinds one index per node.
@@ -223,7 +223,7 @@ class _Cells:
                        *(fam.den for fam in self.products.values()),
                        *(m.den for fam in families.values() for m in fam.maps))
         n, d = self.omega.order, self.dim
-        self.maps = {name: [fam] * n for name, fam in families.items()}
+        self.maps = {name: list(fam.maps) for name, fam in families.items()}
         self.cols = {"": [[tuple(int(i == j) for j in range(d))
                            for i in range(d)]] * n}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
@@ -239,16 +239,16 @@ class _Cells:
         return self.cols[twist]
 
     def _twist_at(self, twist: str, a: int) -> list[IntVector]:
-        fam = self.maps[twist[0]][a]
+        m = self.maps[twist[0]][a]
         if len(twist) == 1:
-            return fam.matrix(a).int_cols(self.den)
-        return [fam.apply(a, v, self.den) for v in self.cols[twist[1:]][a]]
+            return m.int_cols(self.den)
+        return [m.apply(v, self.den) for v in self.cols[twist[1:]][a]]
 
-    def rebind(self, name: str, a: int, fam: LinearFamily) -> None:
-        """Map `name` at index a becomes fam's matrix there, whose den
-        must divide self.den: every twist through it is rebuilt at a,
-        suffixes first, and every memo cleared."""
-        self.maps[name][a] = fam
+    def rebind(self, name: str, a: int, m: Matrix) -> None:
+        """Map `name` at index a becomes m, whose den must divide
+        self.den: every twist through it is rebuilt at a, suffixes
+        first, and every memo cleared."""
+        self.maps[name][a] = m
         for twist, twisted in self.cols.items():
             if name in twist:
                 twisted[a] = self._twist_at(twist, a)
@@ -299,14 +299,14 @@ class _Cells:
                     return table[a][b], None
                 return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
         elif isinstance(term, Map):
-            fams = self.maps[term.name]
+            mats = self.maps[term.name]
             inner_degree, inner = self.bind(term.arg, arity)
             degree = 1 + inner_degree
             def bind(idx):
                 a, fn = inner(idx)
                 if fn is None:
                     return a, None
-                return a, lambda bas: fams[a].apply(a, fn(bas), den)
+                return a, lambda bas: mats[a].apply(fn(bas), den)
         else:
             # a "lam" term weighs in lam * den, one degree up; a term whose
             # coefficient is 0, lam at weight 0 too, adds exactly nothing
@@ -422,7 +422,7 @@ def index_classes(cells: _Cells) -> list[int]:
     members' products with some b fall into different classes."""
     n, den, table = cells.omega.order, cells.den, cells.omega.table
     tensors = [fam.int_tensor(den) for fam in cells.products.values()]
-    data = [(tuple(fams[a].matrix(a).int_rows(den) for fams in cells.maps.values()),
+    data = [(tuple(mats[a].int_rows(den) for mats in cells.maps.values()),
              tuple(t[a][b] for b in range(n) for t in tensors),
              tuple(t[b][a] for b in range(n) for t in tensors))
             for a in range(n)]

@@ -151,6 +151,9 @@ def _cmd_construct(args) -> int:
     for flag in ("rb", "p2", "q2"):
         if getattr(args, flag) is not None and flag not in operands:
             raise _CliError(f"construction {args.name!r} takes no --{flag}")
+    # the names the workspace format reads back
+    if args.as_name and not (args.as_name.isascii() and args.as_name.isidentifier()):
+        raise _CliError(f"--as-name must be an identifier, got {args.as_name!r}")
     ws = _read_workspace(args.input)
     alg_name, inst = _pick_algebra(ws, args.algebra)
     if any(getattr(args, op) is None for op in operands):

@@ -170,9 +170,9 @@ class LinearFamily:
     def matrix(self, a: int) -> Matrix:
         return self.maps[a]
 
-    def apply(self, a: int, x: Vector, den: int | None = None) -> Vector:
-        """The matrix at a times x; given den, as Matrix.apply."""
-        return self.maps[a].apply(x, den)
+    def apply(self, a: int, x: Vector) -> Vector:
+        """The matrix at a times x."""
+        return self.maps[a].apply(x)
 
     def compose(self, other: "LinearFamily") -> "LinearFamily":
         """Index-wise composition self_a after other_a."""

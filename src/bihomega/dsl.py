@@ -123,16 +123,16 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int
     if m.lastgroup != "rows":           # an entry where a map row belongs
         return None
     label, body = m.group("label", "rows")
+    # the shape and the label are checked before any entry is built
+    rows = [_RATIONAL_RE.findall(row) for row in _ROW_RE.findall(body)]
+    if len(rows) != dim or any(len(r) != dim for r in rows) or label not in index:
+        return None
     try:
-        rows = [[Fraction(-int(num) if sign else int(num), int(den or 1))
-                 for sign, num, den in _RATIONAL_RE.findall(row)]
-                for row in _ROW_RE.findall(body)]
-        a = index[label]
+        return index[label], Matrix.from_rows(
+            [[Fraction(-int(num) if sign else int(num), int(den or 1))
+              for sign, num, den in row] for row in rows])
     except _NOT_READ:
         return None
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        return None
-    return a, Matrix.from_rows(rows)
 
 
 class _Parser:

@@ -228,11 +228,10 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
-            fam = LinearFamily.constant(omega, m)
             for x in range(n):
-                unary_cells.rebind(name, x, fam)
+                unary_cells.rebind(name, x, m)
                 if _holds(unary, [(x,)]):
-                    choices[x].append((m, fam))
+                    choices[x].append(m)
     # the binary cells first readable once index k has its matrix
     fresh = [[] for _ in range(n)]
     for x in range(n):
@@ -244,8 +243,8 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
         if k == n:
             yield LinearFamily(omega, dim, mats)
             return
-        for m, fam in choices[k]:
-            binary_cells.rebind(name, k, fam)
+        for m in choices[k]:
+            binary_cells.rebind(name, k, m)
             if _holds(binary, fresh[k]):
                 yield from extend(mats + (m,))
     return extend(())
@@ -278,9 +277,10 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
 
     Always starts with (id, id); found morphisms contribute (f, f) and
     the power pair (f, f o f), plus cross pairs that commute.  The
-    morphism search prunes index by index; every morphism it keeps has
-    passed commutes_with and check_morphism.  Commutation is decided once
-    per pair of matrices in a call.
+    morphism search prunes index by index, and keeps at each index only
+    the matrices that commute with every p_b and q_b; every morphism it
+    keeps has passed check_morphism.  Whether the morphisms commute with
+    themselves and each other is decided once per pair of matrices.
     """
     structure = a.p.maps + a.q.maps
     # keyed by identity, since hashing a Matrix hashes its Fractions; each
@@ -297,13 +297,10 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     candidates = _pruned_families(
         a, cfg, morphism_axioms(a.slot_names), "f",
         lambda fam, den: morphism_cells(fam, a, a, den),
-        # commutes_with(a.p) and (a.q) ask f_a to commute with every p_b, q_b
         keep=lambda m: all(mats_commute(m, s) for s in structure))
     morphisms = list(itertools.islice(
         (fam for fam in candidates
-         if fam.commutes_with(a.p, commute)[0]
-         and fam.commutes_with(a.q, commute)[0]
-         and check_morphism(fam, a, a, max_witnesses=1).passed),
+         if check_morphism(fam, a, a, max_witnesses=1).passed),
         cfg.target_count))
     ident = LinearFamily.identity(a.omega, a.dim)
     pairs = [(ident, ident)]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -419,21 +420,37 @@ def test_dendriform_swap_detected():
 
 def test_a_cached_plan_applies_through_the_classes_it_is_bound_with(monkeypatch):
     # wrappers put on the apply methods after a first check, as a tracer
-    # does, still see every product and map applied
-    # a nonzero bracket, since no product is applied where it is zero
+    # does, see every product and map applied: as many calls as wrappers
+    # put on before any check; a nonzero bracket, since no product is
+    # applied where it is zero
     omega = cyclic_group(3)
-    p = LinearFamily.constant(omega, Matrix.diagonal([1, -1]))
-    inst = constant_product_instance(AlgebraKind.LIE, omega, {"bracket": LIE_2D})
-    rb = RotaBaxterFamily(p, 1)
-    before = check_instance(inst), check_rota_baxter(inst, rb)
-    calls = dict.fromkeys((BilinearFamily, LinearFamily, Matrix), 0)
-    for cls in calls:
-        def counted(*args, cls=cls, apply=cls.__dict__["apply"]):
-            calls[cls] += 1
-            return apply(*args)
-        monkeypatch.setattr(cls, "apply", counted)
-    assert (check_instance(inst), check_rota_baxter(inst, rb)) == before
-    assert min(calls.values()) > 0
+
+    def fresh_checks():
+        p = LinearFamily.constant(omega, Matrix.diagonal([1, -1]))
+        inst = constant_product_instance(AlgebraKind.LIE, omega,
+                                         {"bracket": LIE_2D})
+        rb = RotaBaxterFamily(p, 1)
+        return lambda: (check_instance(inst), check_rota_baxter(inst, rb))
+
+    def counted_calls(patch):
+        calls = dict.fromkeys((BilinearFamily, Matrix), 0)
+        for cls in calls:
+            def counted(*args, cls=cls, apply=cls.__dict__["apply"]):
+                calls[cls] += 1
+                return apply(*args)
+            patch.setattr(cls, "apply", counted)
+        return calls
+
+    checks = fresh_checks()
+    with monkeypatch.context() as patch:
+        before = counted_calls(patch)
+        reports = checks()
+    checks = fresh_checks()
+    assert checks() == reports
+    after = counted_calls(monkeypatch)
+    assert checks() == reports
+    assert after == before
+    assert min(after.values()) > 0
 
 
 def test_zero_products_are_skipped_when_bound_and_reports_stay_the_same(
@@ -482,18 +499,22 @@ def test_a_binding_is_freed_once_dropped_without_the_cycle_collector():
 
 def test_rota_baxter_and_morphism_bindings_hold_no_memo():
     # every sub-term of their axioms reads all the axiom's variables, so
-    # rebinding the searched map costs the searches no memo
+    # rebinding the searched map costs the searches no memo; every index
+    # tuple is bound, over nonzero products, since a zero term has none
     omega = cyclic_group(3)
     ident = LinearFamily.identity(omega, 2)
     for kind in AlgebraKind:
-        inst = zero_instance(kind, omega, 2)
+        inst = constant_product_instance(
+            kind, omega, {slot: LIE_2D for slot in kind.product_slots})
         slots = inst.slot_names
         for axioms, cells in (
                 (rota_baxter_axioms(slots),
                  rota_baxter_cells(inst, RotaBaxterFamily(ident, 1))),
                 (morphism_axioms(slots), morphism_cells(ident, inst, inst))):
             for axiom in axioms:
-                mismatches(axiom, cells)
+                at = mismatches(axiom, cells)[1]
+                for idx in product(range(omega.order), repeat=axiom.arity):
+                    list(at(idx))
             assert cells.memos == []
 
 

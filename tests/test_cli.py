@@ -139,6 +139,25 @@ def test_construct_writes_checked_output(two_dim_file, tmp_path, capsys):
     assert "# construction: assoc_to_lie" in out_path.read_text()
 
 
+@pytest.mark.parametrize("name", ["bad name", "1abc", "é", "x;y"])
+def test_construct_rejects_a_name_the_workspace_cannot_read(
+        name, two_dim_file, tmp_path, capsys):
+    out_path = tmp_path / "out.bho"
+    assert main(["construct", "assoc_to_lie", "--input", two_dim_file,
+                 "--as-name", name, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --as-name must be an identifier, got {name!r}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("name", ["semigroup", "e1"])
+def test_construct_names_that_read_back(name, two_dim_file, tmp_path):
+    out_path = tmp_path / "out.bho"
+    assert main(["construct", "assoc_to_lie", "--input", two_dim_file,
+                 "--as-name", name, "--out", str(out_path)]) == 0
+    assert list(parse_workspace(out_path.read_text()).algebras) == [name]
+
+
 def test_construct_missing_rb_flag(two_dim_file, capsys):
     assert main(["construct", "rb_split_dendriform",
                  "--input", two_dim_file]) == 2

@@ -630,6 +630,18 @@ def test_statement_read_agrees_with_token_rules(text):
     _agrees_with_token_rules(text)
 
 
+@pytest.mark.parametrize("statement", [
+    "t: [[1, 0]];", "t: [[1, 0], [0, 1], [1, 1]];", "t: [[1, 0], [0]];",
+    "u: [[1, 0], [0, 1]];"], ids=["rows", "more-rows", "row-length", "label"])
+def test_a_map_row_it_rejects_builds_no_entry(statement):
+    # the shape and the label are checked on the matched text first
+    read = dsl._STATEMENTS_RE.match
+    assert dsl._read_map_row(read("t: [[1, 0], [0, -1/2]];"), {"t": 0}, 2) == (
+        0, Matrix.from_rows([[1, 0], [0, Fraction(-1, 2)]]))
+    with mock.patch.object(dsl, "Fraction", side_effect=AssertionError):
+        assert dsl._read_map_row(read(statement), {"t": 0}, 2) is None
+
+
 # Text the statement regex takes as one token where no statement belongs:
 # each rule that meets it splits it, so the token rules read it as they
 # would read the text with no statement token.

@@ -235,7 +235,7 @@ def test_rebinding_one_index_matches_the_fraction_evaluator(case, data):
         if step:
             name, k = data.draw(st.sampled_from("pq")), data.draw(st.integers(0, n - 1))
             maps[name][k] = data.draw(matrices(d))
-            cells.rebind(name, k, LinearFamily.constant(omega, maps[name][k]))
+            cells.rebind(name, k, maps[name][k])
         now = replace(inst, **{name: LinearFamily(omega, d, tuple(mats))
                                for name, mats in maps.items()})
         expected = _reference(inst.kind.value, axioms, _env(now), omega, 10)
@@ -312,7 +312,7 @@ def _assert_rebinds_match(case, data):
         if step:
             name, k = data.draw(st.sampled_from("pqR")), data.draw(st.integers(0, n - 1))
             m = maps[name][k] = data.draw(matrices(d))
-            cells.rebind(name, k, LinearFamily.constant(omega, m))
+            cells.rebind(name, k, m)
         fams = {name: LinearFamily(omega, d, tuple(mats))
                 for name, mats in maps.items()}
         env = _env(replace(inst, p=fams["p"], q=fams["q"]), {"R": fams["R"]},

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -445,3 +447,38 @@ def test_rb_search_prunes_before_the_checker(monkeypatch):
     monkeypatch.setattr(forge, "check_rota_baxter", counted)
     found = brute_force_rb_search(two_dim_instance(C2), SearchConfig(weight=1))
     assert found and len(calls) < 3 ** 8 // 20
+
+
+def _sl2_bracket():
+    """sl2 on the basis (e, f, h): [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
+    cube = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, v in ((0, 1, (0, 0, 1)), (2, 0, (2, 0, 0)), (2, 1, (0, -2, 0))):
+        cube[i][j], cube[j][i] = list(v), [-c for c in v]
+    return cube
+
+
+SL2 = constant_product_instance(AlgebraKind.LIE, C2, {"bracket": _sl2_bracket()})
+
+
+@functools.cache
+def _sl2_hits(entries, weight):
+    return brute_force_rb_search(
+        SL2, SearchConfig(entries=entries, weight=weight, budget=10 ** 9))
+
+
+@pytest.mark.parametrize("entries, weight, count, digest", [
+    ((0, 1), 0, 21, "35372a0bf67e"),
+    ((0, 1), -1, 26, "53fe669a2993"),
+    ((-1, 0), 1, 26, "dd2d52acac84"),
+])
+def test_rb_search_over_sl2_at_dim_3_is_pinned(entries, weight, count, digest):
+    found = _sl2_hits(entries, weight)
+    assert len(found) == count
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:12] == digest
+
+
+def test_rb_search_over_sl2_negates_with_its_weight():
+    # R has weight lam exactly when -R has weight -lam
+    negated = {tuple(Matrix(3, 3, tuple(-v for v in m.entries))
+                     for m in rb.maps.maps) for rb in _sl2_hits((0, 1), -1)}
+    assert negated == {rb.maps.maps for rb in _sl2_hits((-1, 0), 1)}

@@ -28,7 +28,7 @@ DEFAULT_WITNESS_CAP = 10
 # A term's index is the semigroup product of its arguments' indices, read
 # left to right; a variable's index is its own, a sum's its first term's.
 
-Var = namedtuple("Var", "pos twist", defaults=("",))  # "pq" twist: p(q(e_pos))
+Var = namedtuple("Var", "pos")  # the basis vector at position pos
 Mul = namedtuple("Mul", "slot left right")  # product `slot` at the args' indices
 Map = namedtuple("Map", "name arg")  # map family `name` at the arg's index
 Sum = namedtuple("Sum", "terms")  # (coefficient, term) pairs; "lam": RB weight
@@ -37,9 +37,9 @@ Term = Union[Var, Mul, Map, Sum]
 
 
 def on(name: str) -> Callable[[Term], Term]:
-    """Map family `name` as a term function; on a variable it twists."""
-    return lambda t: (Var(t.pos, name + t.twist) if isinstance(t, Var)
-                      else Map(name, t))
+    """Map family `name` as a term function: p(q(X)) is
+    Map("p", Map("q", X))."""
+    return partial(Map, name)
 
 
 def plus(*terms: Term) -> Sum:
@@ -51,7 +51,6 @@ def minus(left: Term, right: Term) -> Sum:
 
 
 X, Y, Z = Var(0), Var(1), Var(2)
-_BARE = {X, Y, Z}
 p, q, R, f = on("p"), on("q"), on("R"), on("f")
 
 
@@ -179,33 +178,32 @@ class _Cells:
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds each product's
     nonzero cells times den (its `int_tensor`), each map's matrix per
-    index, the twisted columns built from them, lam and the memos of
-    the sub-terms that read fewer variables than their axiom.  A twist's
-    columns are built at every index when a variable with that twist is
-    first compiled, and a one-letter twist's are its matrix's
-    `int_cols`.  A term compiles to (degree, bind): bind(index tuple)
-    -> (its index, fn(basis tuple) -> its value times den ** degree, an
-    int vector).
-    A variable's degree is its twist's length, a read of a cell's is 1,
-    a product's is 1 plus its arguments', a map's 1 plus its argument's;
-    a sum lifts each term to its largest degree, a "lam" term's counted
-    even at weight 0.  Products are applied by their own `apply` at den,
-    looked up when a term is compiled; a map's matrix at an index, and a
-    twisted column, are looked up when fn runs, and the matrix's `apply`
-    is called then.  So a bound term depends on its index tuple alone,
-    and stays bound across rebinds.  The closures hold the binding's
-    parts, never the binding, so that each binding is freed as soon as
-    it is dropped.
+    index with its `int_cols` beside it, lam and the memos of the
+    sub-terms that read fewer variables than their axiom.  A term
+    compiles to (degree, bind): bind(index tuple) -> (its index,
+    fn(basis tuple) -> its value times den ** degree, an int vector).
+    A variable's degree is 0, a read of a cell's or of a map's column
+    is 1, a product's is 1 plus its arguments', a map's 1 plus its
+    argument's; a sum lifts each term to its largest degree, a "lam"
+    term's counted even at weight 0.  A product of two basis vectors
+    is read from its block's cells and a map of a basis vector from its
+    matrix's columns, so p(q(X)) applies p to q's column.  Products are
+    applied by their own `apply` at den, looked up when a term is
+    compiled; a map's matrix at an index, and its columns, are looked
+    up when fn runs, and the matrix's `apply` is called then.  So a
+    bound term depends on its index tuple alone, and stays bound across
+    rebinds.  The closures hold the binding's parts, never the binding,
+    so that each binding is freed as soon as it is dropped.
 
     fn is None, and nothing is evaluated, where the term is zero: a
     product over an empty block or with a zero argument, a map of a zero
     term, a sum of zero terms only (still at its first term's index).
     That is decided from product blocks alone, so no rebind changes it.
 
-    rebind(name, a, m) swaps one map's matrix at one index and renews
-    what reads it, never a bound term: it rebuilds every twisted column
-    through `name` at a, and clears every value memo.  So a search binds
-    each index tuple once and rebinds one index per node.
+    rebind(name, a, m) swaps one map's matrix and its columns at one
+    index, and clears every value memo; it never touches a bound term.
+    So a search binds each index tuple once and rebinds one index per
+    node.
 
     A check binds and evaluates one index tuple per class tuple of
     `index_classes`: indices whose maps, blocks and semigroup products
@@ -222,36 +220,18 @@ class _Cells:
         self.den = lcm(den, self.weight.denominator,
                        *(fam.den for fam in self.products.values()),
                        *(m.den for fam in families.values() for m in fam.maps))
-        n, d = self.omega.order, self.dim
         self.maps = {name: list(fam.maps) for name, fam in families.items()}
-        self.cols = {"": [[tuple(int(i == j) for j in range(d))
-                           for i in range(d)]] * n}
+        self.cols = {name: [m.int_cols(self.den) for m in mats]
+                     for name, mats in self.maps.items()}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
         self.memos: list[dict] = []
 
-    def column(self, twist: str) -> list[list[IntVector]]:
-        """[a][i] -> e_i twisted at index a, times den ** len(twist); its
-        suffixes are built first, so they come first in self.cols."""
-        if twist not in self.cols:
-            self.column(twist[1:])
-            self.cols[twist] = [self._twist_at(twist, a)
-                                for a in range(self.omega.order)]
-        return self.cols[twist]
-
-    def _twist_at(self, twist: str, a: int) -> list[IntVector]:
-        m = self.maps[twist[0]][a]
-        if len(twist) == 1:
-            return m.int_cols(self.den)
-        return [m.apply(v, self.den) for v in self.cols[twist[1:]][a]]
-
     def rebind(self, name: str, a: int, m: Matrix) -> None:
         """Map `name` at index a becomes m, whose den must divide
-        self.den: every twist through it is rebuilt at a, suffixes
-        first, and every memo cleared."""
+        self.den; its columns there become m's, and every memo is
+        cleared."""
         self.maps[name][a] = m
-        for twist, twisted in self.cols.items():
-            if name in twist:
-                twisted[a] = self._twist_at(twist, a)
+        self.cols[name][a] = m.int_cols(self.den)
         for memo in self.memos:
             memo.clear()
 
@@ -268,12 +248,20 @@ class _Cells:
     def _compile(self, term: Term, arity: int) -> tuple[int, Bind]:
         table, den = self.omega.table, self.den
         if isinstance(term, Var):
-            cols, pos = self.column(term.twist), term.pos
+            pos, d = term.pos, self.dim
+            units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
             def bind_var(idx):
+                return idx[pos], lambda bas: units[bas[pos]]
+            return 0, bind_var
+        if isinstance(term, Map) and isinstance(term.arg, Var):
+            # a map of a basis vector is read from its matrix's columns
+            cols, pos = self.cols[term.name], term.arg.pos
+            def bind_col(idx):
                 a = idx[pos]
                 return a, lambda bas: cols[a][bas[pos]]
-            return len(term.twist), bind_var
-        if isinstance(term, Mul) and term.left in _BARE and term.right in _BARE:
+            return 1, bind_col
+        if isinstance(term, Mul) and isinstance(term.left, Var) \
+                and isinstance(term.right, Var):
             # a product of two basis vectors is read from its block's cells
             zero = (0,) * self.dim
             lookup = [[{(i, j): cell for i, row in block for j, cell in row}

@@ -189,8 +189,10 @@ def _cmd_search_rb(args) -> int:
     omega_name = ws.omega_of[("algebra", alg_name)]
     out_ws = Workspace()
     out_ws.semigroups[omega_name] = inst.omega
+    # as wide as the last index, so that sorted names keep search order
+    width = max(3, len(str(len(found) - 1)))
     for idx, rb in enumerate(found):
-        name = f"rb{idx:03d}"
+        name = f"rb{idx:0{width}d}"
         out_ws.rota_baxter[name] = rb
         out_ws.omega_of[("rb", name)] = omega_name
     comments = (f"search-rb over {alg_name}: entries {args.entries}, "

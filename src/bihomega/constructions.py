@@ -13,9 +13,9 @@ from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
 
-from .checkers import (Mul, R, Sum, Var, X, Y, _Cells, check_instance,
-                       check_morphism, check_rota_baxter, minus, plus,
-                       rota_baxter_product)
+from .checkers import (Mul, R, Sum, X, Y, _Cells, check_instance,
+                       check_morphism, check_rota_baxter, minus, on, p, plus,
+                       q, rota_baxter_product)
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind as K,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
@@ -44,7 +44,7 @@ def _to(out: K, *kinds: K) -> dict:
 
 def _flip(m: str) -> Mul:
     # (p^-1 q (y)) m (p q^-1 (x)), at index b*a
-    return Mul(m, Var(1, "Pq"), Var(0, "pQ"))
+    return Mul(m, on("P")(q(Y)), p(on("Q")(X)))
 
 
 _FLIPS = ("commutative", "inverses")  # what the flip, reading p^-1 and q^-1, needs
@@ -53,7 +53,7 @@ _FLIPS = ("commutative", "inverses")  # what the flip, reading p^-1 and q^-1, ne
 RECIPES: dict[str, Recipe] = {
     "yau_twist": Recipe(
         {k: k for k in K} | _to(K.BIHOM_ASSOCIATIVE, *ASSOCIATIVE_KINDS),
-        {m: Mul(m, Var(0, "s"), Var(1, "t")) for k in K for m in k.product_slots},
+        {m: Mul(m, on("s")(X), on("t")(Y)) for k in K for m in k.product_slots},
         ("p2", "q2"), ("commuting",), ("ps", "qt")),
     "rb_star_associative": Recipe(
         {k: k for k in ASSOCIATIVE_KINDS}, {"mul": rota_baxter_product("mul")},

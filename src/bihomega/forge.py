@@ -205,15 +205,13 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     dropped at the first binary cell (x, y) whose sides differ, compared
     as soon as x, y and xy all have matrices.
 
-    Two bindings serve the whole search, one for the unary axioms and
-    one for the binary ones: cells_for(fam, den) binds the axioms with
-    fam as map `name` over a multiple of den, the lcm of the entries'
-    denominators, so every candidate's matrices are exact in it.  Each
-    index tuple's sides are bound once.  The unary pass rebinds `name`
-    at each (index, matrix); a node at depth k rebinds it at index k
-    only, so it renews just the twists the binary axioms read.  Indices
-    past k keep stale matrices, but no cell compared at depth k reads
-    them.
+    One binding serves the whole search: cells_for(fam, den) binds the
+    axioms with fam as map `name` over a multiple of den, the lcm of the
+    entries' denominators, so every candidate's matrices are exact in
+    it.  Each index tuple's sides are bound once.  The unary pass
+    rebinds `name` at each (index, matrix); a node at depth k rebinds it
+    at index k only.  Indices past k keep stale matrices, but no cell
+    compared at depth k reads them.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
@@ -221,15 +219,15 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
         raise BudgetExceeded(space, cfg.budget)
     ident = LinearFamily.identity(omega, dim)
     den = lcm(*(v.denominator for v in cfg.entries))
-    unary_cells, binary_cells = cells_for(ident, den), cells_for(ident, den)
-    unary = [mismatches(ax, unary_cells)[1] for ax in axioms if ax.arity == 1]
-    binary = [mismatches(ax, binary_cells)[1] for ax in axioms if ax.arity == 2]
+    cells = cells_for(ident, den)
+    unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
+    binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
     choices = [[] for _ in range(n)]
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
             for x in range(n):
-                unary_cells.rebind(name, x, m)
+                cells.rebind(name, x, m)
                 if _holds(unary, [(x,)]):
                     choices[x].append(m)
     # the binary cells first readable once index k has its matrix
@@ -244,7 +242,7 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
             yield LinearFamily(omega, dim, mats)
             return
         for m in choices[k]:
-            binary_cells.rebind(name, k, m)
+            cells.rebind(name, k, m)
             if _holds(binary, fresh[k]):
                 yield from extend(mats + (m,))
     return extend(())

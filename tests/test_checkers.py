@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 
-from bihomega.checkers import (KIND_AXIOMS, _Cells, _report,
+from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Var, X, Y, _Cells,
+                               _report, on,
                                check_bihom_associative,
                                check_dendriform,
                                check_instance, check_lie, check_morphism,
@@ -89,6 +90,14 @@ def test_checkers_keep_their_names():
                  "check_prepoisson", "check_rota_baxter", "check_morphism"):
         assert getattr(checkers, name) is getattr(bihomega, name)
         assert getattr(checkers, name).__name__ == name
+
+
+def test_a_map_applies_only_as_a_map_term():
+    # a variable is a bare basis vector; p(q(X)) nests two Map terms
+    from bihomega.checkers import p, q
+    assert Var._fields == ("pos",)
+    assert p(q(X)) == Map("p", Map("q", X))
+    assert on("R")(Mul("mul", X, Y)) == Map("R", Mul("mul", X, Y))
 
 
 def test_two_dim_example_passes_trivial_omega():

@@ -19,7 +19,8 @@ from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.dsl import (parse_workspace, serialize_workspace,
                           workspace_for_instance)
-from bihomega.forge import (constant_product_instance, make_two_dim_example,
+from bihomega.forge import (SearchConfig, brute_force_rb_search,
+                            constant_product_instance, make_two_dim_example,
                             two_dim_params)
 from bihomega.errors import (BudgetExceeded, ConditionViolated, KindMismatch,
                              MorphismCheckFailed, ParseError,
@@ -309,6 +310,24 @@ def test_search_rb_repeated_entries_write_each_family_once(two_dim_file, tmp_pat
                  "--out", str(out_path)]) == 0
     assert "found 1 operator families" in capsys.readouterr().err
     assert sorted(parse_workspace(out_path.read_text()).rota_baxter) == ["rb000"]
+
+
+def test_search_rb_past_999_hits_lists_them_in_search_order(tmp_path, capsys):
+    # a zero product: every one of the 6**4 families over the trivial
+    # semigroup at dim 2 is a hit; "rb1000" used to sort before "rb101"
+    path, out_path = tmp_path / "zero.bho", tmp_path / "rbs.bho"
+    path.write_text("semigroup T { elements t; table { t*t = t; } }\n"
+                    "algebra z : bihom_associative over T dim 2 { }\n")
+    assert main(["search-rb", "--algebra", str(path),
+                 "--entries=-2,-1,0,1,2,3", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err == "found 1296 operator families\n"
+    text = out_path.read_text()
+    names = re.findall(r"^rota_baxter (\w+) ", text, re.MULTILINE)
+    assert names == [f"rb{idx:04d}" for idx in range(1296)]
+    found = parse_workspace(text).rota_baxter
+    hits = brute_force_rb_search(parse_workspace(path.read_text()).algebras["z"],
+                                 SearchConfig(entries=range(-2, 4)))
+    assert [found[name] for name in names] == hits
 
 
 def test_search_rb_limit_below_one_exits_2(two_dim_file, capsys):

@@ -12,6 +12,7 @@ from functools import cache, partial
 from itertools import product
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,11 +77,8 @@ def _value(term, idx, bas, env, memo):
 def _evaluate(term, idx, bas, env, memo):
     maps, products, weight, table, d = env
     if isinstance(term, Var):
-        a = idx[term.pos]
-        v = tuple(Fraction(int(k == bas[term.pos])) for k in range(d))
-        for name in reversed(term.twist):  # "pq" is p(q(e))
-            v = _mat_vec(maps[name].maps[a], v)
-        return a, v
+        return idx[term.pos], tuple(Fraction(int(k == bas[term.pos]))
+                                    for k in range(d))
     if isinstance(term, Mul):
         (a, x), (b, y) = (_value(t, idx, bas, env, memo)
                           for t in (term.left, term.right))
@@ -220,26 +218,41 @@ def test_check_morphism_matches_fraction_evaluator(case, cap, data):
     _assert_same(check_morphism(f, src, dst, max_witnesses=cap), expected)
 
 
+@pytest.mark.parametrize("with_rb", [False, True], ids=["kind", "rota-baxter"])
 @settings(max_examples=10, deadline=None)
 @given(case=cases(), data=st.data())
-def test_rebinding_one_index_matches_the_fraction_evaluator(case, data):
+def test_rebinding_one_index_matches_the_fraction_evaluator(with_rb, case, data):
     """One binding checked, then rebound at one index after another as a
     search rebinds it, gives the report of the instance with those
-    matrices in place: no twisted column, and no memo entry of a sub-term
-    that read the index, outlives its matrix."""
+    matrices in place: no column, and no memo entry of a sub-term that
+    read the index, outlives its matrix.  With R, rb-commutes-p reads
+    R's column in p(R(X)) and R's matrix in R(p(X)), so a stale column
+    shows as a mismatch."""
     omega, d, inst = case
-    axioms, n = KIND_AXIOMS[inst.kind], omega.order
-    cells = _Cells(inst, den=lcm(*(v.denominator for v in SCALARS)))
+    n, den = omega.order, lcm(*(v.denominator for v in SCALARS))
     maps = {"p": list(inst.p.maps), "q": list(inst.q.maps)}
+    if with_rb:
+        rb = RotaBaxterFamily(data.draw(families(omega, d)),
+                              data.draw(st.sampled_from(WEIGHTS)))
+        maps["R"] = list(rb.maps.maps)
+        subject, axioms = "rota-baxter", rota_baxter_axioms(inst.slot_names)
+        cells = rota_baxter_cells(inst, rb, den=den)
+    else:
+        subject, axioms = inst.kind.value, KIND_AXIOMS[inst.kind]
+        cells = _Cells(inst, den=den)
     for step in range(3):
         if step:
-            name, k = data.draw(st.sampled_from("pq")), data.draw(st.integers(0, n - 1))
+            name = data.draw(st.sampled_from(sorted(maps)))
+            k = data.draw(st.integers(0, n - 1))
             maps[name][k] = data.draw(matrices(d))
             cells.rebind(name, k, maps[name][k])
-        now = replace(inst, **{name: LinearFamily(omega, d, tuple(mats))
-                               for name, mats in maps.items()})
-        expected = _reference(inst.kind.value, axioms, _env(now), omega, 10)
-        _assert_same(_report(inst.kind.value, axioms, cells, 10), expected)
+        fams = {name: LinearFamily(omega, d, tuple(mats))
+                for name, mats in maps.items()}
+        now = replace(inst, p=fams["p"], q=fams["q"])
+        env = (_env(now, {"R": fams["R"]}, weight=rb.weight) if with_rb
+               else _env(now))
+        expected = _reference(subject, axioms, env, omega, 10)
+        _assert_same(_report(subject, axioms, cells, 10), expected)
 
 
 def _rational_instance():

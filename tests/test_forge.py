@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bihomega import forge
-from bihomega.checkers import check_instance, check_morphism, check_rota_baxter
+from bihomega.checkers import (_Cells, check_instance, check_morphism,
+                               check_rota_baxter)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.errors import (BudgetExceeded, ConditionViolated, ShapeMismatch,
@@ -436,6 +437,28 @@ def test_each_index_keeps_the_matrices_that_commute_with_its_own_maps():
     assert len(morphisms) == 4 * 4
     assert (make_endomorphism_pairs(inst, cfg)
             == _reference_endomorphism_pairs(inst, morphisms))
+
+
+def test_a_search_makes_one_binding_that_holds_no_memo(monkeypatch):
+    # the unary pass and the binary nodes rebind one map in one binding,
+    # and each rebind clears every memo there: none may be registered
+    made, init, pruned = [], _Cells.__init__, forge._pruned_families
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def binding(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(_Cells, "__init__", counted)
+            return pruned(*args, **kwargs)
+    monkeypatch.setattr(forge, "_pruned_families", binding)
+    base = two_dim_instance(C2)
+    for search, cfg in ((brute_force_rb_search, SearchConfig(weight=1)),
+                        (make_endomorphism_pairs, SearchConfig())):
+        made.clear()
+        assert len(search(base, cfg)) > 1
+        assert len(made) == 1 and made[0].memos == []
 
 
 def test_rb_search_prunes_before_the_checker(monkeypatch):

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +31,10 @@ from .semigroup import SemigroupTable, validate_semigroup
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
+
+# the search-rb flags whose value may start with "-", and such a value
+_SIGNED_FLAGS = ("--entries", "--weight")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
 
 
 class _CliError(Exception):
@@ -290,7 +296,9 @@ def _cmd_fmt(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and kept."""
     parser = argparse.ArgumentParser(
         prog="bihomega",
         description="Exact checkers and constructions for semigroup-indexed "
@@ -303,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-witnesses", type=_int_at_least(0),
                          default=DEFAULT_WITNESS_CAP)
     p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(fn=_cmd_check)
 
     p_con = sub.add_parser("construct", help="run a checked transform")
     p_con.add_argument("name")
@@ -314,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--q2", default=None)
     p_con.add_argument("--as-name", default=None)
     p_con.add_argument("--out", default=None)
-    p_con.set_defaults(fn=_cmd_construct)
 
     p_search = sub.add_parser(
         "search-rb", help="exhaustive operator family search, pruned index "
@@ -325,29 +331,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--weight", default="0")
     p_search.add_argument("--limit", type=_int_at_least(1), default=None)
     p_search.add_argument("--out", default=None)
-    p_search.set_defaults(fn=_cmd_search_rb)
 
     p_ex = sub.add_parser("example", help="build a worked example")
     p_ex.add_argument("which")
     p_ex.add_argument("--params", required=True)
     p_ex.add_argument("--out", default=None)
-    p_ex.set_defaults(fn=_cmd_example)
 
     p_fmt = sub.add_parser("fmt", help="rewrite a workspace canonically")
     p_fmt.add_argument("workspace")
     p_fmt.add_argument("--out", default=None)
-    p_fmt.set_defaults(fn=_cmd_fmt)
     return parser
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """`search-rb --entries -1,0` as `--entries=-1,0`, and so for
+    `--weight` and for either flag abbreviated: argparse reads a value
+    that starts with "-" and is no plain negative number as a flag."""
+    if argv[:1] != ["search-rb"]:
+        return argv
+    out = []
+    for arg in argv:
+        if (out and len(out[-1]) > 2
+                and any(f.startswith(out[-1]) for f in _SIGNED_FLAGS)
+                and _SIGNED_VALUE.match(arg) and "--" not in out):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        code = args.fn(args)
+        # looked up at each call, so that a replaced command is the one run
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         # a closed pipe shows up here, not at the interpreter's exit
         sys.stdout.flush()
         return code

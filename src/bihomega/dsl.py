@@ -10,8 +10,9 @@ A product entry or a map row in the form the serializer writes (every
 term with its coefficient, each vector once, no comment inside) is read
 by one regex match; one it rejects, or any other rule meets, is split
 into its tokens where it stands for the token rules, so nothing is
-parsed twice.  Line and column are worked out only when an error is
-raised, from the offsets of the plain token regex.
+parsed twice; in those statements equal rational texts share one
+`Fraction` per parse.  Line and column are worked out only when an
+error is raised, from the plain token regex's offsets up to that token.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero tensor entries written, fixed
 two-space indentation.
@@ -23,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .core import (AlgebraInstance, AlgebraKind, BilinearFamily, LinearFamily,
                    RotaBaxterFamily, new_instance)
@@ -95,7 +97,17 @@ def _is_basis(tok: str) -> bool:
 _NOT_READ = (KeyError, ValueError, ZeroDivisionError)
 
 
-def _read_entry(m: re.Match, index: dict[str, int], dim: int
+class _Rationals(dict):
+    """A parse's Fraction for each rational's matched (sign, digits,
+    denominator digits), built on its first read; never _ZERO itself."""
+
+    def __missing__(self, parts: tuple[str, str, str]) -> Fraction:
+        sign, num, den = parts
+        self[parts] = Fraction(-int(num) if sign else int(num), int(den or 1))
+        return self[parts]
+
+
+def _read_entry(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
                 ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]] | None:
     """A matched product entry from its groups."""
     if m.lastgroup != "terms":          # a map row where an entry belongs
@@ -106,10 +118,10 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int
         cell = [_ZERO] * dim
         for sign, num, den, k in _TERM_RE.findall(terms):
             k = int(k) - 1
-            # a vector already read holds a new Fraction, never _ZERO itself
+            # a vector already read holds a parsed Fraction, never _ZERO
             if not 0 <= k < dim or cell[k] is not _ZERO:
                 return None
-            cell[k] = Fraction(-int(num) if sign else int(num), int(den or 1))
+            cell[k] = rats[sign, num, den]
     except _NOT_READ:
         return None
     if not (0 <= key[2] < dim and 0 <= key[3] < dim):
@@ -117,7 +129,7 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int
     return key, tuple(cell)
 
 
-def _read_map_row(m: re.Match, index: dict[str, int], dim: int
+def _read_map_row(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
                   ) -> tuple[int, Matrix] | None:
     """A matched map row statement from its groups."""
     if m.lastgroup != "rows":           # an entry where a map row belongs
@@ -129,8 +141,7 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int
         return None
     try:
         return index[label], Matrix.from_rows(
-            [[Fraction(-int(num) if sign else int(num), int(den or 1))
-              for sign, num, den in row] for row in rows])
+            [[rats[parts] for parts in row] for row in rows])
     except _NOT_READ:
         return None
 
@@ -148,6 +159,7 @@ class _Parser:
                      for m in _STATEMENTS_RE.finditer(text) if m[0][0] != "#"]
         self.toks.append(_END)
         self.pos = 0
+        self.rats = _Rationals()
         self.ws = Workspace()
 
     # token plumbing -------------------------------------------------
@@ -165,7 +177,9 @@ class _Parser:
         # a statement read whole before it stands for each of its tokens
         k += sum(len(_TOKENS_RE.findall(t[0])) - 1
                  for t in self.toks[:k] if type(t) is not str)
-        tokens = [m for m in _TOKENS_RE.finditer(self.text) if m[0][0] != "#"]
+        # the text is scanned up to that token, or to its end
+        tokens = list(islice((m for m in _TOKENS_RE.finditer(self.text)
+                              if m[0][0] != "#"), k + 1))
         if k < len(tokens):
             offset, found = tokens[k].start(), tokens[k][0]
         else:
@@ -326,7 +340,8 @@ class _Parser:
         mats: dict[int, Matrix] = {}
         self._expect("{")
         while (tok := self.toks[self.pos]) != "}":
-            if type(tok) is not str and (read := _read_map_row(tok, index, dim)):
+            if type(tok) is not str and (
+                    read := _read_map_row(tok, index, dim, self.rats)):
                 self.pos += 1
                 a, matrix = read
             else:
@@ -399,7 +414,8 @@ class _Parser:
                 self._expect("{")
                 while (tok := self.toks[self.pos]) != "}":
                     if type(tok) is not str and (
-                            read := _read_entry(tok, element_index, dim)):
+                            read := _read_entry(tok, element_index, dim,
+                                                self.rats)):
                         self.pos += 1
                         (a, b, i, j), cell = read
                     else:

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bihomega
+from bihomega import cli
 from bihomega.checkers import check_instance
 from bihomega.cli import _CliError, main
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
@@ -330,6 +331,21 @@ def test_search_rb_past_999_hits_lists_them_in_search_order(tmp_path, capsys):
     assert [found[name] for name in names] == hits
 
 
+@pytest.mark.parametrize("flag, value", [("--entries", "-1,0"),
+                                         ("--weight", "-1/2")])
+def test_search_rb_reads_a_signed_value_given_apart(flag, value, two_dim_file,
+                                                    tmp_path, capsys):
+    # argparse alone reads "-1,0" and "-1/2" as flags, not as values
+    runs = []
+    for spelled in ([flag, value], [flag[:5], value], [f"{flag}={value}"]):
+        out_path = tmp_path / "rbs.bho"
+        assert main(["search-rb", "--algebra", two_dim_file, *spelled,
+                     "--limit", "2", "--out", str(out_path)]) == 0
+        runs.append((capsys.readouterr(), out_path.read_text()))
+    assert runs[0] == runs[1] == runs[2]
+    assert f"{flag[2:]} {value}, " in runs[0][1]
+
+
 def test_search_rb_limit_below_one_exits_2(two_dim_file, capsys):
     for bad in ("0", "-1", "x"):
         assert main(["search-rb", "--algebra", two_dim_file,
@@ -467,6 +483,26 @@ def test_main_exit_code_and_message_per_error(capsys, monkeypatch, exc, code,
     monkeypatch.setattr("bihomega.cli._cmd_fmt", raising)
     assert main(["fmt", "never-read.bho"]) == code
     assert capsys.readouterr() == ("", err)
+
+
+def test_main_builds_its_parser_once(two_dim_file, capsys):
+    cli._build_parser.cache_clear()
+    for argv in (["fmt", two_dim_file], ["check", two_dim_file],
+                 ["fmt", two_dim_file, "--bad"], ["fmt", two_dim_file]):
+        main(argv)
+    assert capsys.readouterr().err.startswith("usage: bihomega [-h]")
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_a_command_replaced_after_a_call_is_the_one_run(two_dim_file, capsys,
+                                                        monkeypatch):
+    assert main(["fmt", two_dim_file]) == 0
+    assert capsys.readouterr().out == GOLDEN_TWO_DIM
+    read = []
+    monkeypatch.setattr("bihomega.cli._cmd_fmt",
+                        lambda args: read.append(args.workspace) or 1)
+    assert main(["fmt", two_dim_file]) == 1
+    assert read == [two_dim_file] and capsys.readouterr() == ("", "")
 
 
 def _commands(path):

@@ -142,6 +142,24 @@ def test_zero_cells_are_not_stored():
     assert BilinearFamily.zero(C2, 2).blocks == (((), ()), ((), ()))
 
 
+def test_from_cells_reads_tuple_list_and_int_cells_alike():
+    exact = {(0, 1, 1, 0): (Fraction(1, 2), Fraction(0)),
+             (1, 1, 0, 1): (Fraction(2), Fraction(-3))}
+    forms = [exact,
+             {key: list(cell) for key, cell in exact.items()},
+             {(0, 1, 1, 0): (Fraction(1, 2), 0), (1, 1, 0, 1): (2, -3)},
+             {(0, 1, 1, 0): [Fraction(1, 2), False], (1, 1, 0, 1): [2, -3]}]
+    fams = [BilinearFamily.from_cells(C2, 2, cells) for cells in forms]
+    assert all(fam == fams[0] for fam in fams)
+    for fam in fams:
+        for _, cell in fam.cells():
+            assert type(cell) is tuple
+            assert all(type(v) is Fraction for v in cell)
+    # a tuple of exact Fractions is stored as it is
+    assert dict(fams[0].cells()) == exact
+    assert all(cell is exact[key] for key, cell in fams[0].cells())
+
+
 def test_from_cells_rejects_bad_shapes():
     for key, cell in (((0, 0, 0, 0), (1,)), ((2, 0, 0, 0), (1, 0)),
                       ((0, 0, 0, 2), (1, 0)), ((0, -1, 0, 0), (1, 0))):

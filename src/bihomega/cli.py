@@ -345,15 +345,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _join_signed_values(argv: list[str]) -> list[str]:
     """`search-rb --entries -1,0` as `--entries=-1,0`, and so for
-    `--weight` and for either flag abbreviated: argparse reads a value
-    that starts with "-" and is no plain negative number as a flag."""
-    if argv[:1] != ["search-rb"]:
+    `--weight`: argparse reads a value that starts with "-" and is no
+    plain negative number as a flag."""
+    if "search-rb" not in argv[:1]:
         return argv
     out = []
     for arg in argv:
-        if (out and len(out[-1]) > 2
-                and any(f.startswith(out[-1]) for f in _SIGNED_FLAGS)
-                and _SIGNED_VALUE.match(arg) and "--" not in out):
+        if (out and out[-1] in _SIGNED_FLAGS and _SIGNED_VALUE.match(arg)
+                and "--" not in out):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -361,9 +360,9 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(_join_signed_values(argv))
+        args = _build_parser().parse_args(
+            _join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -65,10 +65,7 @@ class BilinearFamily:
                     and len(cell) == dim):
                 raise ShapeMismatch(f"cell {(a, b, i, j)} must be a vector of length "
                                     f"{dim} in {n}x{n} blocks of {dim}x{dim}")
-            # a tuple of exact Fractions, as the parser builds, is kept
-            if type(cell) is not tuple or not all(type(v) is Fraction
-                                                  for v in cell):
-                cell = vec(cell)
+            cell = vec(cell)
             if any(cell):
                 grid[a][b].setdefault(i, {})[j] = cell
         return BilinearFamily(omega, dim, tuple(

@@ -10,9 +10,8 @@ A product entry or a map row in the form the serializer writes (every
 term with its coefficient, each vector once, no comment inside) is read
 by one regex match; one it rejects, or any other rule meets, is split
 into its tokens where it stands for the token rules, so nothing is
-parsed twice; in those statements equal rational texts share one
-`Fraction` per parse.  Line and column are worked out only when an
-error is raised, from the plain token regex's offsets up to that token.
+parsed twice.  Line and column are worked out only when an error is
+raised, from the offsets of the plain token regex up to that token.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero tensor entries written, fixed
 two-space indentation.
@@ -24,7 +23,6 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 from .core import (AlgebraInstance, AlgebraKind, BilinearFamily, LinearFamily,
                    RotaBaxterFamily, new_instance)
@@ -97,17 +95,7 @@ def _is_basis(tok: str) -> bool:
 _NOT_READ = (KeyError, ValueError, ZeroDivisionError)
 
 
-class _Rationals(dict):
-    """A parse's Fraction for each rational's matched (sign, digits,
-    denominator digits), built on its first read; never _ZERO itself."""
-
-    def __missing__(self, parts: tuple[str, str, str]) -> Fraction:
-        sign, num, den = parts
-        self[parts] = Fraction(-int(num) if sign else int(num), int(den or 1))
-        return self[parts]
-
-
-def _read_entry(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
+def _read_entry(m: re.Match, index: dict[str, int], dim: int
                 ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]] | None:
     """A matched product entry from its groups."""
     if m.lastgroup != "terms":          # a map row where an entry belongs
@@ -118,10 +106,10 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
         cell = [_ZERO] * dim
         for sign, num, den, k in _TERM_RE.findall(terms):
             k = int(k) - 1
-            # a vector already read holds a parsed Fraction, never _ZERO
+            # a vector already read holds a new Fraction, never _ZERO itself
             if not 0 <= k < dim or cell[k] is not _ZERO:
                 return None
-            cell[k] = rats[sign, num, den]
+            cell[k] = Fraction(-int(num) if sign else int(num), int(den or 1))
     except _NOT_READ:
         return None
     if not (0 <= key[2] < dim and 0 <= key[3] < dim):
@@ -129,7 +117,7 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
     return key, tuple(cell)
 
 
-def _read_map_row(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
+def _read_map_row(m: re.Match, index: dict[str, int], dim: int
                   ) -> tuple[int, Matrix] | None:
     """A matched map row statement from its groups."""
     if m.lastgroup != "rows":           # an entry where a map row belongs
@@ -141,7 +129,8 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int, rats: _Rationals
         return None
     try:
         return index[label], Matrix.from_rows(
-            [[rats[parts] for parts in row] for row in rows])
+            [[Fraction(-int(num) if sign else int(num), int(den or 1))
+              for sign, num, den in row] for row in rows])
     except _NOT_READ:
         return None
 
@@ -159,7 +148,6 @@ class _Parser:
                      for m in _STATEMENTS_RE.finditer(text) if m[0][0] != "#"]
         self.toks.append(_END)
         self.pos = 0
-        self.rats = _Rationals()
         self.ws = Workspace()
 
     # token plumbing -------------------------------------------------
@@ -177,14 +165,12 @@ class _Parser:
         # a statement read whole before it stands for each of its tokens
         k += sum(len(_TOKENS_RE.findall(t[0])) - 1
                  for t in self.toks[:k] if type(t) is not str)
-        # the text is scanned up to that token, or to its end
-        tokens = list(islice((m for m in _TOKENS_RE.finditer(self.text)
-                              if m[0][0] != "#"), k + 1))
-        if k < len(tokens):
-            offset, found = tokens[k].start(), tokens[k][0]
-        else:
-            offset = tokens[-1].end() if tokens else 0
-            found = "end of input"
+        offset, found = 0, "end of input"       # the scan stops at that token
+        for m in (m for m in _TOKENS_RE.finditer(self.text) if m[0][0] != "#"):
+            if not k:
+                offset, found = m.start(), m[0]
+                break
+            k, offset = k - 1, m.end()
         raise ParseError(*_place(self.text, offset), expected, found)
 
     def _expect(self, text: str):
@@ -340,8 +326,7 @@ class _Parser:
         mats: dict[int, Matrix] = {}
         self._expect("{")
         while (tok := self.toks[self.pos]) != "}":
-            if type(tok) is not str and (
-                    read := _read_map_row(tok, index, dim, self.rats)):
+            if type(tok) is not str and (read := _read_map_row(tok, index, dim)):
                 self.pos += 1
                 a, matrix = read
             else:
@@ -414,8 +399,7 @@ class _Parser:
                 self._expect("{")
                 while (tok := self.toks[self.pos]) != "}":
                     if type(tok) is not str and (
-                            read := _read_entry(tok, element_index, dim,
-                                                self.rats)):
+                            read := _read_entry(tok, element_index, dim)):
                         self.pos += 1
                         (a, b, i, j), cell = read
                     else:

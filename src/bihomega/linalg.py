@@ -26,6 +26,9 @@ def frac(value) -> Fraction:
 
 
 def vec(values: Iterable) -> Vector:
+    """The values as a tuple of Fractions; such a tuple is kept as it is."""
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
     return tuple(frac(v) for v in values)
 
 

@@ -337,12 +337,12 @@ def test_search_rb_reads_a_signed_value_given_apart(flag, value, two_dim_file,
                                                     tmp_path, capsys):
     # argparse alone reads "-1,0" and "-1/2" as flags, not as values
     runs = []
-    for spelled in ([flag, value], [flag[:5], value], [f"{flag}={value}"]):
+    for spelled in ([flag, value], [f"{flag}={value}"]):
         out_path = tmp_path / "rbs.bho"
         assert main(["search-rb", "--algebra", two_dim_file, *spelled,
                      "--limit", "2", "--out", str(out_path)]) == 0
         runs.append((capsys.readouterr(), out_path.read_text()))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     assert f"{flag[2:]} {value}, " in runs[0][1]
 
 

@@ -636,12 +636,10 @@ def test_statement_read_agrees_with_token_rules(text):
 def test_a_map_row_it_rejects_builds_no_entry(statement):
     # the shape and the label are checked on the matched text first
     read = dsl._STATEMENTS_RE.match
-    assert dsl._read_map_row(read("t: [[1, 0], [0, -1/2]];"), {"t": 0}, 2,
-                             dsl._Rationals()) == (
+    assert dsl._read_map_row(read("t: [[1, 0], [0, -1/2]];"), {"t": 0}, 2) == (
         0, Matrix.from_rows([[1, 0], [0, Fraction(-1, 2)]]))
     with mock.patch.object(dsl, "Fraction", side_effect=AssertionError):
-        assert dsl._read_map_row(read(statement), {"t": 0}, 2,
-                                 dsl._Rationals()) is None
+        assert dsl._read_map_row(read(statement), {"t": 0}, 2) is None
 
 
 # Text the statement regex takes as one token where no statement belongs:
@@ -724,10 +722,10 @@ def test_canonical_statements_skip_the_token_rules(monkeypatch):
     assert parse_workspace(text) == ws
 
 
-# product bodies the per-parse rational dict meets: a repeated zero term, a
-# signed zero, and one value spelled two ways, in one entry and across
-# entries; the maps read -0 and 2/4 beside 0 and 1/2 too
-SHARED_RATIONALS = {
+# product bodies with a repeated zero term, a signed zero, or one value
+# spelled two ways, in one entry and across entries; the maps read -0 and
+# 2/4 beside 0 and 1/2 too
+ZEROS_AND_UNREDUCED = {
     "repeated zero": "(t,t): e1*e1 = 0 e1 + 0 e1;",
     "repeated zero across entries": "(t,t): e1*e1 = 0 e1; "
                                     "(t,t): e1*e2 = 0 e2 + 0 e2;",
@@ -744,43 +742,19 @@ def _with_product(body: str) -> str:
             "  map q { t: [[1/2, -0], [0, 2/4]]; }\n}\n")
 
 
-@pytest.mark.parametrize("body", SHARED_RATIONALS.values(),
-                         ids=SHARED_RATIONALS)
-def test_shared_rationals_agree_with_token_rules(body):
+@pytest.mark.parametrize("body", ZEROS_AND_UNREDUCED.values(),
+                         ids=ZEROS_AND_UNREDUCED)
+def test_zeros_and_unreduced_values_agree_with_token_rules(body):
     text = _with_product(body)
     assert isinstance(parse_workspace(text), Workspace)
     _agrees_with_token_rules(text)
 
 
 def test_a_repeated_zero_term_is_left_to_the_token_rules():
-    # the dict never hands out _ZERO, which marks a vector not yet read
-    rats = dsl._Rationals()
+    # a zero read is a new Fraction, never _ZERO, which marks a vector
+    # not yet read
     read = dsl._STATEMENTS_RE.match("(t,t): e1*e1 = 0 e1 + 0 e1;")
-    assert dsl._read_entry(read, {"t": 0}, 2, rats) is None
-    assert rats and all(v is not dsl._ZERO for v in rats.values())
-
-
-def _parsed_fractions(ws: Workspace) -> list[Fraction]:
-    inst = ws.algebras["a"]
-    return ([v for _, cell in inst.product("mul").cells() for v in cell]
-            + [v for m in (*inst.p.maps, *inst.q.maps) for v in m.entries])
-
-
-def test_equal_rational_texts_share_one_fraction_per_parse():
-    text = _with_product("(t,t): e1*e1 = -3/7 e1 + 1/2 e2; "
-                         "(t,t): e2*e2 = 1/2 e1 + -3/7 e2;")
-    first, second = parse_workspace(text), parse_workspace(text)
-    values = _parsed_fractions(first)
-    assert len(values) == 12
-    objects: dict[Fraction, set[int]] = {}
-    for v in values:
-        objects.setdefault(v, set()).add(id(v))
-    # -3/7 and 1/2 in the product, 0 and 1/2 in the maps; 2/4 and -0 are
-    # other texts, so other objects
-    assert {v: len(ids) for v, ids in objects.items()} == {
-        Fraction(-3, 7): 1, Fraction(1, 2): 2, Fraction(0): 2}
-    assert {id(v) for v in values}.isdisjoint(
-        id(v) for v in _parsed_fractions(second))
+    assert dsl._read_entry(read, {"t": 0}, 2) is None
 
 
 _SPACES = " " * 100_000

@@ -158,7 +158,8 @@ def _cmd_construct(args) -> int:
         if getattr(args, flag) is not None and flag not in operands:
             raise _CliError(f"construction {args.name!r} takes no --{flag}")
     # the names the workspace format reads back
-    if args.as_name and not (args.as_name.isascii() and args.as_name.isidentifier()):
+    if args.as_name is not None and not (args.as_name.isascii()
+                                         and args.as_name.isidentifier()):
         raise _CliError(f"--as-name must be an identifier, got {args.as_name!r}")
     ws = _read_workspace(args.input)
     alg_name, inst = _pick_algebra(ws, args.algebra)
@@ -211,10 +212,15 @@ def _cmd_search_rb(args) -> int:
 def _decimal(text: str) -> Fraction:
     """A rational or decimal text, such as "1/3" or a JSON decimal, read
     exactly; its exponent may be no larger than a JSON integer's 4300
-    digits, so that no power of ten is too large."""
+    digits, so that no power of ten is too large, and its numerator and
+    denominator no longer than Python prints (4300 digits by default)."""
     if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
         raise ValueError(f"exponent of {text} exceeds 4300")
-    return Fraction(text)
+    value, limit = Fraction(text), sys.get_int_max_str_digits()
+    if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise ValueError(f"{text} has a numerator or denominator of more "
+                         f"than {limit} digits")
+    return value
 
 
 def _scalar(value) -> Fraction:

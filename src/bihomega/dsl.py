@@ -4,14 +4,17 @@ A workspace holds named semigroups, algebras, linear-map families and
 operator families.  The grammar is LL(1); `#` starts a comment anywhere
 on a line and runs to its end.  A linear combination's coefficient is
 optional (`e2` means `1 e2`) and a bare `0` stands for the zero vector.
-A name or entry repeated within its scope is an error.  The parser reads
-the token texts alone; a stray character anywhere is reported first.
-A product entry or a map row in the form the serializer writes (every
-term with its coefficient, each vector once, no comment inside) is read
-by one regex match; one it rejects, or any other rule meets, is split
-into its tokens where it stands for the token rules, so nothing is
-parsed twice.  Line and column are worked out only when an error is
-raised, from the offsets of the plain token regex up to that token.
+A name or entry repeated within its scope is an error.  A stray
+character anywhere is reported first; then the parser reads the text
+through a cursor that holds the next token's text and offset, found past
+whitespace and comments by one anchored regex match.  At the head of a
+product entry or a map row, the statement in the form the serializer
+writes (every term with its coefficient, each vector once, no comment
+inside) is read by one regex match and the cursor jumps past it; one
+that does not match, or that the read rejects, goes to the token rules
+from where it stands, so nothing is parsed twice.  Line and column are
+worked out only when an error is raised, from the offset of the token
+it is placed at.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero tensor entries written, fixed
 two-space indentation.
@@ -36,22 +39,24 @@ HEADER = "# bihomega workspace"
 # "\n" ends a line; other whitespace, like a comment, is skipped.
 _PUNCT = r"{}()\[\]:;,*=+\-/"
 _TOKEN = rf"[A-Za-z_][A-Za-z0-9_]*|\d+|[{_PUNCT}]"
-_TOKENS_RE = re.compile(rf"#[^\n]*|{_TOKEN}")
-# A whole statement as one token: a product entry `(a,b): e_i*e_j = c e_k
-# + ...;` whose every term has a coefficient, or a map row `a: [[...],
-# ...];`.  It starts and ends where a token does and holds no comment, so
-# the token regex would split it into the tokens its groups are read
-# from.  No two quantifiers can take the same whitespace, so a statement
-# that fails to match fails in linear time.
+_TOKEN_RE = re.compile(_TOKEN)
+# the next token past whitespace and comments, if there is one
+_NEXT_RE = re.compile(rf"(?:\s+|#[^\n]*)*({_TOKEN})?")
+# A whole statement, tried where one starts: a product entry `(a,b):
+# e_i*e_j = c e_k + ...;` whose every term has a coefficient, or a map row
+# `a: [[...], ...];`.  It ends where a token does and holds no comment, so
+# the token rules would read it as the tokens its groups are read from.
+# No two quantifiers can take the same whitespace, so a statement that
+# fails to match fails in linear time.
 _ID, _INT = "[A-Za-z_][A-Za-z0-9_]*", "[0-9]+"
 _RATIONAL = rf"(?:-\s*)?{_INT}\s*(?:/\s*{_INT}\s*)?"
 _TERM = rf"{_RATIONAL}e{_INT}\s*"
 _ROW = rf"\[\s*{_RATIONAL}(?:,\s*{_RATIONAL})*\]\s*"
-_ENTRY = (rf"\(\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})\s*\)\s*:\s*e(?P<i>{_INT})"
-          rf"\s*\*\s*e(?P<j>{_INT})\s*=\s*(?P<terms>{_TERM}(?:\+\s*{_TERM})*);")
-_MAP_ROW = (rf"(?P<label>{_ID})\s*:\s*\[\s*(?P<rows>{_ROW}(?:,\s*{_ROW})*)"
-            rf"\]\s*;")
-_STATEMENTS_RE = re.compile(rf"#[^\n]*|{_ENTRY}|{_MAP_ROW}|{_TOKEN}")
+_ENTRY_RE = re.compile(
+    rf"\(\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})\s*\)\s*:\s*e(?P<i>{_INT})"
+    rf"\s*\*\s*e(?P<j>{_INT})\s*=\s*(?P<terms>{_TERM}(?:\+\s*{_TERM})*);")
+_MAP_ROW_RE = re.compile(
+    rf"(?P<label>{_ID})\s*:\s*\[\s*(?P<rows>{_ROW}(?:,\s*{_ROW})*)\]\s*;")
 # the parts of a matched statement: a term's sign, digits and vector, a
 # row, and a rational's sign and digits
 _PARTS = rf"(?:(-)\s*)?({_INT})\s*(?:/\s*({_INT})\s*)?"
@@ -60,7 +65,7 @@ _ROW_RE = re.compile(r"\[([^\]]*)\]")
 _RATIONAL_RE = re.compile(_PARTS)
 # up to the first stray character: each of the class starts a token
 _CLEAN_RE = re.compile(rf"(?:[\sA-Za-z_\d{_PUNCT}]+|#[^\n]*)*")
-_END = "#"      # closes the token texts: every "#" starts a comment
+_END = "#"      # the next token at the end of input: no token is "#"
 # the kinds a rule takes, told by a token's first character (no token
 # starts with a non-ASCII letter: that is a stray character)
 _IS_KIND = {"ident": lambda c: c.isalpha() or c == "_", "int": str.isdecimal}
@@ -98,8 +103,6 @@ _NOT_READ = (KeyError, ValueError, ZeroDivisionError)
 def _read_entry(m: re.Match, index: dict[str, int], dim: int
                 ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]] | None:
     """A matched product entry from its groups."""
-    if m.lastgroup != "terms":          # a map row where an entry belongs
-        return None
     a, b, i, j, terms = m.group("a", "b", "i", "j", "terms")
     try:
         key = (index[a], index[b], int(i) - 1, int(j) - 1)
@@ -120,8 +123,6 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int
 def _read_map_row(m: re.Match, index: dict[str, int], dim: int
                   ) -> tuple[int, Matrix] | None:
     """A matched map row statement from its groups."""
-    if m.lastgroup != "rows":           # an entry where a map row belongs
-        return None
     label, body = m.group("label", "rows")
     # the shape and the label are checked before any entry is built
     rows = [_RATIONAL_RE.findall(row) for row in _ROW_RE.findall(body)]
@@ -137,57 +138,49 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int
 
 class _Parser:
     def __init__(self, text: str):
-        """Each statement `_STATEMENTS_RE` matches is one token, its match,
-        which only the loop of a product block or map body reads; every
-        other token is its text.  `_peek` splits any other statement."""
+        """A cursor over the text: the next token's text and offset, and
+        the offset of the token before it.  Only the loop of a product
+        block or map body tries a whole statement, where the next token
+        is."""
         stray = _CLEAN_RE.match(text).end()
         if stray < len(text):
             raise ParseError(*_place(text, stray), "a token", text[stray])
-        self.text = text
-        self.toks = [m if m.lastindex else m[0]
-                     for m in _STATEMENTS_RE.finditer(text) if m[0][0] != "#"]
-        self.toks.append(_END)
-        self.pos = 0
+        self.text, self.at = text, 0
+        self._move(0)
         self.ws = Workspace()
 
     # token plumbing -------------------------------------------------
 
-    def _peek(self) -> str:
-        """The next token's text; a statement is split in place first."""
-        if type(tok := self.toks[self.pos]) is not str:
-            self.toks[self.pos:self.pos + 1] = _TOKENS_RE.findall(tok[0])
-        return self.toks[self.pos]
+    def _move(self, at: int):
+        """Make the first token at or past `at` the next one; past the
+        last token, the end of input sits at `at`."""
+        m = _NEXT_RE.match(self.text, at)
+        self.prev, self.tok = self.at, m[1] or _END
+        self.at = m.start(1) if m[1] else at
 
-    def _fail(self, expected: str, back: int = 0):
-        """Raise at the next token, or at the one `back` tokens before it;
-        the end of input is just past the last token, or at 1:1."""
-        k = self.pos - back
-        # a statement read whole before it stands for each of its tokens
-        k += sum(len(_TOKENS_RE.findall(t[0])) - 1
-                 for t in self.toks[:k] if type(t) is not str)
-        offset, found = 0, "end of input"       # the scan stops at that token
-        for m in (m for m in _TOKENS_RE.finditer(self.text) if m[0][0] != "#"):
-            if not k:
-                offset, found = m.start(), m[0]
-                break
-            k, offset = k - 1, m.end()
-        raise ParseError(*_place(self.text, offset), expected, found)
+    def _fail(self, expected: str, back: bool = False):
+        """Raise at the next token, or at the one before it."""
+        if back:
+            at, found = self.prev, _TOKEN_RE.match(self.text, self.prev)[0]
+        else:
+            at, found = self.at, "end of input" if self.tok == _END else self.tok
+        raise ParseError(*_place(self.text, at), expected, found)
 
     def _expect(self, text: str):
         if not self._accept(text):
             self._fail(repr(text))
 
     def _accept(self, text: str) -> bool:
-        if self._peek() == text:
-            self.pos += 1
+        if self.tok == text:
+            self._move(self.at + len(text))
             return True
         return False
 
     def _take(self, kind: str, what: str) -> str:
-        tok = self._peek()
+        tok = self.tok
         if not _IS_KIND[kind](tok[0]):
             self._fail(what)
-        self.pos += 1
+        self._move(self.at + len(tok))
         return tok
 
     def _int(self, digits: str, what: str) -> int:
@@ -197,16 +190,16 @@ class _Parser:
             return int(digits)
         except ValueError:
             self._fail(f"{what} of at most {sys.get_int_max_str_digits()} "
-                       "digits", back=1)
+                       "digits", back=True)
 
     def _integer(self) -> int:
         return self._int(self._take("int", "an integer"), "an integer")
 
     def _basis_index(self, dim: int) -> int:
-        tok = self._peek()
+        tok = self.tok
         if not _is_basis(tok):
             self._fail("a basis vector like 'e1'")
-        self.pos += 1
+        self._move(self.at + len(tok))
         k = self._int(tok[1:], "a basis vector")
         if not 1 <= k <= dim:
             raise ResolutionError(f"basis vector e{k} out of range for dim {dim}")
@@ -236,7 +229,7 @@ class _Parser:
         if self._accept("/"):
             den = self._integer()
             if den == 0:
-                self._fail("a nonzero denominator", back=1)
+                self._fail("a nonzero denominator", back=True)
             return Fraction(sign * num, den)
         return Fraction(sign * num)
 
@@ -247,10 +240,10 @@ class _Parser:
                  "algebra": self._parse_algebra,
                  "maps": self._parse_family,
                  "rota_baxter": self._parse_family}
-        while (tok := self._peek()) != _END:
+        while (tok := self.tok) != _END:
             if tok not in rules:
                 self._fail("'semigroup', 'algebra', 'maps' or 'rota_baxter'")
-            self.pos += 1
+            self._move(self.at + len(tok))
             rules[tok](tok)
         return self.ws
 
@@ -262,7 +255,7 @@ class _Parser:
         while not self._accept(";"):
             elements.append(self._take("ident", "an element label or ';'"))
         if not elements:
-            self._fail("at least one element label", back=1)
+            self._fail("at least one element label", back=True)
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
             raise ResolutionError(f"duplicate element label in semigroup {name!r}")
@@ -325,9 +318,10 @@ class _Parser:
         index = {e: i for i, e in enumerate(omega.elements)}
         mats: dict[int, Matrix] = {}
         self._expect("{")
-        while (tok := self.toks[self.pos]) != "}":
-            if type(tok) is not str and (read := _read_map_row(tok, index, dim)):
-                self.pos += 1
+        while not self._accept("}"):
+            if (m := _MAP_ROW_RE.match(self.text, self.at)) and (
+                    read := _read_map_row(m, index, dim)):
+                self._move(m.end())
                 a, matrix = read
             else:
                 a = self._element(index, omega_name)
@@ -338,7 +332,6 @@ class _Parser:
                 raise ResolutionError(
                     f"{owner}: duplicate matrix for element {omega.elements[a]!r}")
             mats[a] = matrix
-        self.pos += 1
         missing = [omega.elements[i] for i in range(omega.order) if i not in mats]
         if missing:
             raise ResolutionError(
@@ -363,11 +356,11 @@ class _Parser:
     def _parse_lincomb(self, dim: int) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * dim
         while True:
-            tok = self._peek()
+            tok = self.tok
             if tok == _END:
                 self._fail("a term")
             coeff = Fraction(1) if _is_basis(tok) else self._rational()
-            if coeff != 0 or _is_basis(self._peek()):
+            if coeff != 0 or _is_basis(self.tok):
                 k = self._basis_index(dim)   # add only to a repeated vector
                 out[k] = out[k] + coeff if out[k] else coeff
             if not self._accept("+"):
@@ -397,10 +390,10 @@ class _Parser:
                     raise ResolutionError(f"duplicate product block {slot!r}")
                 entries: dict[tuple[int, int, int, int], tuple] = {}
                 self._expect("{")
-                while (tok := self.toks[self.pos]) != "}":
-                    if type(tok) is not str and (
-                            read := _read_entry(tok, element_index, dim)):
-                        self.pos += 1
+                while not self._accept("}"):
+                    if (m := _ENTRY_RE.match(self.text, self.at)) and (
+                            read := _read_entry(m, element_index, dim)):
+                        self._move(m.end())
                         (a, b, i, j), cell = read
                     else:
                         self._expect("(")
@@ -421,12 +414,11 @@ class _Parser:
                             f"{omega.elements[b]}): e{i + 1}*e{j + 1} "
                             f"in algebra {name!r}")
                     entries[(a, b, i, j)] = cell
-                self.pos += 1
                 product_entries[slot] = entries
             elif self._accept("map"):
                 which = self._take("ident", "'p' or 'q'")
                 if which not in ("p", "q"):
-                    self._fail("'p' or 'q'", back=1)
+                    self._fail("'p' or 'q'", back=True)
                 if which in maps:
                     raise ResolutionError(f"duplicate map block {which!r}")
                 maps[which] = self._parse_map_body(omega_name, dim, owner)
@@ -503,8 +495,9 @@ def _serialize_algebra(name: str, omega_name: str,
 def serialize_workspace(ws: Workspace, header_comments: tuple[str, ...] = ()
                         ) -> str:
     lines = [HEADER]
+    # a comment ends at a newline, so each line of one is a comment
     for comment in header_comments:
-        lines.append(f"# {comment}")
+        lines.extend(f"# {line}" for line in comment.split("\n"))
     for name in sorted(ws.semigroups):
         lines.append("")
         lines.extend(_serialize_semigroup(name, ws.semigroups[name]))

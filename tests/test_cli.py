@@ -141,7 +141,7 @@ def test_construct_writes_checked_output(two_dim_file, tmp_path, capsys):
     assert "# construction: assoc_to_lie" in out_path.read_text()
 
 
-@pytest.mark.parametrize("name", ["bad name", "1abc", "é", "x;y"])
+@pytest.mark.parametrize("name", ["bad name", "1abc", "é", "x;y", ""])
 def test_construct_rejects_a_name_the_workspace_cannot_read(
         name, two_dim_file, tmp_path, capsys):
     out_path = tmp_path / "out.bho"
@@ -781,6 +781,46 @@ def test_search_rb_refuses_a_decimal_exponent_past_the_digit_limit(
         assert main(argv) == 2, flag
         assert capsys.readouterr() == ("", "error: bad rational: exponent of "
                                            "1e4301 exceeds 4300\n"), flag
+
+
+def test_a_value_too_long_to_print_is_a_bad_rational(two_dim_file, tmp_path,
+                                                    capsys):
+    out_path = tmp_path / "out.bho"
+    # each has a numerator or denominator too long for Python to print
+    for value in ("1e4300", "1e-4300", "9" * 4000 + "e400"):
+        message = (f"{value} has a numerator or denominator of more than "
+                   "4300 digits")
+        for flag in ("--weight", "--entries"):
+            assert main(["search-rb", "--algebra", two_dim_file, flag, value,
+                         "--out", str(out_path)]) == 2, (value, flag)
+            assert capsys.readouterr() == (
+                "", f"error: bad rational: {message}\n"), (value, flag)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dict(PARAMS_OK, c=[[value, 1], [1, 1]])))
+        assert main(["example", "two-dim", "--params", str(params),
+                     "--out", str(out_path)]) == 2, value
+        assert capsys.readouterr() == (
+            "", f"error: bad parameter document: {message}\n"), value
+    assert not out_path.exists()
+    # the longest value Python prints is read and written back
+    assert main(["search-rb", "--algebra", two_dim_file, "--weight", "1e4299",
+                 "--limit", "1", "--out", str(out_path)]) == 0
+    rb = parse_workspace(out_path.read_text()).rota_baxter["rb000"]
+    assert rb.weight == 10 ** 4299
+
+
+def test_search_rb_writes_each_line_of_its_entries_as_a_comment(
+        two_dim_file, tmp_path, capsys):
+    out_path = tmp_path / "out.bho"
+    assert main(["search-rb", "--algebra", two_dim_file, "--entries", "0,\n1",
+                 "--limit", "2", "--out", str(out_path)]) == 0
+    text = out_path.read_text()
+    assert text.startswith("# bihomega workspace\n"
+                           "# search-rb over two_dim: entries 0,\n"
+                           "# 1, weight 0, found 2\n")
+    assert main(["fmt", str(out_path)]) == 0
+    assert capsys.readouterr().out == serialize_workspace(
+        parse_workspace(text))
 
 
 def test_example_refuses_a_table_that_is_not_associative(tmp_path, capsys):

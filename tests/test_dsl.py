@@ -93,6 +93,13 @@ def test_serialization_idempotent():
     assert text.startswith(HEADER + "\n")
 
 
+def test_a_header_comment_over_several_lines_reads_back():
+    ws = workspace_for_instance("x", "W", two_dim_instance(C2))
+    text = serialize_workspace(ws, ("a\nb",))
+    assert text.startswith(HEADER + "\n# a\n# b\n\n")
+    assert parse_workspace(text) == ws
+
+
 def test_empty_input_gives_empty_workspace():
     ws = parse_workspace("")
     assert ws == Workspace()
@@ -405,16 +412,18 @@ def test_repeated_entry_in_a_block_rejected(text, message):
 
 # the parser's token texts and their places ------------------------------
 
+_NEVER = re.compile(r"(?!)")
+
+
 def _plain_tokens():
-    """No statement is one token while this holds: the token rules alone
+    """No statement is read whole while this holds: the token rules alone
     read the text, which makes them the oracle for the one-match read."""
-    return mock.patch.object(dsl, "_STATEMENTS_RE", dsl._TOKENS_RE)
+    return mock.patch.multiple(dsl, _ENTRY_RE=_NEVER, _MAP_ROW_RE=_NEVER)
 
 
-def _fail_at(parser, k):
-    parser.pos = k
+def _fail_at(parser, back=False):
     with pytest.raises(ParseError) as err:
-        parser._fail("something")
+        parser._fail("something", back=back)
     return err.value.found, err.value.line, err.value.column
 
 
@@ -435,28 +444,23 @@ def test_parser_tokens_and_places_match_per_line_reference(text):
             dsl._Parser(text)
         assert str(err.value) == str(expected)
         return
-    with _plain_tokens():
-        plain = dsl._Parser(text)
-    assert plain.toks[:-1] == [tok for tok, _, _ in reference]
-    # each token is placed where the reference puts it; the end of input
-    # just past the last token, or at 1:1
+    # the cursor steps through the reference's tokens, each placed where
+    # the reference puts it, then to the end of input: just past the last
+    # token, or at 1:1; `back` places at the token before the cursor
     last_text, last_line, last_column = (reference[-1] if reference
                                          else ("", 1, 1))
     tokens = reference + [("end of input", last_line,
                            last_column + len(last_text))]
+    parser = dsl._Parser(text)
     for k, place in enumerate(tokens):
-        assert _fail_at(plain, k) == place
-    # a statement token stands for the tokens its text spans: an error at
-    # it, or past it, is placed at the plain token there
-    parser, j = dsl._Parser(text), 0
-    for k, tok in enumerate(parser.toks):
-        assert _fail_at(parser, k) == tokens[j]
-        if type(tok) is str:
-            j += 1
-            continue
-        end = len(text[:tok.end()].rsplit("\n", 1)[-1]) + 1
-        while tokens[j][1:] < (text.count("\n", 0, tok.end()) + 1, end):
-            j += 1
+        if k < len(reference):
+            assert parser.tok == place[0]
+        assert _fail_at(parser) == place
+        if k:
+            assert _fail_at(parser, back=True) == tokens[k - 1]
+        if k < len(reference):
+            parser._move(parser.at + len(parser.tok))
+    assert parser.tok == dsl._END
 
 
 def _cli_size_workspace() -> tuple[str, Workspace]:
@@ -486,6 +490,21 @@ def test_success_path_never_places_a_token(monkeypatch):
     assert parse_workspace(GOLDEN_TWO_DIM).algebras["two_dim"] == \
         two_dim_instance(C2)
     assert parse_workspace(text) == ws
+
+
+def test_an_early_error_reads_no_statement():
+    # the cursor stops at the first token: no statement regex runs on the
+    # text past it
+    text, _ = _cli_size_workspace()
+    unread = mock.Mock(match=mock.Mock(side_effect=AssertionError))
+    outcomes = []
+    with mock.patch.multiple(dsl, _ENTRY_RE=unread, _MAP_ROW_RE=unread):
+        for t in ("banana", "banana" + text):
+            outcomes.append(_outcome(parse_workspace, t))
+    assert outcomes[0] == outcomes[1] == (
+        ParseError,
+        "1:1: expected 'semigroup', 'algebra', 'maps' or 'rota_baxter', "
+        "found 'banana'", 1, 1)
 
 
 def test_stray_character_outranks_an_earlier_error():
@@ -635,7 +654,7 @@ def test_statement_read_agrees_with_token_rules(text):
     "u: [[1, 0], [0, 1]];"], ids=["rows", "more-rows", "row-length", "label"])
 def test_a_map_row_it_rejects_builds_no_entry(statement):
     # the shape and the label are checked on the matched text first
-    read = dsl._STATEMENTS_RE.match
+    read = dsl._MAP_ROW_RE.match
     assert dsl._read_map_row(read("t: [[1, 0], [0, -1/2]];"), {"t": 0}, 2) == (
         0, Matrix.from_rows([[1, 0], [0, Fraction(-1, 2)]]))
     with mock.patch.object(dsl, "Fraction", side_effect=AssertionError):
@@ -753,7 +772,7 @@ def test_zeros_and_unreduced_values_agree_with_token_rules(body):
 def test_a_repeated_zero_term_is_left_to_the_token_rules():
     # a zero read is a new Fraction, never _ZERO, which marks a vector
     # not yet read
-    read = dsl._STATEMENTS_RE.match("(t,t): e1*e1 = 0 e1 + 0 e1;")
+    read = dsl._ENTRY_RE.match("(t,t): e1*e1 = 0 e1 + 0 e1;")
     assert dsl._read_entry(read, {"t": 0}, 2) is None
 
 

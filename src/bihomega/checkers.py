@@ -18,10 +18,8 @@ from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
 from .linalg import Matrix, Vector, frac
-from .reports import CheckReport, collect
+from .reports import DEFAULT_WITNESS_CAP, CheckReport, collect
 from .semigroup import is_commutative_table
-
-DEFAULT_WITNESS_CAP = 10
 
 
 # -- term forms ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed / operation succeeded, 1 a checker
 reported violations, a construction's pre- or post-check failed or a
-side condition is violated, 2 usage, parse or resolution error, or
+side condition is violated, 2 usage, parse or resolution error, an
+output workspace with a number too long for the parser to read back, or
 standard output closed by its reader before the output was written.
 """
 
@@ -18,14 +19,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .checkers import DEFAULT_WITNESS_CAP, check_instance
+from .checkers import check_instance
 from .constructions import CONSTRUCTIONS, RECIPES
 from .dsl import (Workspace, parse_workspace, serialize_workspace,
                   workspace_for_instance)
 from .errors import BihomegaError, CheckFailed, ConditionViolated
 from .forge import (SearchConfig, brute_force_rb_search, two_dim_params,
                     two_dim_reading_report)
-from .reports import REPORT_FORMAT_VERSION
+from .reports import DEFAULT_WITNESS_CAP, REPORT_FORMAT_VERSION
 from .semigroup import SemigroupTable, validate_semigroup
 
 EXIT_OK = 0

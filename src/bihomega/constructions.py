@@ -208,7 +208,7 @@ dendriform_to_prelie = _construction(
     "x |> y = x > y - (p^-1 q (y)) < (p q^-1 (x)), needs bijective maps.")
 assoc_as_prelie = _construction(
     "assoc_as_prelie",
-    "Re-tag an associative product as a pre-Lie product (same tensor).")
+    "Re-tag an associative product as a pre-Lie product (same products).")
 prelie_to_lie = _construction(
     "prelie_to_lie", "{x,y} = x |> y - (p^-1 q (y)) |> (p q^-1 (x)).")
 assoc_to_lie = _construction(

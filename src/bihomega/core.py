@@ -18,7 +18,6 @@ from .semigroup import SemigroupTable
 
 _ZERO = Fraction(0)
 
-Tensor = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]  # [i][j][k] per (a,b)
 # the nonzero cells of one block: (i, ((j, e_i * e_j), ...)) rows, listing
 # only the i and j whose product is nonzero, in ascending order
 SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple], ...]], ...]
@@ -91,17 +90,13 @@ class BilinearFamily:
                     for j, cell in cells_i:
                         yield (a, b, i, j), cell
 
-    @cached_property
-    def tensor(self) -> tuple[tuple[Tensor, ...], ...]:
-        """The dense view, built on first read: tensor[a][b][i][j][k] is
-        the coefficient of e_k in e_i *_{a,b} e_j."""
-        cells, zero = dict(self.cells()), zero_vector(self.dim)
-        n, d = range(self.omega.order), range(self.dim)
-        return tuple(tuple(tuple(tuple(cells.get((a, b, i, j), zero) for j in d)
-                                 for i in d) for b in n) for a in n)
-
     def basis_product(self, a: int, b: int, i: int, j: int) -> Vector:
-        return self.tensor[a][b][i][j]
+        """e_i *_{a,b} e_j, read from the stored cells."""
+        n, d = self.omega.order, self.dim
+        if not (0 <= a < n and 0 <= b < n and 0 <= i < d and 0 <= j < d):
+            raise ShapeMismatch(f"cell {(a, b, i, j)} is out of range for "
+                                f"{n}x{n} blocks of {d}x{d}")
+        return dict(dict(self.blocks[a][b]).get(i, ())).get(j, zero_vector(d))
 
     @cached_property
     def den(self) -> int:
@@ -160,8 +155,7 @@ class LinearFamily:
 
     @staticmethod
     def identity(omega: SemigroupTable, dim: int) -> "LinearFamily":
-        return LinearFamily(omega, dim, tuple(Matrix.identity(dim)
-                                              for _ in omega.indices()))
+        return LinearFamily.constant(omega, Matrix.identity(dim))
 
     @staticmethod
     def constant(omega: SemigroupTable, m: Matrix) -> "LinearFamily":
@@ -285,7 +279,7 @@ class AlgebraInstance:
         h.update(repr(self.omega.table).encode())
         for name, fam in self.products:
             h.update(name.encode())
-            for piece in _tensor_repr(fam):
+            for piece in _dense_repr(fam):
                 h.update(piece.encode())
         h.update(repr(self.p.maps).encode())
         h.update(repr(self.q.maps).encode())
@@ -297,8 +291,9 @@ def _tuple_repr(items: list[str]) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _tensor_repr(fam: BilinearFamily) -> Iterator[str]:
-    """repr(fam.tensor) piece by piece, made from the nonzero cells: the
+def _dense_repr(fam: BilinearFamily) -> Iterator[str]:
+    """Piece by piece, the repr of the nest of tuples whose [a][b][i][j]
+    is fam.basis_product(a, b, i, j), made from the nonzero cells: the
     zero vector's repr is made once, and so is a row's with no cell."""
     d = fam.dim
     zero = repr(zero_vector(d))

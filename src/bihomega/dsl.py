@@ -16,8 +16,9 @@ from where it stands, so nothing is parsed twice.  Line and column are
 worked out only when an error is raised, from the offset of the token
 it is placed at.
 Serialization is canonical: names sorted, rationals in lowest terms with
-explicit coefficients, only nonzero tensor entries written, fixed
-two-space indentation.
+explicit coefficients, only nonzero product entries written, fixed
+two-space indentation.  A numerator or denominator is written only if
+Python prints it, so it is one the parser reads back.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from .core import (AlgebraInstance, AlgebraKind, BilinearFamily, LinearFamily,
                    RotaBaxterFamily, new_instance)
-from .errors import ParseError, ResolutionError
+from .errors import NumberTooLong, ParseError, ResolutionError
 from .linalg import Matrix
 from .semigroup import SemigroupTable
 
@@ -494,6 +495,18 @@ def _serialize_algebra(name: str, omega_name: str,
 
 def serialize_workspace(ws: Workspace, header_comments: tuple[str, ...] = ()
                         ) -> str:
+    """The workspace's canonical text; raises NumberTooLong for a number
+    of more digits than Python prints and so than the parser reads."""
+    try:
+        return _serialize(ws, header_comments)
+    except ValueError:
+        raise NumberTooLong(
+            "the workspace holds a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, which no workspace "
+            "text reads back") from None
+
+
+def _serialize(ws: Workspace, header_comments: tuple[str, ...]) -> str:
     lines = [HEADER]
     # a comment ends at a newline, so each line of one is a comment
     for comment in header_comments:

@@ -108,5 +108,10 @@ class ParseError(BihomegaError):
         self.found = found
 
 
+class NumberTooLong(BihomegaError):
+    """A number to be written has more digits than Python prints, which
+    is as many as the workspace parser reads back."""
+
+
 class ResolutionError(BihomegaError):
     """A workspace reference does not resolve (dangling name, bad dims)."""

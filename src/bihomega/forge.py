@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator
+from typing import Callable
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
                        check_rota_baxter, mismatches, morphism_axioms,
@@ -45,29 +45,20 @@ class TwoDimExampleParams:
 
     def violations(self) -> list[tuple[str, tuple[str, ...]]]:
         """All failing side-conditions, lexicographic in the indices."""
-        return list(self._violations())
-
-    def _violations(self) -> Iterator[tuple[str, tuple[str, ...]]]:
-        # each side condition compares two products of scalars, decided
-        # on the integers N * E == M * D for N / D and M / E
         table, names = self.omega.table, self.omega.elements
+        c, rthree, lthree = self.c, self.rthree, self.lthree
         indices = range(len(names))
-        def pairs(values):
-            return [(v.numerator, v.denominator) for v in values]
-        c = [pairs(row) for row in self.c]
-        rthree, lthree = pairs(self.rthree), pairs(self.lthree)
+        out = []
         for a, b in itertools.product(indices, repeat=2):
-            (n, d), (na, da), (nb, db) = rthree[table[a][b]], rthree[a], rthree[b]
-            if n * da * db != na * nb * d:
-                yield "rthree-multiplicative", (names[a], names[b])
-            (n, d), (na, da), (nb, db) = lthree[table[a][b]], lthree[a], lthree[b]
-            if n * da * db != na * nb * d:
-                yield "lthree-multiplicative", (names[a], names[b])
+            if rthree[table[a][b]] != rthree[a] * rthree[b]:
+                out.append(("rthree-multiplicative", (names[a], names[b])))
+            if lthree[table[a][b]] != lthree[a] * lthree[b]:
+                out.append(("lthree-multiplicative", (names[a], names[b])))
         for a, b, g in itertools.product(indices, repeat=3):
-            (n1, d1), (n2, d2), (n3, d3) = c[a][b], lthree[g], c[table[a][b]][g]
-            (m1, e1), (m2, e2), (m3, e3) = c[a][table[b][g]], rthree[a], c[b][g]
-            if n1 * n2 * n3 * e1 * e2 * e3 != m1 * m2 * m3 * d1 * d2 * d3:
-                yield "c-cocycle", (names[a], names[b], names[g])
+            if (c[a][b] * lthree[g] * c[table[a][b]][g]
+                    != c[a][table[b][g]] * rthree[a] * c[b][g]):
+                out.append(("c-cocycle", (names[a], names[b], names[g])))
+        return out
 
 
 def two_dim_params(omega: SemigroupTable, c, rthree, lthree) -> TwoDimExampleParams:
@@ -89,9 +80,9 @@ def make_two_dim_example(params: TwoDimExampleParams,
     """
     if reading not in ("e1", "e2"):
         raise ValueError("reading must be 'e1' or 'e2'")
-    first = next(params._violations(), None)
-    if first is not None:
-        raise ConditionViolated(*first)
+    bad = params.violations()
+    if bad:
+        raise ConditionViolated(*bad[0])
     om = params.omega
 
     def product(a, b, i, j):

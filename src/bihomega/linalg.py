@@ -79,7 +79,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.diagonal((1,) * n)
+        return Matrix.diagonal((Fraction(1),) * n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -87,9 +87,11 @@ class Matrix:
 
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
+        """The values down the diagonal, and one zero shared by the rest."""
         n = len(values)
-        return Matrix(n, n, tuple(frac(values[i]) if i == j else Fraction(0)
-                                  for i in range(n) for j in range(n)))
+        entries = [_ZERO] * (n * n)
+        entries[::n + 1] = map(frac, values)
+        return Matrix(n, n, tuple(entries))
 
     def get(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

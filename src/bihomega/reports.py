@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 REPORT_FORMAT_VERSION = 1
+DEFAULT_WITNESS_CAP = 10
+
+
+def _full(value) -> str:
+    """str(value) of an int or a Fraction, however long: Decimal prints an
+    int past the digit limit of str, which the parsers keep."""
+    value = Fraction(value)
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def _fmt_vector(vec) -> str:
-    return "(" + ", ".join(map(str, vec)) + ")"
+    return "(" + ", ".join(map(_full, vec)) + ")"
 
 
 @dataclass(frozen=True)
@@ -25,8 +36,8 @@ class Witness:
         return {
             "indices": list(self.indices),
             "basis": list(self.basis),
-            "lhs": [str(v) for v in self.lhs],
-            "rhs": [str(v) for v in self.rhs],
+            "lhs": [_full(v) for v in self.lhs],
+            "rhs": [_full(v) for v in self.rhs],
         }
 
     def describe(self) -> str:
@@ -47,9 +58,12 @@ class AxiomResult:
     """
 
     axiom: str
-    passed: bool
     witnesses: tuple[Witness, ...]
     total_violations: int
+
+    @property
+    def passed(self) -> bool:
+        return self.total_violations == 0
 
     def to_dict(self) -> dict:
         return {
@@ -74,7 +88,7 @@ def collect(axiom: str, names: Sequence[str],
         for bas, lhs, rhs in found[:max(cap - len(witnesses), 0)]:
             witnesses.append(Witness(tuple(names[a] for a in idx), bas,
                                      convert(lhs), convert(rhs)))
-    return AxiomResult(axiom, total == 0, tuple(witnesses), total)
+    return AxiomResult(axiom, tuple(witnesses), total)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ShapeMismatch
-from .reports import CheckReport, collect
+from .reports import DEFAULT_WITNESS_CAP, CheckReport, collect
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ _LAWS = (("associativity", 3, lambda m, i, j, k: (m[m[i][j]][k], m[i][m[j][k]]))
          ("commutativity", 2, lambda m, i, j: (m[i][j], m[j][i])))
 
 
-def validate_semigroup(t: SemigroupTable, max_witnesses: int = 10) -> CheckReport:
+def validate_semigroup(t: SemigroupTable,
+                       max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
     """Check associativity and, if flagged, commutativity of the table.
 
     Witness vectors hold the two composite element indices that disagree.

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -837,4 +838,77 @@ def test_example_refuses_a_table_that_is_not_associative(tmp_path, capsys):
         "    witness indices=a,b,b lhs=(0) rhs=(1)\n"
         "    witness indices=b,a,a lhs=(1) rhs=(0)\n"
         "    witness indices=b,b,a lhs=(1) rhs=(0)\n"), "")
+    assert not out_path.exists()
+
+
+def _dim_1_workspace(tmp_path, product: str, p: str, f: str | None = None) -> str:
+    """A bihom_associative algebra `a` over a one-element semigroup at dim
+    1 with e1*e1 = product e1 (none if empty), p = [[p]] and q = [[1]],
+    and, given f, a family `f` = [[f]]; written to a file, whose path is
+    returned."""
+    path = tmp_path / "long.bho"
+    path.write_text(
+        "semigroup T { elements t; table { t*t = t; } }\n"
+        + (f"maps f over T dim 1 {{ t: [[{f}]]; }}\n" if f else "")
+        + "algebra a : bihom_associative over T dim 1 {\n"
+        + (f"  product mul {{ (t,t): e1*e1 = {product} e1; }}\n" if product
+           else "")
+        + f"  map p {{ t: [[{p}]]; }}\n  map q {{ t: [[1]]; }}\n}}\n")
+    return str(path)
+
+
+def _decimal_digits(n: int) -> str:
+    """n in decimal, however long: Decimal prints past Python's int limit."""
+    return str(Decimal(n))
+
+
+def test_check_prints_witness_values_longer_than_python_prints(tmp_path,
+                                                               capsys):
+    n = "7" * 2000
+    path = _dim_1_workspace(tmp_path, product=n, p=n)
+    big = int(n)
+    # p(e1*e1) = big^2 e1 against p(e1)*p(e1) = big^3 e1
+    lhs, rhs = _decimal_digits(big ** 2), _decimal_digits(big ** 3)
+    assert main(["check", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert (f"FAIL algebra a p-multiplicativity (1 violations)\n"
+            f"    witness indices=t,t basis=e1,e1 lhs=({lhs}) rhs=({rhs})\n"
+            ) in out
+    assert main(["check", "--json", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)["reports"][1]
+    assert report["results"][0]["witnesses"] == [
+        {"indices": ["t", "t"], "basis": [0, 0], "lhs": [lhs], "rhs": [rhs]}]
+    # printing them leaves the digit limit that parsing keeps
+    assert sys.get_int_max_str_digits() == 4300
+
+
+def test_construct_prints_a_failed_precheck_with_long_values(tmp_path, capsys):
+    m = "7" * 4000
+    path = _dim_1_workspace(tmp_path, product=m, p="1", f=m)
+    big = int(m)
+    assert main(["construct", "yau_twist", "--input", path,
+                 "--p2", "f", "--q2", "f"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # f(e1*e1) = big^2 e1 against f(e1)*f(e1) = big^3 e1
+    assert err.startswith(
+        "error: yau_twist: p2 is not a morphism of the input\n"
+        "FAIL morphism morphism-mul (1 violations)\n"
+        f"    witness indices=t,t basis=e1,e1 lhs=({_decimal_digits(big ** 2)}) "
+        f"rhs=({_decimal_digits(big ** 3)})\n")
+
+
+def test_construct_writes_no_number_the_parser_would_refuse(tmp_path, capsys):
+    k = "7" * 3000
+    path = _dim_1_workspace(tmp_path, product="", p=k, f=k)
+    out_path = tmp_path / "o.bho"
+    # the twisted p is p∘f, whose entry has 6000 digits
+    assert main(["construct", "yau_twist", "--input", path, "--p2", "f",
+                 "--q2", "f", "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the workspace holds a number of more than 4300 digits, "
+            "which no workspace text reads back\n")
     assert not out_path.exists()

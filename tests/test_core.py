@@ -126,7 +126,13 @@ def test_apply_matches_dense_triple_sum(case):
             assert all(type(v) is Fraction for v in out)
             for i in range(d):
                 for j in range(d):
-                    assert fam.tensor[a][b][i][j] == cells[a, b, i, j]
+                    assert fam.basis_product(a, b, i, j) == cells[a, b, i, j]
+
+
+def test_identity_family_shares_one_matrix():
+    fam = LinearFamily.identity(cyclic_group(3), 2)
+    assert fam.maps[0] == Matrix.identity(2)
+    assert all(m is fam.maps[0] for m in fam.maps)
 
 
 def test_zero_cells_are_not_stored():
@@ -269,6 +275,10 @@ GUARDS = {
                                _TWO_DIM), ShapeMismatch),
     "unknown-axiom": (lambda: check_instance(_TWO_DIM).result("nosuch"),
                       KeyError),
+    **{f"basis-product-{name}-out-of-range": (
+        lambda key=key: _TWO_DIM.product("mul").basis_product(*key), ShapeMismatch)
+       for name, key in (("a", (2, 0, 0, 0)), ("b", (0, -1, 0, 0)),
+                         ("i", (0, 0, 2, 0)), ("j", (0, 0, 0, -1)))},
 }
 
 
@@ -278,15 +288,22 @@ def test_guard_raises(call, error):
         call()
 
 
+def _dense(fam):
+    """The nest of tuples whose [a][b][i][j] is e_i *_{a,b} e_j."""
+    n, d = range(fam.omega.order), range(fam.dim)
+    return tuple(tuple(tuple(tuple(fam.basis_product(a, b, i, j) for j in d)
+                             for i in d) for b in n) for a in n)
+
+
 def _dense_digest(inst) -> str:
     """The digest as it was first defined: over the repr of each product's
-    dense tensor."""
+    dense nest of cells."""
     h = hashlib.sha256()
     h.update(inst.kind.value.encode())
     h.update(repr(inst.omega.table).encode())
     for name, fam in inst.products:
         h.update(name.encode())
-        h.update(repr(fam.tensor).encode())
+        h.update(repr(_dense(fam)).encode())
     h.update(repr(inst.p.maps).encode())
     h.update(repr(inst.q.maps).encode())
     return h.hexdigest()[:16]
@@ -295,7 +312,7 @@ def _dense_digest(inst) -> str:
 @st.composite
 def sparse_instances(draw):
     """An instance over a semigroup of order 1 to 3 at d = 1 to 3 (so
-    some of its tensor's tuples have one item), with blocks, rows and
+    some of its dense nest's tuples have one item), with blocks, rows and
     cells often wholly zero, and scalar structure maps."""
     omega = draw(st.sampled_from((TRIVIAL, C2, cyclic_group(3))))
     d = draw(st.integers(min_value=1, max_value=3))

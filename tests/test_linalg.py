@@ -22,6 +22,18 @@ def test_identity_times_matrix():
     assert mat_mul(m, Matrix.identity(3)) == m
 
 
+def test_identity_holds_one_one_and_one_zero():
+    m = Matrix.identity(400)
+    assert len({id(v) for v in m.entries}) == 2
+    assert all(m.get(i, j) == (i == j) for i in range(400) for j in range(400))
+
+
+def test_diagonal_puts_each_value_on_the_diagonal():
+    assert Matrix.diagonal([2, Fraction(1, 3), 0]) == Matrix.from_rows(
+        [[2, 0, 0], [0, Fraction(1, 3), 0], [0, 0, 0]])
+    assert Matrix.diagonal([]) == Matrix(0, 0, ())
+
+
 def test_zero_annihilates():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert mat_mul(m, Matrix.zero(2, 2)) == Matrix.zero(2, 2)

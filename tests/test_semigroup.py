@@ -94,7 +94,7 @@ def _reference_validate(t, max_witnesses):
                         witnesses.append(Witness(
                             indices=(t.elements[i], t.elements[j], t.elements[k]),
                             basis=(), lhs=(lhs,), rhs=(rhs,)))
-    results.append(AxiomResult("associativity", total == 0, tuple(witnesses), total))
+    results.append(AxiomResult("associativity", tuple(witnesses), total))
     if t.commutative:
         witnesses = []
         total = 0
@@ -108,7 +108,7 @@ def _reference_validate(t, max_witnesses):
                         witnesses.append(Witness(
                             indices=(t.elements[i], t.elements[j]),
                             basis=(), lhs=(lhs,), rhs=(rhs,)))
-        results.append(AxiomResult("commutativity", total == 0, tuple(witnesses), total))
+        results.append(AxiomResult("commutativity", tuple(witnesses), total))
     return CheckReport(subject="semigroup", results=tuple(results))
 
 
@@ -127,3 +127,16 @@ def _tables(draw):
 def test_validate_semigroup_matches_reference_loops(t, cap):
     assert validate_semigroup(t, max_witnesses=cap) == \
         _reference_validate(t, cap)
+
+
+@given(st.lists(st.one_of(st.integers(), st.fractions()), min_size=1,
+                max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_witness_values_print_as_str(values):
+    """Below the digit limit a witness value prints as str prints it."""
+    w = Witness(("a",), (0,), tuple(values), tuple(reversed(values)))
+    texts = [str(v) for v in values]
+    assert w.to_dict()["lhs"] == texts
+    assert w.to_dict()["rhs"] == texts[::-1]
+    assert w.describe() == (f"indices=a basis=e1 lhs=({', '.join(texts)}) "
+                            f"rhs=({', '.join(reversed(texts))})")

@@ -175,7 +175,8 @@ class _Cells:
 
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds each product's
-    nonzero cells times den (its `int_tensor`), each map's matrix per
+    nonzero cells over den (its `int_tensor`: the ints it stores over
+    its own den, scaled by den / fam.den), each map's matrix per
     index with its `int_cols` beside it, lam and the memos of the
     sub-terms that read fewer variables than their axiom.  A term
     compiles to (degree, bind): bind(index tuple) -> (its index,

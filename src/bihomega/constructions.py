@@ -98,16 +98,17 @@ RECIPES: dict[str, Recipe] = {
 
 
 def _product(cells: _Cells, term) -> BilinearFamily:
-    """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j;
-    only the blocks where the bound term is not zero are evaluated."""
+    """The family whose e_i *_{a,b} e_j is `term` at X = e_i, Y = e_j,
+    stored from the term's int vectors over den ** degree; only the
+    blocks where the bound term is not zero are evaluated."""
     (degree, bind), d = cells.bind(term, 2), cells.dim
     entries = {}
     for a, b in product(cells.omega.indices(), repeat=2):
         fn = bind((a, b))[1]
         if fn is not None:
             for i, j in product(range(d), repeat=2):
-                entries[a, b, i, j] = cells.rational(fn((i, j)), degree)
-    return BilinearFamily.from_cells(cells.omega, d, entries)
+                entries[a, b, i, j] = fn((i, j))
+    return BilinearFamily.from_ints(cells.omega, d, entries, cells.den ** degree)
 
 
 def _gate(error: type, message: str, report):

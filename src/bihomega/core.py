@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import lcm
-from typing import Callable, Iterator
+from itertools import chain, product
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Iterator, Sequence
 
 from .errors import NonCommutingStructureMaps, ShapeMismatch, Singular
 from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
@@ -22,6 +23,10 @@ _ZERO = Fraction(0)
 # only the i and j whose product is nonzero, in ascending order
 SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple], ...]], ...]
 Blocks = tuple[tuple[SparseBlock, ...], ...]  # [a][b] -> one SparseBlock
+Key = tuple[int, int, int, int]                # (a, b, i, j)
+# a vector as (nums, dens), its coordinate k nums[k] / dens[k], not
+# reduced; 0/0 reads as 0
+Ratios = tuple[Sequence[int], Sequence[int]]
 
 
 def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
@@ -39,37 +44,73 @@ def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
     return tuple(out)
 
 
+def lowest_terms(v: int, den: int) -> tuple[int, int]:
+    """v / den, den > 0, as the numerator and denominator of a Fraction."""
+    g = gcd(v, den)
+    return v // g, den // g
+
+
 @dataclass(frozen=True)
 class BilinearFamily:
     """One bilinear product per index pair (a, b), stored as its nonzero
-    cells: blocks[a][b] is a SparseBlock of Fraction vectors, where the
-    vector of e_i *_{a,b} e_j gives its coefficient of each e_k.  Zero
-    products are left out, so equal families have equal fields.  Build
-    one with `from_cells`, `from_function` or `zero`."""
+    cells in integers over one denominator: blocks[a][b] is a SparseBlock
+    of int vectors, where the vector of e_i *_{a,b} e_j times den gives
+    its coefficient of each e_k.  den is the lcm of the cells' reduced
+    denominators, so it and the ints have no common factor; zero
+    products are left out.  So equal families have equal fields.  Build
+    one with `from_cells`, `from_ratios`, `from_ints`, `from_function`
+    or `zero`; `cells` and `basis_product` give Fraction vectors."""
 
     omega: SemigroupTable
     dim: int
     blocks: Blocks
+    den: int
 
     @staticmethod
-    def from_cells(omega: SemigroupTable, dim: int,
-                   cells: dict[tuple[int, int, int, int], Vector]
-                   ) -> "BilinearFamily":
-        """The family whose e_i *_{a,b} e_j is cells[a, b, i, j], and zero
-        at every key left out."""
+    def from_ints(omega: SemigroupTable, dim: int,
+                  cells: dict[Key, tuple[int, ...]], den: int) -> "BilinearFamily":
+        """The family whose e_i *_{a,b} e_j is cells[a, b, i, j] / den, a
+        tuple of ints over den > 0, and zero at every key left out."""
+        if den < 1:
+            raise ValueError(f"den must be positive, got {den}")
         n = omega.order
+        g = gcd(den, *chain.from_iterable(cells.values()))
         grid: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
         for (a, b, i, j), cell in cells.items():
             if not (0 <= a < n and 0 <= b < n and 0 <= i < dim and 0 <= j < dim
                     and len(cell) == dim):
                 raise ShapeMismatch(f"cell {(a, b, i, j)} must be a vector of length "
                                     f"{dim} in {n}x{n} blocks of {dim}x{dim}")
-            cell = vec(cell)
             if any(cell):
-                grid[a][b].setdefault(i, {})[j] = cell
+                grid[a][b].setdefault(i, {})[j] = (
+                    tuple(v // g for v in cell) if g > 1 else tuple(cell))
         return BilinearFamily(omega, dim, tuple(
             tuple(tuple((i, tuple(sorted(block[i].items()))) for i in sorted(block))
-                  for block in row) for row in grid))
+                  for block in row) for row in grid), den // g)
+
+    @staticmethod
+    def from_ratios(omega: SemigroupTable, dim: int,
+                    cells: dict[Key, Ratios]) -> "BilinearFamily":
+        """The family whose e_i *_{a,b} e_j is cells[a, b, i, j], stored
+        over the lcm of every denominator, and zero at every key left out."""
+        dens = {d for _, ds in cells.values() for d in ds}
+        den = lcm(*dens - {0})
+        scale = {d: d and den // d for d in dens}.__getitem__
+        return BilinearFamily.from_ints(omega, dim, {
+            key: tuple(map(mul, nums, map(scale, ds)))
+            for key, (nums, ds) in cells.items()}, den)
+
+    @staticmethod
+    def from_cells(omega: SemigroupTable, dim: int,
+                   cells: dict[Key, Vector]) -> "BilinearFamily":
+        """The family whose e_i *_{a,b} e_j is cells[a, b, i, j], a vector
+        of rationals, and zero at every key left out."""
+        ratios = {key: [v.as_integer_ratio() for v in vec(cell)]
+                  for key, cell in cells.items()}
+        den = lcm(*{d for cell in ratios.values() for _, d in cell})
+        return BilinearFamily.from_ints(omega, dim, {
+            key: tuple([n * (den // d) for n, d in cell])
+            for key, cell in ratios.items()}, den)
 
     @staticmethod
     def from_function(omega: SemigroupTable, dim: int,
@@ -80,15 +121,25 @@ class BilinearFamily:
 
     @staticmethod
     def zero(omega: SemigroupTable, dim: int) -> "BilinearFamily":
-        return BilinearFamily.from_cells(omega, dim, {})
+        return BilinearFamily.from_ints(omega, dim, {}, 1)
 
-    def cells(self) -> Iterator[tuple[tuple[int, int, int, int], Vector]]:
-        """((a, b, i, j), e_i *_{a,b} e_j) for each nonzero product, in order."""
+    def int_cells(self) -> Iterator[tuple[Key, tuple[int, ...]]]:
+        """((a, b, i, j), e_i *_{a,b} e_j times den) for each nonzero
+        product, in order."""
         for a, row in enumerate(self.blocks):
             for b, block in enumerate(row):
                 for i, cells_i in block:
                     for j, cell in cells_i:
                         yield (a, b, i, j), cell
+
+    def cells(self) -> Iterator[tuple[Key, Vector]]:
+        """((a, b, i, j), e_i *_{a,b} e_j) for each nonzero product, in order."""
+        for key, cell in self.int_cells():
+            yield key, self._rational(cell)
+
+    def _rational(self, cell: tuple[int, ...]) -> Vector:
+        den = self.den
+        return tuple(Fraction(v, den) for v in cell)
 
     def basis_product(self, a: int, b: int, i: int, j: int) -> Vector:
         """e_i *_{a,b} e_j, read from the stored cells."""
@@ -96,27 +147,24 @@ class BilinearFamily:
         if not (0 <= a < n and 0 <= b < n and 0 <= i < d and 0 <= j < d):
             raise ShapeMismatch(f"cell {(a, b, i, j)} is out of range for "
                                 f"{n}x{n} blocks of {d}x{d}")
-        return dict(dict(self.blocks[a][b]).get(i, ())).get(j, zero_vector(d))
-
-    @cached_property
-    def den(self) -> int:
-        """The lcm of the cells' denominators."""
-        return lcm(*(c.denominator for _, cell in self.cells() for c in cell))
+        cell = dict(dict(self.blocks[a][b]).get(i, ())).get(j)
+        return zero_vector(d) if cell is None else self._rational(cell)
 
     @cached_property
     def _int_forms(self) -> dict[int, Blocks]:
-        return {}
+        return {self.den: self.blocks}
 
     def int_tensor(self, den: int) -> Blocks:
-        """The blocks times den, a multiple of self.den: the same
-        SparseBlock rows with int vectors, built once per den."""
+        """The blocks times den / self.den, for den a multiple of
+        self.den: the same SparseBlock rows with int vectors over den,
+        built once per den."""
         forms = self._int_forms
         if den not in forms:
             if den % self.den:
                 raise ValueError(f"den {den} is not a multiple of {self.den}")
+            k = den // self.den
             forms[den] = tuple(tuple(tuple(
-                (i, tuple((j, tuple(c.numerator * (den // c.denominator)
-                                    for c in cell)) for j, cell in cells_i))
+                (i, tuple((j, tuple(k * v for v in cell)) for j, cell in cells_i))
                 for i, cells_i in block) for block in row) for row in self.blocks)
         return forms[den]
 
@@ -129,13 +177,14 @@ class BilinearFamily:
         if den is not None:
             return block_times(self.int_tensor(den)[a][b], self.dim, x, y)
         own = self.den
-        out = block_times(self.int_tensor(own)[a][b], self.dim, x, y, _ZERO)
+        out = block_times(self.blocks[a][b], self.dim, x, y, _ZERO)
         return out if own == 1 else tuple(v / own for v in out)
 
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)
-        return BilinearFamily.from_cells(self.omega, self.dim, {
-            key: tuple(c * v for v in cell) for key, cell in self.cells()})
+        return BilinearFamily.from_ints(self.omega, self.dim, {
+            key: tuple(c.numerator * v for v in cell)
+            for key, cell in self.int_cells()}, c.denominator * self.den)
 
 
 @dataclass(frozen=True)
@@ -295,12 +344,16 @@ def _dense_repr(fam: BilinearFamily) -> Iterator[str]:
     """Piece by piece, the repr of the nest of tuples whose [a][b][i][j]
     is fam.basis_product(a, b, i, j), made from the nonzero cells: the
     zero vector's repr is made once, and so is a row's with no cell."""
-    d = fam.dim
+    d, den = fam.dim, fam.den
     zero = repr(zero_vector(d))
     empty_row = _tuple_repr([zero] * d)
     # each level closes as a tuple of n or of d items does
     close_n = ",)" if fam.omega.order == 1 else ")"
     close_d = ",)" if d == 1 else ")"
+
+    def cell_repr(cell: tuple[int, ...]) -> str:
+        return _tuple_repr(["Fraction(%d, %d)" % lowest_terms(v, den) for v in cell])
+
     yield "("
     for a, blocks in enumerate(fam.blocks):
         yield ", (" if a else "("
@@ -311,7 +364,7 @@ def _dense_repr(fam: BilinearFamily) -> Iterator[str]:
                 cells = dict(rows.get(i, ()))
                 if i:
                     yield ", "
-                yield _tuple_repr([repr(cells[j]) if j in cells else zero
+                yield _tuple_repr([cell_repr(cells[j]) if j in cells else zero
                                    for j in range(d)]) if cells else empty_row
             yield close_d
         yield close_n

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (AlgebraInstance, AlgebraKind, BilinearFamily, LinearFamily,
-                   RotaBaxterFamily, new_instance)
+                   Ratios, RotaBaxterFamily, lowest_terms, new_instance)
 from .errors import NumberTooLong, ParseError, ResolutionError
 from .linalg import Matrix
 from .semigroup import SemigroupTable
@@ -71,7 +71,6 @@ _END = "#"      # the next token at the end of input: no token is "#"
 # starts with a non-ASCII letter: that is a stray character)
 _IS_KIND = {"ident": lambda c: c.isalpha() or c == "_", "int": str.isdecimal}
 _KINDS = {k.value: k for k in AlgebraKind}
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -102,23 +101,20 @@ _NOT_READ = (KeyError, ValueError, ZeroDivisionError)
 
 
 def _read_entry(m: re.Match, index: dict[str, int], dim: int
-                ) -> tuple[tuple[int, int, int, int], tuple[Fraction, ...]] | None:
+                ) -> tuple[tuple[int, int, int, int], Ratios] | None:
     """A matched product entry from its groups."""
     a, b, i, j, terms = m.group("a", "b", "i", "j", "terms")
     try:
         key = (index[a], index[b], int(i) - 1, int(j) - 1)
-        cell = [_ZERO] * dim
+        nums, dens = [0] * dim, [0] * dim
         for sign, num, den, k in _TERM_RE.findall(terms):
-            k = int(k) - 1
-            # a vector already read holds a new Fraction, never _ZERO itself
-            if not 0 <= k < dim or cell[k] is not _ZERO:
+            k, d = int(k) - 1, int(den or 1)
+            if not (0 <= k < dim and d) or dens[k]:
                 return None
-            cell[k] = Fraction(-int(num) if sign else int(num), int(den or 1))
+            nums[k], dens[k] = -int(num) if sign else int(num), d
     except _NOT_READ:
         return None
-    if not (0 <= key[2] < dim and 0 <= key[3] < dim):
-        return None
-    return key, tuple(cell)
+    return (key, (nums, dens)) if 0 <= key[2] < dim and 0 <= key[3] < dim else None
 
 
 def _read_map_row(m: re.Match, index: dict[str, int], dim: int
@@ -224,15 +220,14 @@ class _Parser:
             raise ResolutionError(f"{owner} must have dim at least 1")
         return omega_name, self.ws.semigroups[omega_name], dim
 
-    def _rational(self) -> Fraction:
+    def _rational(self) -> tuple[int, int]:
         sign = -1 if self._accept("-") else 1
-        num = self._integer()
+        num, den = self._integer(), 1
         if self._accept("/"):
             den = self._integer()
             if den == 0:
                 self._fail("a nonzero denominator", back=True)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        return sign * num, den
 
     # grammar --------------------------------------------------------
 
@@ -311,7 +306,8 @@ class _Parser:
         self._expect("]")
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ResolutionError(f"matrix must be {dim}x{dim}")
-        return Matrix.from_rows(rows)
+        # the rows hold int pairs, so no value was built before the shape check
+        return Matrix.from_rows([[Fraction(*v) for v in row] for row in rows])
 
     def _parse_map_body(self, omega_name: str, dim: int,
                         owner: str) -> LinearFamily:
@@ -349,24 +345,25 @@ class _Parser:
         omega_name, _, dim = self._over(owner)
         if weighted:
             self._expect("weight")
-            weight = self._rational()
+            weight = Fraction(*self._rational())
         fam = self._parse_map_body(omega_name, dim, owner)
         families[name] = RotaBaxterFamily(fam, weight) if weighted else fam
         self.ws.omega_of[("rb" if weighted else "maps", name)] = omega_name
 
-    def _parse_lincomb(self, dim: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * dim
+    def _parse_lincomb(self, dim: int) -> Ratios:
+        nums, dens = [0] * dim, [0] * dim
         while True:
             tok = self.tok
             if tok == _END:
                 self._fail("a term")
-            coeff = Fraction(1) if _is_basis(tok) else self._rational()
-            if coeff != 0 or _is_basis(self.tok):
-                k = self._basis_index(dim)   # add only to a repeated vector
-                out[k] = out[k] + coeff if out[k] else coeff
+            n, d = (1, 1) if _is_basis(tok) else self._rational()
+            if n or _is_basis(self.tok):
+                k = self._basis_index(dim)   # a repeated vector adds up
+                nums[k], dens[k] = ((nums[k] * d + n * dens[k], dens[k] * d)
+                                    if dens[k] else (n, d))
             if not self._accept("+"):
                 break
-        return tuple(out)
+        return nums, dens
 
     def _parse_algebra(self, keyword: str):
         name = self._name(keyword, self.ws.algebras, "an algebra name")
@@ -389,7 +386,7 @@ class _Parser:
                         f"kind {kind_name} has no product {slot!r}")
                 if slot in product_entries:
                     raise ResolutionError(f"duplicate product block {slot!r}")
-                entries: dict[tuple[int, int, int, int], tuple] = {}
+                entries: dict[tuple[int, int, int, int], Ratios] = {}
                 self._expect("{")
                 while not self._accept("}"):
                     if (m := _ENTRY_RE.match(self.text, self.at)) and (
@@ -425,7 +422,7 @@ class _Parser:
                 maps[which] = self._parse_map_body(omega_name, dim, owner)
             else:
                 self._fail("'product', 'map' or '}'")
-        products = tuple((slot, BilinearFamily.from_cells(
+        products = tuple((slot, BilinearFamily.from_ratios(
             omega, dim, product_entries.get(slot, {}))) for slot in kind.product_slots)
         identity = None if len(maps) == 2 else LinearFamily.identity(omega, dim)
         try:
@@ -448,11 +445,6 @@ def _fmt_matrix(m: Matrix) -> str:
     rows = ", ".join(
         "[" + ", ".join(str(v) for v in m.row(i)) + "]" for i in range(m.rows))
     return "[" + rows + "]"
-
-
-def _fmt_lincomb(vec: tuple) -> str:
-    """A nonzero vector as the sum of its nonzero terms."""
-    return " + ".join(f"{v} e{k + 1}" for k, v in enumerate(vec) if v)
 
 
 def _serialize_semigroup(name: str, t: SemigroupTable) -> list[str]:
@@ -481,9 +473,15 @@ def _serialize_algebra(name: str, omega_name: str,
     elements = inst.omega.elements
     for slot, fam in inst.products:
         lines.append(f"  product {slot} {{")
-        for (a, b, i, j), cell in fam.cells():
+        den = fam.den
+        for (a, b, i, j), cell in fam.int_cells():
+            terms = []   # each nonzero v/den, as str(Fraction(v, den)) writes it
+            for k, v in enumerate(cell):
+                if v:
+                    n, d = lowest_terms(v, den)
+                    terms.append(f"{n} e{k + 1}" if d == 1 else f"{n}/{d} e{k + 1}")
             lines.append(f"    ({elements[a]},{elements[b]}): "
-                         f"e{i + 1}*e{j + 1} = {_fmt_lincomb(cell)};")
+                         f"e{i + 1}*e{j + 1} = {' + '.join(terms)};")
         lines.append("  }")
     for which, fam in (("p", inst.p), ("q", inst.q)):
         lines.append(f"  map {which} {{")

@@ -4,10 +4,10 @@ closed families, and brute-force searches with checkers as oracles."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Iterator
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
                        check_rota_baxter, mismatches, morphism_axioms,
@@ -28,13 +28,17 @@ class TwoDimExampleParams:
     """Scalar data of the worked 2-dim instance.
 
     c maps index pairs to scalars; rthree and lthree are the two scalar
-    characters of the semigroup used by the structure maps.
+    characters of the semigroup used by the structure maps.  `ints`
+    holds c, rthree and lthree times den, the lcm of their denominators,
+    and den.
     """
 
     omega: SemigroupTable
     c: tuple[tuple[Fraction, ...], ...]
     rthree: tuple[Fraction, ...]
     lthree: tuple[Fraction, ...]
+    ints: tuple[list[list[int]], list[int], list[int], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.omega.order
@@ -42,31 +46,40 @@ class TwoDimExampleParams:
             raise ShapeMismatch("c must be an n x n scalar table")
         if len(self.rthree) != n or len(self.lthree) != n:
             raise ShapeMismatch("rthree and lthree need one scalar per element")
+        pairs = [v.as_integer_ratio()
+                 for row in (*self.c, self.rthree, self.lthree) for v in row]
+        den = lcm(*(d for _, d in pairs))
+        ints = [num * (den // d) for num, d in pairs]
+        object.__setattr__(self, "ints", (
+            [ints[a * n:(a + 1) * n] for a in range(n)], ints[n * n:n * n + n],
+            ints[n * n + n:], den))
+
+    def iter_violations(self) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """The failing side-conditions, lexicographic in the indices, one
+        at a time; each is decided on the ints over den, where x/den ==
+        (y/den) * (z/den) reads x * den == y * z."""
+        table, names = self.omega.table, self.omega.elements
+        c, rt, lt, den = self.ints
+        indices = range(len(names))
+        for a, b in itertools.product(indices, repeat=2):
+            ab = table[a][b]
+            if rt[ab] * den != rt[a] * rt[b]:
+                yield "rthree-multiplicative", (names[a], names[b])
+            if lt[ab] * den != lt[a] * lt[b]:
+                yield "lthree-multiplicative", (names[a], names[b])
+        for a, b, g in itertools.product(indices, repeat=3):
+            if (c[a][b] * lt[g] * c[table[a][b]][g]
+                    != c[a][table[b][g]] * rt[a] * c[b][g]):
+                yield "c-cocycle", (names[a], names[b], names[g])
 
     def violations(self) -> list[tuple[str, tuple[str, ...]]]:
         """All failing side-conditions, lexicographic in the indices."""
-        table, names = self.omega.table, self.omega.elements
-        c, rthree, lthree = self.c, self.rthree, self.lthree
-        indices = range(len(names))
-        out = []
-        for a, b in itertools.product(indices, repeat=2):
-            if rthree[table[a][b]] != rthree[a] * rthree[b]:
-                out.append(("rthree-multiplicative", (names[a], names[b])))
-            if lthree[table[a][b]] != lthree[a] * lthree[b]:
-                out.append(("lthree-multiplicative", (names[a], names[b])))
-        for a, b, g in itertools.product(indices, repeat=3):
-            if (c[a][b] * lthree[g] * c[table[a][b]][g]
-                    != c[a][table[b][g]] * rthree[a] * c[b][g]):
-                out.append(("c-cocycle", (names[a], names[b], names[g])))
-        return out
+        return list(self.iter_violations())
 
 
 def two_dim_params(omega: SemigroupTable, c, rthree, lthree) -> TwoDimExampleParams:
-    return TwoDimExampleParams(
-        omega,
-        tuple(tuple(frac(v) for v in row) for row in c),
-        tuple(frac(v) for v in rthree),
-        tuple(frac(v) for v in lthree))
+    return TwoDimExampleParams(omega, tuple(tuple(map(frac, row)) for row in c),
+                               tuple(map(frac, rthree)), tuple(map(frac, lthree)))
 
 
 def make_two_dim_example(params: TwoDimExampleParams,
@@ -80,9 +93,9 @@ def make_two_dim_example(params: TwoDimExampleParams,
     """
     if reading not in ("e1", "e2"):
         raise ValueError("reading must be 'e1' or 'e2'")
-    bad = params.violations()
+    bad = next(params.iter_violations(), None)
     if bad:
-        raise ConditionViolated(*bad[0])
+        raise ConditionViolated(*bad)
     om = params.omega
 
     def product(a, b, i, j):

@@ -142,8 +142,9 @@ def test_zero_cells_are_not_stored():
     explicit = BilinearFamily.from_cells(C2, 2, {**zeros, **cells})
     sparse = BilinearFamily.from_cells(C2, 2, cells)
     assert explicit == sparse and hash(explicit) == hash(sparse)
-    assert explicit.blocks == (((), ((1, ((0, (Fraction(1, 2), 0)),)),)),
-                               ((), ((0, ((0, (0, -3)),)),)))
+    # stored as ints over den = 2: 1/2 is 1 and -3 is -6
+    assert (explicit.blocks, explicit.den) == (
+        (((), ((1, ((0, (1, 0)),)),)), ((), ((0, ((0, (0, -6)),)),))), 2)
     assert BilinearFamily.zero(C2, 2) == BilinearFamily.from_cells(C2, 2, zeros)
     assert BilinearFamily.zero(C2, 2).blocks == (((), ()), ((), ()))
 
@@ -161,9 +162,22 @@ def test_from_cells_reads_tuple_list_and_int_cells_alike():
         for _, cell in fam.cells():
             assert type(cell) is tuple
             assert all(type(v) is Fraction for v in cell)
-    # a tuple of exact Fractions is stored as it is
+    # stored as int tuples over the lcm of the denominators
     assert dict(fams[0].cells()) == exact
-    assert all(cell is exact[key] for key, cell in fams[0].cells())
+    assert fams[0].den == 2
+    assert dict(fams[0].int_cells()) == {(0, 1, 1, 0): (1, 0), (1, 1, 0, 1): (4, -6)}
+
+
+def test_from_ints_reduces_and_needs_a_positive_den():
+    # 2/4 and -6/4 over 4 are 1/2 and -3/2: stored over 2
+    fam = BilinearFamily.from_ints(
+        C2, 2, {(0, 1, 1, 0): (2, -6), (1, 0, 0, 0): (0, 0)}, 4)
+    assert (fam.blocks, fam.den) == ((((), ((1, ((0, (1, -3)),)),)), ((), ())), 2)
+    assert fam == BilinearFamily.from_cells(
+        C2, 2, {(0, 1, 1, 0): (Fraction(1, 2), Fraction(-3, 2))})
+    for den in (0, -4):
+        with pytest.raises(ValueError, match="den must be positive"):
+            BilinearFamily.from_ints(C2, 2, {(0, 1, 1, 0): (2, -6)}, den)
 
 
 def test_from_cells_rejects_bad_shapes():

@@ -661,6 +661,21 @@ def test_a_map_row_it_rejects_builds_no_entry(statement):
         assert dsl._read_map_row(read(statement), {"t": 0}, 2) is None
 
 
+@pytest.mark.parametrize("body", [
+    "t: [" + ", ".join(["[1/2]"] * 2000) + "];",
+    "t: [[1/2], # a comment sends the row to the token rules\n [-3]];",
+    "t: [[1/2, 0]];"], ids=["many-rows", "token-rules", "row-length"])
+def test_a_matrix_of_the_wrong_shape_builds_no_value(body):
+    # the token rules read every entry as an int pair and check the shape
+    # before any Fraction is built
+    text = _SG + "maps f over T dim 1 { " + body + " }"
+    with pytest.raises(ResolutionError, match=r"matrix must be 1x1"):
+        parse_workspace(text)
+    with mock.patch.object(dsl, "Fraction", side_effect=AssertionError):
+        with pytest.raises(ResolutionError, match=r"matrix must be 1x1"):
+            parse_workspace(text)
+
+
 # Text the statement regex takes as one token where no statement belongs:
 # each rule that meets it splits it, so the token rules read it as they
 # would read the text with no statement token.

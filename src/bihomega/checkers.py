@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Union
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, RotaBaxterFamily)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Matrix, Vector, frac
+from .linalg import Matrix, Vector, frac, rows_times
 from .reports import DEFAULT_WITNESS_CAP, CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -177,9 +177,9 @@ class _Cells:
     the maps, and of the weight's.  The binding holds each product's
     nonzero cells over den (its `int_tensor`: the ints it stores over
     its own den, scaled by den / fam.den), each map's matrix per
-    index with its `int_cols` beside it, lam and the memos of the
-    sub-terms that read fewer variables than their axiom.  A term
-    compiles to (degree, bind): bind(index tuple) -> (its index,
+    index with its `int_rows` and `int_cols` beside it, lam and the
+    memos of the sub-terms that read fewer variables than their axiom.
+    A term compiles to (degree, bind): bind(index tuple) -> (its index,
     fn(basis tuple) -> its value times den ** degree, an int vector).
     A variable's degree is 0, a read of a cell's or of a map's column
     is 1, a product's is 1 plus its arguments', a map's 1 plus its
@@ -189,17 +189,22 @@ class _Cells:
     matrix's columns, so p(q(X)) applies p to q's column.  Products are
     applied by their own `apply` at den, looked up when a term is
     compiled; a map's matrix at an index, and its columns, are looked
-    up when fn runs, and the matrix's `apply` is called then.  So a
-    bound term depends on its index tuple alone, and stays bound across
-    rebinds.  The closures hold the binding's parts, never the binding,
-    so that each binding is freed as soon as it is dropped.
+    up when fn runs, and the matrix's `apply` is called then.  Once
+    `kernels` is set, which only a search does, a term compiled from
+    then on calls no `apply`: a product calls its block's `kernel` at
+    den, looked up when the term is bound at an index tuple, and a map
+    calls `rows_times` on the int rows at its index, looked up when fn
+    runs.  So a bound term depends on its index tuple alone, and stays
+    bound across rebinds.  The closures hold the binding's parts, never
+    the binding, so that each binding is freed as soon as it is
+    dropped.
 
     fn is None, and nothing is evaluated, where the term is zero: a
     product over an empty block or with a zero argument, a map of a zero
     term, a sum of zero terms only (still at its first term's index).
     That is decided from product blocks alone, so no rebind changes it.
 
-    rebind(name, a, m) swaps one map's matrix and its columns at one
+    rebind(name, a, m) swaps one map's matrix, rows and columns at one
     index, and clears every value memo; it never touches a bound term.
     So a search binds each index tuple once and rebinds one index per
     node.
@@ -220,16 +225,20 @@ class _Cells:
                        *(fam.den for fam in self.products.values()),
                        *(m.den for fam in families.values() for m in fam.maps))
         self.maps = {name: list(fam.maps) for name, fam in families.items()}
+        self.rows = {name: [m.int_rows(self.den) for m in mats]
+                     for name, mats in self.maps.items()}
         self.cols = {name: [m.int_cols(self.den) for m in mats]
                      for name, mats in self.maps.items()}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
         self.memos: list[dict] = []
+        self.kernels = False
 
     def rebind(self, name: str, a: int, m: Matrix) -> None:
         """Map `name` at index a becomes m, whose den must divide
-        self.den; its columns there become m's, and every memo is
-        cleared."""
+        self.den; its rows and columns there become m's, and every memo
+        is cleared."""
         self.maps[name][a] = m
+        self.rows[name][a] = m.int_rows(self.den)
         self.cols[name][a] = m.int_cols(self.den)
         for memo in self.memos:
             memo.clear()
@@ -276,7 +285,7 @@ class _Cells:
             return 1, bind_read
         if isinstance(term, Mul):
             fam = self.products[term.slot]
-            apply, blocks = fam.apply, fam.int_tensor(den)
+            apply, blocks, kernels = fam.apply, fam.int_tensor(den), self.kernels
             (dl, left), (dr, right) = (self.bind(term.left, arity),
                                        self.bind(term.right, arity))
             degree = 1 + dl + dr
@@ -284,15 +293,21 @@ class _Cells:
                 (a, lf), (b, rf) = left(idx), right(idx)
                 if lf is None or rf is None or not blocks[a][b]:
                     return table[a][b], None
+                if kernels:
+                    kernel = fam.kernel(a, b, den)
+                    return table[a][b], lambda bas: kernel(lf(bas), rf(bas))
                 return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
         elif isinstance(term, Map):
-            mats = self.maps[term.name]
+            mats, rows, kernels = (self.maps[term.name], self.rows[term.name],
+                                   self.kernels)
             inner_degree, inner = self.bind(term.arg, arity)
             degree = 1 + inner_degree
             def bind(idx):
                 a, fn = inner(idx)
                 if fn is None:
                     return a, None
+                if kernels:
+                    return a, lambda bas: rows_times(rows[a], fn(bas))
                 return a, lambda bas: mats[a].apply(fn(bas), den)
         else:
             # a "lam" term weighs in lam * den, one degree up; a term whose

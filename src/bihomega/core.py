@@ -6,8 +6,8 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, product
+from functools import cached_property, partial
+from itertools import chain, islice, product
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -42,6 +42,41 @@ def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
                     for k, c in enumerate(cell):
                         out[k] += coeff * c
     return tuple(out)
+
+
+# a block of more nonzero coefficients than this is multiplied by
+# block_times.  64 is d**3 at d = 4, the densest block that a search of
+# two or more entries reaches under the default budget; a larger block
+# is searched over a space too small to repay its compile time, about
+# 0.2 ms plus 8 us per term
+KERNEL_TERMS = 64
+
+
+def block_kernel(block: SparseBlock, dim: int) -> Callable[[Sequence, Sequence], tuple]:
+    """A function of two int vectors x and y equal to block_times(block,
+    dim, x, y): straight-line code that sums, into each coordinate k,
+    x_i * (c * y_j + ...) over the block's nonzero coefficients c of
+    e_k, or block_times itself past KERNEL_TERMS of them.  The source is
+    built from indices alone, as x0, y1 and c2; every coefficient is
+    bound as a default argument, never written into it."""
+    nonzero = ((i, j, k, c) for i, row in block for j, cell in row
+               for k, c in enumerate(cell) if c)
+    terms = list(islice(nonzero, KERNEL_TERMS + 1))
+    if len(terms) > KERNEL_TERMS:
+        return partial(block_times, block, dim)
+    sums: list[dict[int, list[str]]] = [{} for _ in range(dim)]
+    for n, (i, j, k, _) in enumerate(terms):
+        sums[k].setdefault(i, []).append(f"c{n}*y{j}")
+    out = "".join(" + ".join(f"x{i}*({' + '.join(ys)})" for i, ys in s.items())
+                  + ", " if s else "0, " for s in sums)
+    xs, ys = ("".join(f"{v}{i}, " for i in range(dim)) for v in "xy")
+    params = "".join(f", c{n}=None" for n in range(len(terms)))
+    scope: dict = {}
+    exec(f"def kernel(x, y{params}):\n ({xs}) = x\n ({ys}) = y\n"
+         f" return ({out})\n", scope)
+    kernel = scope["kernel"]
+    kernel.__defaults__ = tuple(c for *_, c in terms)
+    return kernel
 
 
 def lowest_terms(v: int, den: int) -> tuple[int, int]:
@@ -167,6 +202,22 @@ class BilinearFamily:
                 (i, tuple((j, tuple(k * v for v in cell)) for j, cell in cells_i))
                 for i, cells_i in block) for block in row) for row in self.blocks)
         return forms[den]
+
+    @cached_property
+    def _kernels(self) -> dict[tuple[int, int, int], Callable]:
+        return {}
+
+    def kernel(self, a: int, b: int, den: int) -> Callable[[Sequence, Sequence], tuple]:
+        """apply(a, b, x, y, den) without its checks, as the `block_kernel`
+        of int_tensor(den)[a][b]; built once per (a, b, den)."""
+        kernels, key = self._kernels, (a, b, den)
+        if key not in kernels:
+            kernels[key] = block_kernel(self.int_tensor(den)[a][b], self.dim)
+        return kernels[key]
+
+    def __getstate__(self) -> dict:
+        # generated code does not pickle; a copy builds its own kernels
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
     def apply(self, a: int, b: int, x: Vector, y: Vector,
               den: int | None = None) -> Vector:

@@ -216,6 +216,12 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     rebinds `name` at each (index, matrix); a node at depth k rebinds it
     at index k only.  Indices past k keep stale matrices, but no cell
     compared at depth k reads them.
+
+    That binding is the only one that runs on kernels (`_Cells.kernels`):
+    its products call each block's generated int code and its maps
+    `rows_times` on their int rows, never `apply`.  It is reused for
+    every candidate, so each kernel is built once for thousands of
+    calls.  The checkers that decide the hits bind afresh and apply.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
@@ -224,6 +230,7 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     ident = LinearFamily.identity(omega, dim)
     den = lcm(*(v.denominator for v in cfg.entries))
     cells = cells_for(ident, den)
+    cells.kernels = True
     unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
     binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
     choices = [[] for _ in range(n)]

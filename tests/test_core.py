@@ -1,10 +1,15 @@
 import hashlib
+import pickle
+import re
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bihomega import core
 from bihomega.checkers import check_instance, check_morphism
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            new_instance)
@@ -67,6 +72,66 @@ def test_two_dim_example_product():
     mul = inst.product("mul")
     assert mul.basis_product(0, 0, 1, 0) == (0, 1)
     assert mul.apply(0, 0, basis_vector(2, 1), basis_vector(2, 0)) == (0, 1)
+
+
+# ints past the 4300-digit limit of int <-> str, which only the values
+# bound to a kernel may hold, never its source
+kernel_ints = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6),
+                        st.sampled_from((10 ** 5000 + 7, -(10 ** 4400))))
+
+
+@st.composite
+def sparse_blocks(draw):
+    """A SparseBlock at d <= 4, its cells often wholly zero and their
+    coefficients often zero, and two int vectors, often zero."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    density = draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)))
+    rows = []
+    for i in range(d):
+        row = tuple((j, cell) for j in range(d)
+                    for cell in (tuple(draw(kernel_ints)
+                                       if draw(st.floats(0, 1)) < density else 0
+                                       for _ in range(d)),)
+                    if any(cell))
+        if row:
+            rows.append((i, row))
+    vector = st.one_of(st.just((0,) * d),
+                       st.tuples(*(st.one_of(st.just(0), kernel_ints),) * d))
+    return tuple(rows), d, draw(vector), draw(vector)
+
+
+@given(sparse_blocks(), st.sampled_from((0, 1, 4, core.KERNEL_TERMS)))
+@settings(max_examples=150, deadline=None)
+def test_block_kernel_matches_block_times(case, cap):
+    # blocks past the cap, 0 included, fall back to block_times itself
+    block, d, x, y = case
+    terms = [c for _, row in block for _, cell in row for c in cell if c]
+    with mock.patch.object(core, "KERNEL_TERMS", cap):
+        kernel = core.block_kernel(block, d)
+    assert kernel(x, y) == core.block_times(block, d, x, y)
+    assert isinstance(kernel, partial) == (len(terms) > cap)
+    if not isinstance(kernel, partial):
+        # no coefficient is written into the code, and every name is x,
+        # y or an index-derived x3, y0 or c12
+        code = kernel.__code__
+        assert {v for c in code.co_consts
+                for v in (c if type(c) is tuple else (c,))} <= {None, 0}
+        assert all(re.fullmatch(r"[xyc]\d+|[xy]", name)
+                   for name in code.co_varnames + code.co_names)
+        assert kernel.__defaults__ == tuple(terms)
+
+
+def test_a_kernel_is_built_once_per_block_and_den():
+    fam = make_two_dim_example(two_dim_params(C2, [[3, 3], [3, 3]], [1, 1],
+                                              [1, 1])).product("mul")
+    assert fam.kernel(0, 1, 6) is fam.kernel(0, 1, 6)
+    assert fam.kernel(0, 1, 6) is not fam.kernel(0, 1, 12)
+    x, y = (2, -1), (3, 5)
+    assert fam.kernel(1, 1, 6)(x, y) == fam.apply(1, 1, x, y, 6)
+    # a family pickles after it has kernels, and its copy builds its own
+    copied = pickle.loads(pickle.dumps(fam))
+    assert copied == fam
+    assert copied.kernel(1, 1, 6)(x, y) == fam.apply(1, 1, x, y, 6)
 
 
 @given(rationals, rationals,

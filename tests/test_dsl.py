@@ -785,8 +785,8 @@ def test_zeros_and_unreduced_values_agree_with_token_rules(body):
 
 
 def test_a_repeated_zero_term_is_left_to_the_token_rules():
-    # a zero read is a new Fraction, never _ZERO, which marks a vector
-    # not yet read
+    # a vector read is marked by its nonzero denominator, so a second
+    # term of it is seen even where the first read a zero
     read = dsl._ENTRY_RE.match("(t,t): e1*e1 = 0 e1 + 0 e1;")
     assert dsl._read_entry(read, {"t": 0}, 2) is None
 

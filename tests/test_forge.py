@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bihomega import forge
+from bihomega import checkers, core, forge
 from bihomega.checkers import (_Cells, check_instance, check_morphism,
                                check_rota_baxter)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
@@ -20,6 +20,7 @@ from bihomega.forge import (SearchConfig, brute_force_rb_search,
                             two_dim_params, two_dim_reading_report,
                             zero_instance)
 from bihomega.linalg import Matrix
+from bihomega.reports import CheckReport
 from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
                                 trivial_semigroup)
 from conftest import LIE_2D, two_dim_instance
@@ -470,6 +471,83 @@ def test_rb_search_prunes_before_the_checker(monkeypatch):
     monkeypatch.setattr(forge, "check_rota_baxter", counted)
     found = brute_force_rb_search(two_dim_instance(C2), SearchConfig(weight=1))
     assert found and len(calls) < 3 ** 8 // 20
+
+
+def _benchmark_instances():
+    """The benchmark's search inputs, built anew so that no kernel is
+    cached on them: the 2-dim instance over C2 whose c, p and q are sign
+    characters, and the 2-dim Lie instance {e1, e2} = 2 e2 over C2."""
+    params = two_dim_params(C2, [[1, -1], [-1, 1]], [1, -1], [1, -1])
+    lie = [[[2 * v for v in cell] for cell in row] for row in LIE_2D]
+    return (make_two_dim_example(params, reading="e2"),
+            constant_product_instance(AlgebraKind.LIE, C2, {"bracket": lie}))
+
+
+def test_the_checker_decides_every_hit(monkeypatch):
+    # with every product kernel and every map product of the search
+    # binding giving zero vectors, both sides of every cell are zero, so
+    # every candidate passes the pruning: the checkers, which never use
+    # them, must still return exactly today's hits.  Zero kernels alone
+    # would prune more, not less, where a side reads the cells directly,
+    # as lam x.y and f(x.y) do
+    searches = [(brute_force_rb_search, SearchConfig(entries=(0, 1), weight=w))
+                for w in (0, 1, -1)]
+    searches.append((make_endomorphism_pairs, SearchConfig(entries=(0, 1))))
+    expected = [search(inst, cfg) for inst in _benchmark_instances()
+                for search, cfg in searches]
+    assert any(len(found) > 1 for found in expected)
+    checked = []
+
+    def counted(check):
+        def run(*args, **kwargs):
+            checked.append(1)
+            return check(*args, **kwargs)
+        return run
+    for name in ("check_rota_baxter", "check_morphism"):
+        monkeypatch.setattr(forge, name, counted(getattr(forge, name)))
+    monkeypatch.setattr(core, "block_kernel",
+                        lambda block, dim: lambda x, y: (0,) * dim)
+    monkeypatch.setattr(checkers, "rows_times", lambda rows, x: (0,) * len(rows))
+    assert [search(inst, cfg) for inst in _benchmark_instances()
+            for search, cfg in searches] == expected
+    # every candidate that commutes with p and q was checked
+    assert len(checked) == 2 * 4 * 2 ** 8
+
+
+def test_the_pruning_applies_no_family_and_no_matrix(monkeypatch):
+    # the search binding runs on kernels and int rows, never on apply:
+    # with the checkers passing every candidate unseen, no apply is
+    # called, and the pruning alone gives today's hits
+    searches = ((brute_force_rb_search, SearchConfig(weight=1)),
+                (make_endomorphism_pairs, SearchConfig()))
+    expected = [search(inst, cfg) for inst in _benchmark_instances()
+                for search, cfg in searches]
+    applied = []
+    for cls in (BilinearFamily, Matrix):
+        def counted(*args, apply=cls.apply):
+            applied.append(1)
+            return apply(*args)
+        monkeypatch.setattr(cls, "apply", counted)
+    for name in ("check_rota_baxter", "check_morphism"):
+        monkeypatch.setattr(forge, name,
+                            lambda *args, **kwargs: CheckReport("unseen", ()))
+    assert [search(inst, cfg) for inst in _benchmark_instances()
+            for search, cfg in searches] == expected
+    assert applied == []
+
+
+def test_a_search_over_a_coefficient_past_the_digit_limit():
+    # the coefficient has more digits than int <-> str allows: a kernel
+    # binds it as a value, so no search writes it as text
+    inst = constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE,
+                                     cyclic_group(1),
+                                     {"mul": [[[10 ** 5000 + 7]]]})
+    found = brute_force_rb_search(inst, SearchConfig(entries=(0, 1, -1)))
+    assert [rb.maps.maps for rb in found] == [(Matrix.zero(1, 1),)]
+    found = brute_force_rb_search(inst, SearchConfig(entries=(0, 1, -1),
+                                                     weight=-1))
+    assert [rb.maps.maps for rb in found] == [(Matrix.zero(1, 1),),
+                                              (Matrix.identity(1),)]
 
 
 def _sl2_bracket():

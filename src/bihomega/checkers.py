@@ -15,7 +15,8 @@ from operator import add, itemgetter, sub
 from typing import Callable, Iterator, Union
 
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
-                   BilinearFamily, LinearFamily, RotaBaxterFamily)
+                   BilinearFamily, LinearFamily, RotaBaxterFamily,
+                   SparseBlock, block_kernel)
 from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
 from .linalg import Matrix, Vector, frac, rows_times
 from .reports import DEFAULT_WITNESS_CAP, CheckReport, collect
@@ -189,15 +190,16 @@ class _Cells:
     matrix's columns, so p(q(X)) applies p to q's column.  Products are
     applied by their own `apply` at den, looked up when a term is
     compiled; a map's matrix at an index, and its columns, are looked
-    up when fn runs, and the matrix's `apply` is called then.  Once
-    `kernels` is set, which only a search does, a term compiled from
-    then on calls no `apply`: a product calls its block's `kernel` at
-    den, looked up when the term is bound at an index tuple, and a map
-    calls `rows_times` on the int rows at its index, looked up when fn
-    runs.  So a bound term depends on its index tuple alone, and stays
-    bound across rebinds.  The closures hold the binding's parts, never
-    the binding, so that each binding is freed as soon as it is
-    dropped.
+    up when fn runs, and the matrix's `apply` is called then.  A
+    binding made with kernels=True, which only a search makes, calls no
+    `apply`: a product calls the `block_kernel` of its block over den,
+    built when a term is first bound at an index tuple where that block
+    is read and kept in `kernels`, keyed by the block, so equal blocks
+    share one; a map calls `rows_times` on the int rows at its index,
+    looked up when fn runs.  So a bound term depends on its index tuple
+    alone, and stays bound across rebinds.  The closures hold the
+    binding's parts, never the binding, so that each binding is freed
+    as soon as it is dropped.
 
     fn is None, and nothing is evaluated, where the term is zero: a
     product over an empty block or with a zero argument, a map of a zero
@@ -216,7 +218,8 @@ class _Cells:
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
                  products: dict[str, BilinearFamily] | None = None,
-                 weight: Fraction = Fraction(0), den: int = 1):
+                 weight: Fraction = Fraction(0), den: int = 1,
+                 kernels: bool = False):
         """Maps and products besides the instance's own, by name."""
         self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
         families = {"p": inst.p, "q": inst.q, **(maps or {})}
@@ -231,7 +234,8 @@ class _Cells:
                      for name, mats in self.maps.items()}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
         self.memos: list[dict] = []
-        self.kernels = False
+        # each product block's kernel, where the binding runs on kernels
+        self.kernels: dict[SparseBlock, Callable] | None = {} if kernels else None
 
     def rebind(self, name: str, a: int, m: Matrix) -> None:
         """Map `name` at index a becomes m, whose den must divide
@@ -284,8 +288,8 @@ class _Cells:
                 return table[a][b], lambda bas: get((bas[u], bas[v]), zero)
             return 1, bind_read
         if isinstance(term, Mul):
-            fam = self.products[term.slot]
-            apply, blocks, kernels = fam.apply, fam.int_tensor(den), self.kernels
+            fam, kernels, d = self.products[term.slot], self.kernels, self.dim
+            apply, blocks = fam.apply, fam.int_tensor(den)
             (dl, left), (dr, right) = (self.bind(term.left, arity),
                                        self.bind(term.right, arity))
             degree = 1 + dl + dr
@@ -293,8 +297,11 @@ class _Cells:
                 (a, lf), (b, rf) = left(idx), right(idx)
                 if lf is None or rf is None or not blocks[a][b]:
                     return table[a][b], None
-                if kernels:
-                    kernel = fam.kernel(a, b, den)
+                if kernels is not None:
+                    block = blocks[a][b]
+                    if block not in kernels:
+                        kernels[block] = block_kernel(block, d)
+                    kernel = kernels[block]
                     return table[a][b], lambda bas: kernel(lf(bas), rf(bas))
                 return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
         elif isinstance(term, Map):
@@ -306,7 +313,7 @@ class _Cells:
                 a, fn = inner(idx)
                 if fn is None:
                     return a, None
-                if kernels:
+                if kernels is not None:
                     return a, lambda bas: rows_times(rows[a], fn(bas))
                 return a, lambda bas: mats[a].apply(fn(bas), den)
         else:
@@ -521,10 +528,11 @@ def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
 
 
 def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily,
-                      den: int = 1) -> _Cells:
+                      den: int = 1, kernels: bool = False) -> _Cells:
     """What `rota_baxter_axioms` read: the instance, R and the weight,
-    over a multiple of den."""
-    return _Cells(inst, {"R": rb.maps}, weight=rb.weight, den=den)
+    over a multiple of den, on kernels if asked (see `_Cells`)."""
+    return _Cells(inst, {"R": rb.maps}, weight=rb.weight, den=den,
+                  kernels=kernels)
 
 
 def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
@@ -540,8 +548,11 @@ def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
 
 
 def morphism_cells(f: LinearFamily, src: AlgebraInstance,
-                   dst: AlgebraInstance, den: int = 1) -> _Cells:
+                   dst: AlgebraInstance, den: int = 1,
+                   kernels: bool = False) -> _Cells:
     """What `morphism_axioms` read: src's maps and products, f, and dst's
-    maps and products as P, Q and slot', over a multiple of den."""
+    maps and products as P, Q and slot', over a multiple of den, on
+    kernels if asked (see `_Cells`)."""
     return _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
-                  {slot + "'": fam for slot, fam in dst.products}, den=den)
+                  {slot + "'": fam for slot, fam in dst.products}, den=den,
+                  kernels=kernels)

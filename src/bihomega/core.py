@@ -45,10 +45,12 @@ def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
 
 
 # a block of more nonzero coefficients than this is multiplied by
-# block_times.  64 is d**3 at d = 4, the densest block that a search of
-# two or more entries reaches under the default budget; a larger block
-# is searched over a space too small to repay its compile time, about
-# 0.2 ms plus 8 us per term
+# block_times.  Measured on the RB search over C1 at d = 4 with entries
+# {0, 1} (65,536 candidates, the densest blocks a search of more than
+# one candidate reaches under the default budget): at 24 to 64 terms
+# the kernel was as fast as block_times or up to 12 % faster.  Past 64
+# terms (d >= 5) a search under the default budget has one candidate,
+# where compiling loses: about 1 to 5 ms more per search at d = 5, 6
 KERNEL_TERMS = 64
 
 
@@ -202,22 +204,6 @@ class BilinearFamily:
                 (i, tuple((j, tuple(k * v for v in cell)) for j, cell in cells_i))
                 for i, cells_i in block) for block in row) for row in self.blocks)
         return forms[den]
-
-    @cached_property
-    def _kernels(self) -> dict[tuple[int, int, int], Callable]:
-        return {}
-
-    def kernel(self, a: int, b: int, den: int) -> Callable[[Sequence, Sequence], tuple]:
-        """apply(a, b, x, y, den) without its checks, as the `block_kernel`
-        of int_tensor(den)[a][b]; built once per (a, b, den)."""
-        kernels, key = self._kernels, (a, b, den)
-        if key not in kernels:
-            kernels[key] = block_kernel(self.int_tensor(den)[a][b], self.dim)
-        return kernels[key]
-
-    def __getstate__(self) -> dict:
-        # generated code does not pickle; a copy builds its own kernels
-        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
     def apply(self, a: int, b: int, x: Vector, y: Vector,
               den: int | None = None) -> Vector:

@@ -197,7 +197,7 @@ class SearchConfig:
 
 def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
                      axioms: tuple[Axiom, ...], name: str,
-                     cells_for: Callable[[LinearFamily, int], _Cells],
+                     cells_for: Callable[..., _Cells],
                      keep: Callable[[Matrix], bool] = lambda m: True):
     """Every matrix family with entries from the configured set that passes
     `axioms` on every cell, in the lexicographic order of the whole space
@@ -209,15 +209,15 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     dropped at the first binary cell (x, y) whose sides differ, compared
     as soon as x, y and xy all have matrices.
 
-    One binding serves the whole search: cells_for(fam, den) binds the
-    axioms with fam as map `name` over a multiple of den, the lcm of the
-    entries' denominators, so every candidate's matrices are exact in
-    it.  Each index tuple's sides are bound once.  The unary pass
-    rebinds `name` at each (index, matrix); a node at depth k rebinds it
-    at index k only.  Indices past k keep stale matrices, but no cell
-    compared at depth k reads them.
+    One binding serves the whole search: cells_for(fam, den,
+    kernels=True) binds the axioms with fam as map `name` over a
+    multiple of den, the lcm of the entries' denominators, so every
+    candidate's matrices are exact in it.  Each index tuple's sides are
+    bound once.  The unary pass rebinds `name` at each (index, matrix);
+    a node at depth k rebinds it at index k only.  Indices past k keep
+    stale matrices, but no cell compared at depth k reads them.
 
-    That binding is the only one that runs on kernels (`_Cells.kernels`):
+    That binding is the only one made to run on kernels (see `_Cells`):
     its products call each block's generated int code and its maps
     `rows_times` on their int rows, never `apply`.  It is reused for
     every candidate, so each kernel is built once for thousands of
@@ -229,8 +229,7 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
         raise BudgetExceeded(space, cfg.budget)
     ident = LinearFamily.identity(omega, dim)
     den = lcm(*(v.denominator for v in cfg.entries))
-    cells = cells_for(ident, den)
-    cells.kernels = True
+    cells = cells_for(ident, den, kernels=True)
     unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
     binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
     choices = [[] for _ in range(n)]
@@ -273,8 +272,8 @@ def brute_force_rb_search(a: AlgebraInstance,
     index by index; every family it returns has passed the checker."""
     rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _pruned_families(
         a, cfg, rota_baxter_axioms(a.slot_names), "R",
-        lambda fam, den: rota_baxter_cells(
-            a, RotaBaxterFamily(fam, cfg.weight), den)))
+        lambda fam, den, kernels: rota_baxter_cells(
+            a, RotaBaxterFamily(fam, cfg.weight), den, kernels)))
     return list(itertools.islice(
         (rb for rb in rbs if check_rota_baxter(a, rb, max_witnesses=1).passed),
         cfg.target_count))
@@ -305,7 +304,7 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
 
     candidates = _pruned_families(
         a, cfg, morphism_axioms(a.slot_names), "f",
-        lambda fam, den: morphism_cells(fam, a, a, den),
+        lambda fam, den, kernels: morphism_cells(fam, a, a, den, kernels),
         keep=lambda m: all(mats_commute(m, s) for s in structure))
     morphisms = list(itertools.islice(
         (fam for fam in candidates

@@ -1,5 +1,4 @@
 import hashlib
-import pickle
 import re
 from fractions import Fraction
 from functools import partial
@@ -119,19 +118,6 @@ def test_block_kernel_matches_block_times(case, cap):
         assert all(re.fullmatch(r"[xyc]\d+|[xy]", name)
                    for name in code.co_varnames + code.co_names)
         assert kernel.__defaults__ == tuple(terms)
-
-
-def test_a_kernel_is_built_once_per_block_and_den():
-    fam = make_two_dim_example(two_dim_params(C2, [[3, 3], [3, 3]], [1, 1],
-                                              [1, 1])).product("mul")
-    assert fam.kernel(0, 1, 6) is fam.kernel(0, 1, 6)
-    assert fam.kernel(0, 1, 6) is not fam.kernel(0, 1, 12)
-    x, y = (2, -1), (3, 5)
-    assert fam.kernel(1, 1, 6)(x, y) == fam.apply(1, 1, x, y, 6)
-    # a family pickles after it has kernels, and its copy builds its own
-    copied = pickle.loads(pickle.dumps(fam))
-    assert copied == fam
-    assert copied.kernel(1, 1, 6)(x, y) == fam.apply(1, 1, x, y, 6)
 
 
 @given(rationals, rationals,

@@ -474,9 +474,9 @@ def test_rb_search_prunes_before_the_checker(monkeypatch):
 
 
 def _benchmark_instances():
-    """The benchmark's search inputs, built anew so that no kernel is
-    cached on them: the 2-dim instance over C2 whose c, p and q are sign
-    characters, and the 2-dim Lie instance {e1, e2} = 2 e2 over C2."""
+    """The benchmark's search inputs: the 2-dim instance over C2 whose
+    c, p and q are sign characters, and the 2-dim Lie instance
+    {e1, e2} = 2 e2 over C2."""
     params = two_dim_params(C2, [[1, -1], [-1, 1]], [1, -1], [1, -1])
     lie = [[[2 * v for v in cell] for cell in row] for row in LIE_2D]
     return (make_two_dim_example(params, reading="e2"),
@@ -505,7 +505,7 @@ def test_the_checker_decides_every_hit(monkeypatch):
         return run
     for name in ("check_rota_baxter", "check_morphism"):
         monkeypatch.setattr(forge, name, counted(getattr(forge, name)))
-    monkeypatch.setattr(core, "block_kernel",
+    monkeypatch.setattr(checkers, "block_kernel",
                         lambda block, dim: lambda x, y: (0,) * dim)
     monkeypatch.setattr(checkers, "rows_times", lambda rows, x: (0,) * len(rows))
     assert [search(inst, cfg) for inst in _benchmark_instances()
@@ -534,6 +534,23 @@ def test_the_pruning_applies_no_family_and_no_matrix(monkeypatch):
     assert [search(inst, cfg) for inst in _benchmark_instances()
             for search, cfg in searches] == expected
     assert applied == []
+
+
+def test_a_search_builds_one_kernel_per_distinct_block(monkeypatch):
+    # a constant product has the same block at every (a, b), so a search
+    # over C2 builds one kernel for its four, and the hit re-checks none
+    built = []
+
+    def counted(block, dim):
+        built.append(block)
+        return core.block_kernel(block, dim)
+    monkeypatch.setattr(checkers, "block_kernel", counted)
+    cube = [[[1, 2], [0, -1]], [[3, 0], [1, 1]]]
+    inst = constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2,
+                                     {"mul": cube})
+    found = brute_force_rb_search(inst, SearchConfig(entries=(0,)))
+    assert [rb.maps.maps for rb in found] == [(Matrix.zero(2, 2),) * 2]
+    assert len(built) == 1
 
 
 def test_a_search_over_a_coefficient_past_the_digit_limit():

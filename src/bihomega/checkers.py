@@ -138,6 +138,7 @@ def rota_baxter_product(m: str) -> Sum:
     return Sum(((1, Mul(m, X, R(Y))), (1, Mul(m, R(X), Y)), ("lam", Mul(m, X, Y))))
 
 
+@cache
 def rota_baxter_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
     """R(x).R(y) = R(x.R(y) + R(x).y + lam x.y) per product; R commutes with p, q."""
     return tuple(Axiom(f"rb-identity-{m}", 2, Mul(m, R(X), R(Y)),
@@ -146,6 +147,7 @@ def rota_baxter_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
         Axiom("rb-commutes-q", 1, R(q(X)), q(R(X))))
 
 
+@cache
 def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
     """f(x.y) = f(x).'f(y) on every product, where slot' is the target's,
     then P(f(x)) = f(p(x)) and Q(f(x)) = f(q(x)) for the target's P, Q."""
@@ -172,7 +174,8 @@ def _positions(term: tuple) -> frozenset[int]:
 class _Cells:
     """The data one checker call, one construction or one whole search
     reads, in integers over one common denominator `den`, and the terms
-    it has compiled.
+    it has compiled.  A search makes two: one on kernels that prunes,
+    and one that applies, on which the checker decides every hit.
 
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds each product's
@@ -209,7 +212,12 @@ class _Cells:
     rebind(name, a, m) swaps one map's matrix, rows and columns at one
     index, and clears every value memo; it never touches a bound term.
     So a search binds each index tuple once and rebinds one index per
-    node.
+    node, and a checker handed a binding (`check_rota_baxter` and
+    `check_morphism` take `cells`) rebinds the checked family at every
+    index and reuses the terms bound for the families before it.
+    made_for names what a binding was made for, as those checkers
+    compare it: ("rota-baxter", instance, weight) or ("morphism",
+    source, target).
 
     A check binds and evaluates one index tuple per class tuple of
     `index_classes`: indices whose maps, blocks and semigroup products
@@ -219,9 +227,11 @@ class _Cells:
                  maps: dict[str, LinearFamily] | None = None,
                  products: dict[str, BilinearFamily] | None = None,
                  weight: Fraction = Fraction(0), den: int = 1,
-                 kernels: bool = False):
-        """Maps and products besides the instance's own, by name."""
+                 kernels: bool = False, made_for: tuple = ()):
+        """Maps and products besides the instance's own, by name;
+        made_for names what the binding reads, for a checker handed it."""
         self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
+        self.made_for = made_for
         families = {"p": inst.p, "q": inst.q, **(maps or {})}
         self.products = {**dict(inst.products), **(products or {})}
         self.den = lcm(den, self.weight.denominator,
@@ -517,14 +527,39 @@ check_instance = _kind_checker(
     "check_instance", (), "Every axiom of the instance's kind.")
 
 
+def _rebound(cells: _Cells, made_for: tuple, name: str,
+             fam: LinearFamily) -> _Cells:
+    """cells with map `name` rebound to fam's matrix at every index.
+
+    Raises ValueError where cells was made for anything but `made_for`,
+    or with kernels=True: a checker decides on `apply` alone.  A matrix
+    whose den does not divide cells.den raises ValueError too."""
+    if cells.kernels is not None:
+        raise ValueError("a checker's binding must be made with kernels=False")
+    if cells.made_for != made_for:
+        raise ValueError(f"the binding was not made for this {made_for[0]} check")
+    for a, m in enumerate(fam.maps):
+        cells.rebind(name, a, m)
+    return cells
+
+
 def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
-                      max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
+                      max_witnesses: int = DEFAULT_WITNESS_CAP,
+                      cells: _Cells | None = None) -> CheckReport:
     """The weight-lambda operator identity on every product component,
-    plus commutation with both structure maps."""
+    plus commutation with both structure maps.
+
+    cells, from rota_baxter_cells(inst, ..., kernels=False) at rb's
+    weight, is the binding to decide on; R is rebound to rb's matrices
+    there, so one binding decides family after family with its terms
+    bound once.  Without it, one is made for this call."""
     if rb.maps.dim != inst.dim or rb.maps.omega != inst.omega:
         raise ShapeMismatch("operator family does not match the instance")
+    if cells is None:
+        cells = rota_baxter_cells(inst, rb)
     return _report("rota-baxter", rota_baxter_axioms(inst.slot_names),
-                   rota_baxter_cells(inst, rb), max_witnesses)
+                   _rebound(cells, ("rota-baxter", inst, rb.weight), "R",
+                            rb.maps), max_witnesses)
 
 
 def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily,
@@ -532,19 +567,28 @@ def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily,
     """What `rota_baxter_axioms` read: the instance, R and the weight,
     over a multiple of den, on kernels if asked (see `_Cells`)."""
     return _Cells(inst, {"R": rb.maps}, weight=rb.weight, den=den,
-                  kernels=kernels)
+                  kernels=kernels, made_for=("rota-baxter", inst, rb.weight))
 
 
 def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
-                   max_witnesses: int = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """Multiplicativity over every product plus structure-map intertwining."""
+                   max_witnesses: int = DEFAULT_WITNESS_CAP,
+                   cells: _Cells | None = None) -> CheckReport:
+    """Multiplicativity over every product plus structure-map intertwining.
+
+    cells, from morphism_cells(..., src, dst, kernels=False), is the
+    binding to decide on; f is rebound to its matrices there, so one
+    binding decides family after family with its terms bound once.
+    Without it, one is made for this call."""
     if src.kind != dst.kind:
         raise KindMismatch("morphism endpoints must share a kind")
     if f.dim != src.dim or dst.dim != src.dim or f.omega != src.omega \
             or dst.omega != src.omega:
         raise ShapeMismatch("morphism family does not match the instances")
+    if cells is None:
+        cells = morphism_cells(f, src, dst)
     return _report("morphism", morphism_axioms(src.slot_names),
-                   morphism_cells(f, src, dst), max_witnesses)
+                   _rebound(cells, ("morphism", src, dst), "f", f),
+                   max_witnesses)
 
 
 def morphism_cells(f: LinearFamily, src: AlgebraInstance,
@@ -555,4 +599,4 @@ def morphism_cells(f: LinearFamily, src: AlgebraInstance,
     kernels if asked (see `_Cells`)."""
     return _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
                   {slot + "'": fam for slot, fam in dst.products}, den=den,
-                  kernels=kernels)
+                  kernels=kernels, made_for=("morphism", src, dst))

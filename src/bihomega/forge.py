@@ -194,6 +194,12 @@ class SearchConfig:
                            tuple(dict.fromkeys(frac(v) for v in self.entries)))
         object.__setattr__(self, "weight", frac(self.weight))
 
+    @property
+    def den(self) -> int:
+        """The lcm of the entries' denominators, over which every
+        candidate's matrices are exact."""
+        return lcm(*(v.denominator for v in self.entries))
+
 
 def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
                      axioms: tuple[Axiom, ...], name: str,
@@ -209,27 +215,26 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     dropped at the first binary cell (x, y) whose sides differ, compared
     as soon as x, y and xy all have matrices.
 
-    One binding serves the whole search: cells_for(fam, den,
-    kernels=True) binds the axioms with fam as map `name` over a
-    multiple of den, the lcm of the entries' denominators, so every
-    candidate's matrices are exact in it.  Each index tuple's sides are
-    bound once.  The unary pass rebinds `name` at each (index, matrix);
-    a node at depth k rebinds it at index k only.  Indices past k keep
-    stale matrices, but no cell compared at depth k reads them.
+    One binding serves the whole pruning: cells_for(fam, kernels=True)
+    binds the axioms with fam as map `name` over a multiple of cfg.den,
+    so every candidate's matrices are exact in it.  Each index tuple's
+    sides are bound once.  The unary pass rebinds `name` at each (index,
+    matrix); a node at depth k rebinds it at index k only.  Indices past
+    k keep stale matrices, but no cell compared at depth k reads them.
 
     That binding is the only one made to run on kernels (see `_Cells`):
     its products call each block's generated int code and its maps
     `rows_times` on their int rows, never `apply`.  It is reused for
     every candidate, so each kernel is built once for thousands of
-    calls.  The checkers that decide the hits bind afresh and apply.
+    calls.  The caller decides each family it yields with the checker,
+    on a second binding, cells_for(fam, kernels=False), which applies
+    and shares no kernel with this one.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
     if space > cfg.budget:
         raise BudgetExceeded(space, cfg.budget)
-    ident = LinearFamily.identity(omega, dim)
-    den = lcm(*(v.denominator for v in cfg.entries))
-    cells = cells_for(ident, den, kernels=True)
+    cells = cells_for(LinearFamily.identity(omega, dim), kernels=True)
     unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
     binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
     choices = [[] for _ in range(n)]
@@ -269,13 +274,18 @@ def brute_force_rb_search(a: AlgebraInstance,
                           cfg: SearchConfig) -> list[RotaBaxterFamily]:
     """All weight-cfg.weight operator families over the entry set that
     pass check_rota_baxter, in enumeration order.  The search prunes
-    index by index; every family it returns has passed the checker."""
+    index by index; every family it returns has passed the checker,
+    each decided on one binding made for the search, with
+    kernels=False, that the checker rebinds to the family."""
+    def cells_for(fam, kernels):
+        return rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight), cfg.den,
+                                 kernels)
     rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _pruned_families(
-        a, cfg, rota_baxter_axioms(a.slot_names), "R",
-        lambda fam, den, kernels: rota_baxter_cells(
-            a, RotaBaxterFamily(fam, cfg.weight), den, kernels)))
+        a, cfg, rota_baxter_axioms(a.slot_names), "R", cells_for))
+    hits = cells_for(LinearFamily.identity(a.omega, a.dim), kernels=False)
     return list(itertools.islice(
-        (rb for rb in rbs if check_rota_baxter(a, rb, max_witnesses=1).passed),
+        (rb for rb in rbs
+         if check_rota_baxter(a, rb, max_witnesses=1, cells=hits).passed),
         cfg.target_count))
 
 
@@ -287,8 +297,10 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     the power pair (f, f o f), plus cross pairs that commute.  The
     morphism search prunes index by index, and keeps at each index only
     the matrices that commute with every p_b and q_b; every morphism it
-    keeps has passed check_morphism.  Whether the morphisms commute with
-    themselves and each other is decided once per pair of matrices.
+    keeps has passed check_morphism, each decided on one binding made
+    for the search, with kernels=False, that the checker rebinds to the
+    family.  Whether the morphisms commute with themselves and each
+    other is decided once per pair of matrices.
     """
     structure = a.p.maps + a.q.maps
     # keyed by identity, since hashing a Matrix hashes its Fractions; each
@@ -302,15 +314,17 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
             decided[key] = mats_commute(m, k), m, k
         return decided[key][0]
 
+    def cells_for(fam, kernels):
+        return morphism_cells(fam, a, a, cfg.den, kernels)
     candidates = _pruned_families(
-        a, cfg, morphism_axioms(a.slot_names), "f",
-        lambda fam, den, kernels: morphism_cells(fam, a, a, den, kernels),
+        a, cfg, morphism_axioms(a.slot_names), "f", cells_for,
         keep=lambda m: all(mats_commute(m, s) for s in structure))
+    ident = LinearFamily.identity(a.omega, a.dim)
+    hits = cells_for(ident, kernels=False)
     morphisms = list(itertools.islice(
         (fam for fam in candidates
-         if check_morphism(fam, a, a, max_witnesses=1).passed),
+         if check_morphism(fam, a, a, max_witnesses=1, cells=hits).passed),
         cfg.target_count))
-    ident = LinearFamily.identity(a.omega, a.dim)
     pairs = [(ident, ident)]
     for f in morphisms:
         # a family may fail to commute with itself across indices

@@ -404,6 +404,67 @@ def test_morphism_kind_mismatch():
         check_morphism(LinearFamily.identity(C2, 2), a, b)
 
 
+# -- a binding handed to the checkers -----------------------------------------
+
+def _sign_instance():
+    return make_two_dim_example(
+        two_dim_params(C2, [[1, -1], [-1, 1]], [1, -1], [1, -1]), reading="e2")
+
+
+def test_a_handed_binding_decides_as_a_fresh_one():
+    # an equal instance is the same instance: its binding is accepted
+    inst, ident = _sign_instance(), LinearFamily.identity(C2, 2)
+    rbs = [RotaBaxterFamily(LinearFamily.constant(C2, Matrix.diagonal([v, v])), 1)
+           for v in (-1, 2, 0)]
+    cells = rota_baxter_cells(_sign_instance(), RotaBaxterFamily(ident, 1))
+    reports = [check_rota_baxter(inst, rb, cells=cells) for rb in rbs]
+    assert reports == [check_rota_baxter(inst, rb) for rb in rbs]
+    assert [r.passed for r in reports] == [True, False, True]
+    cells = morphism_cells(ident, inst, inst)
+    for f in (inst.p, LinearFamily.constant(C2, Matrix.diagonal([1, 2])), ident):
+        assert check_morphism(f, inst, inst, cells=cells) \
+            == check_morphism(f, inst, inst)
+
+
+_REFUSAL = {"kernels": "kernels=False", "den": "not a multiple"}
+
+
+@pytest.mark.parametrize("made", ["instance", "weight", "kernels", "morphism",
+                                  "den"])
+def test_a_binding_made_for_another_rota_baxter_check_is_refused(made):
+    inst, ident = _sign_instance(), LinearFamily.identity(C2, 2)
+    rb = RotaBaxterFamily(ident, 1)
+    cells = {
+        "instance": lambda: rota_baxter_cells(
+            constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D}),
+            rb),
+        "weight": lambda: rota_baxter_cells(inst, RotaBaxterFamily(ident, 0)),
+        # a hit must never be decided on kernel code
+        "kernels": lambda: rota_baxter_cells(inst, rb, kernels=True),
+        "morphism": lambda: morphism_cells(ident, inst, inst),
+        # R's entries are not exact over the binding's den
+        "den": lambda: rota_baxter_cells(inst, rb, den=3),
+    }[made]()
+    half = RotaBaxterFamily(LinearFamily.constant(
+        C2, Matrix.diagonal([Fraction(1, 2)] * 2)), 1)
+    with pytest.raises(ValueError, match=_REFUSAL.get(made, "not made for")):
+        check_rota_baxter(inst, half if made == "den" else rb, cells=cells)
+
+
+@pytest.mark.parametrize("made", ["source", "target", "kernels", "rota-baxter"])
+def test_a_binding_made_for_another_morphism_check_is_refused(made):
+    inst, ident = _sign_instance(), LinearFamily.identity(C2, 2)
+    other = zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, 2)
+    cells = {
+        "source": lambda: morphism_cells(ident, other, inst),
+        "target": lambda: morphism_cells(ident, inst, other),
+        "kernels": lambda: morphism_cells(ident, inst, inst, kernels=True),
+        "rota-baxter": lambda: rota_baxter_cells(inst, RotaBaxterFamily(ident, 0)),
+    }[made]()
+    with pytest.raises(ValueError, match=_REFUSAL.get(made, "not made for")):
+        check_morphism(ident, inst, inst, cells=cells)
+
+
 def test_dendriform_swap_detected():
     # build a passing non-symmetric dendriform pair, then swap halves
     from bihomega.constructions import rb_split_dendriform

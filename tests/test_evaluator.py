@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, _Cells, _report,
                                check_instance, check_morphism,
                                check_rota_baxter, mismatches, morphism_axioms,
-                               rota_baxter_axioms, rota_baxter_cells)
+                               morphism_cells, rota_baxter_axioms,
+                               rota_baxter_cells)
 from bihomega.constructions import RECIPES, assoc_to_lie, rb_star_associative
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.linalg import Matrix
 from bihomega.reports import AxiomResult, CheckReport, Witness
-from bihomega.semigroup import cyclic_group, left_zero_semigroup
+from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
+                                trivial_semigroup)
 
 C2, C3, LEFT_ZERO = cyclic_group(2), cyclic_group(3), left_zero_semigroup(2)
 
@@ -253,6 +255,54 @@ def test_rebinding_one_index_matches_the_fraction_evaluator(with_rb, case, data)
                else _env(now))
         expected = _reference(subject, axioms, env, omega, 10)
         _assert_same(_report(subject, axioms, cells, 10), expected)
+
+
+# -- one binding handed to the checkers, family after family -----------------
+
+HANDED_SHAPES = [(trivial_semigroup(), 1), (trivial_semigroup(), 2), (C2, 1),
+                 (C2, 2), (LEFT_ZERO, 1), (LEFT_ZERO, 2)]
+HANDED_WEIGHTS = (Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2))
+
+
+@st.composite
+def family_sequences(draw, omega, d, passing):
+    """A random family, the zero one, a constant random one, `passing`
+    and a random one: each differs from the one before at index 0, so
+    not only at the last index."""
+    zero = LinearFamily.constant(omega, Matrix.zero(d, d))
+
+    def apart(*fams):
+        return lambda fam: all(fam.maps[0] != g.maps[0] for g in fams)
+    constant = matrices(d).map(partial(LinearFamily.constant, omega))
+    return [draw(families(omega, d).filter(apart(zero))), zero,
+            draw(constant.filter(apart(zero, passing))), passing,
+            draw(families(omega, d).filter(apart(passing)))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(HANDED_SHAPES), data=st.data())
+def test_one_handed_binding_decides_each_family_as_a_fresh_call(shape, data):
+    """What a search does with its hits: one binding, made once, handed
+    to the checker with family after family, gives every report of a
+    fresh call.  A column, a matrix or a memo kept from the family before
+    would show as a report that differs."""
+    omega, d = shape
+    inst = data.draw(instances(data.draw(st.sampled_from(_kinds(omega))),
+                               omega, d))
+    den, ident = lcm(*(v.denominator for v in SCALARS)), LinearFamily.identity(omega, d)
+    weight = data.draw(st.sampled_from(HANDED_WEIGHTS))
+    cells = rota_baxter_cells(inst, RotaBaxterFamily(ident, weight), den=den)
+    # -weight * id passes for any product, and with any p and q
+    minus = LinearFamily.constant(omega, Matrix.diagonal([-weight] * d))
+    for fam in data.draw(family_sequences(omega, d, minus)):
+        rb = RotaBaxterFamily(fam, weight)
+        _assert_same(check_rota_baxter(inst, rb, cells=cells),
+                     check_rota_baxter(inst, rb))
+    dst = data.draw(st.one_of(st.just(inst), instances(inst.kind, omega, d)))
+    cells = morphism_cells(ident, inst, dst, den=den)
+    for f in data.draw(family_sequences(omega, d, ident)):
+        _assert_same(check_morphism(f, inst, dst, cells=cells),
+                     check_morphism(f, inst, dst))
 
 
 def _rational_instance():

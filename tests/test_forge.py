@@ -462,6 +462,37 @@ def test_a_search_makes_one_binding_that_holds_no_memo(monkeypatch):
         assert len(made) == 1 and made[0].memos == []
 
 
+def test_a_search_decides_every_hit_on_one_binding_that_applies(monkeypatch):
+    # two bindings per search, whatever its hit count: the first, on
+    # kernels, prunes; the second, on apply, is handed to the checker for
+    # every candidate the pruning yields
+    made, handed, init = [], [], _Cells.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(_Cells, "__init__", counted)
+    for name in ("check_rota_baxter", "check_morphism"):
+        def check(*args, check=getattr(forge, name), **kwargs):
+            report = check(*args, **kwargs)
+            handed.append((kwargs["cells"], report.passed))
+            return report
+        monkeypatch.setattr(forge, name, check)
+    base, hits = two_dim_instance(C2), []
+    for search, cfg in (
+            (brute_force_rb_search, SearchConfig(weight=1)),
+            (brute_force_rb_search, SearchConfig(weight=1, target_count=1)),
+            (brute_force_rb_search, SearchConfig(entries=(1,), weight=1)),
+            (make_endomorphism_pairs, SearchConfig())):
+        made.clear()
+        handed.clear()
+        search(base, cfg)
+        assert [cells.kernels is None for cells in made] == [False, True]
+        assert all(cells is made[1] for cells, _ in handed)
+        hits.append(sum(passed for _, passed in handed))
+    assert hits[:3] == [20, 1, 0] and hits[3] > 1
+
+
 def test_rb_search_prunes_before_the_checker(monkeypatch):
     calls = []
 

@@ -228,8 +228,7 @@ class _Cells:
                  products: dict[str, BilinearFamily] | None = None,
                  weight: Fraction = Fraction(0), den: int = 1,
                  kernels: bool = False, made_for: tuple = ()):
-        """Maps and products besides the instance's own, by name;
-        made_for names what the binding reads, for a checker handed it."""
+        """Maps and products besides the instance's own, by name."""
         self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
         self.made_for = made_for
         families = {"p": inst.p, "q": inst.q, **(maps or {})}

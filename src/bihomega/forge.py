@@ -227,8 +227,8 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     `rows_times` on their int rows, never `apply`.  It is reused for
     every candidate, so each kernel is built once for thousands of
     calls.  The caller decides each family it yields with the checker,
-    on a second binding, cells_for(fam, kernels=False), which applies
-    and shares no kernel with this one.
+    on a second binding that it makes once, cells_for(identity,
+    kernels=False), which applies and shares no kernel with this one.
     """
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)

@@ -7,14 +7,13 @@ optional (`e2` means `1 e2`) and a bare `0` stands for the zero vector.
 A name or entry repeated within its scope is an error.  A stray
 character anywhere is reported first; then the parser reads the text
 through a cursor that holds the next token's text and offset, found past
-whitespace and comments by one anchored regex match.  At the head of a
-product entry or a map row, the statement in the form the serializer
-writes (every term with its coefficient, each vector once, no comment
-inside) is read by one regex match and the cursor jumps past it; one
-that does not match, or that the read rejects, goes to the token rules
-from where it stands, so nothing is parsed twice.  Line and column are
-worked out only when an error is raised, from the offset of the token
-it is placed at.
+whitespace and comments by one anchored regex match.  In a product block
+or map body, a run of statements in exactly the serializer's spacing is
+read by one regex match each, with one cursor move past the run; any
+other statement, or one the read rejects, goes from where it stands to
+the token rules, which give the same result, so nothing is parsed twice.
+Line and column are worked out only when an error is raised, from the
+offset of the token it is placed at.
 Serialization is canonical: names sorted, rationals in lowest terms with
 explicit coefficients, only nonzero product entries written, fixed
 two-space indentation.  A numerator or denominator is written only if
@@ -27,9 +26,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .core import (AlgebraInstance, AlgebraKind, BilinearFamily, LinearFamily,
-                   Ratios, RotaBaxterFamily, lowest_terms, new_instance)
+                   Ratios, RotaBaxterFamily, new_instance)
 from .errors import NumberTooLong, ParseError, ResolutionError
 from .linalg import Matrix
 from .semigroup import SemigroupTable
@@ -43,25 +43,24 @@ _TOKEN = rf"[A-Za-z_][A-Za-z0-9_]*|\d+|[{_PUNCT}]"
 _TOKEN_RE = re.compile(_TOKEN)
 # the next token past whitespace and comments, if there is one
 _NEXT_RE = re.compile(rf"(?:\s+|#[^\n]*)*({_TOKEN})?")
-# A whole statement, tried where one starts: a product entry `(a,b):
-# e_i*e_j = c e_k + ...;` whose every term has a coefficient, or a map row
-# `a: [[...], ...];`.  It ends where a token does and holds no comment, so
-# the token rules would read it as the tokens its groups are read from.
-# No two quantifiers can take the same whitespace, so a statement that
-# fails to match fails in linear time.
+# A whole statement in the serializer's spacing, and the whitespace after
+# it: `(a,b): e1*e2 = -45/7 e1 + 3 e2;` or `a: [[1, -1/2], [0, 3]];`.  No
+# space in it is optional, so a match or a failure takes one pass.  It
+# ends where a token does and holds no comment, so the token rules would
+# read it as the tokens its groups are read from.
 _ID, _INT = "[A-Za-z_][A-Za-z0-9_]*", "[0-9]+"
-_RATIONAL = rf"(?:-\s*)?{_INT}\s*(?:/\s*{_INT}\s*)?"
-_TERM = rf"{_RATIONAL}e{_INT}\s*"
-_ROW = rf"\[\s*{_RATIONAL}(?:,\s*{_RATIONAL})*\]\s*"
+_RATIONAL = rf"-?{_INT}(?:/{_INT})?"
+_TERM = rf"{_RATIONAL} e{_INT}"
+_ROW = rf"\[{_RATIONAL}(?:, {_RATIONAL})*\]"
 _ENTRY_RE = re.compile(
-    rf"\(\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})\s*\)\s*:\s*e(?P<i>{_INT})"
-    rf"\s*\*\s*e(?P<j>{_INT})\s*=\s*(?P<terms>{_TERM}(?:\+\s*{_TERM})*);")
+    rf"\((?P<a>{_ID}),(?P<b>{_ID})\): e(?P<i>{_INT})\*e(?P<j>{_INT}) = "
+    rf"(?P<terms>{_TERM}(?: \+ {_TERM})*);\s*")
 _MAP_ROW_RE = re.compile(
-    rf"(?P<label>{_ID})\s*:\s*\[\s*(?P<rows>{_ROW}(?:,\s*{_ROW})*)\]\s*;")
-# the parts of a matched statement: a term's sign, digits and vector, a
-# row, and a rational's sign and digits
-_PARTS = rf"(?:(-)\s*)?({_INT})\s*(?:/\s*({_INT})\s*)?"
-_TERM_RE = re.compile(rf"{_PARTS}e({_INT})")
+    rf"(?P<label>{_ID}): \[(?P<rows>{_ROW}(?:, {_ROW})*)\];\s*")
+# the parts of a matched statement: a term's signed numerator, denominator
+# and vector, a row, and a rational's signed numerator and denominator
+_PARTS = rf"(-?{_INT})(?:/({_INT}))?"
+_TERM_RE = re.compile(rf"{_PARTS} e({_INT})")
 _ROW_RE = re.compile(r"\[([^\]]*)\]")
 _RATIONAL_RE = re.compile(_PARTS)
 # up to the first stray character: each of the class starts a token
@@ -107,11 +106,11 @@ def _read_entry(m: re.Match, index: dict[str, int], dim: int
     try:
         key = (index[a], index[b], int(i) - 1, int(j) - 1)
         nums, dens = [0] * dim, [0] * dim
-        for sign, num, den, k in _TERM_RE.findall(terms):
+        for num, den, k in _TERM_RE.findall(terms):
             k, d = int(k) - 1, int(den or 1)
             if not (0 <= k < dim and d) or dens[k]:
                 return None
-            nums[k], dens[k] = -int(num) if sign else int(num), d
+            nums[k], dens[k] = int(num), d
     except _NOT_READ:
         return None
     return (key, (nums, dens)) if 0 <= key[2] < dim and 0 <= key[3] < dim else None
@@ -127,8 +126,7 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int
         return None
     try:
         return index[label], Matrix.from_rows(
-            [[Fraction(-int(num) if sign else int(num), int(den or 1))
-              for sign, num, den in row] for row in rows])
+            [[Fraction(int(n), int(d or 1)) for n, d in row] for row in rows])
     except _NOT_READ:
         return None
 
@@ -136,9 +134,8 @@ def _read_map_row(m: re.Match, index: dict[str, int], dim: int
 class _Parser:
     def __init__(self, text: str):
         """A cursor over the text: the next token's text and offset, and
-        the offset of the token before it.  Only the loop of a product
-        block or map body tries a whole statement, where the next token
-        is."""
+        the offset of the token before it.  Only `_block`, the loop of a
+        product block or map body, tries whole statements."""
         stray = _CLEAN_RE.match(text).end()
         if stray < len(text):
             raise ParseError(*_place(text, stray), "a token", text[stray])
@@ -271,14 +268,11 @@ class _Parser:
                     f"duplicate table entry {elements[a]}*{elements[b]} "
                     f"in semigroup {name!r}")
             table[a][b] = r
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] is None:
-                    raise ResolutionError(
-                        f"semigroup {name!r} table is missing "
-                        f"{elements[i]}*{elements[j]}")
-        commutative = self._accept("commutative")
-        if commutative:
+        missing = [f"{a}*{b}" for a, row in zip(elements, table)
+                   for b, r in zip(elements, row) if r is None]
+        if missing:
+            raise ResolutionError(f"semigroup {name!r} table is missing {missing[0]}")
+        if commutative := self._accept("commutative"):
             self._expect(";")
         self._expect("}")
         self.ws.semigroups[name] = SemigroupTable(
@@ -309,32 +303,52 @@ class _Parser:
         # the rows hold int pairs, so no value was built before the shape check
         return Matrix.from_rows([[Fraction(*v) for v in row] for row in rows])
 
+    def _block(self, regex: re.Pattern, read, rule, omega_name: str,
+               dim: int, duplicate) -> dict:
+        """A `{ ... }` block as a dict of its statements' (key, value)
+        reads; a key read twice raises `duplicate(key)`.  A run of
+        statements in the serializer's spacing is read by one `regex` match
+        and one `read` each, with one cursor move past the run; any other
+        statement goes from where it stands to `rule`, then to its ';'."""
+        index = {e: i for i, e in enumerate(self.ws.semigroups[omega_name].elements)}
+        self._expect("{")
+        text, at, block = self.text, self.at, {}
+        while True:
+            if (m := regex.match(text, at)) and (got := read(m, index, dim)):
+                at = m.end()
+            elif at > self.at:
+                # the token before the cursor is the run's last ';'
+                self._move(at)
+                self.prev, at = text.rindex(";", 0, at), self.at
+                continue
+            elif self._accept("}"):
+                return block
+            else:
+                got = rule(index, omega_name, dim)
+                self._expect(";")
+                at = self.at
+            key, value = got
+            if key in block:
+                raise ResolutionError(duplicate(key))
+            block[key] = value
+
+    def _map_row(self, index: dict[str, int], omega_name: str,
+                 dim: int) -> tuple[int, Matrix]:
+        a = self._element(index, omega_name)
+        self._expect(":")
+        return a, self._parse_matrix(dim)
+
     def _parse_map_body(self, omega_name: str, dim: int,
                         owner: str) -> LinearFamily:
         omega = self.ws.semigroups[omega_name]
-        index = {e: i for i, e in enumerate(omega.elements)}
-        mats: dict[int, Matrix] = {}
-        self._expect("{")
-        while not self._accept("}"):
-            if (m := _MAP_ROW_RE.match(self.text, self.at)) and (
-                    read := _read_map_row(m, index, dim)):
-                self._move(m.end())
-                a, matrix = read
-            else:
-                a = self._element(index, omega_name)
-                self._expect(":")
-                matrix = self._parse_matrix(dim)
-                self._expect(";")
-            if a in mats:
-                raise ResolutionError(
-                    f"{owner}: duplicate matrix for element {omega.elements[a]!r}")
-            mats[a] = matrix
+        mats = self._block(
+            _MAP_ROW_RE, _read_map_row, self._map_row, omega_name, dim,
+            lambda a: f"{owner}: duplicate matrix for element {omega.elements[a]!r}")
         missing = [omega.elements[i] for i in range(omega.order) if i not in mats]
         if missing:
             raise ResolutionError(
                 f"{owner}: missing matrices for elements {missing}")
-        return LinearFamily(omega, dim,
-                            tuple(mats[i] for i in range(omega.order)))
+        return LinearFamily(omega, dim, tuple(mats[i] for i in range(omega.order)))
 
     def _parse_family(self, keyword: str):
         """A `maps` block, or a `rota_baxter` block, which adds a weight."""
@@ -365,6 +379,20 @@ class _Parser:
                 break
         return nums, dens
 
+    def _entry(self, index: dict[str, int], omega_name: str, dim: int
+               ) -> tuple[tuple[int, int, int, int], Ratios]:
+        self._expect("(")
+        a = self._element(index, omega_name)
+        self._expect(",")
+        b = self._element(index, omega_name)
+        self._expect(")")
+        self._expect(":")
+        i = self._basis_index(dim)
+        self._expect("*")
+        j = self._basis_index(dim)
+        self._expect("=")
+        return (a, b, i, j), self._parse_lincomb(dim)
+
     def _parse_algebra(self, keyword: str):
         name = self._name(keyword, self.ws.algebras, "an algebra name")
         self._expect(":")
@@ -375,7 +403,6 @@ class _Parser:
         owner = f"{keyword} {name!r}"
         omega_name, omega, dim = self._over(owner)
         self._expect("{")
-        element_index = {e: i for i, e in enumerate(omega.elements)}
         product_entries: dict[str, dict] = {}
         maps: dict[str, LinearFamily] = {}
         while not self._accept("}"):
@@ -386,33 +413,11 @@ class _Parser:
                         f"kind {kind_name} has no product {slot!r}")
                 if slot in product_entries:
                     raise ResolutionError(f"duplicate product block {slot!r}")
-                entries: dict[tuple[int, int, int, int], Ratios] = {}
-                self._expect("{")
-                while not self._accept("}"):
-                    if (m := _ENTRY_RE.match(self.text, self.at)) and (
-                            read := _read_entry(m, element_index, dim)):
-                        self._move(m.end())
-                        (a, b, i, j), cell = read
-                    else:
-                        self._expect("(")
-                        a = self._element(element_index, omega_name)
-                        self._expect(",")
-                        b = self._element(element_index, omega_name)
-                        self._expect(")")
-                        self._expect(":")
-                        i = self._basis_index(dim)
-                        self._expect("*")
-                        j = self._basis_index(dim)
-                        self._expect("=")
-                        cell = self._parse_lincomb(dim)
-                        self._expect(";")
-                    if (a, b, i, j) in entries:
-                        raise ResolutionError(
-                            f"duplicate product entry ({omega.elements[a]},"
-                            f"{omega.elements[b]}): e{i + 1}*e{j + 1} "
-                            f"in algebra {name!r}")
-                    entries[(a, b, i, j)] = cell
-                product_entries[slot] = entries
+                product_entries[slot] = self._block(
+                    _ENTRY_RE, _read_entry, self._entry, omega_name, dim,
+                    lambda k: "duplicate product entry ({},{}): e{}*e{} in algebra "
+                    "{!r}".format(omega.elements[k[0]], omega.elements[k[1]],
+                                  k[2] + 1, k[3] + 1, name))
             elif self._accept("map"):
                 which = self._take("ident", "'p' or 'q'")
                 if which not in ("p", "q"):
@@ -441,24 +446,30 @@ def parse_workspace(text: str) -> Workspace:
 # serialization ------------------------------------------------------
 
 
+def _fmt_ratios(ints, den: int, suffixes) -> list[str]:
+    """Each v/den as str(Fraction(v, den)) writes it, by one gcd apiece,
+    then its suffix; a zero with a suffix, a term of a sum, is left out."""
+    out = []
+    for v, s in zip(ints, suffixes):
+        if v or not s:
+            g = gcd(v, den)
+            out.append(f"{v // g}{s}" if g == den else f"{v // g}/{den // g}{s}")
+    return out
+
+
 def _fmt_matrix(m: Matrix) -> str:
-    rows = ", ".join(
-        "[" + ", ".join(str(v) for v in m.row(i)) + "]" for i in range(m.rows))
-    return "[" + rows + "]"
+    cols, bare = range(m.cols), [""] * m.cols
+    rows = [_fmt_ratios([row.get(j, 0) for j in cols], m.den, bare)
+            for row in map(dict, m.int_rows(m.den))]
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def _serialize_semigroup(name: str, t: SemigroupTable) -> list[str]:
-    lines = [f"semigroup {name} {{"]
-    lines.append("  elements " + " ".join(t.elements) + ";")
-    lines.append("  table {")
-    for i, a in enumerate(t.elements):
-        for j, b in enumerate(t.elements):
-            lines.append(f"    {a}*{b} = {t.elements[t.table[i][j]]};")
-    lines.append("  }")
-    if t.commutative:
-        lines.append("  commutative;")
-    lines.append("}")
-    return lines
+    els = t.elements
+    return [f"semigroup {name} {{", f"  elements {' '.join(els)};", "  table {",
+            *(f"    {a}*{b} = {els[r]};"
+              for a, row in zip(els, t.table) for b, r in zip(els, row)),
+            "  }", *(["  commutative;"] if t.commutative else []), "}"]
 
 
 def _serialize_map_body(fam: LinearFamily, indent: str) -> list[str]:
@@ -471,24 +482,18 @@ def _serialize_algebra(name: str, omega_name: str,
     lines = [f"algebra {name} : {inst.kind.value} over {omega_name} "
              f"dim {inst.dim} {{"]
     elements = inst.omega.elements
+    vectors = [f" e{k}" for k in range(1, inst.dim + 1)]
     for slot, fam in inst.products:
         lines.append(f"  product {slot} {{")
         den = fam.den
         for (a, b, i, j), cell in fam.int_cells():
-            terms = []   # each nonzero v/den, as str(Fraction(v, den)) writes it
-            for k, v in enumerate(cell):
-                if v:
-                    n, d = lowest_terms(v, den)
-                    terms.append(f"{n} e{k + 1}" if d == 1 else f"{n}/{d} e{k + 1}")
+            terms = " + ".join(_fmt_ratios(cell, den, vectors))
             lines.append(f"    ({elements[a]},{elements[b]}): "
-                         f"e{i + 1}*e{j + 1} = {' + '.join(terms)};")
+                         f"e{i + 1}*e{j + 1} = {terms};")
         lines.append("  }")
     for which, fam in (("p", inst.p), ("q", inst.q)):
-        lines.append(f"  map {which} {{")
-        lines.extend(_serialize_map_body(fam, "    "))
-        lines.append("  }")
-    lines.append("}")
-    return lines
+        lines += [f"  map {which} {{", *_serialize_map_body(fam, "    "), "  }"]
+    return lines + ["}"]
 
 
 def serialize_workspace(ws: Workspace, header_comments: tuple[str, ...] = ()
@@ -510,8 +515,7 @@ def _serialize(ws: Workspace, header_comments: tuple[str, ...]) -> str:
     for comment in header_comments:
         lines.extend(f"# {line}" for line in comment.split("\n"))
     for name in sorted(ws.semigroups):
-        lines.append("")
-        lines.extend(_serialize_semigroup(name, ws.semigroups[name]))
+        lines += ["", *_serialize_semigroup(name, ws.semigroups[name])]
     families = [(f"maps {name} over {ws.omega_of[('maps', name)]} "
                  f"dim {fam.dim}", fam)
                 for name, fam in sorted(ws.linear_maps.items())]
@@ -519,14 +523,10 @@ def _serialize(ws: Workspace, header_comments: tuple[str, ...]) -> str:
                   f"dim {rb.maps.dim} weight {rb.weight}", rb.maps)
                  for name, rb in sorted(ws.rota_baxter.items())]
     for header, fam in families:
-        lines.append("")
-        lines.append(header + " {")
-        lines.extend(_serialize_map_body(fam, "  "))
-        lines.append("}")
+        lines += ["", header + " {", *_serialize_map_body(fam, "  "), "}"]
     for name in sorted(ws.algebras):
         omega_name = ws.omega_of[("algebra", name)]
-        lines.append("")
-        lines.extend(_serialize_algebra(name, omega_name, ws.algebras[name]))
+        lines += ["", *_serialize_algebra(name, omega_name, ws.algebras[name])]
     return "\n".join(lines) + "\n"
 
 

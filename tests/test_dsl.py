@@ -14,7 +14,7 @@ from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.dsl import (HEADER, Workspace, parse_workspace,
                           serialize_workspace, workspace_for_instance)
-from bihomega.errors import ParseError, ResolutionError
+from bihomega.errors import NumberTooLong, ParseError, ResolutionError
 from bihomega.forge import constant_product_instance, zero_instance
 from bihomega.linalg import Matrix
 from bihomega.semigroup import cyclic_group, trivial_semigroup
@@ -581,6 +581,12 @@ ENTRY_MUTATIONS = {
     "duplicate": (r"^(.*)$", r"\1\n\1"),
     "map row": (r"\(.*", "g0: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], "
                 "[0, 0, 0, 1]];"),
+    # spacings the serializer does not write
+    "spaced pair": (r"\((g\d),", r"(\1, "),
+    "spaced product": (r"(e\d+)\*", r"\1 * "),
+    "spaced fraction": (r"= [-0-9/]+ e", "= 3 / 7 e"),
+    "spaced sign": (r"= [-0-9/]+ e", "= - 3 e"),
+    "newline between terms": (r"= .*;", "= 1 e1\n      + -2/3 e2;"),
 }
 ROW_MUTATIONS = {
     "comment": (r": \[", ": [ # a comment\n      "),
@@ -591,6 +597,10 @@ ROW_MUTATIONS = {
     "missing row": (r", \[[^\]]*\]\]", "]"),
     "duplicate": (r"^(.*)$", r"\1\n\1"),
     "product entry": (r"g\d.*", "(g0,g1): e1*e2 = 1 e3;"),
+    # spacings the serializer does not write
+    "spaced row": (r"\[\[([^\]]*)\]", r"[[ \1 ]"),
+    "space before comma": (r"(\d), ", r"\1 ,"),
+    "newline between rows": (r"\], \[", "],\n      ["),
 }
 
 
@@ -754,6 +764,59 @@ def test_canonical_statements_skip_the_token_rules(monkeypatch):
     assert parse_workspace(STATEMENT_TEXT) == STATEMENT_WS
     text, ws = _cli_size_workspace()
     assert parse_workspace(text) == ws
+
+
+def test_serializer_output_is_read_by_one_match_per_statement(monkeypatch):
+    # the strict statement regexes take every statement the serializer
+    # writes, rational maps and a weighted family included
+    def rule(*args):
+        raise AssertionError("a token rule read a serialized statement")
+
+    monkeypatch.setattr(dsl._Parser, "_parse_lincomb", rule)
+    monkeypatch.setattr(dsl._Parser, "_parse_matrix", rule)
+    for text, ws in (_cli_size_workspace(), (STATEMENT_TEXT, STATEMENT_WS)):
+        assert parse_workspace(text) == ws
+
+
+def _moves(text: str) -> int:
+    """The cursor moves a parse of the text makes."""
+    moves, move = [], dsl._Parser._move
+    with mock.patch.object(dsl._Parser, "_move",
+                           lambda parser, at: moves.append(at) or move(parser, at)):
+        parse_workspace(text)
+    return len(moves)
+
+
+def test_a_run_of_statements_moves_the_cursor_once():
+    entries = ["(t,t): e1*e1 = -45/7 e1 + 3 e2;", "(t,t): e1*e2 = 1 e1;",
+               "(t,t): e2*e1 = 2/3 e2;", "(t,t): e2*e2 = -1 e1 + 1/9 e2;"]
+    counts = {_moves(_ALG + "  product mul {\n    " + "\n    ".join(entries[:n])
+                     + "\n  }\n}\n") for n in (1, 2, 4)}
+    assert len(counts) == 1
+    # a comment ends a run, and the cursor moves past it once more
+    commented = "\n    ".join(entries[:2] + ["# c"] + entries[2:])
+    assert _moves(_ALG + "  product mul {\n    " + commented + "\n  }\n}\n") == (
+        counts.pop() + 1)
+
+
+def test_respaced_serializer_output_reads_the_same():
+    # every statement spaced as the serializer does not write it goes to
+    # the token rules, which read the same workspace
+    respaced = re.sub(r"([-(),:*=/\[\]+;])", r" \1 ", STATEMENT_TEXT)
+    read = dsl._read_entry, dsl._read_map_row
+    with mock.patch.multiple(dsl, _read_entry=mock.Mock(side_effect=read[0]),
+                             _read_map_row=mock.Mock(side_effect=read[1])):
+        assert parse_workspace(respaced) == STATEMENT_WS
+        assert not dsl._read_entry.called and not dsl._read_map_row.called
+
+
+def test_a_map_entry_past_the_digit_limit_is_number_too_long():
+    ws = parse_workspace(_MAPS)
+    big = Fraction(10 ** sys.get_int_max_str_digits(), 3)
+    ws.linear_maps["f"] = LinearFamily(ws.semigroups["T"], 1,
+                                       (Matrix.from_rows([[big]]),))
+    with pytest.raises(NumberTooLong):
+        serialize_workspace(ws)
 
 
 # product bodies with a repeated zero term, a signed zero, or one value

@@ -129,6 +129,15 @@ def _print_summary(label: str, report) -> None:
         print(line)
 
 
+def _fails_as_semigroup(name: str, omega: SemigroupTable) -> bool:
+    """Print the table's report if it is no semigroup, and say so: a
+    table that is none would give a workspace that check fails."""
+    report = validate_semigroup(omega)
+    if not report.passed:
+        _print_summary(f"semigroup {name}", report)
+    return not report.passed
+
+
 def _resolve_named(ws: Workspace, namespace: str, ref: str):
     """Find a family by name in the workspace, or by NAME inside a
     second workspace file given as FILE:NAME or as a one-family FILE."""
@@ -193,8 +202,10 @@ def _cmd_search_rb(args) -> int:
         raise _CliError(f"bad rational: {exc}")
     cfg = SearchConfig(entries=entries, weight=weight,
                        target_count=args.limit)
-    found = brute_force_rb_search(inst, cfg)
     omega_name = ws.omega_of[("algebra", alg_name)]
+    if _fails_as_semigroup(omega_name, inst.omega):
+        return EXIT_VIOLATIONS
+    found = brute_force_rb_search(inst, cfg)
     out_ws = Workspace()
     out_ws.semigroups[omega_name] = inst.omega
     # as wide as the last index, so that sorted names keep search order
@@ -257,9 +268,14 @@ def _load_two_dim_params(path: str):
         if not isinstance(commutative, bool):
             raise ValueError("'commutative' must be true or false")
         omega = SemigroupTable(elements, table, commutative)
-        c = [[_scalar(v) for v in row] for row in doc["c"]]
-        rthree = [_scalar(v) for v in doc["rthree"]]
-        lthree = [_scalar(v) for v in doc["lthree"]]
+        c, rthree, lthree = doc["c"], doc["rthree"], doc["lthree"]
+        # a string or an object would be read through its characters or keys
+        if not (isinstance(c, list) and all(isinstance(row, list) for row in c)):
+            raise ValueError("'c' must be a list of lists of scalars")
+        if not (isinstance(rthree, list) and isinstance(lthree, list)):
+            raise ValueError("'rthree' and 'lthree' must be lists of scalars")
+        c = [[_scalar(v) for v in row] for row in c]
+        rthree, lthree = ([_scalar(v) for v in s] for s in (rthree, lthree))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise _CliError(f"bad parameter document: {exc}")
     return two_dim_params(omega, c, rthree, lthree)
@@ -269,10 +285,7 @@ def _cmd_example(args) -> int:
     if args.which != "two-dim":
         raise _CliError(f"unknown example {args.which!r}; only 'two-dim' exists")
     params = _load_two_dim_params(args.params)
-    # a table that is no semigroup would give a workspace that check fails
-    semigroup = validate_semigroup(params.omega)
-    if not semigroup.passed:
-        _print_summary("semigroup W", semigroup)
+    if _fails_as_semigroup("W", params.omega):
         return EXIT_VIOLATIONS
     bad = params.violations()
     if bad:

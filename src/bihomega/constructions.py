@@ -23,7 +23,7 @@ from .errors import (KindMismatch, MorphismCheckFailed, NonCommutativeOmega,
                      NonCommutingFamilies, NonzeroWeight,
                      PostconditionCheckFailed, PreconditionCheckFailed,
                      ShapeMismatch)
-from .semigroup import is_commutative_table
+from .semigroup import is_commutative_table, validate_semigroup
 
 _POST = (("instance", "output fails its {kind} checker"),)
 
@@ -145,6 +145,8 @@ def _run(name: str, a: AlgebraInstance, operands: tuple,
                 raise NonCommutingFamilies((n1, n2), a.omega.elements[bad])
 
     if not unchecked:
+        _gate(PreconditionCheckFailed, f"{name}: index semigroup fails its "
+              "checker", validate_semigroup(a.omega))
         _gate(PreconditionCheckFailed,
               f"{name}: input fails its {a.kind.value} checker", check_instance(a))
         for op, operand in ops.items():

@@ -17,8 +17,6 @@ from .linalg import (Matrix, Vector, frac, mat_inverse, mat_mul, mats_commute,
                      vec, zero_vector)
 from .semigroup import SemigroupTable
 
-_ZERO = Fraction(0)
-
 # the nonzero cells of one block: (i, ((j, e_i * e_j), ...)) rows, listing
 # only the i and j whose product is nonzero, in ascending order
 SparseBlock = tuple[tuple[int, tuple[tuple[int, tuple], ...]], ...]
@@ -29,9 +27,9 @@ Key = tuple[int, int, int, int]                # (a, b, i, j)
 Ratios = tuple[Sequence[int], Sequence[int]]
 
 
-def block_times(block: SparseBlock, dim: int, x, y, zero=0) -> tuple:
-    """x * y under one sparse block, each coordinate started from `zero`."""
-    out = [zero] * dim
+def block_times(block: SparseBlock, dim: int, x, y) -> tuple:
+    """x * y under one sparse block, each coordinate summed from int 0."""
+    out = [0] * dim
     for i, row in block:
         xi = x[i]
         if xi:
@@ -208,14 +206,14 @@ class BilinearFamily:
     def apply(self, a: int, b: int, x: Vector, y: Vector,
               den: int | None = None) -> Vector:
         """x *_{a,b} y.  Given den, a multiple of self.den, x and y are int
-        vectors and so is the result: their product times den."""
+        vectors and so is the result: their product times den.  Otherwise
+        the product on the stored ints, one Fraction over self.den each."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch(f"vectors must have length {self.dim}")
         if den is not None:
             return block_times(self.int_tensor(den)[a][b], self.dim, x, y)
-        own = self.den
-        out = block_times(self.blocks[a][b], self.dim, x, y, _ZERO)
-        return out if own == 1 else tuple(v / own for v in out)
+        out = block_times(self.blocks[a][b], self.dim, x, y)
+        return tuple(Fraction(v, self.den) for v in out)
 
     def scale(self, c) -> "BilinearFamily":
         c = frac(c)

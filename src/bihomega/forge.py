@@ -16,7 +16,7 @@ from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
 from .errors import BudgetExceeded, ConditionViolated, ShapeMismatch
-from .linalg import Matrix, basis_vector, frac, mats_commute, vec_scale
+from .linalg import Matrix, frac, mats_commute
 from .reports import CheckReport
 from .semigroup import SemigroupTable
 
@@ -84,7 +84,8 @@ def two_dim_params(omega: SemigroupTable, c, rthree, lthree) -> TwoDimExamplePar
 
 def make_two_dim_example(params: TwoDimExampleParams,
                          reading: str = "e1") -> AlgebraInstance:
-    """Build the 2-dim instance; products e_i * e_j = c(a,b) e_i.
+    """Build the 2-dim instance; products e_i * e_j = c(a,b) e_i, stored
+    as c's ints over the den of params.ints.
 
     reading selects the second structure map's image of e2: "e1" takes
     the source text verbatim, "e2" applies the plausible correction.
@@ -96,11 +97,10 @@ def make_two_dim_example(params: TwoDimExampleParams,
     bad = next(params.iter_violations(), None)
     if bad:
         raise ConditionViolated(*bad)
-    om = params.omega
-
-    def product(a, b, i, j):
-        return vec_scale(params.c[a][b], basis_vector(2, i))
-
+    om, (c, _, _, den) = params.omega, params.ints
+    keys = itertools.product(om.indices(), om.indices(), (0, 1), (0, 1))
+    mul = BilinearFamily.from_ints(om, 2, {
+        (a, b, i, j): (c[a][b] * (1 - i), c[a][b] * i) for a, b, i, j in keys}, den)
     p = LinearFamily(om, 2, tuple(
         Matrix.diagonal((params.rthree[a], params.rthree[a]))
         for a in om.indices()))
@@ -113,8 +113,7 @@ def make_two_dim_example(params: TwoDimExampleParams,
                        for a in om.indices())
     q = LinearFamily(om, 2, q_mats)
     return new_instance(
-        AlgebraKind.BIHOM_ASSOCIATIVE, om,
-        (("mul", BilinearFamily.from_function(om, 2, product)),), p, q,
+        AlgebraKind.BIHOM_ASSOCIATIVE, om, (("mul", mul),), p, q,
         Provenance("two_dim_example", (("reading", reading),)))
 
 

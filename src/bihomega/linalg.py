@@ -136,25 +136,25 @@ class Matrix:
 
     def apply(self, x: Vector, den: int | None = None) -> Vector:
         """The matrix times x.  Given den, a multiple of self.den, x is an
-        int vector and so is the result: the product times den."""
+        int vector and so is the result: the product times den.  Otherwise
+        the int rows over self.den times x, each coordinate a Fraction."""
         if len(x) != self.cols:
             raise ShapeMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(x)}")
         if den is not None:
             return rows_times(self.int_rows(den), x)
-        own = self.den
-        out = rows_times(self.int_rows(own), x, _ZERO)
-        return out if own == 1 else tuple(v / own for v in out)
+        out = rows_times(self.int_rows(self.den), x)
+        return tuple(Fraction(v, self.den) for v in out)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
 
 
-def rows_times(rows: IntRows, x: Sequence, zero=0) -> tuple:
+def rows_times(rows: IntRows, x: Sequence) -> tuple:
     """The matrix given by its rows' nonzero entries times x, each sum
-    started from `zero`."""
+    started from int 0."""
     out = []
     for row in rows:
-        acc = zero
+        acc = 0
         for j, v in row:
             xj = x[j]
             if xj:

@@ -841,6 +841,72 @@ def test_example_refuses_a_table_that_is_not_associative(tmp_path, capsys):
     assert not out_path.exists()
 
 
+ONE_ELEMENT_PARAMS = {
+    "omega": {"elements": ["e"], "table": [[0]], "commutative": True},
+    "c": [[1]], "rthree": [1], "lthree": [1]}
+C_LISTS = "'c' must be a list of lists of scalars"
+CHARACTER_LISTS = "'rthree' and 'lthree' must be lists of scalars"
+
+# a string or an object where a list belongs; each would be read through
+# its characters or keys, as a document of all ones
+NOT_LISTS = [
+    ("c-string", dict(ONE_ELEMENT_PARAMS, c="1"), C_LISTS),
+    ("c-rows-strings", dict(PARAMS_OK, c=["11", "11"]), C_LISTS),
+    ("c-object", dict(ONE_ELEMENT_PARAMS, c={"1": 0}), C_LISTS),
+    ("c-row-object", dict(ONE_ELEMENT_PARAMS, c=[{"1": 0}]), C_LISTS),
+    ("rthree-string", dict(PARAMS_OK, rthree="11"), CHARACTER_LISTS),
+    ("rthree-object", dict(ONE_ELEMENT_PARAMS, rthree={"1": 2}),
+     CHARACTER_LISTS),
+    ("lthree-string", dict(PARAMS_OK, lthree="11"), CHARACTER_LISTS),
+    ("lthree-object", dict(ONE_ELEMENT_PARAMS, lthree={"1": 2}),
+     CHARACTER_LISTS),
+]
+
+
+@pytest.mark.parametrize("doc, message", [row[1:] for row in NOT_LISTS],
+                         ids=[row[0] for row in NOT_LISTS])
+def test_example_refuses_a_string_or_object_where_a_list_belongs(
+        tmp_path, capsys, doc, message):
+    params, out_path = tmp_path / "params.json", tmp_path / "example.bho"
+    params.write_text(json.dumps(doc))
+    assert main(["example", "two-dim", "--params", str(params),
+                 "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad parameter document: "
+                                       f"{message}\n")
+    assert not out_path.exists()
+
+
+# a commutative table that is no semigroup: (a.a).b = b.b = a but
+# a.(a.b) = a.a = b
+NOT_A_SEMIGROUP = """semigroup N { elements a b; table { a*a = b; a*b = a; \
+b*a = a; b*b = a; } commutative; }
+algebra A : bihom_associative over N dim 1 { product mul { (a,a): e1*e1 = 1 e1; } }
+"""
+NOT_A_SEMIGROUP_REPORT = ("FAIL semigroup N associativity (4 violations)\n"
+                          "    witness indices=a,a,b lhs=(0) rhs=(1)\n"
+                          "    witness indices=a,b,b lhs=(0) rhs=(1)\n"
+                          "    witness indices=b,a,a lhs=(1) rhs=(0)\n"
+                          "    witness indices=b,b,a lhs=(1) rhs=(0)\n"
+                          "PASS semigroup N commutativity\n")
+
+
+def test_construct_and_search_rb_refuse_a_table_that_is_not_a_semigroup(
+        tmp_path, capsys):
+    path, out_path = tmp_path / "n.bho", tmp_path / "out.bho"
+    path.write_text(NOT_A_SEMIGROUP)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(NOT_A_SEMIGROUP_REPORT)
+    assert main(["construct", "assoc_to_lie", "--input", str(path),
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: assoc_to_lie: index semigroup fails its checker\n"
+        "FAIL semigroup associativity (4 violations)\n")
+    assert main(["search-rb", "--algebra", str(path),
+                 "--out", str(out_path)]) == 1
+    assert capsys.readouterr() == (NOT_A_SEMIGROUP_REPORT, "")
+    assert not out_path.exists()
+
+
 def _dim_1_workspace(tmp_path, product: str, p: str, f: str | None = None) -> str:
     """A bihom_associative algebra `a` over a one-element semigroup at dim
     1 with e1*e1 = product e1 (none if empty), p = [[p]] and q = [[1]],

@@ -21,7 +21,8 @@ from bihomega.errors import NonCommutativeOmega
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
 from bihomega.linalg import Matrix, basis_vector, mat_inverse
-from bihomega.semigroup import cyclic_group, trivial_semigroup
+from bihomega.semigroup import (SemigroupTable, cyclic_group,
+                                trivial_semigroup, validate_semigroup)
 from bihomega.semigroup import left_zero_semigroup
 from conftest import LIE_2D, two_dim_instance
 from test_checkers import _twisted_instance
@@ -377,3 +378,26 @@ def test_every_recipe_that_needs_a_commutative_omega_is_covered():
                   if "commutative" in recipe.requires) == [
         "assoc_as_prelie", "assoc_to_lie", "dendriform_to_prelie",
         "postlie_to_lie", "prelie_to_lie"]
+
+
+# a commutative table that is no semigroup: (a.a).b = b.b = a but
+# a.(a.b) = a.a = b
+NOT_A_SEMIGROUP = SemigroupTable(("a", "b"), ((1, 0), (0, 0)), commutative=True)
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_an_index_table_that_is_no_semigroup_fails_the_first_pre_check(name):
+    # zero products, identity maps and a zero operator of weight 0 pass
+    # every other check, so only the index table is refused
+    recipe = RECIPES[name]
+    a = zero_instance(next(iter(recipe.kinds)), NOT_A_SEMIGROUP, 1)
+    ident = LinearFamily.identity(NOT_A_SEMIGROUP, 1)
+    rb = RotaBaxterFamily(LinearFamily.constant(NOT_A_SEMIGROUP,
+                                                Matrix.zero(1, 1)), 0)
+    operands = tuple(rb if op == "rb" else ident for op in recipe.operands)
+    with pytest.raises(PreconditionCheckFailed) as err:
+        CONSTRUCTIONS[name](a, *operands)
+    assert str(err.value) == f"{name}: index semigroup fails its checker"
+    assert err.value.report == validate_semigroup(NOT_A_SEMIGROUP)
+    # unchecked=True skips it with every other check
+    assert CONSTRUCTIONS[name](a, *operands, unchecked=True).omega == NOT_A_SEMIGROUP

@@ -64,6 +64,22 @@ def test_apply_in_integers_at_a_multiple_of_den():
         third.apply(0, 0, (1,), (1,), 2)
 
 
+@pytest.mark.parametrize("den", [1, 6])
+def test_fraction_mode_on_int_vectors_returns_fractions(den):
+    # e3 is no product's coordinate and e1, e2 sums may cancel, so some
+    # coordinates sum to int 0; each must still come back a Fraction
+    fam = BilinearFamily.from_function(C2, 3, lambda a, b, i, j: (
+        Fraction(a + i - j, den), Fraction(b - i, den), 0))
+    assert fam.den == den
+    for x, y in [((2, 0, -1), (1, 3, 0)), ((0, 0, 0), (1, 1, 1)),
+                 ((1, 1, 0), (1, 1, 0))]:
+        for a in range(2):
+            for b in range(2):
+                out = fam.apply(a, b, x, y)
+                assert all(type(v) is Fraction for v in out), (x, y, a, b)
+                assert out == fam.apply(a, b, vec(x), vec(y))
+
+
 def test_two_dim_example_product():
     # with all scalars 1, e2 * e1 = e2
     params = two_dim_params(TRIVIAL, [[1]], [1], [1])

@@ -174,6 +174,19 @@ def test_apply_rejects_wrong_length():
         Matrix.identity(2).apply(vec([1, 2, 3]))
 
 
+@pytest.mark.parametrize("den", [1, 6])
+def test_fraction_mode_on_int_vectors_returns_fractions(den):
+    # a zero row and a row that may cancel, so some coordinates sum to
+    # int 0; each must still come back a Fraction
+    m = Matrix.from_rows([[1, -1, 0], [0, 0, 0],
+                          [Fraction(1, den), 2, Fraction(-5, den)]])
+    assert m.den == den
+    for x in [(3, 3, 1), (0, 0, 0), (5, 0, 1), (2, -1, 7)]:
+        out = m.apply(x)
+        assert all(type(v) is Fraction for v in out), x
+        assert out == m.apply(vec(x))
+
+
 def test_apply_in_integers_at_a_multiple_of_den():
     m = Matrix.from_rows([[Fraction(1, 2), 0, 3],
                           [0, Fraction(-2, 9), Fraction(5, 6)]])

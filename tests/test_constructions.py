@@ -386,9 +386,13 @@ NOT_A_SEMIGROUP = SemigroupTable(("a", "b"), ((1, 0), (0, 0)), commutative=True)
 
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
-def test_an_index_table_that_is_no_semigroup_fails_the_first_pre_check(name):
-    # zero products, identity maps and a zero operator of weight 0 pass
-    # every other check, so only the index table is refused
+def test_an_index_table_that_is_no_semigroup_fails_the_first_pre_check(
+        name, monkeypatch):
+    # every other checker fails if it runs, so the index table's runs first
+    def checker(*args, **kwargs):
+        raise AssertionError(f"{name} ran a checker before the semigroup's")
+    for which in ("check_instance", "check_morphism", "check_rota_baxter"):
+        monkeypatch.setattr(f"bihomega.constructions.{which}", checker)
     recipe = RECIPES[name]
     a = zero_instance(next(iter(recipe.kinds)), NOT_A_SEMIGROUP, 1)
     ident = LinearFamily.identity(NOT_A_SEMIGROUP, 1)

@@ -142,7 +142,8 @@ def _run(name: str, a: AlgebraInstance, operands: tuple,
         for (n1, f1), (n2, f2) in combinations(families, 2):
             ok, bad = f1.commutes_with(f2)
             if not ok:
-                raise NonCommutingFamilies((n1, n2), a.omega.elements[bad])
+                raise NonCommutingFamilies((n1, n2), tuple(
+                    a.omega.elements[i] for i in bad))
 
     if not unchecked:
         _gate(PreconditionCheckFailed, f"{name}: index semigroup fails its "

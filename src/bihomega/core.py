@@ -94,7 +94,7 @@ class BilinearFamily:
     denominators, so it and the ints have no common factor; zero
     products are left out.  So equal families have equal fields.  Build
     one with `from_cells`, `from_ratios`, `from_ints`, `from_function`
-    or `zero`; `cells` and `basis_product` give Fraction vectors."""
+    or `zero`; `basis_product` gives a Fraction vector and `apply` ints."""
 
     omega: SemigroupTable
     dim: int
@@ -167,15 +167,6 @@ class BilinearFamily:
                     for j, cell in cells_i:
                         yield (a, b, i, j), cell
 
-    def cells(self) -> Iterator[tuple[Key, Vector]]:
-        """((a, b, i, j), e_i *_{a,b} e_j) for each nonzero product, in order."""
-        for key, cell in self.int_cells():
-            yield key, self._rational(cell)
-
-    def _rational(self, cell: tuple[int, ...]) -> Vector:
-        den = self.den
-        return tuple(Fraction(v, den) for v in cell)
-
     def basis_product(self, a: int, b: int, i: int, j: int) -> Vector:
         """e_i *_{a,b} e_j, read from the stored cells."""
         n, d = self.omega.order, self.dim
@@ -183,7 +174,8 @@ class BilinearFamily:
             raise ShapeMismatch(f"cell {(a, b, i, j)} is out of range for "
                                 f"{n}x{n} blocks of {d}x{d}")
         cell = dict(dict(self.blocks[a][b]).get(i, ())).get(j)
-        return zero_vector(d) if cell is None else self._rational(cell)
+        return zero_vector(d) if cell is None else tuple(
+            Fraction(v, self.den) for v in cell)
 
     @cached_property
     def _int_forms(self) -> dict[int, Blocks]:
@@ -203,23 +195,12 @@ class BilinearFamily:
                 for i, cells_i in block) for block in row) for row in self.blocks)
         return forms[den]
 
-    def apply(self, a: int, b: int, x: Vector, y: Vector,
-              den: int | None = None) -> Vector:
-        """x *_{a,b} y.  Given den, a multiple of self.den, x and y are int
-        vectors and so is the result: their product times den.  Otherwise
-        the product on the stored ints, one Fraction over self.den each."""
+    def apply(self, a: int, b: int, x: Sequence, y: Sequence, den: int) -> tuple:
+        """x *_{a,b} y times den, for den a multiple of self.den: x, y and
+        the result are int vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeMismatch(f"vectors must have length {self.dim}")
-        if den is not None:
-            return block_times(self.int_tensor(den)[a][b], self.dim, x, y)
-        out = block_times(self.blocks[a][b], self.dim, x, y)
-        return tuple(Fraction(v, self.den) for v in out)
-
-    def scale(self, c) -> "BilinearFamily":
-        c = frac(c)
-        return BilinearFamily.from_ints(self.omega, self.dim, {
-            key: tuple(c.numerator * v for v in cell)
-            for key, cell in self.int_cells()}, c.denominator * self.den)
+        return block_times(self.int_tensor(den)[a][b], self.dim, x, y)
 
 
 @dataclass(frozen=True)
@@ -248,9 +229,9 @@ class LinearFamily:
     def matrix(self, a: int) -> Matrix:
         return self.maps[a]
 
-    def apply(self, a: int, x: Vector) -> Vector:
-        """The matrix at a times x."""
-        return self.maps[a].apply(x)
+    def apply(self, a: int, x: Sequence, den: int) -> tuple:
+        """maps[a].apply(x, den); no library caller, kept for perfbench's tracer."""
+        return self.maps[a].apply(x, den)
 
     def compose(self, other: "LinearFamily") -> "LinearFamily":
         """Index-wise composition self_a after other_a."""
@@ -272,15 +253,15 @@ class LinearFamily:
 
     def commutes_with(self, other: "LinearFamily",
                       commute: Callable[[Matrix, Matrix], bool] = mats_commute
-                      ) -> tuple[bool, int | None]:
+                      ) -> tuple[bool, tuple[int, int] | None]:
         """Elementwise commutation over all index pairs, each decided by
-        `commute`; returns first bad pair."""
+        `commute`; returns the first bad pair (a, b), self's a and other's b."""
         if self.dim != other.dim or self.omega != other.omega:
             raise ShapeMismatch("cannot commute mismatched families")
         for a in self.omega.indices():
             for b in self.omega.indices():
                 if not commute(self.maps[a], other.maps[b]):
-                    return False, a
+                    return False, (a, b)
         return True, None
 
     def is_identity(self) -> bool:

@@ -32,11 +32,12 @@ class NonCommutingStructureMaps(BihomegaError):
 class NonCommutingFamilies(BihomegaError):
     """Two linear families required to commute do not."""
 
-    def __init__(self, names: tuple[str, str], index: str):
-        a, b = names
-        super().__init__(f"families {a} and {b} do not commute at index {index!r}")
+    def __init__(self, names: tuple[str, str], indices: tuple[str, str]):
+        (a, b), (i, j) = names, indices
+        super().__init__(f"families {a} and {b} do not commute: "
+                         f"{a} at {i!r} with {b} at {j!r}")
         self.names = names
-        self.index = index
+        self.indices = indices
 
 
 class NonCommutativeOmega(BihomegaError):

@@ -1,7 +1,7 @@
-"""Exact rational matrices and vectors.
+"""Exact rational matrices and vectors, with no rounding anywhere.
 
-Scalars are `fractions.Fraction` throughout: always in lowest terms,
-positive denominator, no rounding anywhere.
+Entries are `fractions.Fraction`s; `apply`, `int_rows` and `int_cols`
+give ints over a common denominator.
 """
 
 from __future__ import annotations
@@ -34,21 +34,6 @@ def vec(values: Iterable) -> Vector:
 
 def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise ShapeMismatch(f"vector lengths {len(x)} and {len(y)} differ")
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vector) -> Vector:
-    c = frac(c)
-    return tuple(c * a for a in x)
 
 
 @dataclass(frozen=True)
@@ -134,16 +119,12 @@ class Matrix:
                                for j in range(self.cols))
         return forms[den]
 
-    def apply(self, x: Vector, den: int | None = None) -> Vector:
-        """The matrix times x.  Given den, a multiple of self.den, x is an
-        int vector and so is the result: the product times den.  Otherwise
-        the int rows over self.den times x, each coordinate a Fraction."""
+    def apply(self, x: Sequence, den: int) -> tuple:
+        """The matrix times x times den, for den a multiple of self.den:
+        x and the result are int vectors."""
         if len(x) != self.cols:
             raise ShapeMismatch(f"cannot apply {self.rows}x{self.cols} to length-{len(x)}")
-        if den is not None:
-            return rows_times(self.int_rows(den), x)
-        out = rows_times(self.int_rows(self.den), x)
-        return tuple(Fraction(v, self.den) for v in out)
+        return rows_times(self.int_rows(den), x)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)

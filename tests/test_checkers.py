@@ -22,10 +22,12 @@ from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
 from bihomega.errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
-from bihomega.linalg import Matrix, basis_vector, mat_mul
+from bihomega.linalg import Matrix, mat_mul
 from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
                                 trivial_semigroup)
+from classical import basis
 from conftest import LIE_2D, first_failing_perturbation, perturb_entry
+from reference import bilinear, map_at
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -129,8 +131,8 @@ def test_witness_fidelity_reevaluates_to_inequality():
         a = inst.omega.elements.index(w.indices[0])
         b = inst.omega.elements.index(w.indices[1])
         i, j = w.basis
-        lhs = br.apply(a, b, inst.q.apply(a, basis_vector(2, i)),
-                       inst.p.apply(b, basis_vector(2, j)))
+        lhs = bilinear(br, a, b, map_at(inst.q, a, basis(2, i)),
+                       map_at(inst.p, b, basis(2, j)))
         assert lhs == w.lhs
         assert w.lhs != w.rhs
 
@@ -147,8 +149,8 @@ def _twisted_instance(kind):
         for s, slot in enumerate(kind.product_slots))
     inst = new_instance(kind, C2, products, p, q)
     for a in range(2):
-        e = basis_vector(2, 1)
-        assert p.apply(a, q.apply(a, e)) != q.apply(a, q.apply(a, e))
+        e = basis(2, 1)
+        assert map_at(p, a, map_at(q, a, e)) != map_at(q, a, map_at(q, a, e))
     return inst
 
 
@@ -165,10 +167,10 @@ def test_jacobi_witnesses_reevaluate_with_qq_twist():
 
     def term(a, b, c, i, j, k):
         # {q_a(q_a(e_i)), {q_b(e_j), p_c(e_k)}_{b,c}}_{a,bc}
-        qq_x = q.apply(a, q.apply(a, basis_vector(2, i)))
-        inner = br.apply(b, c, q.apply(b, basis_vector(2, j)),
-                         p.apply(c, basis_vector(2, k)))
-        return br.apply(a, mul(b, c), qq_x, inner)
+        qq_x = map_at(q, a, map_at(q, a, basis(2, i)))
+        inner = bilinear(br, b, c, map_at(q, b, basis(2, j)),
+                         map_at(p, c, basis(2, k)))
+        return bilinear(br, a, mul(b, c), qq_x, inner)
 
     for w in bad.witnesses:
         a, b, c = (_index(inst, label) for label in w.indices)
@@ -190,12 +192,12 @@ def test_prelie_witnesses_reevaluate_with_pq_twist():
     def associator(a, b, c, i, j, k):
         # p_a(q_a(e_i)) |>_{a,bc} (p_b(e_j) |>_{b,c} e_k)
         #   - (q_a(e_i) |>_{a,b} p_b(e_j)) |>_{ab,c} q_c(e_k)
-        x, y, z = (basis_vector(2, n) for n in (i, j, k))
-        first = tri.apply(a, mul(b, c), p.apply(a, q.apply(a, x)),
-                          tri.apply(b, c, p.apply(b, y), z))
-        second = tri.apply(mul(a, b), c,
-                           tri.apply(a, b, q.apply(a, x), p.apply(b, y)),
-                           q.apply(c, z))
+        x, y, z = (basis(2, n) for n in (i, j, k))
+        first = bilinear(tri, a, mul(b, c), map_at(p, a, map_at(q, a, x)),
+                         bilinear(tri, b, c, map_at(p, b, y), z))
+        second = bilinear(tri, mul(a, b), c,
+                          bilinear(tri, a, b, map_at(q, a, x), map_at(p, b, y)),
+                          map_at(q, c, z))
         return tuple(u - v for u, v in zip(first, second))
 
     for w in bad.witnesses:
@@ -218,15 +220,16 @@ def test_postlie_witnesses_reevaluate_with_pq_twist_and_b_ac_index():
     br, tri = inst.product("bracket"), inst.product("triangle")
     for w in bad.witnesses:
         a, b, c = (_index(inst, label) for label in w.indices)
-        x, y, z = (basis_vector(2, n) for n in w.basis)
+        x, y, z = (basis(2, n) for n in w.basis)
         # p_a(q_a(x)) |>_{a,bc} {y, z}_{b,c}
-        lhs = tri.apply(a, mul(b, c), p.apply(a, q.apply(a, x)),
-                        br.apply(b, c, y, z))
+        lhs = bilinear(tri, a, mul(b, c), map_at(p, a, map_at(q, a, x)),
+                       bilinear(br, b, c, y, z))
         # {q_a(x) |>_{a,b} y, q_c(z)}_{ab,c} + {q_b(y), p_a(x) |>_{a,c} z}_{b,ac}
-        rhs = _vec_sum(br.apply(mul(a, b), c, tri.apply(a, b, q.apply(a, x), y),
-                                q.apply(c, z)),
-                       br.apply(b, mul(a, c), q.apply(b, y),
-                                tri.apply(a, c, p.apply(a, x), z)))
+        rhs = _vec_sum(bilinear(br, mul(a, b), c,
+                                bilinear(tri, a, b, map_at(q, a, x), y),
+                                map_at(q, c, z)),
+                       bilinear(br, b, mul(a, c), map_at(q, b, y),
+                                bilinear(tri, a, c, map_at(p, a, x), z)))
         assert (lhs, rhs) == (w.lhs, w.rhs)
         assert w.lhs != w.rhs
 
@@ -239,17 +242,17 @@ def test_prepoisson_witnesses_reevaluate_with_pq_twist_and_b_ac_index():
     tri, star = inst.product("triangle"), inst.product("star")
     for w in bad.witnesses:
         a, b, c = (_index(inst, label) for label in w.indices)
-        x, y, z = (basis_vector(2, n) for n in w.basis)
+        x, y, z = (basis(2, n) for n in w.basis)
         # (q_a(x) |>_{a,b} p_b(y) - q_b(y) |>_{b,a} p_a(x)) *_{ab,c} q_c(z)
-        comm = _vec_sum(tri.apply(a, b, q.apply(a, x), p.apply(b, y)),
-                        tri.apply(b, a, q.apply(b, y), p.apply(a, x)), -1)
-        lhs = star.apply(mul(a, b), c, comm, q.apply(c, z))
+        comm = _vec_sum(bilinear(tri, a, b, map_at(q, a, x), map_at(p, b, y)),
+                        bilinear(tri, b, a, map_at(q, b, y), map_at(p, a, x)), -1)
+        lhs = bilinear(star, mul(a, b), c, comm, map_at(q, c, z))
         # p_a(q_a(x)) |>_{a,bc} (p_b(y) *_{b,c} z)
         #   - p_b(q_b(y)) *_{b,ac} (p_a(x) |>_{a,c} z)
-        rhs = _vec_sum(tri.apply(a, mul(b, c), p.apply(a, q.apply(a, x)),
-                                 star.apply(b, c, p.apply(b, y), z)),
-                       star.apply(b, mul(a, c), p.apply(b, q.apply(b, y)),
-                                  tri.apply(a, c, p.apply(a, x), z)), -1)
+        rhs = _vec_sum(bilinear(tri, a, mul(b, c), map_at(p, a, map_at(q, a, x)),
+                                bilinear(star, b, c, map_at(p, b, y), z)),
+                       bilinear(star, b, mul(a, c), map_at(p, b, map_at(q, b, y)),
+                                bilinear(tri, a, c, map_at(p, a, x), z)), -1)
         assert (lhs, rhs) == (w.lhs, w.rhs)
         assert w.lhs != w.rhs
 
@@ -299,6 +302,33 @@ def test_commutative_omega_required():
                           (AlgebraKind.PREPOISSON, check_prepoisson)):
         with pytest.raises(NonCommutativeOmega):
             checker(zero_instance(kind, lz, 2))
+
+
+def _words(term) -> frozenset:
+    """A term's index words: per monomial, its variables in product order;
+    a sum's are its terms' together."""
+    if isinstance(term, Var):
+        return frozenset({(term.pos,)})
+    if isinstance(term, Map):
+        return _words(term.arg)
+    if isinstance(term, Mul):
+        return frozenset(u + v for u in _words(term.left)
+                         for v in _words(term.right))
+    return frozenset().union(*(_words(t) for _, t in term.terms))
+
+
+def test_commutative_omega_gates_follow_the_axioms_index_words():
+    # over a non-commutative Ω, monomials in different variable orders sit
+    # at different indices: a kind needs a commutative Ω exactly when one
+    # of its axioms has more than one word over both sides
+    for kind, axioms in KIND_AXIOMS.items():
+        assert kind.needs_commutative_omega == any(
+            len(_words(ax.lhs) | _words(ax.rhs)) > 1 for ax in axioms), kind
+    # every RB and morphism axiom has one word, so their checkers have no gate
+    for kind in AlgebraKind:
+        slots = kind.product_slots
+        for ax in rota_baxter_axioms(slots) + morphism_axioms(slots):
+            assert len(_words(ax.lhs) | _words(ax.rhs)) == 1, (kind, ax.name)
 
 
 def test_associative_checker_accepts_noncommutative_omega():
@@ -628,7 +658,7 @@ def test_left_zero_classes_follow_the_products_blocks():
     assert index_classes(_Cells(inst)) == [0, 0]
     # one block that differs, at (1, 0), parts the two indices
     mul = BilinearFamily.from_function(
-        omega, 2, lambda a, b, i, j: basis_vector(2, 0 if (a, b) == (1, 0) else 1))
+        omega, 2, lambda a, b, i, j: basis(2, 0 if (a, b) == (1, 0) else 1))
     inst = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega, (("mul", mul),),
                         LinearFamily.identity(omega, 2),
                         LinearFamily.identity(omega, 2))

@@ -252,6 +252,21 @@ def test_construct_yau_twist_needs_both_maps(two_dim_file, capsys):
         "error: yau_twist needs --p2 NAME and --q2 NAME\n")
 
 
+def test_construct_yau_twist_names_both_indices_that_fail_to_commute(
+        tmp_path, capsys):
+    # f commutes with itself at each index, but not f at g0 with f at g1
+    path = tmp_path / "ws.bho"
+    path.write_text(
+        "semigroup W { elements g0 g1; table { g0*g0 = g0; g0*g1 = g1; "
+        "g1*g0 = g1; g1*g1 = g0; } commutative; }\n"
+        "maps f over W dim 2 { g0: [[1, 1], [0, 1]]; g1: [[1, 0], [1, 1]]; }\n"
+        "algebra a : bihom_associative over W dim 2 { }\n")
+    assert main(["construct", "yau_twist", "--input", str(path),
+                 "--p2", "f", "--q2", "f"]) == 2
+    assert capsys.readouterr() == ("", "error: families p2 and q2 do not "
+                                       "commute: p2 at 'g0' with q2 at 'g1'\n")
+
+
 def test_construct_digests_its_input_once(two_dim_file, capsys, monkeypatch):
     from bihomega.core import AlgebraInstance
     digest, calls = AlgebraInstance.digest, []

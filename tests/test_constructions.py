@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import classical
-from bihomega.checkers import check_instance, check_rota_baxter
+from bihomega.checkers import Map, Mul, Sum, check_instance, check_rota_baxter
 from bihomega.constructions import (CONSTRUCTIONS, assoc_as_prelie,
                                     assoc_to_lie, dendriform_to_prelie,
                                     dendriform_total, lie_rb_to_postlie,
@@ -20,12 +21,13 @@ from bihomega.errors import (KindMismatch, MorphismCheckFailed,
 from bihomega.errors import NonCommutativeOmega
 from bihomega.forge import (constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
-from bihomega.linalg import Matrix, basis_vector, mat_inverse
+from bihomega.linalg import Matrix, mat_inverse
 from bihomega.semigroup import (SemigroupTable, cyclic_group,
                                 trivial_semigroup, validate_semigroup)
 from bihomega.semigroup import left_zero_semigroup
 from conftest import LIE_2D, two_dim_instance
-from test_checkers import _twisted_instance
+from reference import bilinear, map_at, mat_vec, nonzero_cells
+from test_checkers import _twisted_instance, _words
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -77,6 +79,19 @@ def test_yau_twist_rejects_noncommuting_pair():
     assert err.value.names == ("p2", "q2")
 
 
+def test_yau_twist_names_both_indices_of_the_first_noncommuting_pair():
+    # f commutes with itself at each index, but not f at g0 with f at g1
+    a = zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, 2)
+    f = LinearFamily(C2, 2, (Matrix.from_rows([[1, 1], [0, 1]]),
+                             Matrix.from_rows([[1, 0], [1, 1]])))
+    assert f.commutes_with(f) == (False, (0, 1))
+    with pytest.raises(NonCommutingFamilies) as err:
+        yau_twist(a, f, f)
+    assert (err.value.names, err.value.indices) == (("p2", "q2"), ("g0", "g1"))
+    assert str(err.value) == ("families p2 and q2 do not commute: "
+                              "p2 at 'g0' with q2 at 'g1'")
+
+
 def test_yau_twist_checks_commuting_families_before_the_checkers():
     a = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, (
         ("mul", BilinearFamily.from_function(
@@ -94,7 +109,9 @@ def test_rb_star_zero_operator_scales_by_weight():
     a = two_dim_instance(C2)
     rb = rb_const(C2, [[0, 0], [0, 0]], weight=2)
     out = rb_star_associative(a, rb)
-    assert out.product("mul") == a.product("mul").scale(Fraction(2))
+    assert nonzero_cells(out.product("mul")) == {
+        key: tuple(2 * v for v in cell)
+        for key, cell in nonzero_cells(a.product("mul")).items()}
 
 
 def test_rb_star_minus_weight_identity_negates():
@@ -102,7 +119,9 @@ def test_rb_star_minus_weight_identity_negates():
     rb = rb_const(C2, [[-1, 0], [0, -1]], weight=1)
     out = rb_star_associative(a, rb)
     # x*y = x(-y) + (-x)y + xy = -xy
-    assert out.product("mul") == a.product("mul").scale(Fraction(-1))
+    assert nonzero_cells(out.product("mul")) == {
+        key: tuple(-v for v in cell)
+        for key, cell in nonzero_cells(a.product("mul")).items()}
 
 
 def test_rb_star_rejects_non_operator():
@@ -282,28 +301,28 @@ def test_constructions_follow_their_formulas_on_twisted_input():
     rb, rb0 = RotaBaxterFamily(r_maps, 3), RotaBaxterFamily(r_maps, 0)
     p2 = LinearFamily(C2, 2, (Matrix.diagonal([2, 1]), Matrix.diagonal([1, -1])))
     q2 = LinearFamily(C2, 2, (Matrix.diagonal([-1, 3]), Matrix.diagonal([2, 2])))
-    m, br, tri = (inst.product(s).apply for inst, s in (
-        (assoc, "mul"), (lie, "bracket"), (prelie, "triangle")))
-    prec, succ = dend.product("prec").apply, dend.product("succ").apply
-    pbr, ptri = post.product("bracket").apply, post.product("triangle").apply
+    m, br, tri, prec, succ, pbr, ptri = (
+        partial(bilinear, inst.product(s)) for inst, s in (
+            (assoc, "mul"), (lie, "bracket"), (prelie, "triangle"), (dend, "prec"),
+            (dend, "succ"), (post, "bracket"), (post, "triangle")))
 
     def R(a, v):
-        return rb.maps.apply(a, v)
+        return map_at(rb.maps, a, v)
 
     def inv(fam, a, v):
-        return mat_inverse(fam.matrix(a)).apply(v)
+        return mat_vec(mat_inverse(fam.matrix(a)), v)
 
     def flip(op, a, b, x, y):
         # (p_b^-1 q_b (y)) op_{b,a} (p_a q_a^-1 (x))
-        return op(b, a, inv(p, b, q.apply(b, y)), p.apply(a, inv(q, a, x)))
+        return op(b, a, inv(p, b, map_at(q, b, y)), map_at(p, a, inv(q, a, x)))
 
     def comb(*terms):
         return tuple(sum(c * v[k] for c, v in terms) for k in range(2))
 
     cases = {
         "yau_twist": (yau_twist(dend, p2, q2, unchecked=True), {
-            "prec": lambda a, b, x, y: prec(a, b, p2.apply(a, x), q2.apply(b, y)),
-            "succ": lambda a, b, x, y: succ(a, b, p2.apply(a, x), q2.apply(b, y))}),
+            "prec": lambda a, b, x, y: prec(a, b, map_at(p2, a, x), map_at(q2, b, y)),
+            "succ": lambda a, b, x, y: succ(a, b, map_at(p2, a, x), map_at(q2, b, y))}),
         "rb_star_associative": (rb_star_associative(assoc, rb, unchecked=True), {
             "mul": lambda a, b, x, y: comb((1, m(a, b, x, R(b, y))),
                                            (1, m(a, b, R(a, x), y)),
@@ -341,7 +360,7 @@ def test_constructions_follow_their_formulas_on_twisted_input():
             "triangle": lambda a, b, x, y: br(a, b, R(a, x), y)}),
     }
     assert sorted(cases) == sorted(CONSTRUCTIONS)
-    e = [basis_vector(2, i) for i in range(2)]
+    e = [classical.basis(2, i) for i in range(2)]
     for name, (out, formulas) in cases.items():
         assert out.slot_names == tuple(formulas), name
         for slot, formula in formulas.items():
@@ -354,8 +373,8 @@ def test_constructions_follow_their_formulas_on_twisted_input():
         s, t = (p2, q2) if name == "yau_twist" else (None, None)
         for a in range(2):
             for x in e:
-                assert out.p.apply(a, x) == p.apply(a, s.apply(a, x) if s else x)
-                assert out.q.apply(a, x) == q.apply(a, t.apply(a, x) if t else x)
+                assert map_at(out.p, a, x) == map_at(p, a, map_at(s, a, x) if s else x)
+                assert map_at(out.q, a, x) == map_at(q, a, map_at(t, a, x) if t else x)
 
 
 @pytest.mark.parametrize("name", ["assoc_as_prelie", "assoc_to_lie",
@@ -371,6 +390,32 @@ def test_noncommutative_omega_refused_before_any_checker(name, monkeypatch):
     with pytest.raises(NonCommutativeOmega) as err:
         CONSTRUCTIONS[name](a)
     assert str(err.value) == f"{name} requires a commutative index semigroup"
+
+
+def _maps_read(term) -> frozenset:
+    """The names of the map families a term reads."""
+    if isinstance(term, Map):
+        return frozenset({term.name}) | _maps_read(term.arg)
+    if isinstance(term, Mul):
+        return _maps_read(term.left) | _maps_read(term.right)
+    if isinstance(term, Sum):
+        return frozenset().union(*(_maps_read(t) for _, t in term.terms))
+    return frozenset()
+
+
+def test_recipe_gates_follow_the_product_terms():
+    # "commutative" exactly when a product term has more than one index
+    # word, or the output kind needs a commutative Ω and the input kind
+    # does not; "inverses" exactly when a product term reads P or Q
+    for name, recipe in RECIPES.items():
+        terms = recipe.products.values()
+        flips = any(len(_words(t)) > 1 for t in terms)
+        for k, out in recipe.kinds.items():
+            assert ("commutative" in recipe.requires) == (flips or (
+                out.needs_commutative_omega and not k.needs_commutative_omega)), (
+                name, k)
+        reads = frozenset().union(*map(_maps_read, terms))
+        assert ("inverses" in recipe.requires) == bool(reads & {"P", "Q"}), name
 
 
 def test_every_recipe_that_needs_a_commutative_omega_is_covered():

@@ -2,6 +2,7 @@ import hashlib
 import re
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -15,10 +16,11 @@ from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
 from bihomega.errors import (NonCommutingStructureMaps, ShapeMismatch,
                              Singular)
 from bihomega.forge import SearchConfig, make_two_dim_example, two_dim_params
-from bihomega.linalg import (Matrix, basis_vector, mats_commute, vec, vec_add,
-                             vec_scale)
+from bihomega.linalg import Matrix, mats_commute, vec
 from bihomega.semigroup import cyclic_group, trivial_semigroup
+from classical import basis
 from conftest import two_dim_instance
+from reference import bilinear, nonzero_cells
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -29,12 +31,15 @@ rationals = st.fractions(min_value=-7, max_value=7, max_denominator=4)
 def test_zero_tensor_application():
     fam = BilinearFamily.zero(C2, 2)
     x = vec([3, Fraction(-1, 2)])
-    assert fam.apply(0, 1, x, x) == (0, 0)
+    assert bilinear(fam, 0, 1, x, x) == (0, 0)
+    # x times 2 in ints
+    assert fam.apply(0, 1, (6, -1), (6, -1), fam.den) == (0, 0)
 
 
 def test_scalar_multiplication_dim1():
     fam = BilinearFamily.from_function(TRIVIAL, 1, lambda a, b, i, j: (1,))
-    assert fam.apply(0, 0, vec([5]), vec([7])) == (35,)
+    assert fam.den == 1
+    assert fam.apply(0, 0, (5,), (7,), 1) == (35,) == bilinear(fam, 0, 0, (5,), (7,))
 
 
 def test_apply_in_integers_at_a_multiple_of_den():
@@ -54,7 +59,7 @@ def test_apply_in_integers_at_a_multiple_of_den():
                 out = fam.apply(a, b, xi, yi, den)
                 assert all(type(v) is int for v in out)
                 assert out == tuple(v * 3 * 36 * den
-                                    for v in fam.apply(a, b, x, y))
+                                    for v in bilinear(fam, a, b, x, y))
     # each den's form is built once
     assert fam.int_tensor(84) is fam.int_tensor(84)
     # at a den that is not a multiple, no int form is exact
@@ -64,29 +69,14 @@ def test_apply_in_integers_at_a_multiple_of_den():
         third.apply(0, 0, (1,), (1,), 2)
 
 
-@pytest.mark.parametrize("den", [1, 6])
-def test_fraction_mode_on_int_vectors_returns_fractions(den):
-    # e3 is no product's coordinate and e1, e2 sums may cancel, so some
-    # coordinates sum to int 0; each must still come back a Fraction
-    fam = BilinearFamily.from_function(C2, 3, lambda a, b, i, j: (
-        Fraction(a + i - j, den), Fraction(b - i, den), 0))
-    assert fam.den == den
-    for x, y in [((2, 0, -1), (1, 3, 0)), ((0, 0, 0), (1, 1, 1)),
-                 ((1, 1, 0), (1, 1, 0))]:
-        for a in range(2):
-            for b in range(2):
-                out = fam.apply(a, b, x, y)
-                assert all(type(v) is Fraction for v in out), (x, y, a, b)
-                assert out == fam.apply(a, b, vec(x), vec(y))
-
-
 def test_two_dim_example_product():
     # with all scalars 1, e2 * e1 = e2
     params = two_dim_params(TRIVIAL, [[1]], [1], [1])
     inst = make_two_dim_example(params)
     mul = inst.product("mul")
     assert mul.basis_product(0, 0, 1, 0) == (0, 1)
-    assert mul.apply(0, 0, basis_vector(2, 1), basis_vector(2, 0)) == (0, 1)
+    assert bilinear(mul, 0, 0, basis(2, 1), basis(2, 0)) == (0, 1)
+    assert mul.apply(0, 0, (0, 1), (1, 0), mul.den) == (0, mul.den)
 
 
 # ints past the 4300-digit limit of int <-> str, which only the values
@@ -123,7 +113,13 @@ def test_block_kernel_matches_block_times(case, cap):
     terms = [c for _, row in block for _, cell in row for c in cell if c]
     with mock.patch.object(core, "KERNEL_TERMS", cap):
         kernel = core.block_kernel(block, d)
-    assert kernel(x, y) == core.block_times(block, d, x, y)
+    # block_times also against a sum over the block's (i, j, cell) triples
+    dense = [0] * d
+    for i, row in block:
+        for j, cell in row:
+            for k, c in enumerate(cell):
+                dense[k] += x[i] * y[j] * c
+    assert kernel(x, y) == core.block_times(block, d, x, y) == tuple(dense)
     assert isinstance(kernel, partial) == (len(terms) > cap)
     if not isinstance(kernel, partial):
         # no coefficient is written into the code, and every name is x,
@@ -144,12 +140,19 @@ def test_block_kernel_matches_block_times(case, cap):
 def test_apply_product_bilinear(a, b, raw_x, raw_xp, raw_y):
     params = two_dim_params(C2, [[1, 1], [1, 4]], [1, 1], [1, 1])
     fam = make_two_dim_example(params).product("mul")
-    x, xp, y = vec(raw_x), vec(raw_xp), vec(raw_y)
-    mix = vec_add(vec_scale(a, x), vec_scale(b, xp))
-    lhs = fam.apply(0, 1, mix, y)
-    rhs = vec_add(vec_scale(a, fam.apply(0, 1, x, y)),
-                  vec_scale(b, fam.apply(0, 1, xp, y)))
+    # in ints: x, xp times sx, y times sy, a, b times sc
+    sx = lcm(*(v.denominator for v in raw_x + raw_xp))
+    sy, sc = lcm(*(v.denominator for v in raw_y)), lcm(a.denominator, b.denominator)
+    xi, xpi, yi = (tuple(int(v * s) for v in u)
+                   for u, s in ((raw_x, sx), (raw_xp, sx), (raw_y, sy)))
+    ai, bi = int(a * sc), int(b * sc)
+    mix = tuple(ai * u + bi * v for u, v in zip(xi, xpi))
+    lhs = fam.apply(0, 1, mix, yi, fam.den)
+    rhs = tuple(ai * u + bi * v for u, v in zip(fam.apply(0, 1, xi, yi, fam.den),
+                                                 fam.apply(0, 1, xpi, yi, fam.den)))
     assert lhs == rhs
+    exact = bilinear(fam, 0, 1, [a * u + b * v for u, v in zip(raw_x, raw_xp)], raw_y)
+    assert lhs == tuple(v * sx * sy * sc * fam.den for v in exact)
 
 
 @st.composite
@@ -179,6 +182,9 @@ def sparse_family_and_vectors(draw):
 def test_apply_matches_dense_triple_sum(case):
     fam, cells, x, y = case
     d = fam.dim
+    # x times sx and y times sy in ints, applied at den
+    sx, sy = (lcm(*(v.denominator for v in u)) for u in (x, y))
+    xi, yi = (tuple(int(v * s) for v in u) for u, s in ((x, sx), (y, sy)))
     for a in range(2):
         for b in range(2):
             dense = []
@@ -188,9 +194,11 @@ def test_apply_matches_dense_triple_sum(case):
                     for j in range(d):
                         total += x[i] * y[j] * cells[a, b, i, j][k]
                 dense.append(total)
-            out = fam.apply(a, b, x, y)
-            assert out == tuple(dense)
-            assert all(type(v) is Fraction for v in out)
+            assert bilinear(fam, a, b, x, y) == tuple(dense)
+            for den in (fam.den, 3 * fam.den):
+                out = fam.apply(a, b, xi, yi, den)
+                assert out == tuple(v * sx * sy * den for v in dense)
+                assert all(type(v) is int for v in out)
             for i in range(d):
                 for j in range(d):
                     assert fam.basis_product(a, b, i, j) == cells[a, b, i, j]
@@ -226,11 +234,11 @@ def test_from_cells_reads_tuple_list_and_int_cells_alike():
     fams = [BilinearFamily.from_cells(C2, 2, cells) for cells in forms]
     assert all(fam == fams[0] for fam in fams)
     for fam in fams:
-        for _, cell in fam.cells():
+        for cell in nonzero_cells(fam).values():
             assert type(cell) is tuple
             assert all(type(v) is Fraction for v in cell)
     # stored as int tuples over the lcm of the denominators
-    assert dict(fams[0].cells()) == exact
+    assert nonzero_cells(fams[0]) == exact
     assert fams[0].den == 2
     assert dict(fams[0].int_cells()) == {(0, 1, 1, 0): (1, 0), (1, 1, 0, 1): (4, -6)}
 
@@ -327,7 +335,7 @@ _MUL_T = (("mul", BilinearFamily.zero(TRIVIAL, 2)),)
 # (call, error) for each shape or argument guard
 GUARDS = {
     "bilinear-apply-length": (
-        lambda: BilinearFamily.zero(C2, 2).apply(0, 0, vec([1]), vec([1, 0])),
+        lambda: BilinearFamily.zero(C2, 2).apply(0, 0, (1,), (1, 0), 1),
         ShapeMismatch),
     "family-matrix-count": (lambda: LinearFamily(C2, 2, (_I2,)), ShapeMismatch),
     "family-matrix-size": (lambda: LinearFamily(C2, 2, (_I1, _I1)),
@@ -342,7 +350,6 @@ GUARDS = {
     "maps-over-another-semigroup": (
         lambda: new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, TRIVIAL, _MUL_T,
                              _ID_C2, _ID_T), ShapeMismatch),
-    "vec-add-lengths": (lambda: vec_add(vec([1]), vec([1, 2])), ShapeMismatch),
     "matrix-entry-count": (lambda: Matrix(2, 2, vec([1])), ShapeMismatch),
     "ragged-rows": (lambda: Matrix.from_rows([[1, 2], [3]]), ShapeMismatch),
     "commute-non-square": (

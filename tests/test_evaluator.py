@@ -1,5 +1,6 @@
 """The checkers' integer cell evaluator against a Fraction evaluator of the
-same axiom tables, written here and sharing no code with it.
+same axiom tables, written here over the products and maps of
+reference.py and sharing no code with it.
 
 Entries, maps and weights draw denominators up to 11, among them the
 coprime 7, 9 and 11, so the common denominator and its powers get large;
@@ -28,6 +29,7 @@ from bihomega.linalg import Matrix
 from bihomega.reports import AxiomResult, CheckReport, Witness
 from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
                                 trivial_semigroup)
+from reference import bilinear, map_at, nonzero_cells
 
 C2, C3, LEFT_ZERO = cyclic_group(2), cyclic_group(3), left_zero_semigroup(2)
 
@@ -40,22 +42,6 @@ CAPS = (0, 1, 10)
 
 
 # -- the Fraction evaluator -----------------------------------------------
-
-def _mat_vec(m, x):
-    return tuple(sum((m.get(i, j) * x[j] for j in range(m.cols)), Fraction(0))
-                 for i in range(m.rows))
-
-
-def _bilinear(fam, a, b, x, y):
-    out = [Fraction(0)] * fam.dim
-    for i, j in product(range(fam.dim), repeat=2):
-        xy = x[i] * y[j]
-        if xy:
-            for k, c in enumerate(fam.basis_product(a, b, i, j)):
-                if c:
-                    out[k] += xy * c
-    return tuple(out)
-
 
 @cache
 def _reads(term):
@@ -84,10 +70,10 @@ def _evaluate(term, idx, bas, env, memo):
     if isinstance(term, Mul):
         (a, x), (b, y) = (_value(t, idx, bas, env, memo)
                           for t in (term.left, term.right))
-        return table[a][b], _bilinear(products[term.slot], a, b, x, y)
+        return table[a][b], bilinear(products[term.slot], a, b, x, y)
     if isinstance(term, Map):
         a, x = _value(term.arg, idx, bas, env, memo)
-        return a, _mat_vec(maps[term.name].maps[a], x)
+        return a, map_at(maps[term.name], a, x)
     # a sum sits at the index of its first term with a nonzero coefficient
     index, total = None, (Fraction(0),) * d
     for c, t in term.terms:
@@ -324,7 +310,8 @@ def _assert_product(out, slot, term, env):
         cell = fam.basis_product(a, b, i, j)
         assert cell == _value(term, (a, b), (i, j), env, {})[1]
         assert all(type(v) is Fraction for v in cell)
-    assert any(v.denominator > 1 for _, cell in fam.cells() for v in cell)
+    assert any(v.denominator > 1 for cell in nonzero_cells(fam).values()
+               for v in cell)
 
 
 def test_constructed_product_matches_fraction_evaluator():

@@ -20,6 +20,7 @@ from bihomega.core import BilinearFamily, LinearFamily
 from bihomega.dsl import HEADER, parse_workspace, serialize_workspace
 from bihomega.errors import NumberTooLong, ParseError
 from bihomega.semigroup import cyclic_group
+from reference import nonzero_cells
 
 C2 = cyclic_group(2)
 DIM = 2
@@ -145,7 +146,7 @@ def test_text_and_digest_match_a_fraction_reference(case):
     fam = ws.algebras["a"].product("mul")
     assert fam == BilinearFamily.from_cells(C2, DIM, cells)
     assert fam.den == lcm(*(v.denominator for cell in cells.values() for v in cell))
-    assert dict(fam.cells()) == {key: cell for key, cell in cells.items() if any(cell)}
+    assert nonzero_cells(fam) == {key: cell for key, cell in cells.items() if any(cell)}
     # a value too long to print is NumberTooLong in the text, and the
     # same ValueError in the digest as in the reference's
     expected = _outcome(_reference_text, cells)

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihomega.errors import ShapeMismatch, Singular
-from bihomega.linalg import (Matrix, basis_vector, mat_inverse, mat_mul,
-                             mats_commute, vec, vec_add, vec_scale)
+from bihomega.linalg import (Matrix, mat_inverse, mat_mul, mats_commute,
+                             rows_times, vec)
+from reference import mat_vec
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
@@ -130,10 +132,13 @@ def test_inverse_round_trip(m):
 @given(square(2), st.lists(rationals, min_size=2, max_size=2))
 @settings(max_examples=40, deadline=None)
 def test_apply_is_linear(m, raw):
-    x = vec(raw)
-    e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
-    combined = vec_add(vec_scale(x[0], m.apply(e0)), vec_scale(x[1], m.apply(e1)))
-    assert m.apply(x) == combined
+    # x times s in ints, applied at den
+    x, s, den = vec(raw), lcm(*(v.denominator for v in raw)), m.den
+    xi = tuple(int(v * s) for v in x)
+    e0, e1 = m.apply((1, 0), den), m.apply((0, 1), den)
+    combined = tuple(xi[0] * u + xi[1] * v for u, v in zip(e0, e1))
+    assert m.apply(xi, den) == combined
+    assert combined == tuple(v * s * den for v in mat_vec(m, x))
 
 
 @st.composite
@@ -162,29 +167,22 @@ def test_apply_matches_dense_sum(case):
         for j in range(m.cols):
             total += entries[i * m.cols + j] * x[j]
         dense.append(total)
-    # the second call reads the cached nonzero pairs
-    for _ in range(2):
-        out = m.apply(x)
-        assert out == tuple(dense)
-        assert all(type(v) is Fraction for v in out)
+    assert mat_vec(m, x) == tuple(dense)
+    # x times s in ints, applied at den; the second call at a den reads
+    # the cached nonzero pairs
+    s = lcm(*(v.denominator for v in x))
+    xi = tuple(int(v * s) for v in x)
+    for den in (m.den, m.den, 5 * m.den):
+        expected = tuple(v * s * den for v in dense)
+        assert rows_times(m.int_rows(den), xi) == expected
+        out = m.apply(xi, den)
+        assert out == expected
+        assert all(type(v) is int for v in out)
 
 
 def test_apply_rejects_wrong_length():
     with pytest.raises(ShapeMismatch):
-        Matrix.identity(2).apply(vec([1, 2, 3]))
-
-
-@pytest.mark.parametrize("den", [1, 6])
-def test_fraction_mode_on_int_vectors_returns_fractions(den):
-    # a zero row and a row that may cancel, so some coordinates sum to
-    # int 0; each must still come back a Fraction
-    m = Matrix.from_rows([[1, -1, 0], [0, 0, 0],
-                          [Fraction(1, den), 2, Fraction(-5, den)]])
-    assert m.den == den
-    for x in [(3, 3, 1), (0, 0, 0), (5, 0, 1), (2, -1, 7)]:
-        out = m.apply(x)
-        assert all(type(v) is Fraction for v in out), x
-        assert out == m.apply(vec(x))
+        Matrix.identity(2).apply((1, 2, 3), 1)
 
 
 def test_apply_in_integers_at_a_multiple_of_den():
@@ -196,7 +194,7 @@ def test_apply_in_integers_at_a_multiple_of_den():
     for den in (18, 36, 18 * 7):
         out = m.apply(xi, den)
         assert all(type(v) is int for v in out)
-        assert out == tuple(v * 5 * den for v in m.apply(x))
+        assert out == tuple(v * 5 * den for v in mat_vec(m, x))
     assert m.int_rows(36) is m.int_rows(36)
     # at a den that is not a multiple, no int form is exact
     third = Matrix.from_rows([[Fraction(1, 3), 1], [0, Fraction(5, 2)]])

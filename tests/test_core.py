@@ -20,7 +20,7 @@ from bihomega.linalg import Matrix, mats_commute, vec
 from bihomega.semigroup import cyclic_group, trivial_semigroup
 from classical import basis
 from conftest import two_dim_instance
-from reference import bilinear, nonzero_cells
+from reference import bilinear, map_at, nonzero_cells
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -67,6 +67,25 @@ def test_apply_in_integers_at_a_multiple_of_den():
         C2, 1, lambda a, b, i, j: (Fraction(1, 3),))
     with pytest.raises(ValueError, match="not a multiple of 3"):
         third.apply(0, 0, (1,), (1,), 2)
+
+
+def test_linear_family_apply_is_its_matrix_at_den():
+    # maps over 2 and 3: at den 6 and 12 each index's int product is the
+    # rational product times den
+    fam = LinearFamily(C2, 2, (
+        Matrix.from_rows([[Fraction(1, 2), -1], [0, 3]]),
+        Matrix.from_rows([[Fraction(2, 3), 0], [5, Fraction(-1, 2)]])))
+    for den in (6, 12):
+        for a in range(2):
+            for x in [(1, 0), (0, 1), (3, -4)]:
+                out = fam.apply(a, x, den)
+                assert all(type(v) is int for v in out)
+                assert out == fam.maps[a].apply(x, den)
+                assert out == tuple(v * den for v in map_at(fam, a, x))
+    # each index reads its own matrix's den: 2 at index 0, 6 at index 1
+    assert fam.apply(0, (1, 0), 2) == (1, 0)
+    with pytest.raises(ValueError, match="not a multiple of 6"):
+        fam.apply(1, (1, 0), 2)
 
 
 def test_two_dim_example_product():
@@ -337,6 +356,8 @@ GUARDS = {
     "bilinear-apply-length": (
         lambda: BilinearFamily.zero(C2, 2).apply(0, 0, (1,), (1, 0), 1),
         ShapeMismatch),
+    "linear-apply-length": (
+        lambda: LinearFamily.identity(C2, 2).apply(0, (1,), 1), ShapeMismatch),
     "family-matrix-count": (lambda: LinearFamily(C2, 2, (_I2,)), ShapeMismatch),
     "family-matrix-size": (lambda: LinearFamily(C2, 2, (_I1, _I1)),
                            ShapeMismatch),

@@ -25,7 +25,8 @@ from .semigroup import is_commutative_table
 
 # -- term forms ---------------------------------------------------------
 # A term's index is the semigroup product of its arguments' indices, read
-# left to right; a variable's index is its own, a sum's its first term's.
+# left to right; a variable's index is its own, a sum's its first term's, and
+# the gates read off `term_reads` keep all of a table entry's monomials there.
 
 Var = namedtuple("Var", "pos")  # the basis vector at position pos
 Mul = namedtuple("Mul", "slot left right")  # product `slot` at the args' indices
@@ -51,6 +52,21 @@ def minus(left: Term, right: Term) -> Sum:
 
 X, Y, Z = Var(0), Var(1), Var(2)
 p, q, R, f = on("p"), on("q"), on("R"), on("f")
+
+
+@cache
+def term_reads(term: Term) -> tuple[frozenset[tuple[int, ...]], frozenset[str]]:
+    """A term's index words (each monomial's variables in order) and maps read."""
+    if isinstance(term, Var):
+        return frozenset({(term.pos,)}), frozenset()
+    if isinstance(term, Map):
+        words, maps = term_reads(term.arg)
+        return words, maps | {term.name}
+    if isinstance(term, Mul):
+        (lw, lm), (rw, rm) = term_reads(term.left), term_reads(term.right)
+        return frozenset(u + v for u in lw for v in rw), lm | rm
+    words, maps = zip((frozenset(),) * 2, *(term_reads(t) for _, t in term.terms))
+    return frozenset().union(*words), frozenset().union(*maps)
 
 
 # -- the axiom tables ---------------------------------------------------
@@ -131,6 +147,11 @@ KIND_AXIOMS: dict[AlgebraKind, tuple[Axiom, ...]] = {
                    Mul("star", p(q(Y)), Mul("triangle", p(X), Z))))),
 }
 
+# a non-commutative Omega may put monomials at different words at different indices
+COMMUTATIVE_OMEGA_KINDS = frozenset(
+    kind for kind, axioms in KIND_AXIOMS.items()
+    if any(len(term_reads(minus(ax.lhs, ax.rhs))[0]) > 1 for ax in axioms))
+
 
 def rota_baxter_product(m: str) -> Sum:
     """x.R(y) + R(x).y + lam x.y over product m: R(x).R(y) = R of it is the
@@ -161,14 +182,6 @@ def morphism_axioms(slots: tuple[str, ...]) -> tuple[Axiom, ...]:
 
 IntVector = tuple[int, ...]
 Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVector] | None]]
-
-
-@cache
-def _positions(term: tuple) -> frozenset[int]:
-    """The variables a term reads (a Sum's pairs are searched through)."""
-    if isinstance(term, Var):
-        return frozenset((term.pos,))
-    return frozenset().union(*(_positions(t) for t in term if isinstance(t, tuple)))
 
 
 class _Cells:
@@ -344,7 +357,7 @@ class _Cells:
                 bound = [(c, b(idx)) for c, b in parts]
                 live = [(c, fn) for c, (_, fn) in bound if fn is not None]
                 return bound[0][1][0], _signed_sum(live) if live else None
-        positions = sorted(_positions(term))
+        positions = sorted({v for word in term_reads(term)[0] for v in word})
         return degree, (bind if len(positions) == arity
                         else _shared(bind, positions, self.memos))
 
@@ -491,7 +504,7 @@ def _kind_checker(name: str, kinds: tuple[AlgebraKind, ...], doc: str):
         if inst.kind not in wanted:
             raise KindMismatch("checker expects kind in {%s}, got %s" % (
                 ", ".join(k.value for k in wanted), inst.kind.value))
-        if inst.kind.needs_commutative_omega and not is_commutative_table(inst.omega):
+        if inst.kind in COMMUTATIVE_OMEGA_KINDS and not is_commutative_table(inst.omega):
             raise NonCommutativeOmega(
                 f"{inst.kind.value} checker requires a commutative index semigroup")
         return _report(inst.kind.value, KIND_AXIOMS[inst.kind], _Cells(inst),

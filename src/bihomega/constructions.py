@@ -13,9 +13,9 @@ from dataclasses import replace
 from functools import reduce
 from itertools import combinations, product
 
-from .checkers import (Mul, R, Sum, X, Y, _Cells, check_instance,
-                       check_morphism, check_rota_baxter, minus, on, p, plus,
-                       q, rota_baxter_product)
+from .checkers import (COMMUTATIVE_OMEGA_KINDS, Mul, R, Sum, X, Y, _Cells,
+                       check_instance, check_morphism, check_rota_baxter,
+                       minus, on, p, plus, q, rota_baxter_product, term_reads)
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind as K,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
@@ -33,9 +33,11 @@ Recipe.__doc__ = """One construction: `kinds` maps input to output kind;
 `products` maps each output slot to a term in X, Y over the maps p, q,
 P = p^-1, Q = q^-1, R (the operator family, weight "lam") and s, t (p2,
 q2); `operands` is (), ("rb",) or ("p2", "q2"); `requires` draws from
-"commutative", "weight0", "inverses", "commuting", checked in that order;
-`maps` spells the output's p and q ("ps" is p o s); `post` lists
-(checker, message) pairs, the checker "instance" or "rb"."""
+"weight0", "commuting"; `maps` spells the output's p and q ("ps" is p o s);
+`post` lists (checker, message) pairs, the checker "instance" or "rb".  The
+products add a commutative Omega (a monomial at a word other than (X, Y),
+or an output kind needing one and an input kind not) and inverses (a read
+of P or Q); the order is commutative, weight0, inverses, commuting."""
 
 
 def _to(out: K, *kinds: K) -> dict:
@@ -45,9 +47,6 @@ def _to(out: K, *kinds: K) -> dict:
 def _flip(m: str) -> Mul:
     # (p^-1 q (y)) m (p q^-1 (x)), at index b*a
     return Mul(m, on("P")(q(Y)), p(on("Q")(X)))
-
-
-_FLIPS = ("commutative", "inverses")  # what the flip, reading p^-1 and q^-1, needs
 
 
 RECIPES: dict[str, Recipe] = {
@@ -68,19 +67,15 @@ RECIPES: dict[str, Recipe] = {
          "succ": Mul("mul", R(X), Y)}, ("rb",)),
     "dendriform_to_prelie": Recipe(
         _to(K.PRELIE, K.DENDRIFORM),
-        {"triangle": minus(Mul("succ", X, Y), _flip("prec"))},
-        requires=_FLIPS),
+        {"triangle": minus(Mul("succ", X, Y), _flip("prec"))}),
     "assoc_as_prelie": Recipe(
-        _to(K.PRELIE, *ASSOCIATIVE_KINDS), {"triangle": Mul("mul", X, Y)},
-        requires=("commutative",)),
+        _to(K.PRELIE, *ASSOCIATIVE_KINDS), {"triangle": Mul("mul", X, Y)}),
     "prelie_to_lie": Recipe(
         _to(K.LIE, K.PRELIE),
-        {"bracket": minus(Mul("triangle", X, Y), _flip("triangle"))},
-        requires=_FLIPS),
+        {"bracket": minus(Mul("triangle", X, Y), _flip("triangle"))}),
     "assoc_to_lie": Recipe(
         _to(K.LIE, *ASSOCIATIVE_KINDS),
-        {"bracket": minus(Mul("mul", X, Y), _flip("mul"))},
-        requires=_FLIPS),
+        {"bracket": minus(Mul("mul", X, Y), _flip("mul"))}),
     "rb_bracket_lie": Recipe(
         _to(K.LIE, K.LIE), {"bracket": rota_baxter_product("bracket")}, ("rb",)),
     "rb_lie_to_prelie": Recipe(
@@ -89,7 +84,7 @@ RECIPES: dict[str, Recipe] = {
     "postlie_to_lie": Recipe(
         _to(K.LIE, K.POSTLIE),
         {"bracket": Sum(((1, Mul("triangle", X, Y)), (-1, _flip("triangle")),
-                         (1, Mul("bracket", X, Y))))}, requires=_FLIPS),
+                         (1, Mul("bracket", X, Y))))}),
     "lie_rb_to_postlie": Recipe(
         _to(K.POSTLIE, K.LIE),
         {"bracket": Sum((("lam", Mul("bracket", X, Y)),)),
@@ -130,12 +125,15 @@ def _run(name: str, a: AlgebraInstance, operands: tuple,
         if fam.omega != a.omega or fam.dim != a.dim:
             raise ShapeMismatch(f"{name}: {op} does not match the input's "
                                 "semigroup and dim")
-    if "commutative" in recipe.requires and not is_commutative_table(a.omega):
+    kind, gated = recipe.kinds[a.kind], COMMUTATIVE_OMEGA_KINDS
+    words, reads = term_reads(plus(*recipe.products.values()))
+    if (words - {(X.pos, Y.pos)} or kind in gated and a.kind not in gated) \
+            and not is_commutative_table(a.omega):
         raise NonCommutativeOmega(f"{name} requires a commutative index semigroup")
     if "weight0" in recipe.requires and rb.weight != 0:
         raise NonzeroWeight(f"{name} needs weight 0, got {rb.weight}")
     maps = {"R": rb.maps} if rb is not None else dict(zip("st", operands))
-    if "inverses" in recipe.requires:
+    if reads & {"P", "Q"}:
         maps.update(P=a.p.inverse(), Q=a.q.inverse())
     if "commuting" in recipe.requires:
         families = (("p", a.p), ("q", a.q)) + tuple(ops.items())
@@ -159,7 +157,6 @@ def _run(name: str, a: AlgebraInstance, operands: tuple,
                       "of the input", check_morphism(operand, a, a))
 
     cells = _Cells(a, maps, weight=rb.weight if rb is not None else 0)
-    kind = recipe.kinds[a.kind]
     families = {"p": a.p, "q": a.q, **maps}
     p, q = (reduce(LinearFamily.compose, map(families.get, word))
             for word in recipe.maps)

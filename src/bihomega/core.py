@@ -282,11 +282,6 @@ class AlgebraKind(Enum):
     def product_slots(self) -> tuple[str, ...]:
         return _KIND_SLOTS[self]
 
-    @property
-    def needs_commutative_omega(self) -> bool:
-        return self in (AlgebraKind.PRELIE, AlgebraKind.LIE, AlgebraKind.POSTLIE,
-                        AlgebraKind.ZINBIEL, AlgebraKind.PREPOISSON)
-
 
 _KIND_SLOTS = {
     AlgebraKind.OMEGA_ASSOCIATIVE: ("mul",),

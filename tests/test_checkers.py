@@ -7,8 +7,8 @@ from itertools import product
 
 import pytest
 
-from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Var, X, Y, _Cells,
-                               _report, on,
+from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, X, Y, _Cells,
+                               _report, on, term_reads,
                                check_bihom_associative,
                                check_dendriform,
                                check_instance, check_lie, check_morphism,
@@ -304,6 +304,11 @@ def test_commutative_omega_required():
             checker(zero_instance(kind, lz, 2))
 
 
+# the kinds whose checkers refuse a non-commutative Ω
+GATED_KINDS = {AlgebraKind.PRELIE, AlgebraKind.LIE, AlgebraKind.POSTLIE,
+               AlgebraKind.ZINBIEL, AlgebraKind.PREPOISSON}
+
+
 def _words(term) -> frozenset:
     """A term's index words: per monomial, its variables in product order;
     a sum's are its terms' together."""
@@ -317,18 +322,51 @@ def _words(term) -> frozenset:
     return frozenset().union(*(_words(t) for _, t in term.terms))
 
 
+def _maps_read(term) -> frozenset:
+    """The names of the map families a term reads."""
+    if isinstance(term, Map):
+        return frozenset({term.name}) | _maps_read(term.arg)
+    if isinstance(term, Mul):
+        return _maps_read(term.left) | _maps_read(term.right)
+    if isinstance(term, Sum):
+        return frozenset().union(*(_maps_read(t) for _, t in term.terms))
+    return frozenset()
+
+
 def test_commutative_omega_gates_follow_the_axioms_index_words():
     # over a non-commutative Ω, monomials in different variable orders sit
     # at different indices: a kind needs a commutative Ω exactly when one
     # of its axioms has more than one word over both sides
-    for kind, axioms in KIND_AXIOMS.items():
-        assert kind.needs_commutative_omega == any(
-            len(_words(ax.lhs) | _words(ax.rhs)) > 1 for ax in axioms), kind
-    # every RB and morphism axiom has one word, so their checkers have no gate
+    assert {kind for kind, axioms in KIND_AXIOMS.items() if any(
+        len(_words(ax.lhs) | _words(ax.rhs)) > 1 for ax in axioms)} == GATED_KINDS
+    lz = left_zero_semigroup(2)
     for kind in AlgebraKind:
-        slots = kind.product_slots
+        inst = zero_instance(kind, lz, 2)
+        if kind in GATED_KINDS:
+            with pytest.raises(NonCommutativeOmega) as err:
+                check_instance(inst)
+            assert str(err.value) == (
+                f"{kind.value} checker requires a commutative index semigroup")
+        else:
+            assert check_instance(inst).passed
+    # every RB and morphism axiom has one word, so their checkers have no
+    # gate: both run over the left-zero semigroup on every kind
+    zero = LinearFamily.constant(lz, Matrix.from_rows([[0, 0], [0, 0]]))
+    for kind in AlgebraKind:
+        slots, inst = kind.product_slots, zero_instance(kind, lz, 2)
         for ax in rota_baxter_axioms(slots) + morphism_axioms(slots):
             assert len(_words(ax.lhs) | _words(ax.rhs)) == 1, (kind, ax.name)
+        assert check_rota_baxter(inst, RotaBaxterFamily(zero, Fraction(1))).passed
+        assert check_morphism(LinearFamily.identity(lz, 2), inst, inst).passed
+
+
+def test_term_reads_agrees_with_the_tests_walk_on_every_axiom():
+    for kind, axioms in KIND_AXIOMS.items():
+        slots = kind.product_slots
+        for ax in axioms + rota_baxter_axioms(slots) + morphism_axioms(slots):
+            for side in (ax.lhs, ax.rhs):
+                assert term_reads(side) == (_words(side), _maps_read(side)), (
+                    kind, ax.name)
 
 
 def test_associative_checker_accepts_noncommutative_omega():

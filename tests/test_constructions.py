@@ -1,10 +1,12 @@
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 import pytest
 
 import classical
-from bihomega.checkers import Map, Mul, Sum, check_instance, check_rota_baxter
+from bihomega.checkers import (Mul, Sum, X, Y, check_instance,
+                               check_rota_baxter, term_reads)
 from bihomega.constructions import (CONSTRUCTIONS, assoc_as_prelie,
                                     assoc_to_lie, dendriform_to_prelie,
                                     dendriform_total, lie_rb_to_postlie,
@@ -12,9 +14,9 @@ from bihomega.constructions import (CONSTRUCTIONS, assoc_as_prelie,
                                     rb_bracket_lie, rb_lie_to_prelie,
                                     rb_split_dendriform, rb_star_associative,
                                     yau_twist)
-from bihomega.constructions import RECIPES
-from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
-                           RotaBaxterFamily, new_instance)
+from bihomega.constructions import RECIPES, Recipe, _construction
+from bihomega.core import (ASSOCIATIVE_KINDS, AlgebraKind, BilinearFamily,
+                           LinearFamily, RotaBaxterFamily, new_instance)
 from bihomega.errors import (KindMismatch, MorphismCheckFailed,
                              NonCommutingFamilies, NonzeroWeight,
                              PreconditionCheckFailed, ShapeMismatch, Singular)
@@ -27,7 +29,7 @@ from bihomega.semigroup import (SemigroupTable, cyclic_group,
 from bihomega.semigroup import left_zero_semigroup
 from conftest import LIE_2D, two_dim_instance
 from reference import bilinear, map_at, mat_vec, nonzero_cells
-from test_checkers import _twisted_instance, _words
+from test_checkers import GATED_KINDS, _maps_read, _twisted_instance, _words
 
 TRIVIAL = trivial_semigroup()
 C2 = cyclic_group(2)
@@ -377,52 +379,112 @@ def test_constructions_follow_their_formulas_on_twisted_input():
                 assert map_at(out.q, a, x) == map_at(q, a, map_at(t, a, x) if t else x)
 
 
-@pytest.mark.parametrize("name", ["assoc_as_prelie", "assoc_to_lie",
-                                  "dendriform_to_prelie", "postlie_to_lie",
-                                  "prelie_to_lie"])
-def test_noncommutative_omega_refused_before_any_checker(name, monkeypatch):
+# the recipes that refuse a non-commutative Ω, and those that invert p and q
+GATED_RECIPES = ["assoc_as_prelie", "assoc_to_lie", "dendriform_to_prelie",
+                 "postlie_to_lie", "prelie_to_lie"]
+FLIP_RECIPES = ["assoc_to_lie", "dendriform_to_prelie", "postlie_to_lie",
+                "prelie_to_lie"]
+
+
+class _CheckerRan(Exception):
+    pass
+
+
+def _no_checkers(monkeypatch):
     def checker(*args, **kwargs):
-        raise AssertionError(f"{name} ran a checker")
+        raise _CheckerRan
     for which in ("check_instance", "check_morphism", "check_rota_baxter"):
         monkeypatch.setattr(f"bihomega.constructions.{which}", checker)
-    kind = next(iter(RECIPES[name].kinds))
-    a = zero_instance(kind, left_zero_semigroup(2), 2)
-    with pytest.raises(NonCommutativeOmega) as err:
-        CONSTRUCTIONS[name](a)
-    assert str(err.value) == f"{name} requires a commutative index semigroup"
 
 
-def _maps_read(term) -> frozenset:
-    """The names of the map families a term reads."""
-    if isinstance(term, Map):
-        return frozenset({term.name}) | _maps_read(term.arg)
-    if isinstance(term, Mul):
-        return _maps_read(term.left) | _maps_read(term.right)
-    if isinstance(term, Sum):
-        return frozenset().union(*(_maps_read(t) for _, t in term.terms))
-    return frozenset()
+def _refused_before_any_checker(name, omega, refused, error, message, p=None):
+    """RECIPES[name] on a zero instance of each input kind over omega, dim 2,
+    with a zero weight-0 operator or identity twists, checked and unchecked:
+    where refused, each run raises error(message); elsewhere a checked run
+    reaches a checker and an unchecked one returns its output."""
+    recipe = RECIPES[name]
+    operands = {(): (), ("rb",): (rb_const(omega, [[0, 0], [0, 0]]),),
+                ("p2", "q2"): (LinearFamily.identity(omega, 2),) * 2}
+    for kind, out in recipe.kinds.items():
+        a = zero_instance(kind, omega, 2, p=p)
+        for unchecked in (False, True):
+            run = partial(CONSTRUCTIONS[name], a, *operands[recipe.operands],
+                          unchecked=unchecked)
+            if refused:
+                with pytest.raises(error) as err:
+                    run()
+                assert str(err.value) == message
+            elif unchecked:
+                assert run().kind == out
+            else:
+                with pytest.raises(_CheckerRan):
+                    run()
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_noncommutative_omega_refused_before_any_checker(name, monkeypatch):
+    _no_checkers(monkeypatch)
+    _refused_before_any_checker(
+        name, left_zero_semigroup(2), name in GATED_RECIPES, NonCommutativeOmega,
+        f"{name} requires a commutative index semigroup")
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_singular_maps_refused_before_any_checker(name, monkeypatch):
+    _no_checkers(monkeypatch)
+    p = LinearFamily.constant(C2, Matrix.diagonal([1, 0]))
+    _refused_before_any_checker(
+        name, C2, name in FLIP_RECIPES, Singular,
+        "structure map at index 'g0' is singular", p)
 
 
 def test_recipe_gates_follow_the_product_terms():
-    # "commutative" exactly when a product term has more than one index
-    # word, or the output kind needs a commutative Ω and the input kind
-    # does not; "inverses" exactly when a product term reads P or Q
+    # by the test's own walk: a commutative Ω exactly when a product
+    # monomial sits at a word other than (X, Y), or the output kind is gated
+    # and the input kind is not; inverses exactly when a product reads P or
+    # Q; and the library's walk agrees with the test's on every product
+    commutative, inverses = set(), set()
     for name, recipe in RECIPES.items():
-        terms = recipe.products.values()
-        flips = any(len(_words(t)) > 1 for t in terms)
-        for k, out in recipe.kinds.items():
-            assert ("commutative" in recipe.requires) == (flips or (
-                out.needs_commutative_omega and not k.needs_commutative_omega)), (
-                name, k)
-        reads = frozenset().union(*map(_maps_read, terms))
-        assert ("inverses" in recipe.requires) == bool(reads & {"P", "Q"}), name
+        for term in recipe.products.values():
+            assert term_reads(term) == (_words(term), _maps_read(term)), name
+            if _words(term) - {(0, 1)}:
+                commutative.add(name)
+            if _maps_read(term) & {"P", "Q"}:
+                inverses.add(name)
+        # the same for every input kind of the recipe
+        (onto_gated,) = {out in GATED_KINDS and k not in GATED_KINDS
+                         for k, out in recipe.kinds.items()}
+        if onto_gated:
+            commutative.add(name)
+    assert sorted(commutative) == GATED_RECIPES
+    assert sorted(inverses) == FLIP_RECIPES
 
 
-def test_every_recipe_that_needs_a_commutative_omega_is_covered():
-    assert sorted(name for name, recipe in RECIPES.items()
-                  if "commutative" in recipe.requires) == [
-        "assoc_as_prelie", "assoc_to_lie", "dendriform_to_prelie",
-        "postlie_to_lie", "prelie_to_lie"]
+def test_the_readme_opposite_recipe_is_refused_over_a_noncommutative_omega(
+        monkeypatch):
+    # y.x with p and q swapped: its product sits at the word (Y, X), which a
+    # non-commutative Ω puts at b.a, not a.b
+    monkeypatch.setitem(RECIPES, "opposite", Recipe(
+        dict.fromkeys(ASSOCIATIVE_KINDS, AlgebraKind.BIHOM_ASSOCIATIVE),
+        {"mul": Mul("mul", Y, X)}, maps=("q", "p")))
+    opposite = _construction("opposite", "y.x with p and q swapped")
+    lz, f = left_zero_semigroup(2), (1, 2)
+    ident = LinearFamily.identity(lz, 1)
+    a = new_instance(AlgebraKind.OMEGA_ASSOCIATIVE, lz, (("mul", (
+        BilinearFamily.from_function(lz, 1, lambda a, b, i, j: (f[b],)))),),
+                     ident, ident)
+    assert check_instance(a).passed
+    for unchecked in (False, True):
+        with pytest.raises(NonCommutativeOmega) as err:
+            opposite(a, unchecked=unchecked)
+        assert str(err.value) == "opposite requires a commutative index semigroup"
+    b = two_dim_instance(C2)
+    out = opposite(b)
+    assert check_instance(out).passed
+    assert (out.p, out.q) == (b.q, b.p)
+    for al, be, i, j in product(range(2), repeat=4):
+        assert (out.product("mul").basis_product(al, be, i, j)
+                == b.product("mul").basis_product(be, al, j, i))
 
 
 # a commutative table that is no semigroup: (a.a).b = b.b = a but

@@ -342,8 +342,6 @@ def test_kind_slots():
     assert AlgebraKind.DENDRIFORM.product_slots == ("prec", "succ")
     assert AlgebraKind.POSTLIE.product_slots == ("bracket", "triangle")
     assert AlgebraKind.PREPOISSON.product_slots == ("triangle", "star")
-    assert not AlgebraKind.BIHOM_ASSOCIATIVE.needs_commutative_omega
-    assert AlgebraKind.ZINBIEL.needs_commutative_omega
 
 
 _TWO_DIM = two_dim_instance(C2)

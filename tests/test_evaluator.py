@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, _Cells, _report,
-                               check_instance, check_morphism,
-                               check_rota_baxter, mismatches, morphism_axioms,
-                               morphism_cells, rota_baxter_axioms,
-                               rota_baxter_cells)
+from bihomega.checkers import (COMMUTATIVE_OMEGA_KINDS, KIND_AXIOMS, Map, Mul,
+                               Sum, Var, _Cells, _report, check_instance,
+                               check_morphism, check_rota_baxter, mismatches,
+                               morphism_axioms, morphism_cells,
+                               rota_baxter_axioms, rota_baxter_cells)
 from bihomega.constructions import RECIPES, assoc_to_lie, rb_star_associative
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
@@ -125,7 +125,7 @@ SHAPES = [(C2, 1), (C2, 2), (C2, 3), (C3, 1), (C3, 2), (LEFT_ZERO, 2),
 
 def _kinds(omega):
     return [k for k in AlgebraKind
-            if omega is not LEFT_ZERO or not k.needs_commutative_omega]
+            if omega is not LEFT_ZERO or k not in COMMUTATIVE_OMEGA_KINDS]
 
 
 @st.composite

@@ -150,7 +150,7 @@ KIND_AXIOMS: dict[AlgebraKind, tuple[Axiom, ...]] = {
 # a non-commutative Omega may put monomials at different words at different indices
 COMMUTATIVE_OMEGA_KINDS = frozenset(
     kind for kind, axioms in KIND_AXIOMS.items()
-    if any(len(term_reads(minus(ax.lhs, ax.rhs))[0]) > 1 for ax in axioms))
+    if any(len(term_reads(ax.lhs)[0] | term_reads(ax.rhs)[0]) > 1 for ax in axioms))
 
 
 def rota_baxter_product(m: str) -> Sum:

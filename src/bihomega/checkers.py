@@ -15,10 +15,10 @@ from operator import add, itemgetter, sub
 from typing import Callable, Iterator, Union
 
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
-                   BilinearFamily, LinearFamily, RotaBaxterFamily,
-                   SparseBlock, block_kernel)
-from .errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from .linalg import Matrix, Vector, frac, rows_times
+                   BilinearFamily, LinearFamily, RotaBaxterFamily)
+from .errors import (IllTypedTerm, KindMismatch, NonCommutativeOmega,
+                     ShapeMismatch)
+from .linalg import Matrix, Vector, frac
 from .reports import DEFAULT_WITNESS_CAP, CheckReport, collect
 from .semigroup import is_commutative_table
 
@@ -67,6 +67,28 @@ def term_reads(term: Term) -> tuple[frozenset[tuple[int, ...]], frozenset[str]]:
         return frozenset(u + v for u in lw for v in rw), lm | rm
     words, maps = zip((frozenset(),) * 2, *(term_reads(t) for _, t in term.terms))
     return frozenset().union(*words), frozenset().union(*maps)
+
+
+@cache
+def term_positions(term: Term) -> tuple[int, ...]:
+    """The positions of the variables a term reads, in ascending order."""
+    return tuple(sorted({v for word in term_reads(term)[0] for v in word}))
+
+
+@cache
+def term_degree(term: Term) -> int:
+    """The power of the binding's den that a term's int vector carries:
+    0 for a variable, 1 plus its arguments' for a product or a map, and
+    for a sum its terms' largest, a "lam" term's one up, counted even at
+    weight 0; a term whose coefficient is 0 does not count."""
+    if isinstance(term, Var):
+        return 0
+    if isinstance(term, Map):
+        return 1 + term_degree(term.arg)
+    if isinstance(term, Mul):
+        return 1 + term_degree(term.left) + term_degree(term.right)
+    return max((term_degree(t) + (c == "lam") for c, t in term.terms if c),
+               default=0)
 
 
 # -- the axiom tables ---------------------------------------------------
@@ -187,45 +209,40 @@ Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVec
 class _Cells:
     """The data one checker call, one construction or one whole search
     reads, in integers over one common denominator `den`, and the terms
-    it has compiled.  A search makes two: one on kernels that prunes,
-    and one that applies, on which the checker decides every hit.
+    it has compiled.  A search makes two: one whose generated cells
+    prune (see `cellgen.first_mismatch`), and one on which the checker
+    decides every hit.
 
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds each product's
     nonzero cells over den (its `int_tensor`: the ints it stores over
     its own den, scaled by den / fam.den), each map's matrix per
-    index with its `int_rows` and `int_cols` beside it, lam and the
-    memos of the sub-terms that read fewer variables than their axiom.
-    A term compiles to (degree, bind): bind(index tuple) -> (its index,
-    fn(basis tuple) -> its value times den ** degree, an int vector).
-    A variable's degree is 0, a read of a cell's or of a map's column
-    is 1, a product's is 1 plus its arguments', a map's 1 plus its
-    argument's; a sum lifts each term to its largest degree, a "lam"
-    term's counted even at weight 0.  A product of two basis vectors
+    index with its `int_cols` beside it, lam and the memos of the
+    sub-terms that read fewer variables than their axiom.  A term
+    compiles to (degree, bind): bind(index tuple) -> (its index,
+    fn(basis tuple) -> its value times den ** degree, an int vector),
+    its degree being `term_degree`'s.  A product of two basis vectors
     is read from its block's cells and a map of a basis vector from its
     matrix's columns, so p(q(X)) applies p to q's column.  Products are
     applied by their own `apply` at den, looked up when a term is
     compiled; a map's matrix at an index, and its columns, are looked
-    up when fn runs, and the matrix's `apply` is called then.  A
-    binding made with kernels=True, which only a search makes, calls no
-    `apply`: a product calls the `block_kernel` of its block over den,
-    built when a term is first bound at an index tuple where that block
-    is read and kept in `kernels`, keyed by the block, so equal blocks
-    share one; a map calls `rows_times` on the int rows at its index,
-    looked up when fn runs.  So a bound term depends on its index tuple
-    alone, and stays bound across rebinds.  The closures hold the
-    binding's parts, never the binding, so that each binding is freed
-    as soon as it is dropped.
+    up when fn runs, and the matrix's `apply` is called then.  So a
+    bound term depends on its index tuple alone, and stays bound across
+    rebinds.  The closures hold the binding's parts, never the binding,
+    so that each binding is freed as soon as it is dropped.
 
     fn is None, and nothing is evaluated, where the term is zero: a
     product over an empty block or with a zero argument, a map of a zero
     term, a sum of zero terms only (still at its first term's index).
     That is decided from product blocks alone, so no rebind changes it.
+    A sum whose nonzero terms sit at more than one index raises
+    IllTypedTerm when it is bound there: once per index tuple, never
+    per basis tuple.
 
-    rebind(name, a, m) swaps one map's matrix, rows and columns at one
-    index, and clears every value memo; it never touches a bound term.
-    So a search binds each index tuple once and rebinds one index per
-    node, and a checker handed a binding (`check_rota_baxter` and
+    rebind(name, a, m) swaps one map's matrix and columns at one index,
+    and clears every value memo; it never touches a bound term.  So a
+    search binds each index tuple once and rebinds one index per node,
+    and a checker handed a binding (`check_rota_baxter` and
     `check_morphism` take `cells`) rebinds the checked family at every
     index and reuses the terms bound for the families before it.
     made_for names what a binding was made for, as those checkers
@@ -240,7 +257,7 @@ class _Cells:
                  maps: dict[str, LinearFamily] | None = None,
                  products: dict[str, BilinearFamily] | None = None,
                  weight: Fraction = Fraction(0), den: int = 1,
-                 kernels: bool = False, made_for: tuple = ()):
+                 made_for: tuple = ()):
         """Maps and products besides the instance's own, by name."""
         self.omega, self.dim, self.weight = inst.omega, inst.dim, frac(weight)
         self.made_for = made_for
@@ -249,22 +266,18 @@ class _Cells:
         self.den = lcm(den, self.weight.denominator,
                        *(fam.den for fam in self.products.values()),
                        *(m.den for fam in families.values() for m in fam.maps))
+        self.lam = self.weight.numerator * (self.den // self.weight.denominator)
         self.maps = {name: list(fam.maps) for name, fam in families.items()}
-        self.rows = {name: [m.int_rows(self.den) for m in mats]
-                     for name, mats in self.maps.items()}
         self.cols = {name: [m.int_cols(self.den) for m in mats]
                      for name, mats in self.maps.items()}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
         self.memos: list[dict] = []
-        # each product block's kernel, where the binding runs on kernels
-        self.kernels: dict[SparseBlock, Callable] | None = {} if kernels else None
 
     def rebind(self, name: str, a: int, m: Matrix) -> None:
         """Map `name` at index a becomes m, whose den must divide
-        self.den; its rows and columns there become m's, and every memo
-        is cleared."""
+        self.den; its columns there become m's, and every memo is
+        cleared."""
         self.maps[name][a] = m
-        self.rows[name][a] = m.int_rows(self.den)
         self.cols[name][a] = m.int_cols(self.den)
         for memo in self.memos:
             memo.clear()
@@ -280,20 +293,20 @@ class _Cells:
         return self.binds[term, arity]
 
     def _compile(self, term: Term, arity: int) -> tuple[int, Bind]:
-        table, den = self.omega.table, self.den
+        table, den, degree = self.omega.table, self.den, term_degree(term)
         if isinstance(term, Var):
             pos, d = term.pos, self.dim
             units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
             def bind_var(idx):
                 return idx[pos], lambda bas: units[bas[pos]]
-            return 0, bind_var
+            return degree, bind_var
         if isinstance(term, Map) and isinstance(term.arg, Var):
             # a map of a basis vector is read from its matrix's columns
             cols, pos = self.cols[term.name], term.arg.pos
             def bind_col(idx):
                 a = idx[pos]
                 return a, lambda bas: cols[a][bas[pos]]
-            return 1, bind_col
+            return degree, bind_col
         if isinstance(term, Mul) and isinstance(term.left, Var) \
                 and isinstance(term.right, Var):
             # a product of two basis vectors is read from its block's cells
@@ -308,58 +321,65 @@ class _Cells:
                     return table[a][b], None
                 get = lookup[a][b].get
                 return table[a][b], lambda bas: get((bas[u], bas[v]), zero)
-            return 1, bind_read
+            return degree, bind_read
         if isinstance(term, Mul):
-            fam, kernels, d = self.products[term.slot], self.kernels, self.dim
+            fam = self.products[term.slot]
             apply, blocks = fam.apply, fam.int_tensor(den)
-            (dl, left), (dr, right) = (self.bind(term.left, arity),
-                                       self.bind(term.right, arity))
-            degree = 1 + dl + dr
+            left, right = (self.bind(term.left, arity)[1],
+                           self.bind(term.right, arity)[1])
             def bind(idx):
                 (a, lf), (b, rf) = left(idx), right(idx)
                 if lf is None or rf is None or not blocks[a][b]:
                     return table[a][b], None
-                if kernels is not None:
-                    block = blocks[a][b]
-                    if block not in kernels:
-                        kernels[block] = block_kernel(block, d)
-                    kernel = kernels[block]
-                    return table[a][b], lambda bas: kernel(lf(bas), rf(bas))
                 return table[a][b], lambda bas: apply(a, b, lf(bas), rf(bas), den)
         elif isinstance(term, Map):
-            mats, rows, kernels = (self.maps[term.name], self.rows[term.name],
-                                   self.kernels)
-            inner_degree, inner = self.bind(term.arg, arity)
-            degree = 1 + inner_degree
+            mats, inner = self.maps[term.name], self.bind(term.arg, arity)[1]
             def bind(idx):
                 a, fn = inner(idx)
                 if fn is None:
                     return a, None
-                if kernels is not None:
-                    return a, lambda bas: rows_times(rows[a], fn(bas))
                 return a, lambda bas: mats[a].apply(fn(bas), den)
         else:
-            # a "lam" term weighs in lam * den, one degree up; a term whose
-            # coefficient is 0, lam at weight 0 too, adds exactly nothing
-            w = self.weight
-            lam = w.numerator * (den // w.denominator)
-            parts = []
-            for c, t in term.terms:
-                if c:
-                    dt, b = self.bind(t, arity)
-                    c, up = (lam, 1) if c == "lam" else (c, 0)
-                    parts.append((c, dt + up, b))
-            degree = max((dt for _, dt, _ in parts), default=0)
-            parts = [(c * den ** (degree - dt), b) for c, dt, b in parts if c]
+            parts = [(c, self.bind(t, arity)[1], t)
+                     for c, t in _sum_parts(term, den, self.lam)]
             if not parts:
                 return degree, lambda idx: (None, None)
+            elements = self.omega.elements
             def bind(idx):
-                bound = [(c, b(idx)) for c, b in parts]
-                live = [(c, fn) for c, (_, fn) in bound if fn is not None]
-                return bound[0][1][0], _signed_sum(live) if live else None
-        positions = sorted({v for word in term_reads(term)[0] for v in word})
+                bound = [(c, *b(idx), t) for c, b, t in parts]
+                _one_index(elements, [(a, t) for _, a, fn, t in bound if fn])
+                live = [(c, fn) for c, _, fn, _ in bound if fn is not None]
+                return bound[0][1], _signed_sum(live) if live else None
+        positions = term_positions(term)
         return degree, (bind if len(positions) == arity
                         else _shared(bind, positions, self.memos))
+
+
+def _sum_parts(term: Sum, den: int, lam: int) -> list[tuple[int, Term]]:
+    """A sum's (multiplier, term) pairs at its degree over den: each
+    coefficient, lam for "lam", times den to the degrees its term lacks;
+    the terms whose coefficient is 0 are left out."""
+    degree, parts = term_degree(term), []
+    for c, t in term.terms:
+        if c == "lam":
+            c, t_degree = lam, term_degree(t) + 1
+        else:
+            t_degree = term_degree(t)
+        if c:
+            parts.append((c * den ** (degree - t_degree), t))
+    return parts
+
+
+def _one_index(elements: tuple[str, ...], live: list[tuple[int, Term]]) -> None:
+    """Raise IllTypedTerm where these (index, term) pairs, the nonzero
+    terms of a sum or an axiom's two sides, sit at more than one index:
+    their vectors lie in different spaces."""
+    for a, t in live[1:]:
+        if a != live[0][0]:
+            raise IllTypedTerm(
+                f"{live[0][1]} sits at {elements[live[0][0]]!r} and {t} at "
+                f"{elements[a]!r}: a sum's terms and an axiom's two sides "
+                "must sit at one index")
 
 
 def _scaled(c: int, fn):
@@ -378,7 +398,7 @@ def _signed_sum(terms):
     return fn
 
 
-def _shared(bind: Bind, positions: list[int], memos: list[dict]) -> Bind:
+def _shared(bind: Bind, positions: tuple[int, ...], memos: list[dict]) -> Bind:
     """bind, bound once per assignment of `positions` and kept, with
     each vector computed once per assignment of them; each bound entry's
     dict of vectors joins memos, for rebind to clear.  A zero entry is
@@ -412,7 +432,9 @@ def mismatches(axiom: Axiom, cells: _Cells
     cells.rational turns them back into values.  Each index tuple's two
     sides are bound once and kept, valid across the binding's rebinds.
     Where both are zero, fn yields nothing and visits no basis tuple;
-    where one is, the other is compared against the int zero vector."""
+    where one is, the other is compared against the int zero vector.
+    Where both are nonzero at different indices, binding them raises
+    IllTypedTerm."""
     (dl, lhs), (dr, rhs) = (cells.bind(side, axiom.arity)
                             for side in (axiom.lhs, axiom.rhs))
     degree = max(dl, dr)
@@ -426,7 +448,9 @@ def mismatches(axiom: Axiom, cells: _Cells
 
     def at(idx):
         if idx not in sides:
-            lf, rf = lhs(idx)[1], rhs(idx)[1]
+            (a, lf), (b, rf) = lhs(idx), rhs(idx)
+            if lf is not None and rf is not None:
+                _one_index(cells.omega.elements, [(a, axiom.lhs), (b, axiom.rhs)])
             sides[idx] = (None if lf is None and rf is None
                           else (side(lift_l, lf), side(lift_r, rf)))
             if sides[idx] is not None and not bases:
@@ -544,10 +568,7 @@ def _rebound(cells: _Cells, made_for: tuple, name: str,
     """cells with map `name` rebound to fam's matrix at every index.
 
     Raises ValueError where cells was made for anything but `made_for`,
-    or with kernels=True: a checker decides on `apply` alone.  A matrix
-    whose den does not divide cells.den raises ValueError too."""
-    if cells.kernels is not None:
-        raise ValueError("a checker's binding must be made with kernels=False")
+    or where a matrix's den does not divide cells.den."""
     if cells.made_for != made_for:
         raise ValueError(f"the binding was not made for this {made_for[0]} check")
     for a, m in enumerate(fam.maps):
@@ -561,10 +582,10 @@ def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
     """The weight-lambda operator identity on every product component,
     plus commutation with both structure maps.
 
-    cells, from rota_baxter_cells(inst, ..., kernels=False) at rb's
-    weight, is the binding to decide on; R is rebound to rb's matrices
-    there, so one binding decides family after family with its terms
-    bound once.  Without it, one is made for this call."""
+    cells, from rota_baxter_cells(inst, ...) at rb's weight, is the
+    binding to decide on; R is rebound to rb's matrices there, so one
+    binding decides family after family with its terms bound once.
+    Without it, one is made for this call."""
     if rb.maps.dim != inst.dim or rb.maps.omega != inst.omega:
         raise ShapeMismatch("operator family does not match the instance")
     if cells is None:
@@ -575,11 +596,11 @@ def check_rota_baxter(inst: AlgebraInstance, rb: RotaBaxterFamily,
 
 
 def rota_baxter_cells(inst: AlgebraInstance, rb: RotaBaxterFamily,
-                      den: int = 1, kernels: bool = False) -> _Cells:
+                      den: int = 1) -> _Cells:
     """What `rota_baxter_axioms` read: the instance, R and the weight,
-    over a multiple of den, on kernels if asked (see `_Cells`)."""
+    over a multiple of den (see `_Cells`)."""
     return _Cells(inst, {"R": rb.maps}, weight=rb.weight, den=den,
-                  kernels=kernels, made_for=("rota-baxter", inst, rb.weight))
+                  made_for=("rota-baxter", inst, rb.weight))
 
 
 def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
@@ -587,9 +608,9 @@ def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
                    cells: _Cells | None = None) -> CheckReport:
     """Multiplicativity over every product plus structure-map intertwining.
 
-    cells, from morphism_cells(..., src, dst, kernels=False), is the
-    binding to decide on; f is rebound to its matrices there, so one
-    binding decides family after family with its terms bound once.
+    cells, from morphism_cells(..., src, dst), is the binding to decide
+    on; f is rebound to its matrices there, so one binding decides
+    family after family with its terms bound once.
     Without it, one is made for this call."""
     if src.kind != dst.kind:
         raise KindMismatch("morphism endpoints must share a kind")
@@ -604,11 +625,10 @@ def check_morphism(f: LinearFamily, src: AlgebraInstance, dst: AlgebraInstance,
 
 
 def morphism_cells(f: LinearFamily, src: AlgebraInstance,
-                   dst: AlgebraInstance, den: int = 1,
-                   kernels: bool = False) -> _Cells:
+                   dst: AlgebraInstance, den: int = 1) -> _Cells:
     """What `morphism_axioms` read: src's maps and products, f, and dst's
-    maps and products as P, Q and slot', over a multiple of den, on
-    kernels if asked (see `_Cells`)."""
+    maps and products as P, Q and slot', over a multiple of den (see
+    `_Cells`)."""
     return _Cells(src, {"P": dst.p, "Q": dst.q, "f": f},
                   {slot + "'": fam for slot, fam in dst.products}, den=den,
-                  kernels=kernels, made_for=("morphism", src, dst))
+                  made_for=("morphism", src, dst))

@@ -88,7 +88,10 @@ def _write_text(path: str | None, text: str):
         raise _CliError(f"cannot write {path}: {exc}")
 
 
-def _pick_algebra(ws: Workspace, name: str | None) -> tuple[str, object]:
+def _pick_algebra(ws: Workspace, name: str | None,
+                  flag: str) -> tuple[str, object]:
+    """The algebra named `name`, or the workspace's only one; `flag` is
+    the caller's option that names it, for the error."""
     if name is not None:
         if name not in ws.algebras:
             raise _CliError(f"no algebra named {name!r} in the workspace")
@@ -97,7 +100,7 @@ def _pick_algebra(ws: Workspace, name: str | None) -> tuple[str, object]:
         raise _CliError("workspace holds no algebra")
     if len(ws.algebras) == 1:
         return next(iter(ws.algebras.items()))
-    raise _CliError("workspace holds several algebras; pass --algebra NAME")
+    raise _CliError(f"workspace holds several algebras; pass {flag} NAME")
 
 
 def _cmd_check(args) -> int:
@@ -172,7 +175,7 @@ def _cmd_construct(args) -> int:
                                          and args.as_name.isidentifier()):
         raise _CliError(f"--as-name must be an identifier, got {args.as_name!r}")
     ws = _read_workspace(args.input)
-    alg_name, inst = _pick_algebra(ws, args.algebra)
+    alg_name, inst = _pick_algebra(ws, args.algebra, "--algebra")
     if any(getattr(args, op) is None for op in operands):
         raise _CliError(f"construction {args.name!r} needs --rb NAME"
                         if operands == ("rb",) else
@@ -194,7 +197,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_search_rb(args) -> int:
     ws = _read_workspace(args.algebra)
-    alg_name, inst = _pick_algebra(ws, args.name)
+    alg_name, inst = _pick_algebra(ws, args.name, "--name")
     try:
         entries = tuple(_decimal(v) for v in args.entries.split(","))
         weight = _decimal(args.weight)

@@ -6,8 +6,8 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import chain, islice, product
+from functools import cached_property
+from itertools import chain, product
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -40,43 +40,6 @@ def block_times(block: SparseBlock, dim: int, x, y) -> tuple:
                     for k, c in enumerate(cell):
                         out[k] += coeff * c
     return tuple(out)
-
-
-# a block of more nonzero coefficients than this is multiplied by
-# block_times.  Measured on the RB search over C1 at d = 4 with entries
-# {0, 1} (65,536 candidates, the densest blocks a search of more than
-# one candidate reaches under the default budget): at 24 to 64 terms
-# the kernel was as fast as block_times or up to 12 % faster.  Past 64
-# terms (d >= 5) a search under the default budget has one candidate,
-# where compiling loses: about 1 to 5 ms more per search at d = 5, 6
-KERNEL_TERMS = 64
-
-
-def block_kernel(block: SparseBlock, dim: int) -> Callable[[Sequence, Sequence], tuple]:
-    """A function of two int vectors x and y equal to block_times(block,
-    dim, x, y): straight-line code that sums, into each coordinate k,
-    x_i * (c * y_j + ...) over the block's nonzero coefficients c of
-    e_k, or block_times itself past KERNEL_TERMS of them.  The source is
-    built from indices alone, as x0, y1 and c2; every coefficient is
-    bound as a default argument, never written into it."""
-    nonzero = ((i, j, k, c) for i, row in block for j, cell in row
-               for k, c in enumerate(cell) if c)
-    terms = list(islice(nonzero, KERNEL_TERMS + 1))
-    if len(terms) > KERNEL_TERMS:
-        return partial(block_times, block, dim)
-    sums: list[dict[int, list[str]]] = [{} for _ in range(dim)]
-    for n, (i, j, k, _) in enumerate(terms):
-        sums[k].setdefault(i, []).append(f"c{n}*y{j}")
-    out = "".join(" + ".join(f"x{i}*({' + '.join(ys)})" for i, ys in s.items())
-                  + ", " if s else "0, " for s in sums)
-    xs, ys = ("".join(f"{v}{i}, " for i in range(dim)) for v in "xy")
-    params = "".join(f", c{n}=None" for n in range(len(terms)))
-    scope: dict = {}
-    exec(f"def kernel(x, y{params}):\n ({xs}) = x\n ({ys}) = y\n"
-         f" return ({out})\n", scope)
-    kernel = scope["kernel"]
-    kernel.__defaults__ = tuple(c for *_, c in terms)
-    return kernel
 
 
 def lowest_terms(v: int, den: int) -> tuple[int, int]:

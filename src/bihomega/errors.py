@@ -44,6 +44,11 @@ class NonCommutativeOmega(BihomegaError):
     """A checker or construction needs a commutative index semigroup."""
 
 
+class IllTypedTerm(BihomegaError):
+    """A term adds, or an axiom compares, vectors that sit at different
+    indices of the semigroup."""
+
+
 class KindMismatch(BihomegaError):
     """An instance of the wrong structure class was supplied."""
 

@@ -10,8 +10,8 @@ from math import lcm
 from typing import Callable, Iterator
 
 from .checkers import (Axiom, _Cells, check_bihom_associative, check_morphism,
-                       check_rota_baxter, mismatches, morphism_axioms,
-                       morphism_cells, rota_baxter_axioms, rota_baxter_cells)
+                       check_rota_baxter, morphism_axioms, morphism_cells,
+                       rota_baxter_axioms, rota_baxter_cells)
 from .core import (ASSOCIATIVE_KINDS, AlgebraInstance, AlgebraKind,
                    BilinearFamily, LinearFamily, Provenance, RotaBaxterFamily,
                    new_instance)
@@ -202,7 +202,7 @@ class SearchConfig:
 
 def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
                      axioms: tuple[Axiom, ...], name: str,
-                     cells_for: Callable[..., _Cells],
+                     cells_for: Callable[[LinearFamily], _Cells],
                      keep: Callable[[Matrix], bool] = lambda m: True):
     """Every matrix family with entries from the configured set that passes
     `axioms` on every cell, in the lexicographic order of the whole space
@@ -214,59 +214,74 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     dropped at the first binary cell (x, y) whose sides differ, compared
     as soon as x, y and xy all have matrices.
 
-    One binding serves the whole pruning: cells_for(fam, kernels=True)
-    binds the axioms with fam as map `name` over a multiple of cfg.den,
-    so every candidate's matrices are exact in it.  Each index tuple's
-    sides are bound once.  The unary pass rebinds `name` at each (index,
-    matrix); a node at depth k rebinds it at index k only.  Indices past
-    k keep stale matrices, but no cell compared at depth k reads them.
-
-    That binding is the only one made to run on kernels (see `_Cells`):
-    its products call each block's generated int code and its maps
-    `rows_times` on their int rows, never `apply`.  It is reused for
-    every candidate, so each kernel is built once for thousands of
-    calls.  The caller decides each family it yields with the checker,
-    on a second binding that it makes once, cells_for(identity,
-    kernels=False), which applies and shares no kernel with this one.
+    One binding serves the whole pruning: cells_for(fam) binds the
+    axioms with fam as map `name` over a multiple of cfg.den, so every
+    candidate's matrices are exact in it.  Each cell is one generated int
+    function (`first_mismatch`) that reads the columns `rebind` sets, or
+    past `cellgen.CELL_LINES` lines, `mismatches` on the same binding; a
+    binary cell is made when its depth is first reached, and a cell
+    whose sides are both zero is left out.  The unary pass rebinds `name`
+    at each (index, matrix); a node at depth k rebinds it at index k
+    only.  Indices past k keep stale matrices, but no cell compared at
+    depth k reads them.  The caller decides each family it yields with
+    the checker, on a second binding that it makes once,
+    cells_for(identity), which calls no generated cell.
     """
+    # only a search generates cells: a program that never searches does
+    # not load, or compile, the module
+    from .cellgen import first_mismatch
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
     if space > cfg.budget:
         raise BudgetExceeded(space, cfg.budget)
-    cells = cells_for(LinearFamily.identity(omega, dim), kernels=True)
-    unary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 1]
-    binary = [mismatches(ax, cells)[1] for ax in axioms if ax.arity == 2]
+    cells = cells_for(LinearFamily.identity(omega, dim))
+
+    def checks(arity, idxs):
+        """The cells of the axioms of this arity at idxs, axiom by axiom,
+        but those whose two sides are both zero."""
+        found = []
+        for ax in axioms:
+            if ax.arity == arity:
+                at = first_mismatch(ax, cells)
+                found += [check for check in map(at, idxs) if check is not None]
+        return found
+    unary = [checks(1, [(x,)]) for x in range(n)]
     choices = [[] for _ in range(n)]
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
             for x in range(n):
                 cells.rebind(name, x, m)
-                if _holds(unary, [(x,)]):
+                if _holds(unary[x]):
                     choices[x].append(m)
     # the binary cells first readable once index k has its matrix
     fresh = [[] for _ in range(n)]
     for x in range(n):
         for y in range(n):
             fresh[max(x, y, omega.table[x][y])].append((x, y))
+    binary: dict[int, list] = {}
 
     def extend(mats):
         k = len(mats)
         if k == n:
             yield LinearFamily(omega, dim, mats)
             return
+        if k not in binary:
+            binary[k] = checks(2, fresh[k])
         for m in choices[k]:
             cells.rebind(name, k, m)
-            if _holds(binary, fresh[k]):
+            if _holds(binary[k]):
                 yield from extend(mats + (m,))
     return extend(())
 
 
-def _holds(checks, idxs) -> bool:
-    """Whether each check, an axiom's `mismatches` function, finds the two
-    sides equal on every basis tuple at each index tuple of `idxs`."""
-    return not any(next(at(idx), None) is not None
-                   for at in checks for idx in idxs)
+def _holds(checks) -> bool:
+    """Whether each check, a cell of `first_mismatch`, finds the two
+    sides equal on every basis tuple."""
+    for check in checks:
+        if check() is not None:
+            return False
+    return True
 
 
 def brute_force_rb_search(a: AlgebraInstance,
@@ -274,14 +289,13 @@ def brute_force_rb_search(a: AlgebraInstance,
     """All weight-cfg.weight operator families over the entry set that
     pass check_rota_baxter, in enumeration order.  The search prunes
     index by index; every family it returns has passed the checker,
-    each decided on one binding made for the search, with
-    kernels=False, that the checker rebinds to the family."""
-    def cells_for(fam, kernels):
-        return rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight), cfg.den,
-                                 kernels)
+    each decided on one binding made for the search that the checker
+    rebinds to the family."""
+    def cells_for(fam):
+        return rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight), cfg.den)
     rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _pruned_families(
         a, cfg, rota_baxter_axioms(a.slot_names), "R", cells_for))
-    hits = cells_for(LinearFamily.identity(a.omega, a.dim), kernels=False)
+    hits = cells_for(LinearFamily.identity(a.omega, a.dim))
     return list(itertools.islice(
         (rb for rb in rbs
          if check_rota_baxter(a, rb, max_witnesses=1, cells=hits).passed),
@@ -297,8 +311,7 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     morphism search prunes index by index, and keeps at each index only
     the matrices that commute with every p_b and q_b; every morphism it
     keeps has passed check_morphism, each decided on one binding made
-    for the search, with kernels=False, that the checker rebinds to the
-    family.  Whether the morphisms commute with themselves and each
+    for the search that the checker rebinds to the family.  Whether the morphisms commute with themselves and each
     other is decided once per pair of matrices.
     """
     structure = a.p.maps + a.q.maps
@@ -313,13 +326,13 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
             decided[key] = mats_commute(m, k), m, k
         return decided[key][0]
 
-    def cells_for(fam, kernels):
-        return morphism_cells(fam, a, a, cfg.den, kernels)
+    def cells_for(fam):
+        return morphism_cells(fam, a, a, cfg.den)
     candidates = _pruned_families(
         a, cfg, morphism_axioms(a.slot_names), "f", cells_for,
         keep=lambda m: all(mats_commute(m, s) for s in structure))
     ident = LinearFamily.identity(a.omega, a.dim)
-    hits = cells_for(ident, kernels=False)
+    hits = cells_for(ident)
     morphisms = list(itertools.islice(
         (fam for fam in candidates
          if check_morphism(fam, a, a, max_witnesses=1, cells=hits).passed),

@@ -1,14 +1,16 @@
 import gc
 import hashlib
 import json
+import sys
 import weakref
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, X, Y, _Cells,
-                               _report, on, term_reads,
+from bihomega import cellgen, checkers
+from bihomega.checkers import (KIND_AXIOMS, Axiom, Map, Mul, Sum, Var, X, Y,
+                               _Cells, _report, on, p, plus, term_reads,
                                check_bihom_associative,
                                check_dendriform,
                                check_instance, check_lie, check_morphism,
@@ -19,8 +21,10 @@ from bihomega.checkers import (KIND_AXIOMS, Map, Mul, Sum, Var, X, Y, _Cells,
                                rota_baxter_axioms, rota_baxter_cells)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
-from bihomega.errors import KindMismatch, NonCommutativeOmega, ShapeMismatch
-from bihomega.forge import (constant_product_instance, make_two_dim_example,
+from bihomega.errors import (IllTypedTerm, KindMismatch, NonCommutativeOmega,
+                             ShapeMismatch)
+from bihomega.forge import (SearchConfig, brute_force_rb_search,
+                            constant_product_instance, make_two_dim_example,
                             two_dim_params, zero_instance)
 from bihomega.linalg import Matrix, mat_mul
 from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
@@ -494,11 +498,10 @@ def test_a_handed_binding_decides_as_a_fresh_one():
             == check_morphism(f, inst, inst)
 
 
-_REFUSAL = {"kernels": "kernels=False", "den": "not a multiple"}
+_REFUSAL = {"den": "not a multiple"}
 
 
-@pytest.mark.parametrize("made", ["instance", "weight", "kernels", "morphism",
-                                  "den"])
+@pytest.mark.parametrize("made", ["instance", "weight", "morphism", "den"])
 def test_a_binding_made_for_another_rota_baxter_check_is_refused(made):
     inst, ident = _sign_instance(), LinearFamily.identity(C2, 2)
     rb = RotaBaxterFamily(ident, 1)
@@ -507,8 +510,6 @@ def test_a_binding_made_for_another_rota_baxter_check_is_refused(made):
             constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D}),
             rb),
         "weight": lambda: rota_baxter_cells(inst, RotaBaxterFamily(ident, 0)),
-        # a hit must never be decided on kernel code
-        "kernels": lambda: rota_baxter_cells(inst, rb, kernels=True),
         "morphism": lambda: morphism_cells(ident, inst, inst),
         # R's entries are not exact over the binding's den
         "den": lambda: rota_baxter_cells(inst, rb, den=3),
@@ -519,18 +520,110 @@ def test_a_binding_made_for_another_rota_baxter_check_is_refused(made):
         check_rota_baxter(inst, half if made == "den" else rb, cells=cells)
 
 
-@pytest.mark.parametrize("made", ["source", "target", "kernels", "rota-baxter"])
+@pytest.mark.parametrize("made", ["source", "target", "rota-baxter"])
 def test_a_binding_made_for_another_morphism_check_is_refused(made):
     inst, ident = _sign_instance(), LinearFamily.identity(C2, 2)
     other = zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, 2)
     cells = {
         "source": lambda: morphism_cells(ident, other, inst),
         "target": lambda: morphism_cells(ident, inst, other),
-        "kernels": lambda: morphism_cells(ident, inst, inst, kernels=True),
         "rota-baxter": lambda: rota_baxter_cells(inst, RotaBaxterFamily(ident, 0)),
     }[made]()
     with pytest.raises(ValueError, match=_REFUSAL.get(made, "not made for")):
         check_morphism(ident, inst, inst, cells=cells)
+
+
+def test_no_checker_calls_a_generated_cell():
+    # a search compiles its cells and calls them; afterwards every
+    # checker, on the search's own hit binding too, runs while a profile
+    # hook watches for those cells' code, and sees none of it run
+    inst = _sign_instance()
+    cells = rota_baxter_cells(inst, RotaBaxterFamily(LinearFamily.identity(C2, 2), 1))
+    found = brute_force_rb_search(inst, SearchConfig(weight=1))
+    codes = {entry[1] for entry in cellgen._CELL_CODE.values()
+             if entry and entry[1] is not None}
+    ran = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            ran.append(frame.f_code)
+
+    def watched(run):
+        ran.clear()
+        sys.setprofile(watch)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return len(ran)
+    at = cellgen.first_mismatch(rota_baxter_axioms(("mul",))[0], cells)
+    assert watched(lambda: at((1, 1))()) == 1
+    assert watched(lambda: [check_rota_baxter(inst, rb, cells=cells)
+                            for rb in found]) == 0
+    assert watched(lambda: (check_instance(inst),
+                            check_morphism(inst.p, inst, inst),
+                            check_rota_baxter(inst, found[0]))) == 0
+
+
+def _misplaced(lhs, rhs):
+    """A binding of a dim-1 instance over left_zero_semigroup(2), where
+    ab = a, whose product is 1 at every index pair and whose q, 1 at
+    index 0 and 2 at 1, tells the indices apart; and an axiom of these
+    two sides."""
+    omega = left_zero_semigroup(2)
+    mul = BilinearFamily.from_ints(omega, 1, {
+        (a, b, 0, 0): (1,) for a in range(2) for b in range(2)}, 1)
+    q = LinearFamily(omega, 1, (Matrix.identity(1), Matrix.diagonal([2])))
+    inst = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega, (("mul", mul),),
+                        LinearFamily.identity(omega, 1), q)
+    assert index_classes(_Cells(inst)) == [0, 1]
+    return _Cells(inst), Axiom("misplaced", 2, lhs, rhs)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    # Y X sits at index b, X Y at a: a sum of the two, or one compared
+    # with the other, reads vectors at two indices where a != b; two
+    # equal sums sit at one index, a, and differ nowhere
+    (plus(Mul("mul", X, Y), Mul("mul", Y, X)),
+     plus(Mul("mul", X, Y), Mul("mul", Y, X))),
+    (Mul("mul", X, Y), Mul("mul", Y, X)),
+    (p(Mul("mul", Y, X)), Mul("mul", p(X), p(Y))),
+], ids=["sum", "sides", "under-a-map"])
+def test_an_ill_typed_axiom_is_refused_when_bound(lhs, rhs):
+    cells, axiom = _misplaced(lhs, rhs)
+    at = mismatches(axiom, cells)[1]
+    generated = cellgen.first_mismatch(axiom, cells)
+    for idx in ((0, 1), (1, 0)):
+        with pytest.raises(IllTypedTerm, match="must sit at one index"):
+            next(at(idx), None)
+        with pytest.raises(IllTypedTerm, match="must sit at one index"):
+            generated(idx)
+    with pytest.raises(IllTypedTerm):
+        _report("misplaced", (axiom,), cells, 1)
+    # at a = b the two words meet one index, and the sides agree
+    for idx in ((0, 0), (1, 1)):
+        assert list(at(idx)) == [] and generated(idx)() is None
+
+
+def test_a_sum_is_typed_once_per_index_tuple(monkeypatch):
+    # the index check runs when a term is bound, never per basis tuple:
+    # as many times at dim 3, nine basis tuples, as at dim 1
+    calls = []
+
+    def counted(*args, one_index=checkers._one_index):
+        calls.append(1)
+        one_index(*args)
+    monkeypatch.setattr(checkers, "_one_index", counted)
+    counts = []
+    for d in (1, 3):
+        calls.clear()
+        inst = constant_product_instance(
+            AlgebraKind.BIHOM_ASSOCIATIVE, C2,
+            {"mul": [[[int(i == j == k) for k in range(d)] for j in range(d)]
+                     for i in range(d)]})
+        check_rota_baxter(inst, RotaBaxterFamily(LinearFamily.identity(C2, d), 1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_dendriform_swap_detected():

@@ -761,6 +761,18 @@ def test_a_workspace_with_two_algebras_needs_a_name(tmp_path, capsys):
     assert sorted(parse_workspace(text).rota_baxter) == ["rb000", "rb001", "rb002"]
 
 
+def test_search_rb_on_a_workspace_with_two_algebras_names_its_own_flag(
+        tmp_path, capsys):
+    # search-rb reads the workspace from --algebra and picks the algebra
+    # with --name
+    path = tmp_path / "two.bho"
+    path.write_text(GOLDEN_TWO_DIM + "\nalgebra flat : bihom_associative "
+                    "over W dim 2 { }\n")
+    assert main(["search-rb", "--algebra", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: workspace holds several "
+                                       "algebras; pass --name NAME\n")
+
+
 def test_an_empty_algebra_of_large_dim_stores_no_cell(tmp_path, capsys):
     text = ("semigroup T { elements t; table { t*t = t; } }\n"
             "algebra a : lie over T dim 400 { }\n")

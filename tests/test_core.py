@@ -1,23 +1,28 @@
 import hashlib
 import re
 from fractions import Fraction
-from functools import partial
+from itertools import product
 from math import lcm
+from types import FunctionType
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihomega import core
-from bihomega.checkers import check_instance, check_morphism
+from bihomega import cellgen, core
+from bihomega.checkers import (check_instance, check_morphism, mismatches,
+                               morphism_axioms, morphism_cells,
+                               rota_baxter_axioms, rota_baxter_cells,
+                               term_reads)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
-                           new_instance)
+                           RotaBaxterFamily, new_instance)
 from bihomega.errors import (NonCommutingStructureMaps, ShapeMismatch,
                              Singular)
 from bihomega.forge import SearchConfig, make_two_dim_example, two_dim_params
 from bihomega.linalg import Matrix, mats_commute, vec
-from bihomega.semigroup import cyclic_group, trivial_semigroup
+from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
+                                trivial_semigroup)
 from classical import basis
 from conftest import two_dim_instance
 from reference import bilinear, map_at, nonzero_cells
@@ -99,9 +104,9 @@ def test_two_dim_example_product():
 
 
 # ints past the 4300-digit limit of int <-> str, which only the values
-# bound to a kernel may hold, never its source
-kernel_ints = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6),
-                        st.sampled_from((10 ** 5000 + 7, -(10 ** 4400))))
+# bound to a generated cell may hold, never its source
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6),
+                     st.sampled_from((10 ** 5000 + 7, -(10 ** 4400))))
 
 
 @st.composite
@@ -113,42 +118,108 @@ def sparse_blocks(draw):
     rows = []
     for i in range(d):
         row = tuple((j, cell) for j in range(d)
-                    for cell in (tuple(draw(kernel_ints)
+                    for cell in (tuple(draw(big_ints)
                                        if draw(st.floats(0, 1)) < density else 0
                                        for _ in range(d)),)
                     if any(cell))
         if row:
             rows.append((i, row))
     vector = st.one_of(st.just((0,) * d),
-                       st.tuples(*(st.one_of(st.just(0), kernel_ints),) * d))
+                       st.tuples(*(st.one_of(st.just(0), big_ints),) * d))
     return tuple(rows), d, draw(vector), draw(vector)
 
 
-@given(sparse_blocks(), st.sampled_from((0, 1, 4, core.KERNEL_TERMS)))
+@given(sparse_blocks())
 @settings(max_examples=150, deadline=None)
-def test_block_kernel_matches_block_times(case, cap):
-    # blocks past the cap, 0 included, fall back to block_times itself
+def test_block_times_matches_a_sum_over_the_blocks_cells(case):
     block, d, x, y = case
-    terms = [c for _, row in block for _, cell in row for c in cell if c]
-    with mock.patch.object(core, "KERNEL_TERMS", cap):
-        kernel = core.block_kernel(block, d)
-    # block_times also against a sum over the block's (i, j, cell) triples
     dense = [0] * d
     for i, row in block:
         for j, cell in row:
             for k, c in enumerate(cell):
                 dense[k] += x[i] * y[j] * c
-    assert kernel(x, y) == core.block_times(block, d, x, y) == tuple(dense)
-    assert isinstance(kernel, partial) == (len(terms) > cap)
-    if not isinstance(kernel, partial):
-        # no coefficient is written into the code, and every name is x,
-        # y or an index-derived x3, y0 or c12
-        code = kernel.__code__
-        assert {v for c in code.co_consts
-                for v in (c if type(c) is tuple else (c,))} <= {None, 0}
-        assert all(re.fullmatch(r"[xyc]\d+|[xy]", name)
-                   for name in code.co_varnames + code.co_names)
-        assert kernel.__defaults__ == tuple(terms)
+    assert core.block_times(block, d, x, y) == tuple(dense)
+
+
+entries = st.one_of(st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2))), big_ints)
+
+
+@st.composite
+def cell_cases(draw):
+    """A BiHom-associative instance over a semigroup of order <= 2 at
+    d <= 3, its product over den 1, 2 or 6 with cells often zero, p and q
+    diagonal; two map families, for R and f; and a weight."""
+    omega = draw(st.sampled_from((TRIVIAL, C2, left_zero_semigroup(2))))
+    d, n = draw(st.integers(1, 3)), omega.order
+    density = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    cells = {key: tuple(draw(big_ints) if draw(st.floats(0, 1)) < density
+                        else 0 for _ in range(d))
+             for key in product(range(n), range(n), range(d), range(d))}
+    mul = BilinearFamily.from_ints(omega, d, cells,
+                                   draw(st.sampled_from((1, 2, 6))))
+
+    def family(diagonal=False):
+        return LinearFamily(omega, d, tuple(
+            Matrix.diagonal([draw(entries) for _ in range(d)]) if diagonal
+            else Matrix(d, d, tuple(draw(entries) for _ in range(d * d)))
+            for _ in range(n)))
+    inst = new_instance(AlgebraKind.BIHOM_ASSOCIATIVE, omega, (("mul", mul),),
+                        family(True), family(True))
+    return inst, family(), family(), draw(st.sampled_from((-1, 0, 1)))
+
+
+@given(cell_cases(), st.sampled_from((0, 8, 40, cellgen.CELL_LINES)))
+@settings(max_examples=60, deadline=None)
+def test_a_generated_cell_returns_the_first_mismatch_of_mismatches(case, cap):
+    # on RB and morphism axioms, below and above the cap, before and after
+    # a rebind of every index: a cell is None exactly where mismatches
+    # yields nothing and visits no basis tuple, else it returns what
+    # mismatches yields first, or None
+    inst, first, second, weight = case
+    n = inst.omega.order
+    # both families are exact over den, and the lifts are not 1
+    den = 2 * lcm(*(m.den for m in first.maps + second.maps))
+    for axioms, cells, name in (
+            (rota_baxter_axioms(("mul",)), rota_baxter_cells(
+                inst, RotaBaxterFamily(first, weight), den=den), "R"),
+            (morphism_axioms(("mul",)), morphism_cells(first, inst, inst, den=den),
+             "f")):
+        with mock.patch.object(cellgen, "CELL_LINES", cap):
+            checks = []
+            for ax in axioms:
+                at, maps = cellgen.first_mismatch(ax, cells), sorted(
+                    term_reads(ax.lhs)[1] | term_reads(ax.rhs)[1])
+                for idx in product(range(n), repeat=ax.arity):
+                    entry = cellgen._CellSource(ax, idx, cells, maps).compiled()
+                    check = at(idx)
+                    assert (check is None) == (entry is None)
+                    if check is not None:
+                        generated = entry[1] is not None
+                        assert (isinstance(check, FunctionType)
+                                and check.__name__ == "cell") == generated
+                        if generated:
+                            _assert_no_data_in_source(check, maps, cells)
+                    checks.append((ax, idx, check))
+            for fam in (first, second):
+                for a, m in enumerate(fam.maps):
+                    cells.rebind(name, a, m)
+                for ax, idx, check in checks:
+                    expected = next(mismatches(ax, cells)[1](idx), None)
+                    assert (None if check is None else check()) == expected
+
+
+def _assert_no_data_in_source(check, maps, cells):
+    """The maps are the binding's column lists, every other default is a
+    value, and the source holds index-derived names, indices and 0, 1
+    and -1, no coefficient."""
+    code = check.__code__
+    assert all(a is b for a, b in zip(check.__defaults__,
+                                      (cells.cols[name] for name in maps)))
+    assert all(re.fullmatch(r"[Mcv]\d+|m\d+_\d+", name)
+               for name in code.co_varnames + code.co_names)
+    small = set(range(-1, max(cells.dim, cells.omega.order, 2)))
+    assert {v for c in code.co_consts
+            for v in (c if type(c) is tuple else (c,))} <= small | {None}
 
 
 @given(rationals, rationals,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bihomega import checkers, core, forge
+from bihomega import cellgen, forge
 from bihomega.checkers import (_Cells, check_instance, check_morphism,
                                check_rota_baxter)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
@@ -463,15 +463,20 @@ def test_a_search_makes_one_binding_that_holds_no_memo(monkeypatch):
 
 
 def test_a_search_decides_every_hit_on_one_binding_that_applies(monkeypatch):
-    # two bindings per search, whatever its hit count: the first, on
-    # kernels, prunes; the second, on apply, is handed to the checker for
-    # every candidate the pruning yields
-    made, handed, init = [], [], _Cells.__init__
+    # two bindings per search, whatever its hit count: the first, whose
+    # generated cells prune, and the second, handed to the checker for
+    # every candidate the pruning yields, which no generated cell reads
+    made, handed, bound, init = [], [], [], _Cells.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         made.append(self)
     monkeypatch.setattr(_Cells, "__init__", counted)
+
+    def generated(axiom, cells, first=cellgen.first_mismatch):
+        bound.append(cells)
+        return first(axiom, cells)
+    monkeypatch.setattr(cellgen, "first_mismatch", generated)
     for name in ("check_rota_baxter", "check_morphism"):
         def check(*args, check=getattr(forge, name), **kwargs):
             report = check(*args, **kwargs)
@@ -486,8 +491,10 @@ def test_a_search_decides_every_hit_on_one_binding_that_applies(monkeypatch):
             (make_endomorphism_pairs, SearchConfig())):
         made.clear()
         handed.clear()
+        bound.clear()
         search(base, cfg)
-        assert [cells.kernels is None for cells in made] == [False, True]
+        assert len(made) == 2 and bound
+        assert all(cells is made[0] for cells in bound)
         assert all(cells is made[1] for cells, _ in handed)
         hits.append(sum(passed for _, passed in handed))
     assert hits[:3] == [20, 1, 0] and hits[3] > 1
@@ -515,12 +522,9 @@ def _benchmark_instances():
 
 
 def test_the_checker_decides_every_hit(monkeypatch):
-    # with every product kernel and every map product of the search
-    # binding giving zero vectors, both sides of every cell are zero, so
-    # every candidate passes the pruning: the checkers, which never use
-    # them, must still return exactly today's hits.  Zero kernels alone
-    # would prune more, not less, where a side reads the cells directly,
-    # as lam x.y and f(x.y) do
+    # with every generated cell of the search forced to pass, every
+    # candidate passes the pruning: the checkers, which never call one,
+    # must still return exactly today's hits
     searches = [(brute_force_rb_search, SearchConfig(entries=(0, 1), weight=w))
                 for w in (0, 1, -1)]
     searches.append((make_endomorphism_pairs, SearchConfig(entries=(0, 1))))
@@ -536,9 +540,11 @@ def test_the_checker_decides_every_hit(monkeypatch):
         return run
     for name in ("check_rota_baxter", "check_morphism"):
         monkeypatch.setattr(forge, name, counted(getattr(forge, name)))
-    monkeypatch.setattr(checkers, "block_kernel",
-                        lambda block, dim: lambda x, y: (0,) * dim)
-    monkeypatch.setattr(checkers, "rows_times", lambda rows, x: (0,) * len(rows))
+
+    def passing(axiom, cells, first=cellgen.first_mismatch):
+        at = first(axiom, cells)
+        return lambda idx: at(idx) and (lambda: None)
+    monkeypatch.setattr(cellgen, "first_mismatch", passing)
     assert [search(inst, cfg) for inst in _benchmark_instances()
             for search, cfg in searches] == expected
     # every candidate that commutes with p and q was checked
@@ -546,7 +552,7 @@ def test_the_checker_decides_every_hit(monkeypatch):
 
 
 def test_the_pruning_applies_no_family_and_no_matrix(monkeypatch):
-    # the search binding runs on kernels and int rows, never on apply:
+    # the search's generated cells read int columns, never apply:
     # with the checkers passing every candidate unseen, no apply is
     # called, and the pruning alone gives today's hits
     searches = ((brute_force_rb_search, SearchConfig(weight=1)),
@@ -567,26 +573,56 @@ def test_the_pruning_applies_no_family_and_no_matrix(monkeypatch):
     assert applied == []
 
 
-def test_a_search_builds_one_kernel_per_distinct_block(monkeypatch):
-    # a constant product has the same block at every (a, b), so a search
-    # over C2 builds one kernel for its four, and the hit re-checks none
-    built = []
+def test_a_repeated_search_walks_no_cell(monkeypatch):
+    # the first search over an instance walks each of its nonzero cells
+    # once; an equal instance, searched again, walks none and finds the
+    # same hits; another weight is other data, walked anew
+    monkeypatch.setattr(cellgen, "_CELL_CODE", {})
+    monkeypatch.setattr(cellgen, "_cached_lines", 0)
+    compiled, source = [], cellgen._CellSource.compiled
 
-    def counted(block, dim):
-        built.append(block)
-        return core.block_kernel(block, dim)
-    monkeypatch.setattr(checkers, "block_kernel", counted)
-    cube = [[[1, 2], [0, -1]], [[3, 0], [1, 1]]]
-    inst = constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2,
-                                     {"mul": cube})
-    found = brute_force_rb_search(inst, SearchConfig(entries=(0,)))
-    assert [rb.maps.maps for rb in found] == [(Matrix.zero(2, 2),) * 2]
-    assert len(built) == 1
+    def counted(self):
+        compiled.append((self.axiom.name, self.idx))
+        return source(self)
+    monkeypatch.setattr(cellgen._CellSource, "compiled", counted)
+    runs = []
+    for weight in (1, 1, 0):
+        compiled.clear()
+        found = brute_force_rb_search(two_dim_instance(C2),
+                                      SearchConfig(weight=weight))
+        runs.append((len(found), sorted(compiled)))
+        if len(runs) == 1:
+            sources = [key for key in cellgen._CELL_CODE if isinstance(key, str)]
+    assert runs[0][0] == runs[1][0] == 20
+    # rb-identity at the 4 index pairs, each commutation at both indices
+    assert len(runs[0][1]) == 8 == len(set(runs[0][1]))
+    assert runs[1][1] == [] and runs[2][1] == runs[0][1]
+    # the product is c = 1 at every index pair, so cells that differ in
+    # their indices alone share one source and one code object: each
+    # commutation's two, and the rb-identity's at (0, 1) and (1, 0),
+    # where ab = b; at (0, 0) and (1, 1) a, b and ab coincide otherwise
+    assert len(sources) == 5
+
+
+def test_the_cell_cache_keeps_its_line_budget(monkeypatch):
+    # the oldest cells are dropped first, and the count of lines kept
+    # stays the sum over the entries, each counted one line more
+    monkeypatch.setattr(cellgen, "_CELL_CODE", {})
+    monkeypatch.setattr(cellgen, "_cached_lines", 0)
+    monkeypatch.setattr(cellgen, "_CACHED_LINES", 100)
+    for weight in (0, 1, -1):
+        brute_force_rb_search(two_dim_instance(C2), SearchConfig(weight=weight))
+        kept = cellgen._CELL_CODE.values()
+        assert cellgen._cached_lines == sum(1 + (e[0] if e else 0) for e in kept)
+        assert cellgen._cached_lines <= 100
+    # the cells kept are the last search's; a source's code is kept too
+    assert all(key[1][3] == -1 for key in cellgen._CELL_CODE
+               if not isinstance(key, str))
 
 
 def test_a_search_over_a_coefficient_past_the_digit_limit():
-    # the coefficient has more digits than int <-> str allows: a kernel
-    # binds it as a value, so no search writes it as text
+    # the coefficient has more digits than int <-> str allows: a
+    # generated cell binds it as a value, so no search writes it as text
     inst = constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE,
                                      cyclic_group(1),
                                      {"mul": [[[10 ** 5000 + 7]]]})
@@ -631,3 +667,48 @@ def test_rb_search_over_sl2_negates_with_its_weight():
     negated = {tuple(Matrix(3, 3, tuple(-v for v in m.entries))
                      for m in rb.maps.maps) for rb in _sl2_hits((0, 1), -1)}
     assert negated == {rb.maps.maps for rb in _sl2_hits((-1, 0), 1)}
+
+
+@pytest.mark.parametrize("weight, count, digest", [
+    (0, 65, "eaf1badb7455"),
+    (1, 76, "6bf7d424431b"),
+])
+def test_uncapped_rb_search_over_sl2_is_pinned(weight, count, digest):
+    # the default entries {-1, 0, 1}: 3 ** 18 candidates
+    found = _sl2_hits((-1, 0, 1), weight)
+    assert len(found) == count
+    assert hashlib.sha256(repr(found).encode()).hexdigest()[:12] == digest
+
+
+def _rebinds(monkeypatch, run):
+    """The (index, matrix) of every rebind, in order, while run() runs;
+    a search's node at depth k rebinds index k."""
+    seen, rebind = [], _Cells.rebind
+
+    def recorded(self, name, a, m):
+        seen.append((name, a, m))
+        rebind(self, name, a, m)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Cells, "rebind", recorded)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize("case", ["sign", "lie", "sl2"])
+def test_generated_cells_visit_the_nodes_of_mismatches(monkeypatch, case):
+    # node for node: with every cell of the pruning forced to mismatches,
+    # the search rebinds the same (index, matrix) sequence
+    if case == "sl2":
+        inst, searches = SL2, [(brute_force_rb_search, SearchConfig(
+            entries=(0, 1), weight=w)) for w in (0, -1)]
+    else:
+        inst = _benchmark_instances()[case == "lie"]
+        searches = [(brute_force_rb_search, SearchConfig(weight=w))
+                    for w in (0, 1, -1)]
+        searches.append((make_endomorphism_pairs, SearchConfig()))
+    for search, cfg in searches:
+        generated = _rebinds(monkeypatch, lambda: search(inst, cfg))
+        with monkeypatch.context() as patch:
+            patch.setattr(cellgen, "CELL_LINES", 0)
+            fallback = _rebinds(monkeypatch, lambda: search(inst, cfg))
+        assert len(generated) > 2 * 3 ** 4 and generated == fallback

@@ -65,14 +65,13 @@ def first_mismatch(axiom: Axiom, cells: _Cells
     def at(idx):
         key = idx, data
         entry = _CELL_CODE.get(key, _MISSING)
-        if entry is _MISSING or entry is not None and entry[1] is None \
-                and entry[0] <= CELL_LINES:
+        if entry is _MISSING:
             entry = _CellSource(axiom, idx, cells, maps).compiled()
             _keep(key, entry)
         if entry is None:
             return None
-        lines, code, consts = entry
-        if code is not None and lines <= CELL_LINES:
+        _, code, consts = entry
+        if code is not None:
             return FunctionType(code, {}, "cell", lists + consts)
         if not fallback:
             fallback.append(mismatches(axiom, cells)[1])

@@ -311,8 +311,9 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     morphism search prunes index by index, and keeps at each index only
     the matrices that commute with every p_b and q_b; every morphism it
     keeps has passed check_morphism, each decided on one binding made
-    for the search that the checker rebinds to the family.  Whether the morphisms commute with themselves and each
-    other is decided once per pair of matrices.
+    for the search that the checker rebinds to the family.  Whether the
+    morphisms commute with themselves and each other is decided once per
+    pair of matrices.
     """
     structure = a.p.maps + a.q.maps
     # keyed by identity, since hashing a Matrix hashes its Fractions; each

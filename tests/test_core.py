@@ -184,7 +184,9 @@ def test_a_generated_cell_returns_the_first_mismatch_of_mismatches(case, cap):
                 inst, RotaBaxterFamily(first, weight), den=den), "R"),
             (morphism_axioms(("mul",)), morphism_cells(first, inst, inst, den=den),
              "f")):
-        with mock.patch.object(cellgen, "CELL_LINES", cap):
+        # the cache is keyed without the cap, so each cap starts empty
+        with mock.patch.multiple(cellgen, CELL_LINES=cap, _CELL_CODE={},
+                                 _cached_lines=0):
             checks = []
             for ax in axioms:
                 at, maps = cellgen.first_mismatch(ax, cells), sorted(

@@ -709,6 +709,9 @@ def test_generated_cells_visit_the_nodes_of_mismatches(monkeypatch, case):
     for search, cfg in searches:
         generated = _rebinds(monkeypatch, lambda: search(inst, cfg))
         with monkeypatch.context() as patch:
-            patch.setattr(cellgen, "CELL_LINES", 0)
+            # an empty cache, keyed without the cap, compiles no cell
+            for attr, value in (("CELL_LINES", 0), ("_CELL_CODE", {}),
+                                ("_cached_lines", 0)):
+                patch.setattr(cellgen, attr, value)
             fallback = _rebinds(monkeypatch, lambda: search(inst, cfg))
         assert len(generated) > 2 * 3 ** 4 and generated == fallback

@@ -14,7 +14,7 @@ from types import CodeType, FunctionType
 from typing import Callable
 
 from .checkers import (Axiom, Map, Mul, Term, Var, _Cells, _one_index,
-                       _sum_parts, mismatches, term_degree, term_positions,
+                       _sum_parts, term_degree, term_positions,
                        term_reads)
 
 # a cell whose source runs past this many lines is evaluated by
@@ -60,7 +60,6 @@ def first_mismatch(axiom: Axiom, cells: _Cells
     data = (axiom, cells.dim, cells.den, cells.weight, cells.omega.table,
             tuple(sorted((name, fam.int_tensor(cells.den))
                          for name, fam in cells.products.items())))
-    fallback = []
 
     def at(idx):
         key = idx, data
@@ -73,9 +72,8 @@ def first_mismatch(axiom: Axiom, cells: _Cells
         _, code, consts = entry
         if code is not None:
             return FunctionType(code, {}, "cell", lists + consts)
-        if not fallback:
-            fallback.append(mismatches(axiom, cells)[1])
-        return lambda: next(fallback[0](idx), None)
+        fallback = cells.check(axiom)[1]
+        return lambda: next(fallback(idx), None)
     return at
 
 
@@ -156,9 +154,11 @@ class _CellSource:
                   + "".join(f" {line}\n" for line in self.lines) + " return None\n")
         # cells that differ in their data alone share one code object
         if source not in _CELL_CODE:
+            # the function is taken out of its scope, its __globals__,
+            # so that the two do not form a cycle
             scope: dict = {}
             exec(source, scope)
-            _keep(source, (len(self.lines), scope["cell"].__code__, ()))
+            _keep(source, (len(self.lines), scope.pop("cell").__code__, ()))
         return (len(self.lines), _CELL_CODE[source][1],
                 tuple(value for _, value in names))
 

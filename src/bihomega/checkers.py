@@ -244,14 +244,18 @@ class _Cells:
     search binds each index tuple once and rebinds one index per node,
     and a checker handed a binding (`check_rota_baxter` and
     `check_morphism` take `cells`) rebinds the checked family at every
-    index and reuses the terms bound for the families before it.
-    made_for names what a binding was made for, as those checkers
-    compare it: ("rota-baxter", instance, weight) or ("morphism",
-    source, target).
+    index and reuses the terms bound for the families before it.  The
+    binding keeps each axiom's `mismatches` too (`check`), so each
+    index tuple's two sides are bound once per binding, not once per
+    family.  made_for names what a binding was made for, as those
+    checkers compare it: ("rota-baxter", instance, weight) or
+    ("morphism", source, target).
 
     A check binds and evaluates one index tuple per class tuple of
     `index_classes`: indices whose maps, blocks and semigroup products
-    no term can tell apart give every term the same value."""
+    no term can tell apart give every term the same value.  The blocks'
+    half of that partition is numbered once per binding, in
+    block_classes, since no rebind changes a product."""
 
     def __init__(self, inst: AlgebraInstance,
                  maps: dict[str, LinearFamily] | None = None,
@@ -271,6 +275,8 @@ class _Cells:
         self.cols = {name: [m.int_cols(self.den) for m in mats]
                      for name, mats in self.maps.items()}
         self.binds: dict[tuple[Term, int], tuple[int, Bind]] = {}
+        self.checks: dict[Axiom, tuple[int, Callable]] = {}
+        self.block_classes: list[int] | None = None
         self.memos: list[dict] = []
 
     def rebind(self, name: str, a: int, m: Matrix) -> None:
@@ -291,6 +297,12 @@ class _Cells:
         if (term, arity) not in self.binds:
             self.binds[term, arity] = self._compile(term, arity)
         return self.binds[term, arity]
+
+    def check(self, axiom: Axiom) -> tuple[int, Callable]:
+        """mismatches(axiom, self), made once and kept."""
+        if axiom not in self.checks:
+            self.checks[axiom] = mismatches(axiom, self)
+        return self.checks[axiom]
 
     def _compile(self, term: Term, arity: int) -> tuple[int, Bind]:
         table, den, degree = self.omega.table, self.den, term_degree(term)
@@ -430,16 +442,18 @@ def mismatches(axiom: Axiom, cells: _Cells
     nonzero side.  Both sides are compared as int vectors over cells.den
     ** degree, the larger of their degrees, and yielded so;
     cells.rational turns them back into values.  Each index tuple's two
-    sides are bound once and kept, valid across the binding's rebinds.
-    Where both are zero, fn yields nothing and visits no basis tuple;
-    where one is, the other is compared against the int zero vector.
-    Where both are nonzero at different indices, binding them raises
-    IllTypedTerm."""
+    sides are bound once and kept, valid across the binding's rebinds;
+    fn holds the binding's parts, never the binding, so cells.check can
+    keep it.  Where both are zero, fn yields nothing and visits no basis
+    tuple; where one is, the other is compared against the int zero
+    vector.  Where both are nonzero at different indices, binding them
+    raises IllTypedTerm."""
     (dl, lhs), (dr, rhs) = (cells.bind(side, axiom.arity)
                             for side in (axiom.lhs, axiom.rhs))
     degree = max(dl, dr)
     lift_l, lift_r = cells.den ** (degree - dl), cells.den ** (degree - dr)
-    zero = (0,) * cells.dim
+    elements, dim = cells.omega.elements, cells.dim
+    zero = (0,) * dim
 
     def side(lift, fn):
         return (lambda bas: zero) if fn is None else _scaled(lift, fn)
@@ -450,11 +464,11 @@ def mismatches(axiom: Axiom, cells: _Cells
         if idx not in sides:
             (a, lf), (b, rf) = lhs(idx), rhs(idx)
             if lf is not None and rf is not None:
-                _one_index(cells.omega.elements, [(a, axiom.lhs), (b, axiom.rhs)])
+                _one_index(elements, [(a, axiom.lhs), (b, axiom.rhs)])
             sides[idx] = (None if lf is None and rf is None
                           else (side(lift_l, lf), side(lift_r, rf)))
             if sides[idx] is not None and not bases:
-                bases.extend(product(range(cells.dim), repeat=axiom.arity))
+                bases.extend(product(range(dim), repeat=axiom.arity))
         if sides[idx] is None:
             return
         lf, rf = sides[idx]
@@ -473,15 +487,20 @@ def index_classes(cells: _Cells) -> list[int]:
 
     It is refined to a fixpoint from the classes of equal data: the
     matrices at a, and the blocks at (a, b) and (b, a) for each b, in
-    their int forms at cells.den.  Each round splits a class whose
+    their int forms at cells.den.  The blocks are numbered once per
+    binding, into cells.block_classes, and each call reads the maps'
+    rows beside those numbers.  Each round splits a class whose
     members' products with some b fall into different classes."""
     n, den, table = cells.omega.order, cells.den, cells.omega.table
-    tensors = [fam.int_tensor(den) for fam in cells.products.values()]
-    data = [(tuple(mats[a].int_rows(den) for mats in cells.maps.values()),
-             tuple(t[a][b] for b in range(n) for t in tensors),
+    if cells.block_classes is None:
+        tensors = [fam.int_tensor(den) for fam in cells.products.values()]
+        cells.block_classes = _numbered([
+            (tuple(t[a][b] for b in range(n) for t in tensors),
              tuple(t[b][a] for b in range(n) for t in tensors))
-            for a in range(n)]
-    classes = _numbered(data)
+            for a in range(n)])
+    maps = cells.maps.values()
+    classes = _numbered([(tuple(mats[a].int_rows(den) for mats in maps), block)
+                         for a, block in enumerate(cells.block_classes)])
     while True:
         refined = _numbered([(classes[a], *(classes[ab] for ab in table[a]),
                               *(classes[row[a]] for row in table))
@@ -509,7 +528,7 @@ def _report(subject: str, axioms: tuple[Axiom, ...], cells: _Cells,
     omega, results = cells.omega, []
     classes = index_classes(cells)
     for axiom in axioms:
-        degree, at = mismatches(axiom, cells)
+        degree, at = cells.check(axiom)
         found: dict[tuple[int, ...], tuple] = {}
         groups = ((idx, found[key] if key in found
                    else found.setdefault(key, tuple(at(idx))))

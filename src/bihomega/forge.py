@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Iterator
 
@@ -261,18 +262,31 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
             fresh[max(x, y, omega.table[x][y])].append((x, y))
     binary: dict[int, list] = {}
 
-    def extend(mats):
-        k = len(mats)
-        if k == n:
-            yield LinearFamily(omega, dim, mats)
-            return
+    def level(k):
+        """Index k's matrices and the binary cells compared there."""
         if k not in binary:
             binary[k] = checks(2, fresh[k])
-        for m in choices[k]:
-            cells.rebind(name, k, m)
-            if _holds(binary[k]):
-                yield from extend(mats + (m,))
-    return extend(())
+        return choices[k], binary[k]
+    return (LinearFamily(omega, dim, mats) for mats in
+            _grown((), n, level, partial(cells.rebind, name)))
+
+
+def _grown(mats: tuple[Matrix, ...], n: int, level, rebind
+           ) -> Iterator[tuple[Matrix, ...]]:
+    """The n-tuples of matrices that extend mats, depth first: at each
+    depth k, each of level(k)'s matrices in turn is rebound at k and
+    kept where level(k)'s cells hold.  A module-level generator, so that
+    no closure of a search refers to itself and each search is freed
+    once it is dropped."""
+    k = len(mats)
+    if k == n:
+        yield mats
+        return
+    ms, binary = level(k)
+    for m in ms:
+        rebind(k, m)
+        if _holds(binary):
+            yield from _grown(mats + (m,), n, level, rebind)
 
 
 def _holds(checks) -> bool:
@@ -315,7 +329,8 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     morphisms commute with themselves and each other is decided once per
     pair of matrices.
     """
-    structure = a.p.maps + a.q.maps
+    # the distinct p_b and q_b: the worked instances repeat one scalar map
+    structure = tuple(dict.fromkeys(a.p.maps + a.q.maps))
     # keyed by identity, since hashing a Matrix hashes its Fractions; each
     # entry holds its two matrices, so no key's id is reused in the call
     decided: dict[tuple[int, int], tuple[bool, Matrix, Matrix]] = {}

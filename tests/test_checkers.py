@@ -728,6 +728,30 @@ def test_a_binding_is_freed_once_dropped_without_the_cycle_collector():
         gc.enable()
 
 
+def test_a_handed_binding_makes_each_axioms_mismatches_once(monkeypatch):
+    # the binding keeps them: deciding family after family on it binds
+    # each index tuple's two sides once, not once per family
+    made = []
+
+    def counted(axiom, cells, mismatches=checkers.mismatches):
+        made.append(axiom.name)
+        return mismatches(axiom, cells)
+    monkeypatch.setattr(checkers, "mismatches", counted)
+    inst = constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D})
+    families = [LinearFamily.constant(C2, Matrix.diagonal([v, v]))
+                for v in (-1, 0, 1, 2)]
+    cells = rota_baxter_cells(inst, RotaBaxterFamily(families[0], 1))
+    reports = [check_rota_baxter(inst, RotaBaxterFamily(fam, 1), cells=cells)
+               for fam in families]
+    assert [r.passed for r in reports] == [True, True, False, False]
+    assert made == [ax.name for ax in rota_baxter_axioms(inst.slot_names)]
+    made.clear()
+    cells = morphism_cells(families[0], inst, inst)
+    reports = [check_morphism(fam, inst, inst, cells=cells) for fam in families]
+    assert [r.passed for r in reports] == [False, True, True, False]
+    assert made == [ax.name for ax in morphism_axioms(inst.slot_names)]
+
+
 def test_rota_baxter_and_morphism_bindings_hold_no_memo():
     # every sub-term of their axioms reads all the axiom's variables, so
     # rebinding the searched map costs the searches no memo; every index

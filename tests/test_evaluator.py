@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from bihomega.checkers import (COMMUTATIVE_OMEGA_KINDS, KIND_AXIOMS, Map, Mul,
                                Sum, Var, _Cells, _report, check_instance,
-                               check_morphism, check_rota_baxter, mismatches,
-                               morphism_axioms, morphism_cells,
-                               rota_baxter_axioms, rota_baxter_cells)
+                               check_morphism, check_rota_baxter,
+                               index_classes, mismatches, morphism_axioms,
+                               morphism_cells, rota_baxter_axioms,
+                               rota_baxter_cells)
 from bihomega.constructions import RECIPES, assoc_to_lie, rb_star_associative
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
@@ -289,6 +290,50 @@ def test_one_handed_binding_decides_each_family_as_a_fresh_call(shape, data):
     for f in data.draw(family_sequences(omega, d, ident)):
         _assert_same(check_morphism(f, inst, dst, cells=cells),
                      check_morphism(f, inst, dst))
+
+
+def _uniform(inst):
+    """inst with its maps and products at every index those at index 0."""
+    omega, d = inst.omega, inst.dim
+
+    def uniform(fam):
+        return BilinearFamily.from_function(
+            omega, d, lambda a, b, i, j: fam.basis_product(0, 0, i, j))
+    return new_instance(inst.kind, omega,
+                        tuple((slot, uniform(fam)) for slot, fam in inst.products),
+                        LinearFamily.constant(omega, inst.p.maps[0]),
+                        LinearFamily.constant(omega, inst.q.maps[0]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(HANDED_SHAPES + [(C3, 1)]), data=st.data())
+def test_a_handed_binding_has_the_index_classes_of_a_fresh_one(shape, data):
+    """A binding numbers its product blocks once: after the checker
+    rebinds the family, `index_classes` gives the partition, and the
+    numbering, of a binding made fresh for that family.  Where the
+    instance's own data are the same at every index, the family alone
+    parts the indices, so a number kept from the family before shows."""
+    omega, d = shape
+    inst = data.draw(instances(data.draw(st.sampled_from(_kinds(omega))),
+                               omega, d))
+    uniform = data.draw(st.booleans())
+    if uniform:
+        inst = _uniform(inst)
+    den, ident = lcm(*(v.denominator for v in SCALARS)), LinearFamily.identity(omega, d)
+    weight = data.draw(st.sampled_from(HANDED_WEIGHTS))
+    cells = rota_baxter_cells(inst, RotaBaxterFamily(ident, weight), den=den)
+    minus = LinearFamily.constant(omega, Matrix.diagonal([-weight] * d))
+    for fam in data.draw(family_sequences(omega, d, minus)):
+        rb = RotaBaxterFamily(fam, weight)
+        check_rota_baxter(inst, rb, cells=cells)
+        assert index_classes(cells) == index_classes(rota_baxter_cells(inst, rb))
+    dst = data.draw(st.one_of(st.just(inst), instances(inst.kind, omega, d)))
+    if uniform:
+        dst = _uniform(dst)
+    cells = morphism_cells(ident, inst, dst, den=den)
+    for f in data.draw(family_sequences(omega, d, ident)):
+        check_morphism(f, inst, dst, cells=cells)
+        assert index_classes(cells) == index_classes(morphism_cells(f, inst, dst))
 
 
 def _rational_instance():

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 from fractions import Fraction
@@ -602,6 +603,27 @@ def test_a_repeated_search_walks_no_cell(monkeypatch):
     # commutation's two, and the rb-identity's at (0, 1) and (1, 0),
     # where ab = b; at (0, 0) and (1, 1) a, b and ab coincide otherwise
     assert len(sources) == 5
+
+
+def test_a_search_is_freed_without_the_cycle_collector(monkeypatch):
+    # a pruning closure that refers to itself, or a compiled cell's exec
+    # scope that holds the function, would keep each search's bindings,
+    # candidate grid and int forms until a collection ran; the cell cache
+    # starts empty, so the first searches compile their cells
+    monkeypatch.setattr(cellgen, "_CELL_CODE", {})
+    monkeypatch.setattr(cellgen, "_cached_lines", 0)
+    lie = constant_product_instance(AlgebraKind.LIE, C2, {"bracket": LIE_2D})
+    gc.collect()
+    gc.disable()
+    try:
+        for weight in (1, 1, 0):
+            assert brute_force_rb_search(lie, SearchConfig(weight=weight))
+            assert brute_force_rb_search(two_dim_instance(C2),
+                                         SearchConfig(weight=weight))
+            assert make_endomorphism_pairs(two_dim_instance(C2), SearchConfig())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_the_cell_cache_keeps_its_line_budget(monkeypatch):

@@ -1,11 +1,14 @@
 """The search's pruning cells: one generated int function per (axiom,
-index tuple), in place of the closures of `_Cells`.
+index tuple), evaluated in place of the closures of `_Cells`.
 
 A function walks its cell's basis tuples in `mismatches`' order and
-returns the first mismatch, or None.  It reads the maps' int columns
-from the binding's lists when it runs, so one compiled cell serves every
-rebind, and its code is kept process-wide.  No checker calls one: the
-checkers decide on `_Cells` alone."""
+returns the first mismatch, or None.  Which of its sub-terms are zero,
+and the index each sits at, are read from the binding's own bound
+terms, so cells and checkers follow one rule.  It reads the maps' int
+columns from the binding's lists when it runs, so one compiled cell
+serves every rebind, and its code is kept process-wide.  Every cell is
+generated, whatever its size.  No checker calls one: the checkers
+decide on `_Cells` alone, and may share the binding with the cells."""
 
 from __future__ import annotations
 
@@ -17,31 +20,17 @@ from .checkers import (Axiom, Map, Mul, Term, Var, _Cells, _one_index,
                        _sum_parts, term_degree, term_positions,
                        term_reads)
 
-# a cell whose source runs past this many lines is evaluated by
-# `mismatches` instead.  Measured (2-core x86_64, CPython 3.11.7) on RB
-# searches at weight 1 over C1 with a dense product of entries in
-# {-1, 0, 1}, whose identity cell has 147, 340, 655 and 1,122 lines at
-# d = 3 to 6: at d = 4 over the entries {0, 1} (65,536 candidates, the
-# largest d at which a search under the default budget has more than
-# one) generated cells took 2.6 s against 4.0 s; at d = 5 and 6 there is
-# one candidate, and compiling took 42 and 47 ms against 2 ms.
-CELL_LINES = 400
-
 # compiled cells, oldest dropped first past _CACHED_LINES lines of source
 # in all (a line compiles to about 0.4 KB), each entry counted one line
-# more: key -> None where both sides are zero, else (lines, code or None
-# past CELL_LINES, the values bound as default arguments); and a source
-# -> (lines, its code, ()), so that cells whose data alone differ, the
-# indices and coefficients, are compiled once
-_CELL_CODE: dict[tuple | str, tuple[int, CodeType | None, tuple] | None] = {}
+# more: key -> None where both sides are zero, else (lines, code, the
+# values bound as default arguments); and a source -> (lines, its code,
+# ()), so that cells whose data alone differ, the indices and
+# coefficients, are compiled once
+_CELL_CODE: dict[tuple | str, tuple[int, CodeType, tuple] | None] = {}
 _CACHED_LINES = 20_000
 _cached_lines = 0
 _MISSING = object()
 _ONE = object()  # the component 1 of a basis vector
-
-
-class _TooLong(Exception):
-    """A cell's source ran past CELL_LINES."""
 
 
 def first_mismatch(axiom: Axiom, cells: _Cells
@@ -51,10 +40,10 @@ def first_mismatch(axiom: Axiom, cells: _Cells
     there, (basis tuple, lhs, rhs), or None where it yields nothing.
 
     Each index tuple gets one generated function (see `_CellSource`)
-    bound to cells.cols, or past CELL_LINES lines of source, `mismatches`
-    on cells.  The code is kept, keyed by the axiom, the index tuple and
-    all its source depends on: the dim, den, weight, table and product
-    blocks at den; a repeated key is neither walked nor compiled again."""
+    bound to cells.cols.  The code is kept, keyed by the axiom, the index
+    tuple and all its source depends on: the dim, den, weight, table and
+    product blocks at den; a repeated key is neither walked nor compiled
+    again."""
     maps = sorted(term_reads(axiom.lhs)[1] | term_reads(axiom.rhs)[1])
     lists = tuple(cells.cols[name] for name in maps)
     data = (axiom, cells.dim, cells.den, cells.weight, cells.omega.table,
@@ -70,10 +59,7 @@ def first_mismatch(axiom: Axiom, cells: _Cells
         if entry is None:
             return None
         _, code, consts = entry
-        if code is not None:
-            return FunctionType(code, {}, "cell", lists + consts)
-        fallback = cells.check(axiom)[1]
-        return lambda: next(fallback(idx), None)
+        return FunctionType(code, {}, "cell", lists + consts)
     return at
 
 
@@ -110,7 +96,6 @@ class _CellSource:
     def __init__(self, axiom: Axiom, idx: tuple[int, ...], cells: _Cells,
                  maps: list[str]):
         self.axiom, self.idx, self.cells, self.dim = axiom, idx, cells, cells.dim
-        self.table = cells.omega.table
         self.tensors = {name: fam.int_tensor(cells.den)
                         for name, fam in cells.products.items()}
         self.params = {name: f"M{n}" for n, name in enumerate(maps)}
@@ -120,10 +105,10 @@ class _CellSource:
         self.values: dict = {}
         self.columns: dict = {}
 
-    def compiled(self) -> tuple[int, CodeType | None, tuple] | None:
-        """None where both sides are zero at idx, else (lines, code or
-        None past CELL_LINES, the default values).  Where both are
-        nonzero at different indices, IllTypedTerm is raised."""
+    def compiled(self) -> tuple[int, CodeType, tuple] | None:
+        """None where both sides are zero at idx, else (lines, code, the
+        default values).  Where both are nonzero at different indices,
+        IllTypedTerm is raised."""
         ax, d = self.axiom, self.dim
         (a, live_l), (b, live_r) = self.shape(ax.lhs), self.shape(ax.rhs)
         if not live_l and not live_r:
@@ -134,19 +119,17 @@ class _CellSource:
         den, degree = self.cells.den, max(dl, dr)
         lifts = [self.multiplier(den ** (degree - dl)),
                  self.multiplier(den ** (degree - dr))]
-        try:
-            for bas in product(range(d), repeat=ax.arity):
-                sides = [[self.lifted(lift, x) for x in self.value(side, bas)]
-                         for lift, side in zip(lifts, (ax.lhs, ax.rhs))]
-                # a component against a zero one is tested for truth
-                differ = [f"{x} != {y}" if "0" not in (x, y) else
-                          (x if y == "0" else y)
-                          for x, y in zip(*sides) if x != y]
-                if differ:
-                    self.emit(f"if {' or '.join(differ)}: return {bas}, "
-                              + ", ".join(f"({', '.join(s)},)" for s in sides))
-        except _TooLong:
-            return len(self.lines), None, ()
+        for bas in product(range(d), repeat=ax.arity):
+            sides = [[self.lifted(lift, x) for x in self.value(side, bas)]
+                     for lift, side in zip(lifts, (ax.lhs, ax.rhs))]
+            # a component against a zero one is tested for truth
+            differ = [f"{x} != {y}" if "0" not in (x, y) else
+                      (x if y == "0" else y)
+                      for x, y in zip(*sides) if x != y]
+            if differ:
+                self.lines.append(
+                    f"if {' or '.join(differ)}: return {bas}, "
+                    + ", ".join(f"({', '.join(s)},)" for s in sides))
         names = self.consts.values()
         params = [*(f"{p}=None" for p in self.params.values()),
                   *(f"{name}=None" for name, _ in names)]
@@ -161,11 +144,6 @@ class _CellSource:
             _keep(source, (len(self.lines), scope.pop("cell").__code__, ()))
         return (len(self.lines), _CELL_CODE[source][1],
                 tuple(value for _, value in names))
-
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
-        if len(self.lines) > CELL_LINES:
-            raise _TooLong
 
     def multiplier(self, m: int):
         """m as a factor: _ONE for 1, else a default argument."""
@@ -192,29 +170,16 @@ class _CellSource:
         if len(terms) == 1 and terms[0].isidentifier():
             return terms[0]
         name = f"v{len(self.lines)}"
-        self.emit(f"{name} = {' + '.join(terms).replace('+ -', '- ')}")
+        self.lines.append(f"{name} = {' + '.join(terms).replace('+ -', '- ')}")
         return name
 
     def shape(self, term: Term) -> tuple:
-        """(index, whether the term is nonzero) at idx, as `_Cells`
-        binds it; a sum whose nonzero terms sit at more than one index
-        raises IllTypedTerm."""
+        """(index, whether the term is nonzero) at idx, read from the
+        binding's own bound term; a sum whose nonzero terms sit at more
+        than one index raises IllTypedTerm there."""
         if term not in self.shapes:
-            if isinstance(term, Var):
-                shape = self.idx[term.pos], True
-            elif isinstance(term, Map):
-                shape = self.shape(term.arg)
-            elif isinstance(term, Mul):
-                (a, la), (b, lb) = self.shape(term.left), self.shape(term.right)
-                shape = self.table[a][b], la and lb and bool(
-                    self.tensors[term.slot][a][b])
-            else:
-                parts = [self.shape(t) + (t,) for _, t in
-                         _sum_parts(term, self.cells.den, self.cells.lam)]
-                live = [(a, t) for a, alive, t in parts if alive]
-                _one_index(self.cells.omega.elements, live)
-                shape = (parts[0][0], bool(live)) if parts else (None, False)
-            self.shapes[term] = shape
+            a, fn = self.cells.bind(term, self.axiom.arity)[1](self.idx)
+            self.shapes[term] = a, fn is not None
         return self.shapes[term]
 
     def value(self, term: Term, bas: tuple[int, ...]) -> list:
@@ -280,6 +245,7 @@ class _CellSource:
         if (name, a, j) not in self.columns:
             names = [f"m{len(self.columns)}_{k}" for k in range(self.dim)]
             index = self.const(("index", a), a)
-            self.emit(f"{', '.join(names)}, = {self.params[name]}[{index}][{j}]")
+            self.lines.append(
+                f"{', '.join(names)}, = {self.params[name]}[{index}][{j}]")
             self.columns[name, a, j] = names
         return self.columns[name, a, j]

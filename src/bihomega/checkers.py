@@ -209,9 +209,10 @@ Bind = Callable[[tuple[int, ...]], tuple[int, Callable[[tuple[int, ...]], IntVec
 class _Cells:
     """The data one checker call, one construction or one whole search
     reads, in integers over one common denominator `den`, and the terms
-    it has compiled.  A search makes two: one whose generated cells
-    prune (see `cellgen.first_mismatch`), and one on which the checker
-    decides every hit.
+    it has compiled.  A search makes one: its generated cells prune on
+    it (see `cellgen.first_mismatch`), reading which terms are zero and
+    where each sits from its bound terms, and the checker decides every
+    hit on it.
 
     den is the lcm of `den`, of every denominator of the products and
     the maps, and of the weight's.  The binding holds each product's

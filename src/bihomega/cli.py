@@ -201,7 +201,7 @@ def _cmd_search_rb(args) -> int:
     try:
         entries = tuple(_decimal(v) for v in args.entries.split(","))
         weight = _decimal(args.weight)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _CliError(f"bad rational: {exc}")
     cfg = SearchConfig(entries=entries, weight=weight,
                        target_count=args.limit)
@@ -227,11 +227,16 @@ def _cmd_search_rb(args) -> int:
 def _decimal(text: str) -> Fraction:
     """A rational or decimal text, such as "1/3" or a JSON decimal, read
     exactly; its exponent may be no larger than a JSON integer's 4300
-    digits, so that no power of ten is too large, and its numerator and
-    denominator no longer than Python prints (4300 digits by default)."""
+    digits, so that no power of ten is too large, its denominator
+    nonzero, and its numerator and denominator no longer than Python
+    prints (4300 digits by default)."""
     if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
         raise ValueError(f"exponent of {text} exceeds 4300")
-    value, limit = Fraction(text), sys.get_int_max_str_digits()
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text} has a zero denominator") from None
+    limit = sys.get_int_max_str_digits()
     if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
         raise ValueError(f"{text} has a numerator or denominator of more "
                          f"than {limit} digits")

@@ -202,8 +202,7 @@ class SearchConfig:
 
 
 def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
-                     axioms: tuple[Axiom, ...], name: str,
-                     cells_for: Callable[[LinearFamily], _Cells],
+                     axioms: tuple[Axiom, ...], name: str, cells: _Cells,
                      keep: Callable[[Matrix], bool] = lambda m: True):
     """Every matrix family with entries from the configured set that passes
     `axioms` on every cell, in the lexicographic order of the whole space
@@ -215,27 +214,33 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     dropped at the first binary cell (x, y) whose sides differ, compared
     as soon as x, y and xy all have matrices.
 
-    One binding serves the whole pruning: cells_for(fam) binds the
-    axioms with fam as map `name` over a multiple of cfg.den, so every
+    cells is the search's one binding: the axioms with the searched
+    family as map `name`, over a multiple of cfg.den, so every
     candidate's matrices are exact in it.  Each cell is one generated int
-    function (`first_mismatch`) that reads the columns `rebind` sets, or
-    past `cellgen.CELL_LINES` lines, `mismatches` on the same binding; a
+    function (`first_mismatch`) that reads the columns `rebind` sets; a
     binary cell is made when its depth is first reached, and a cell
     whose sides are both zero is left out.  The unary pass rebinds `name`
     at each (index, matrix); a node at depth k rebinds it at index k
     only.  Indices past k keep stale matrices, but no cell compared at
-    depth k reads them.  The caller decides each family it yields with
-    the checker, on a second binding that it makes once,
-    cells_for(identity), which calls no generated cell.
+    depth k reads them.  A family is yielded once every index holds its
+    matrix, so the caller may decide it with the checker on cells: the
+    checker rebinds the same matrices, and the next node rebinds its
+    index before any cell reads it.
+
+    A space of one family, the constant one, makes no cell: that family
+    is yielded if it passes `keep`, and the checker decides it as it
+    decides every hit.
     """
-    # only a search generates cells: a program that never searches does
-    # not load, or compile, the module
-    from .cellgen import first_mismatch
     omega, dim, n = a.omega, a.dim, a.omega.order
     space = len(cfg.entries) ** (n * dim * dim)
     if space > cfg.budget:
         raise BudgetExceeded(space, cfg.budget)
-    cells = cells_for(LinearFamily.identity(omega, dim))
+    if space == 1:
+        m = Matrix(dim, dim, cfg.entries * (dim * dim))
+        return iter([LinearFamily(omega, dim, (m,) * n)] if keep(m) else [])
+    # only a search of more than one family generates cells: a program
+    # that never makes one does not load, or compile, the module
+    from .cellgen import first_mismatch
 
     def checks(arity, idxs):
         """The cells of the axioms of this arity at idxs, axiom by axiom,
@@ -303,16 +308,15 @@ def brute_force_rb_search(a: AlgebraInstance,
     """All weight-cfg.weight operator families over the entry set that
     pass check_rota_baxter, in enumeration order.  The search prunes
     index by index; every family it returns has passed the checker,
-    each decided on one binding made for the search that the checker
-    rebinds to the family."""
-    def cells_for(fam):
-        return rota_baxter_cells(a, RotaBaxterFamily(fam, cfg.weight), cfg.den)
+    each decided on the search's one binding, the one it prunes on,
+    which the checker rebinds to the family."""
+    cells = rota_baxter_cells(a, RotaBaxterFamily(
+        LinearFamily.identity(a.omega, a.dim), cfg.weight), cfg.den)
     rbs = (RotaBaxterFamily(fam, cfg.weight) for fam in _pruned_families(
-        a, cfg, rota_baxter_axioms(a.slot_names), "R", cells_for))
-    hits = cells_for(LinearFamily.identity(a.omega, a.dim))
+        a, cfg, rota_baxter_axioms(a.slot_names), "R", cells))
     return list(itertools.islice(
         (rb for rb in rbs
-         if check_rota_baxter(a, rb, max_witnesses=1, cells=hits).passed),
+         if check_rota_baxter(a, rb, max_witnesses=1, cells=cells).passed),
         cfg.target_count))
 
 
@@ -324,10 +328,10 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
     the power pair (f, f o f), plus cross pairs that commute.  The
     morphism search prunes index by index, and keeps at each index only
     the matrices that commute with every p_b and q_b; every morphism it
-    keeps has passed check_morphism, each decided on one binding made
-    for the search that the checker rebinds to the family.  Whether the
-    morphisms commute with themselves and each other is decided once per
-    pair of matrices.
+    keeps has passed check_morphism, each decided on the search's one
+    binding, the one it prunes on, which the checker rebinds to the
+    family.  Whether the morphisms commute with themselves and each
+    other is decided once per pair of matrices.
     """
     # the distinct p_b and q_b: the worked instances repeat one scalar map
     structure = tuple(dict.fromkeys(a.p.maps + a.q.maps))
@@ -342,16 +346,14 @@ def make_endomorphism_pairs(a: AlgebraInstance, cfg: SearchConfig
             decided[key] = mats_commute(m, k), m, k
         return decided[key][0]
 
-    def cells_for(fam):
-        return morphism_cells(fam, a, a, cfg.den)
-    candidates = _pruned_families(
-        a, cfg, morphism_axioms(a.slot_names), "f", cells_for,
-        keep=lambda m: all(mats_commute(m, s) for s in structure))
     ident = LinearFamily.identity(a.omega, a.dim)
-    hits = cells_for(ident)
+    cells = morphism_cells(ident, a, a, cfg.den)
+    candidates = _pruned_families(
+        a, cfg, morphism_axioms(a.slot_names), "f", cells,
+        keep=lambda m: all(mats_commute(m, s) for s in structure))
     morphisms = list(itertools.islice(
         (fam for fam in candidates
-         if check_morphism(fam, a, a, max_witnesses=1, cells=hits).passed),
+         if check_morphism(fam, a, a, max_witnesses=1, cells=cells).passed),
         cfg.target_count))
     pairs = [(ident, ident)]
     for f in morphisms:

@@ -837,6 +837,24 @@ def test_a_value_too_long_to_print_is_a_bad_rational(two_dim_file, tmp_path,
     assert rb.weight == 10 ** 4299
 
 
+def test_a_zero_denominator_is_named_in_the_users_text(two_dim_file, tmp_path,
+                                                       capsys):
+    out_path = tmp_path / "out.bho"
+    for flag, value, text in (("--weight", "1/0", "1/0"),
+                              ("--entries", "0,2/0", "2/0")):
+        assert main(["search-rb", "--algebra", two_dim_file, flag, value,
+                     "--out", str(out_path)]) == 2, flag
+        assert capsys.readouterr() == (
+            "", f"error: bad rational: {text} has a zero denominator\n"), flag
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(dict(PARAMS_OK, c=[["1/0"]])))
+    assert main(["example", "two-dim", "--params", str(params),
+                 "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bad parameter document: 1/0 has a zero denominator\n")
+    assert not out_path.exists()
+
+
 def test_search_rb_writes_each_line_of_its_entries_as_a_comment(
         two_dim_file, tmp_path, capsys):
     out_path = tmp_path / "out.bho"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bihomega import cellgen, forge
 from bihomega.checkers import (_Cells, check_instance, check_morphism,
-                               check_rota_baxter)
+                               check_rota_baxter, mismatches)
 from bihomega.core import (AlgebraKind, BilinearFamily, LinearFamily,
                            RotaBaxterFamily, new_instance)
 from bihomega.errors import (BudgetExceeded, ConditionViolated, ShapeMismatch,
@@ -20,7 +20,7 @@ from bihomega.forge import (SearchConfig, brute_force_rb_search,
                             make_endomorphism_pairs, make_two_dim_example,
                             two_dim_params, two_dim_reading_report,
                             zero_instance)
-from bihomega.linalg import Matrix
+from bihomega.linalg import Matrix, mats_commute
 from bihomega.reports import CheckReport
 from bihomega.semigroup import (cyclic_group, left_zero_semigroup,
                                 trivial_semigroup)
@@ -444,17 +444,12 @@ def test_each_index_keeps_the_matrices_that_commute_with_its_own_maps():
 def test_a_search_makes_one_binding_that_holds_no_memo(monkeypatch):
     # the unary pass and the binary nodes rebind one map in one binding,
     # and each rebind clears every memo there: none may be registered
-    made, init, pruned = [], _Cells.__init__, forge._pruned_families
+    made, init = [], _Cells.__init__
 
     def counted(self, *args, **kwargs):
         init(self, *args, **kwargs)
         made.append(self)
-
-    def binding(*args, **kwargs):
-        with monkeypatch.context() as patch:
-            patch.setattr(_Cells, "__init__", counted)
-            return pruned(*args, **kwargs)
-    monkeypatch.setattr(forge, "_pruned_families", binding)
+    monkeypatch.setattr(_Cells, "__init__", counted)
     base = two_dim_instance(C2)
     for search, cfg in ((brute_force_rb_search, SearchConfig(weight=1)),
                         (make_endomorphism_pairs, SearchConfig())):
@@ -464,9 +459,9 @@ def test_a_search_makes_one_binding_that_holds_no_memo(monkeypatch):
 
 
 def test_a_search_decides_every_hit_on_one_binding_that_applies(monkeypatch):
-    # two bindings per search, whatever its hit count: the first, whose
-    # generated cells prune, and the second, handed to the checker for
-    # every candidate the pruning yields, which no generated cell reads
+    # one binding per search, whatever its hit count: its generated cells
+    # prune, and it is handed to the checker for every candidate the
+    # pruning yields; a space of one family generates no cell
     made, handed, bound, init = [], [], [], _Cells.__init__
 
     def counted(self, *args, **kwargs):
@@ -494,11 +489,54 @@ def test_a_search_decides_every_hit_on_one_binding_that_applies(monkeypatch):
         handed.clear()
         bound.clear()
         search(base, cfg)
-        assert len(made) == 2 and bound
+        assert len(made) == 1 and bool(bound) == (len(cfg.entries) > 1)
         assert all(cells is made[0] for cells in bound)
-        assert all(cells is made[1] for cells, _ in handed)
+        assert handed and all(cells is made[0] for cells, _ in handed)
         hits.append(sum(passed for _, passed in handed))
     assert hits[:3] == [20, 1, 0] and hits[3] > 1
+
+
+def _dense_instance(d):
+    """A BiHom-associative instance over C2 at dim d whose product is
+    nonzero in every coefficient of every cell, with identity maps."""
+    cube = [[[1 + (i + 2 * j + k) % 3 for k in range(d)] for j in range(d)]
+            for i in range(d)]
+    return constant_product_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2,
+                                     {"mul": cube})
+
+
+@pytest.mark.parametrize("entry", [0, 1, Fraction(1, 2)])
+def test_a_search_of_one_family_returns_its_checkers_verdict(monkeypatch,
+                                                             entry):
+    # one entry makes one family, the constant one: each search returns
+    # what its checker says of it, after `keep`, without generating a cell
+    def compiled(self):
+        raise AssertionError("a one-family search generated a cell")
+    monkeypatch.setattr(cellgen._CellSource, "compiled", compiled)
+    for inst in (_benchmark_instances()[0], _dense_instance(8)):
+        n, d = inst.omega.order, inst.dim
+        m = Matrix(d, d, (Fraction(entry),) * (d * d))
+        fam = LinearFamily(inst.omega, d, (m,) * n)
+        for weight in (-1, 0, 1):
+            rb = RotaBaxterFamily(fam, weight)
+            passed = check_rota_baxter(inst, rb).passed
+            # R = 0 is an operator of every weight
+            assert passed or entry != 0
+            assert brute_force_rb_search(inst, SearchConfig(
+                entries=(entry,), weight=weight)) == ([rb] if passed else [])
+            with pytest.raises(BudgetExceeded):
+                brute_force_rb_search(inst, SearchConfig(
+                    entries=(entry,), weight=weight, budget=0))
+        kept = all(mats_commute(m, s) for s in inst.p.maps + inst.q.maps)
+        ident = LinearFamily.identity(inst.omega, d)
+        pairs = [(ident, ident)]
+        if kept and check_morphism(fam, inst, inst).passed:
+            pairs += [(fam, fam), (fam, fam.compose(fam))]
+        assert make_endomorphism_pairs(inst, SearchConfig(
+            entries=(entry,))) == pairs
+        with pytest.raises(BudgetExceeded):
+            make_endomorphism_pairs(inst, SearchConfig(entries=(entry,),
+                                                       budget=0))
 
 
 def test_rb_search_prunes_before_the_checker(monkeypatch):
@@ -718,8 +756,8 @@ def _rebinds(monkeypatch, run):
 
 @pytest.mark.parametrize("case", ["sign", "lie", "sl2"])
 def test_generated_cells_visit_the_nodes_of_mismatches(monkeypatch, case):
-    # node for node: with every cell of the pruning forced to mismatches,
-    # the search rebinds the same (index, matrix) sequence
+    # node for node: with every cell of the pruning read from mismatches
+    # instead, the search rebinds the same (index, matrix) sequence
     if case == "sl2":
         inst, searches = SL2, [(brute_force_rb_search, SearchConfig(
             entries=(0, 1), weight=w)) for w in (0, -1)]
@@ -731,9 +769,13 @@ def test_generated_cells_visit_the_nodes_of_mismatches(monkeypatch, case):
     for search, cfg in searches:
         generated = _rebinds(monkeypatch, lambda: search(inst, cfg))
         with monkeypatch.context() as patch:
-            # an empty cache, keyed without the cap, compiles no cell
-            for attr, value in (("CELL_LINES", 0), ("_CELL_CODE", {}),
-                                ("_cached_lines", 0)):
-                patch.setattr(cellgen, attr, value)
-            fallback = _rebinds(monkeypatch, lambda: search(inst, cfg))
-        assert len(generated) > 2 * 3 ** 4 and generated == fallback
+            patch.setattr(cellgen, "first_mismatch", _first_of_mismatches)
+            reference = _rebinds(monkeypatch, lambda: search(inst, cfg))
+        assert len(generated) > 2 * 3 ** 4 and generated == reference
+
+
+def _first_of_mismatches(axiom, cells):
+    """A stand-in for cellgen.first_mismatch: each cell returns the first
+    mismatch that `mismatches` yields on the binding at its index tuple."""
+    at = mismatches(axiom, cells)[1]
+    return lambda idx: lambda: next(at(idx), None)

@@ -6,9 +6,10 @@ returns the first mismatch, or None.  Which of its sub-terms are zero,
 and the index each sits at, are read from the binding's own bound
 terms, so cells and checkers follow one rule.  It reads the maps' int
 columns from the binding's lists when it runs, so one compiled cell
-serves every rebind, and its code is kept process-wide.  Every cell is
-generated, whatever its size.  No checker calls one: the checkers
-decide on `_Cells` alone, and may share the binding with the cells."""
+serves every node, whatever the search stored there, and its code is
+kept process-wide.  Every cell is generated, whatever its size.  No
+checker calls one: the checkers decide on `_Cells` alone, and may
+share the binding with the cells."""
 
 from __future__ import annotations
 

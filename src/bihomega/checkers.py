@@ -241,11 +241,13 @@ class _Cells:
     per basis tuple.
 
     rebind(name, a, m) swaps one map's matrix and columns at one index,
-    and clears every value memo; it never touches a bound term.  So a
-    search binds each index tuple once and rebinds one index per node,
-    and a checker handed a binding (`check_rota_baxter` and
-    `check_morphism` take `cells`) rebinds the checked family at every
-    index and reuses the terms bound for the families before it.  The
+    and clears every value memo; it never touches a bound term.  A
+    checker handed a binding (`check_rota_baxter` and `check_morphism`
+    take `cells`) rebinds the checked family at every index and reuses
+    the terms bound for the families before it.  A search binds each
+    index tuple once and, at each node, stores a candidate's matrix and
+    columns into maps[name] and cols[name] directly, with no rebind:
+    sound only because its binding holds no memo.  The
     binding keeps each axiom's `mismatches` too (`check`), so each
     index tuple's two sides are bound once per binding, not once per
     family.  made_for names what a binding was made for, as those

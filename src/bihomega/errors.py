@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+from decimal import Decimal
+
 
 class BihomegaError(Exception):
     """Base class for all library errors."""
@@ -91,9 +93,19 @@ class BudgetExceeded(BihomegaError):
     """A brute-force search space is larger than the configured budget."""
 
     def __init__(self, space: int, budget: int):
-        super().__init__(f"search space of {space} candidates exceeds budget {budget}")
+        super().__init__(f"search space of {_count(space)} candidates exceeds "
+                         f"budget {_count(budget)}")
         self.space = space
         self.budget = budget
+
+
+def _count(n: int) -> str:
+    """n in decimal or, where n has more digits than int -> str allows,
+    the power of ten it reaches."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 10^{Decimal(n).adjusted()}"
 
 
 class ParseError(BihomegaError):

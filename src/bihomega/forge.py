@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Callable, Iterator
 
@@ -217,15 +216,18 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     cells is the search's one binding: the axioms with the searched
     family as map `name`, over a multiple of cfg.den, so every
     candidate's matrices are exact in it.  Each cell is one generated int
-    function (`first_mismatch`) that reads the columns `rebind` sets; a
-    binary cell is made when its depth is first reached, and a cell
-    whose sides are both zero is left out.  The unary pass rebinds `name`
-    at each (index, matrix); a node at depth k rebinds it at index k
-    only.  Indices past k keep stale matrices, but no cell compared at
-    depth k reads them.  A family is yielded once every index holds its
-    matrix, so the caller may decide it with the checker on cells: the
-    checker rebinds the same matrices, and the next node rebinds its
-    index before any cell reads it.
+    function (`first_mismatch`) that reads cells.cols; all are made
+    before the first node, but those whose sides are both zero.  Each
+    candidate that passes `keep` is one (matrix, int columns) pair, made
+    once; the unary pass at each index, and a node at depth k at index k
+    only, store it in cells.maps[name] and cells.cols[name], so the two
+    agree at every node.  Such a store is sound only because a search
+    binding holds no memo, which `rebind` would clear.  Indices past k
+    keep stale matrices, but no cell compared at depth k reads them.  A
+    family is yielded once every index holds its matrix, so the caller
+    may decide it with the checker on cells: the checker rebinds the
+    same matrices, and the next node stores its index before any cell
+    reads it.
 
     A space of one family, the constant one, makes no cell: that family
     is yielded if it passes `keep`, and the checker decides it as it
@@ -252,46 +254,41 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
                 found += [check for check in map(at, idxs) if check is not None]
         return found
     unary = [checks(1, [(x,)]) for x in range(n)]
+    maps, cols = cells.maps[name], cells.cols[name]
     choices = [[] for _ in range(n)]
     for entries in itertools.product(cfg.entries, repeat=dim * dim):
         m = Matrix(dim, dim, entries)
         if keep(m):
+            pair = m, m.int_cols(cells.den)
             for x in range(n):
-                cells.rebind(name, x, m)
+                maps[x], cols[x] = pair
                 if _holds(unary[x]):
-                    choices[x].append(m)
+                    choices[x].append(pair)
     # the binary cells first readable once index k has its matrix
     fresh = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            fresh[max(x, y, omega.table[x][y])].append((x, y))
-    binary: dict[int, list] = {}
-
-    def level(k):
-        """Index k's matrices and the binary cells compared there."""
-        if k not in binary:
-            binary[k] = checks(2, fresh[k])
-        return choices[k], binary[k]
+    for x, y in itertools.product(range(n), repeat=2):
+        fresh[max(x, y, omega.table[x][y])].append((x, y))
+    binary = [checks(2, idxs) for idxs in fresh]
     return (LinearFamily(omega, dim, mats) for mats in
-            _grown((), n, level, partial(cells.rebind, name)))
+            _grown((), choices, binary, maps, cols))
 
 
-def _grown(mats: tuple[Matrix, ...], n: int, level, rebind
+def _grown(mats: tuple[Matrix, ...], choices, binary, maps, cols
            ) -> Iterator[tuple[Matrix, ...]]:
-    """The n-tuples of matrices that extend mats, depth first: at each
-    depth k, each of level(k)'s matrices in turn is rebound at k and
-    kept where level(k)'s cells hold.  A module-level generator, so that
-    no closure of a search refers to itself and each search is freed
-    once it is dropped."""
+    """The families of choices that extend mats, depth first: at depth k,
+    each of choices[k]'s (matrix, columns) pairs is stored at k in maps
+    and cols, and kept where binary[k]'s cells hold.  A module-level
+    generator, so that no closure of a search refers to itself and each
+    search is freed once it is dropped."""
     k = len(mats)
-    if k == n:
+    if k == len(choices):
         yield mats
         return
-    ms, binary = level(k)
-    for m in ms:
-        rebind(k, m)
-        if _holds(binary):
-            yield from _grown(mats + (m,), n, level, rebind)
+    checks = binary[k]
+    for m, c in choices[k]:
+        maps[k], cols[k] = m, c
+        if _holds(checks):
+            yield from _grown(mats + (m,), choices, binary, maps, cols)
 
 
 def _holds(checks) -> bool:

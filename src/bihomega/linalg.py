@@ -114,9 +114,11 @@ class Matrix:
         column j is apply(e_j, den); built once per den."""
         forms = self._int_cols
         if den not in forms:
-            rows = [dict(row) for row in self.int_rows(den)]
-            forms[den] = tuple(tuple(row.get(j, 0) for row in rows)
-                               for j in range(self.cols))
+            if den % self.den:
+                raise ValueError(f"den {den} is not a multiple of {self.den}")
+            n, es = self.cols, self.entries
+            forms[den] = tuple(tuple(v.numerator * (den // v.denominator)
+                                     for v in es[j::n]) for j in range(n))
         return forms[den]
 
     def apply(self, x: Sequence, den: int) -> tuple:

@@ -754,7 +754,8 @@ def test_a_handed_binding_makes_each_axioms_mismatches_once(monkeypatch):
 
 def test_rota_baxter_and_morphism_bindings_hold_no_memo():
     # every sub-term of their axioms reads all the axiom's variables, so
-    # rebinding the searched map costs the searches no memo; every index
+    # the searches may store into the searched map's lists, which no memo
+    # reads, and rebinding it costs the checkers no memo; every index
     # tuple is bound, over nonzero products, since a zero term has none
     omega = cyclic_group(3)
     ident = LinearFamily.identity(omega, 2)

@@ -773,6 +773,23 @@ def test_search_rb_on_a_workspace_with_two_algebras_names_its_own_flag(
                                        "algebras; pass --name NAME\n")
 
 
+def test_search_rb_over_a_space_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # 3 ** (95 * 95) candidates: more digits than int -> str allows, so
+    # the message gives the power of ten the space reaches, and the error
+    # keeps the space itself
+    path = tmp_path / "big.bho"
+    path.write_text("semigroup T { elements t; table { t*t = t; } }\n"
+                    "algebra a : bihom_associative over T dim 95 { }\n")
+    assert main(["search-rb", "--algebra", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: search space of at least "
+                                       "10^4306 candidates exceeds budget "
+                                       "10000000\n")
+    with pytest.raises(BudgetExceeded) as err:
+        brute_force_rb_search(parse_workspace(path.read_text()).algebras["a"],
+                              SearchConfig())
+    assert err.value.space == 3 ** (95 * 95)
+
+
 def test_an_empty_algebra_of_large_dim_stores_no_cell(tmp_path, capsys):
     text = ("semigroup T { elements t; table { t*t = t; } }\n"
             "algebra a : lie over T dim 400 { }\n")

@@ -212,7 +212,7 @@ def test_check_morphism_matches_fraction_evaluator(case, cap, data):
 @given(case=cases(), data=st.data())
 def test_rebinding_one_index_matches_the_fraction_evaluator(with_rb, case, data):
     """One binding checked, then rebound at one index after another as a
-    search rebinds it, gives the report of the instance with those
+    search's nodes set it, gives the report of the instance with those
     matrices in place: no column, and no memo entry of a sub-term that
     read the index, outlives its matrix.  With R, rb-commutes-p reads
     R's column in p(R(X)) and R's matrix in R(p(X)), so a stale column

@@ -442,8 +442,8 @@ def test_each_index_keeps_the_matrices_that_commute_with_its_own_maps():
 
 
 def test_a_search_makes_one_binding_that_holds_no_memo(monkeypatch):
-    # the unary pass and the binary nodes rebind one map in one binding,
-    # and each rebind clears every memo there: none may be registered
+    # the unary pass and the binary nodes store into one map's lists in
+    # one binding, with no rebind to clear a memo: none may be registered
     made, init = [], _Cells.__init__
 
     def counted(self, *args, **kwargs):
@@ -740,16 +740,31 @@ def test_uncapped_rb_search_over_sl2_is_pinned(weight, count, digest):
     assert hashlib.sha256(repr(found).encode()).hexdigest()[:12] == digest
 
 
-def _rebinds(monkeypatch, run):
-    """The (index, matrix) of every rebind, in order, while run() runs;
-    a search's node at depth k rebinds index k."""
-    seen, rebind = [], _Cells.rebind
+class _Stores(list):
+    """A map's list of matrices that records every (index, matrix) stored
+    in it."""
 
-    def recorded(self, name, a, m):
-        seen.append((name, a, m))
-        rebind(self, name, a, m)
+    def __init__(self, mats, seen):
+        super().__init__(mats)
+        self.seen = seen
+
+    def __setitem__(self, a, m):
+        self.seen.append((a, m))
+        super().__setitem__(a, m)
+
+
+def _stores(monkeypatch, run, name):
+    """The (index, matrix) of every store into map `name`'s list of each
+    binding, in order, while run() runs: the unary pass stores each
+    candidate at every index, a search's node at depth k stores index k,
+    and the checker's rebinds store every index of a hit."""
+    seen, init = [], _Cells.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.maps[name] = _Stores(self.maps[name], seen)
     with monkeypatch.context() as patch:
-        patch.setattr(_Cells, "rebind", recorded)
+        patch.setattr(_Cells, "__init__", recorded)
         run()
     return seen
 
@@ -757,7 +772,9 @@ def _rebinds(monkeypatch, run):
 @pytest.mark.parametrize("case", ["sign", "lie", "sl2"])
 def test_generated_cells_visit_the_nodes_of_mismatches(monkeypatch, case):
     # node for node: with every cell of the pruning read from mismatches
-    # instead, the search rebinds the same (index, matrix) sequence
+    # instead, the search stores the same (index, matrix) sequence into
+    # the searched map; each node stores the matrix and its columns
+    # together, so the stand-in reads what the generated cells read
     if case == "sl2":
         inst, searches = SL2, [(brute_force_rb_search, SearchConfig(
             entries=(0, 1), weight=w)) for w in (0, -1)]
@@ -767,11 +784,32 @@ def test_generated_cells_visit_the_nodes_of_mismatches(monkeypatch, case):
                     for w in (0, 1, -1)]
         searches.append((make_endomorphism_pairs, SearchConfig()))
     for search, cfg in searches:
-        generated = _rebinds(monkeypatch, lambda: search(inst, cfg))
+        name = "R" if search is brute_force_rb_search else "f"
+        generated = _stores(monkeypatch, lambda: search(inst, cfg), name)
         with monkeypatch.context() as patch:
             patch.setattr(cellgen, "first_mismatch", _first_of_mismatches)
-            reference = _rebinds(monkeypatch, lambda: search(inst, cfg))
+            reference = _stores(monkeypatch, lambda: search(inst, cfg), name)
         assert len(generated) > 2 * 3 ** 4 and generated == reference
+
+
+def test_a_search_rebinds_only_through_the_checker(monkeypatch):
+    # the pruning stores its matrices and columns directly, so the only
+    # rebinds of a search are the checker's: n per family it decides
+    rebinds, decided = [], []
+    rebind, check = _Cells.rebind, forge.check_rota_baxter
+
+    def recorded(self, name, a, m):
+        rebinds.append((name, a))
+        rebind(self, name, a, m)
+
+    def counted(*args, **kwargs):
+        decided.append(args[1])
+        return check(*args, **kwargs)
+    monkeypatch.setattr(_Cells, "rebind", recorded)
+    monkeypatch.setattr(forge, "check_rota_baxter", counted)
+    hits = brute_force_rb_search(two_dim_instance(C2), SearchConfig(weight=1))
+    assert len(hits) == len(decided) == 20
+    assert rebinds == [("R", a) for _ in decided for a in range(2)]
 
 
 def _first_of_mismatches(axiom, cells):

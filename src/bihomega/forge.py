@@ -3,6 +3,7 @@ closed families, and brute-force searches with checkers as oracles."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -218,16 +219,16 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     candidate's matrices are exact in it.  Each cell is one generated int
     function (`first_mismatch`) that reads cells.cols; all are made
     before the first node, but those whose sides are both zero.  Each
-    candidate that passes `keep` is one (matrix, int columns) pair, made
-    once; the unary pass at each index, and a node at depth k at index k
-    only, store it in cells.maps[name] and cells.cols[name], so the two
-    agree at every node.  Such a store is sound only because a search
-    binding holds no memo, which `rebind` would clear.  Indices past k
-    keep stale matrices, but no cell compared at depth k reads them.  A
-    family is yielded once every index holds its matrix, so the caller
-    may decide it with the checker on cells: the checker rebinds the
-    same matrices, and the next node stores its index before any cell
-    reads it.
+    candidate is a (matrix, int columns) pair of `_grid`, kept per
+    process; the unary pass at each index, and a node at depth k at
+    index k only, store a pair that passes `keep` in cells.maps[name]
+    and cells.cols[name], so the two agree at every node.  Such a store
+    is sound only because a search binding holds no memo, which `rebind`
+    would clear.  Indices past k keep stale matrices, but no cell
+    compared at depth k reads them.  A family is yielded once every
+    index holds its matrix, so the caller may decide it with the checker
+    on cells: the checker rebinds the same matrices, and the next node
+    stores its index before any cell reads it.
 
     A space of one family, the constant one, makes no cell: that family
     is yielded if it passes `keep`, and the checker decides it as it
@@ -256,10 +257,8 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     unary = [checks(1, [(x,)]) for x in range(n)]
     maps, cols = cells.maps[name], cells.cols[name]
     choices = [[] for _ in range(n)]
-    for entries in itertools.product(cfg.entries, repeat=dim * dim):
-        m = Matrix(dim, dim, entries)
-        if keep(m):
-            pair = m, m.int_cols(cells.den)
+    for pair in _grid(cfg.entries, dim, cells.den):
+        if keep(pair[0]):
             for x in range(n):
                 maps[x], cols[x] = pair
                 if _holds(unary[x]):
@@ -271,6 +270,17 @@ def _pruned_families(a: AlgebraInstance, cfg: SearchConfig,
     binary = [checks(2, idxs) for idxs in fresh]
     return (LinearFamily(omega, dim, mats) for mats in
             _grown((), choices, binary, maps, cols))
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(entries: tuple[Fraction, ...], dim: int, den: int):
+    """Every dim x dim matrix over entries in itertools.product order, with
+    its int columns over den sliced from the product of the entries' ints;
+    one grid, the last built, is kept, with the int forms cached on it."""
+    ints = [v.numerator * (den // v.denominator) for v in entries]
+    return tuple((Matrix(dim, dim, flat), tuple(vs[j::dim] for j in range(dim)))
+                 for flat, vs in zip(itertools.product(entries, repeat=dim * dim),
+                                     itertools.product(ints, repeat=dim * dim)))
 
 
 def _grown(mats: tuple[Matrix, ...], choices, binary, maps, cols

@@ -597,6 +597,210 @@ def test_main_exit_codes_on_mutated_workspaces(data):
     _exit_codes_hold(data, lambda path: _commands(path)[:4])
 
 
+# -- workspaces generated from the grammar --------------------------------
+
+# dim stays at most 3: an algebra with no map block gets identity maps,
+# whose dim * dim entries are all stored and all written out, so inputs
+# with a large dim are left out until maps are stored sparsely
+_MAX_DIM = 3
+# a search over at most this many candidates runs; one over the default
+# budget exits 2 before any candidate is built
+_SEARCHED, _BUDGET = 3 ** 8, 10 ** 7
+_PAST_THE_DIGIT_LIMIT = "7" * 4301
+
+
+@st.composite
+def _rational(draw) -> str:
+    """A rational's text: small, or with up to 200 digits on either side."""
+    digits = draw(st.sampled_from((1, 1, 3, 40, 200)))
+    num = draw(st.integers(-10 ** digits, 10 ** digits))
+    den = draw(st.sampled_from((1, 1, 1, 2, 3))) if digits == 1 else draw(
+        st.integers(1, 10 ** digits))
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+_TABLES = {"cyclic": lambda n, a, b: (a + b) % n,
+           "left_zero": lambda n, a, b: a, "right_zero": lambda n, a, b: b,
+           "null": lambda n, a, b: 0, "max": lambda n, a, b: max(a, b)}
+
+
+@st.composite
+def _semigroup(draw, name: str) -> tuple[str, list[str]]:
+    """A semigroup block of order 1 to 10: a cyclic group, a left- or
+    right-zero, null or max semigroup, or a random table, which is most
+    often no semigroup; its commutative flag is mostly the table's own."""
+    n = draw(st.integers(1, 10))
+    prefix = draw(st.sampled_from(("g", "x", "e", "t_")))
+    labels = [f"{prefix}{i}" for i in range(n)]
+    shape = draw(st.sampled_from((*_TABLES, "random")))
+    if shape == "random":
+        table = [[draw(st.integers(0, n - 1)) for _ in labels] for _ in labels]
+    else:
+        table = [[_TABLES[shape](n, a, b) for b in range(n)] for a in range(n)]
+    commutative = all(table[a][b] == table[b][a]
+                      for a in range(n) for b in range(n))
+    if draw(st.integers(0, 5)) == 0:
+        commutative = not commutative
+    rows = " ".join(f"{labels[a]}*{labels[b]} = {labels[table[a][b]]};"
+                    for a in range(n) for b in range(n))
+    flag = " commutative;" if commutative else ""
+    return (f"semigroup {name} {{ elements {' '.join(labels)}; "
+            f"table {{ {rows} }}{flag} }}", labels)
+
+
+@st.composite
+def _matrix(draw, dim: int) -> str:
+    """The identity, a diagonal or a random matrix, as `[[r, r], ...]`."""
+    shape = draw(st.sampled_from(("identity", "diagonal", "random")))
+    rows = []
+    for i in range(dim):
+        row = [draw(_rational()) if shape == "random" or (
+            shape == "diagonal" and i == j) else str(int(i == j))
+            for j in range(dim)]
+        rows.append("[" + ", ".join(row) + "]")
+    return "[" + ", ".join(rows) + "]"
+
+
+@st.composite
+def _map_body(draw, labels: list[str], dim: int) -> str:
+    return " ".join(f"{a}: {draw(_matrix(dim))};" for a in labels)
+
+
+@st.composite
+def _lincomb(draw, dim: int) -> str:
+    """A sum of terms, a coefficient left out now and then, or a bare 0."""
+    if draw(st.integers(0, 9)) == 0:
+        return "0"
+    terms = []
+    for _ in range(draw(st.integers(1, dim))):
+        k = draw(st.integers(1, dim))
+        terms.append(f"e{k}" if draw(st.integers(0, 4)) == 0
+                     else f"{draw(_rational())} e{k}")
+    return " + ".join(terms)
+
+
+@st.composite
+def _algebra(draw, name: str, omega: str, labels: list[str]) -> str:
+    kind = draw(st.sampled_from(list(AlgebraKind)))
+    dim = draw(st.integers(1, _MAX_DIM))
+    n = len(labels)
+    blocks = []
+    for slot in kind.product_slots:
+        if draw(st.booleans()):
+            continue
+        keys = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1),
+                                       st.integers(1, dim), st.integers(1, dim)),
+                             max_size=4, unique=True))
+        entries = " ".join(f"({labels[a]},{labels[b]}): e{i}*e{j} = "
+                           f"{draw(_lincomb(dim))};" for a, b, i, j in keys)
+        blocks.append(f"product {slot} {{ {entries} }}")
+    for which in ("p", "q"):
+        if draw(st.integers(0, 2)) == 0:
+            blocks.append(f"map {which} {{ {draw(_map_body(labels, dim))} }}")
+    return (f"algebra {name} : {kind.value} over {omega} dim {dim} "
+            f"{{ {' '.join(blocks)} }}")
+
+
+@st.composite
+def _workspace(draw) -> tuple[str, list[tuple[int, int]]]:
+    """A workspace text of one or two semigroups, up to two algebras and
+    up to one maps and one rota_baxter family, in the canonical spacing or
+    with spaces around every punctuation token, and comments now and
+    then, and now and then one integer past the digit limit; with each
+    algebra's (order, dim), for the search's space."""
+    parts, shapes, semigroups = [], [], []
+    for name in ("S", "T")[:draw(st.integers(1, 2))]:
+        block, labels = draw(_semigroup(name))
+        parts.append(block)
+        semigroups.append((name, labels))
+    for name in ("A", "B")[:draw(st.sampled_from((1, 1, 2, 0)))]:
+        omega, labels = draw(st.sampled_from(semigroups))
+        block = draw(_algebra(name, omega, labels))
+        parts.append(block)
+        shapes.append((len(labels), int(re.search(r" dim (\d+) ", block)[1])))
+    omega, labels = draw(st.sampled_from(semigroups))
+    dim = draw(st.integers(1, _MAX_DIM))
+    if draw(st.booleans()):
+        parts.append(f"maps M over {omega} dim {dim} "
+                     f"{{ {draw(_map_body(labels, dim))} }}")
+    if draw(st.booleans()):
+        parts.append(f"rota_baxter R over {omega} dim {dim} weight "
+                     f"{draw(_rational())} {{ {draw(_map_body(labels, dim))} }}")
+    text = "\n".join(parts) + "\n"
+    if draw(st.booleans()):
+        text = re.sub(r"([{}()\[\]:;,*=+/])", r" \1 ", text)
+    if draw(st.booleans()):
+        text = text.replace(";", "; # a comment\n", draw(st.integers(1, 5)))
+    ints = [m.span() for m in re.finditer(r"\b\d+\b", text)]
+    if ints and draw(st.integers(0, 9)) == 0:
+        start, end = draw(st.sampled_from(ints))
+        text = text[:start] + _PAST_THE_DIGIT_LIMIT + text[end:]
+    return text, shapes
+
+
+def _space(entries: str, shape: tuple[int, int]) -> int | None:
+    """The search's candidate count, None where an entry is unreadable."""
+    try:
+        distinct = {Fraction(v) for v in entries.split(",")}
+    except ValueError:
+        return None
+    n, dim = shape
+    return len(distinct) ** (n * dim * dim)
+
+
+def _outcome(argv) -> tuple[int, str, str]:
+    # an exception main lets out fails the test with its traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _holds_the_contract(argv, code, out, err):
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    # exit 1 is a verdict: a failing axiom, table or side condition
+    if code == 1:
+        assert any(line.startswith("FAIL ") for line in out.splitlines()), argv
+
+
+@st.composite
+def _entries(draw) -> str:
+    """One to three rationals, joined by commas; now and then the last
+    one is past the digit limit."""
+    values = draw(st.lists(_rational(), min_size=1, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        values[-1] = _PAST_THE_DIGIT_LIMIT
+    return ",".join(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_workspace(), entries=_entries(), weight=_rational(),
+       limit=st.sampled_from((None, 1, 3)))
+def test_generated_workspaces_keep_the_exit_code_contract(case, entries,
+                                                          weight, limit):
+    text, shapes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ws.bho")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["fmt", path], ["check", path]):
+            code, out, err = _outcome(argv)
+            _holds_the_contract(argv, code, out, err)
+            if argv[0] == "fmt" and code == 0:
+                # the canonical text is read back as itself
+                with open(path + ".fmt", "w", encoding="utf-8") as fh:
+                    fh.write(out)
+                assert _outcome(["fmt", path + ".fmt"]) == (0, out, "")
+        space = _space(entries, shapes[0]) if shapes else None
+        if space is None or space <= _SEARCHED or space > _BUDGET:
+            argv = ["search-rb", "--algebra", path, "--name", "A",
+                    "--entries", entries, "--weight", weight]
+            argv += ["--limit", str(limit)] if limit else []
+            _holds_the_contract(argv, *_outcome(argv))
+
+
 def test_out_that_cannot_be_written_exits_2(two_dim_file, tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps(PARAMS_OK))

@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -645,8 +646,9 @@ def test_a_repeated_search_walks_no_cell(monkeypatch):
 
 def test_a_search_is_freed_without_the_cycle_collector(monkeypatch):
     # a pruning closure that refers to itself, or a compiled cell's exec
-    # scope that holds the function, would keep each search's bindings,
-    # candidate grid and int forms until a collection ran; the cell cache
+    # scope that holds the function, would keep each search's bindings
+    # and choices until a collection ran (the candidate grid and its int
+    # forms are kept per process, one grid at a time); the cell cache
     # starts empty, so the first searches compile their cells
     monkeypatch.setattr(cellgen, "_CELL_CODE", {})
     monkeypatch.setattr(cellgen, "_cached_lines", 0)
@@ -662,6 +664,92 @@ def test_a_search_is_freed_without_the_cycle_collector(monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_search_over_the_last_grid_builds_no_matrix(monkeypatch):
+    # the grid is built for the first search over its entries, dim and den,
+    # after the budget check, and kept: the next searches over it, of
+    # either kind and any weight, build no matrix and return what a
+    # fresh grid gives, in the same order
+    base, built, matrix = two_dim_instance(C2), [], forge.Matrix
+
+    def counted(*args):
+        built.append(args)
+        return matrix(*args)
+    monkeypatch.setattr(forge, "Matrix", counted)
+    forge._grid.cache_clear()
+    with pytest.raises(BudgetExceeded):
+        brute_force_rb_search(base, SearchConfig(budget=3 ** 8 - 1))
+    assert built == [] and forge._grid.cache_info().currsize == 0
+    searches = ((brute_force_rb_search, SearchConfig(weight=1)),
+                (brute_force_rb_search, SearchConfig(weight=1)),
+                (make_endomorphism_pairs, SearchConfig()),
+                (brute_force_rb_search, SearchConfig(weight=-1,
+                                                     target_count=3)))
+    runs = []
+    for search, cfg in searches:
+        built.clear()
+        runs.append((search(base, cfg), len(built)))
+    assert [count for _, count in runs] == [3 ** 4, 0, 0, 0]
+    forge._grid.cache_clear()
+    assert [found for found, _ in runs] == [search(base, cfg)
+                                            for search, cfg in searches]
+    assert runs[0][0] == runs[1][0] and len(runs[0][0]) == 20
+    assert forge._grid.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("other", ["entries", "dim"])
+def test_a_search_over_another_grid_drops_the_last(other):
+    # one grid is kept at a time: once a search over other entries, or
+    # another dim, has built its grid, a matrix of the last one lives on
+    # only through the families that were returned
+    forge._grid.cache_clear()
+    base, cfg = two_dim_instance(C2), SearchConfig(weight=1)
+    found = brute_force_rb_search(base, cfg)
+    held = weakref.ref(found[-1].maps.maps[0])
+    grid = forge._grid(cfg.entries, 2, 1)
+    assert forge._grid.cache_info().misses == 1
+    dropped = weakref.ref(grid[-1][0])
+    assert all(dropped() not in rb.maps.maps for rb in found)
+    del grid
+    if other == "entries":
+        # the same entries in another order make another grid
+        brute_force_rb_search(base, SearchConfig(entries=(1, 0, -1), weight=1))
+    else:
+        brute_force_rb_search(
+            zero_instance(AlgebraKind.BIHOM_ASSOCIATIVE, C2, 1), cfg)
+    assert dropped() is None and held() is not None
+    assert forge._grid.cache_info().currsize == 1
+    del found
+    assert held() is None
+
+
+def _grid_searches():
+    """The benchmark's searches, weights -1, 0 and 1, uncapped and at
+    target_count 1 and 3, grouped by their entries: the default ones,
+    entries over den 2, and the default ones in another order."""
+    for entries in ((-1, 0, 1), (0, Fraction(1, 2), 1), (1, 0, -1)):
+        for inst, cap in itertools.product(_benchmark_instances(),
+                                           (None, 1, 3)):
+            for weight in (-1, 0, 1):
+                yield brute_force_rb_search, inst, SearchConfig(
+                    entries=entries, weight=weight, target_count=cap)
+            yield make_endomorphism_pairs, inst, SearchConfig(
+                entries=entries, target_count=cap)
+
+
+def test_a_kept_grid_gives_what_a_fresh_one_gives():
+    # every search run on a fresh grid, then on the grid the searches
+    # before it left; the last search, over the default entries after
+    # their reverse, reads a grid of its own
+    searches = list(_grid_searches())
+    cold = []
+    for search, inst, cfg in searches:
+        forge._grid.cache_clear()
+        cold.append(search(inst, cfg))
+    warm = [search(inst, cfg) for search, inst, cfg in searches + searches[:1]]
+    assert warm == cold + cold[:1]
+    assert any(len(found) > 3 for found in cold)
 
 
 def test_the_cell_cache_keeps_its_line_budget(monkeypatch):
